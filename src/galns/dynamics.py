@@ -3,9 +3,13 @@
 State lives on a finite mode set; the right-hand side is the quadratic
 interaction restricted to that set, a diagonal viscous term, a fixed
 solenoidal forcing, and a control acting on a subset of modes.  The
-integrator is an integrating-factor (Lawson) RK4 on the exponentially
-transformed variable with step-doubling error control, restarted at
-every control breakpoint.
+quadratic term is one sparse operator over the unique interacting pairs
+(m, n), Q(y) = C @ (y_m * y_n), so it evaluates one state of shape (dim,)
+or a stack of states of shape (dim, B) alike.  The integrator is an
+integrating-factor (Lawson) RK4 on the exponentially transformed variable
+with step-doubling error control, restarted at every control breakpoint;
+it steps a stack of states on one shared step sequence, with the error
+norm taken over the whole stack.
 """
 
 import csv
@@ -15,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.interpolate import CubicSpline
+from scipy.sparse import csr_array
 
 from .nonlinearity import interaction_coeffs
 from .spectral import ModeIndex, RectGeometry, SpectralField, check_mode, kbar
@@ -22,6 +27,12 @@ from .spectral import ModeIndex, RectGeometry, SpectralField, check_mode, kbar
 
 class StiffnessError(RuntimeError):
     """Raised when the adaptive step size underflows."""
+
+
+# Cache-sized working set: stacks of states are evaluated in blocks whose
+# largest temporary, the (pairs, rows) product array of quadratic_vec,
+# stays within it, and an interaction matrix that fits in it is stored dense.
+BLOCK_BYTES = 128 * 1024
 
 
 @dataclass
@@ -37,8 +48,9 @@ class GalerkinSystem:
     controlled_set: tuple
 
     def __post_init__(self):
-        if self.nu <= 0:
-            raise ValueError("viscosity must be positive")
+        if not 0 < self.nu < np.inf:
+            raise ValueError("viscosity must be positive and finite, got %r"
+                             % (self.nu,))
         self.mode_set = tuple(sorted(tuple(k) for k in self.mode_set))
         self.controlled_set = tuple(sorted(tuple(k) for k in self.controlled_set))
         for k in self.mode_set:
@@ -55,8 +67,11 @@ class GalerkinSystem:
         self._build_quadratic_table()
 
     def _build_quadratic_table(self):
-        """Flatten the pairwise interaction coefficients restricted to
-        mode_set into parallel index arrays for vectorized evaluation."""
+        """Build the pair-reduced interaction operator on mode_set: the
+        unique interacting pairs (_pi[p], _pj[p]) and the matrix _Q
+        (dim x pairs) of their coefficients on each target mode.  _Q is a
+        CSR matrix, or a dense array when that fits in BLOCK_BYTES: for a
+        small system a dense product is faster than one sparse dispatch."""
         ii, jj, tt, cc = [], [], [], []
         modes = self.mode_set
         for p, m in enumerate(modes):
@@ -67,10 +82,21 @@ class GalerkinSystem:
                         jj.append(self._index[n])
                         tt.append(self._index[tgt])
                         cc.append(c)
-        self._qi = np.array(ii, dtype=int)
-        self._qj = np.array(jj, dtype=int)
-        self._qt = np.array(tt, dtype=int)
-        self._qc = np.array(cc)
+        qi = np.array(ii, dtype=np.int32)
+        qj = np.array(jj, dtype=np.int32)
+        qt = np.array(tt, dtype=np.int32)
+        qc = np.array(cc)
+        del ii, jj, tt, cc
+        # the entries of one pair are consecutive, so a pair starts wherever
+        # (i, j) changes
+        first = np.ones(len(qc), dtype=bool)
+        first[1:] = (qi[1:] != qi[:-1]) | (qj[1:] != qj[:-1])
+        pair = np.cumsum(first, dtype=np.int32) - 1
+        self._pi = qi[first].astype(np.intp)
+        self._pj = qj[first].astype(np.intp)
+        self._Q = csr_array((qc, (qt, pair)), shape=(self.dim, len(self._pi)))
+        if 8 * self.dim * len(self._pi) <= BLOCK_BYTES:
+            self._Q = self._Q.toarray()
 
     @property
     def dim(self) -> int:
@@ -89,11 +115,16 @@ class GalerkinSystem:
                                          for i, k in enumerate(self.mode_set)
                                          if y[i] != 0.0})
 
+    @property
+    def block_rows(self) -> int:
+        """Widest stack whose pair-product temporary in quadratic_vec stays
+        within BLOCK_BYTES."""
+        return max(1, BLOCK_BYTES // (8 * max(1, len(self._pi))))
+
     def quadratic_vec(self, y: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.dim)
-        if len(self._qc):
-            np.add.at(out, self._qt, self._qc * y[self._qi] * y[self._qj])
-        return out
+        """Quadratic term Q(y) for one state of shape (dim,) or a stack of
+        states of shape (dim, B), column by column."""
+        return self._Q @ (y[self._pi] * y[self._pj])
 
     def control_vec(self, v) -> np.ndarray:
         """Embed a control value (array over controlled_set, or mode dict)
@@ -234,7 +265,11 @@ def adaptive_lawson(lam, nonlin, y0, t0, t1, tol, max_step=np.inf,
                     h_min=None):
     """Integrate y' = lam*y + nonlin(y, t) over [t0, t1] with step-doubling
     error control at absolute tolerance tol.  Returns (times, states) lists
-    including the initial point."""
+    including the initial point.
+
+    y0 may be one state of shape (dim,) or a stack of shape (dim, B) with
+    lam of shape (dim, 1); the stack shares one step sequence and the error
+    is the largest over all its entries, so each member meets tol."""
     span = t1 - t0
     if h_min is None:
         h_min = 1e-13 * span
@@ -272,8 +307,8 @@ def integrate(sys: GalerkinSystem, u0: SpectralField, control, T: float,
               tol: float = 1e-8) -> Trajectory:
     """Integrate the controlled system over [0, T] with absolute local error
     control at tol on the coefficients.  Control breakpoints are exact knots."""
-    if T <= 0:
-        raise ValueError("horizon must be positive")
+    if not 0 < T < np.inf:
+        raise ValueError("horizon must be positive and finite, got %r" % (T,))
     y = sys.to_vector(u0)
     times = [0.0]
     states = [y.copy()]
@@ -281,6 +316,11 @@ def integrate(sys: GalerkinSystem, u0: SpectralField, control, T: float,
     if isinstance(control, PiecewiseConstant):
         if control.values.shape[1] != len(sys.controlled_set):
             raise ValueError("control dimension != |controlled_set|")
+        bp = control.breakpoints
+        if bp[0] > 0 or bp[-1] < T:
+            raise ValueError("control breakpoints span [%r, %r], which does "
+                             "not cover [0, %r]"
+                             % (float(bp[0]), float(bp[-1]), T))
         max_step = np.inf
     elif isinstance(control, Smooth):
         max_step = control.max_step

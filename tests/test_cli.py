@@ -69,6 +69,14 @@ def test_simulate_invalid_json_reports_line(tmp_path, capsys):
     assert "line 2" in err
 
 
+def test_simulate_control_short_of_horizon_exit_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "short.json", dict(
+        SIM_CFG, control={"breakpoints": [0.0, 0.1], "values": [[0.0] * 8]}))
+    assert main(["--out", str(tmp_path / "o"), "simulate",
+                 "--config", cfg]) == 2
+    assert "does not cover [0, 0.3]" in capsys.readouterr().err
+
+
 def test_saturate_rectangle_chain(tmp_path):
     out = str(tmp_path / "o")
     assert main(["--out", out, "saturate", "--a", "1", "--b", "2",

@@ -55,6 +55,24 @@ def test_endpoint_map_ball_constraint():
     exp = make_exp()
     with pytest.raises(ValueError):
         endpoint_map(exp, np.full(8, 1.0))
+    # one row outside the ball rejects the whole stack
+    stack = np.zeros((3, 8))
+    stack[1] = 1.0
+    with pytest.raises(ValueError, match="inflated ball"):
+        endpoint_map(exp, stack)
+
+
+def test_endpoint_map_stack_matches_rows():
+    exp = make_exp()
+    rng = np.random.default_rng(2)
+    # wider than one block, so the stack is split
+    stack = rng.normal(size=(exp.sys.block_rows + 6, 8))
+    stack *= 0.14 * rng.random((len(stack), 1)) \
+        / np.sum(np.abs(stack), axis=1, keepdims=True)
+    got = endpoint_map(exp, stack, 0.5)
+    assert got.shape == stack.shape
+    for row, p in zip(got, stack):
+        assert np.max(np.abs(row - endpoint_map(exp, p, 0.5))) <= exp.tol
 
 
 def test_endpoint_map_small_horizon_near_reference():
@@ -87,6 +105,26 @@ def test_covering_small_grid():
     assert rep["n_targets"] == 2 ** 8
     assert rep["max_residual"] < 1e-6
     assert rep["T_used"] <= rep["T0"]
+
+
+def test_covering_matches_sequential_reference():
+    """The stacked covering loop takes, per target, the iterations of the
+    one-target-at-a-time damped fixed-point loop."""
+    exp = make_exp()
+    rep = covering_check(exp, grid_per_dim=2,
+                         fit_horizons=[0.1, 0.05, 0.025], seed=1)
+    center = exp.observed(exp.sys.to_vector(exp.u0))
+    for row in rep["per_target"]:
+        target = np.array(row["target"])
+        p = target - center
+        for it in range(60):
+            r = target - endpoint_map(exp, p, rep["T_used"])
+            res = float(np.sum(np.abs(r)))
+            if res < 1e-6:
+                break
+            p = p + r
+        assert row["iterations"] == it + 1
+        assert abs(row["residual"] - res) <= exp.tol
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from galns.dynamics import (GalerkinSystem, PiecewiseConstant, Smooth,
                             Trajectory, data_continuity_probe, integrate,
                             rhs, run_manifest)
-from galns.nonlinearity import quadratic
+from galns.nonlinearity import interaction_coeffs, quadratic
+from galns.saturation import mode_set_K
 from galns.spectral import RectGeometry, SpectralField, kbar
 
 G = RectGeometry(1.0, 2.0)
@@ -31,6 +34,69 @@ def test_system_invariants():
         GalerkinSystem(G, 1.0, SpectralField(G, {}), K1, K3)
     with pytest.raises(ValueError):
         GalerkinSystem(G, 1.0, SpectralField(G, {(5, 5): 1.0}), K1, K1)
+
+
+@pytest.mark.parametrize("nu", [math.nan, math.inf])
+def test_system_rejects_non_finite_viscosity(nu):
+    with pytest.raises(ValueError, match="viscosity"):
+        make_sys(nu=nu)
+
+
+# ---------------------------------------------------------------------------
+# The pair-reduced interaction operator, over random geometries and levels
+
+
+def random_system(a, b, level):
+    geom = RectGeometry(a, b)
+    return GalerkinSystem(geom, 1.0, SpectralField(geom, {}),
+                          mode_set_K(level), ())
+
+
+operator_cases = dict(a=st.floats(0.25, 4.0), b=st.floats(0.25, 4.0),
+                      level=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=20, deadline=None)
+@given(**operator_cases)
+def test_quadratic_vec_energy_skew_symmetry(a, b, level, seed):
+    sys = random_system(a, b, level)
+    y = np.random.default_rng(seed).normal(size=sys.dim)
+    w = (a * b / 4) * np.array([-kbar(k, sys.geom) for k in sys.mode_set])
+    q = sys.quadratic_vec(y)
+    scale = math.sqrt(np.sum(w * q**2) * np.sum(w * y**2))
+    assert abs(np.sum(w * q * y)) <= 1e-12 * scale
+
+
+@settings(max_examples=20, deadline=None)
+@given(**operator_cases)
+def test_quadratic_vec_stack_matches_columns(a, b, level, seed):
+    sys = random_system(a, b, level)
+    ys = np.random.default_rng(seed).normal(size=(sys.dim, 5))
+    out = sys.quadratic_vec(ys)
+    assert out.shape == ys.shape
+    for c in range(ys.shape[1]):
+        col = sys.quadratic_vec(ys[:, c])
+        np.testing.assert_allclose(out[:, c], col, rtol=0,
+                                   atol=1e-13 * np.max(np.abs(col)))
+
+
+@settings(max_examples=20, deadline=None)
+@given(**operator_cases)
+def test_quadratic_vec_matches_entrywise_oracle(a, b, level, seed):
+    sys = random_system(a, b, level)
+    y = np.random.default_rng(seed).normal(size=sys.dim)
+    idx = sys._index
+    expect = np.zeros(sys.dim)
+    size = np.zeros(sys.dim)
+    for p, m in enumerate(sys.mode_set):
+        for n in sys.mode_set[p + 1:]:
+            for k, c in interaction_coeffs(m, n, sys.geom).items():
+                if k in idx:
+                    term = c * y[idx[m]] * y[idx[n]]
+                    expect[idx[k]] += term
+                    size[idx[k]] += abs(term)
+    got = sys.quadratic_vec(y)
+    assert np.all(np.abs(got - expect) <= 1e-12 * np.max(size))
 
 
 def test_rhs_zero_state():
@@ -158,6 +224,24 @@ def test_piecewise_constant_validation():
         PiecewiseConstant([0.0, 0.0, 1.0], np.zeros((2, 3)))
     with pytest.raises(ValueError):
         PiecewiseConstant([0.0, 1.0], np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize("T", [math.nan, math.inf, -math.inf])
+def test_integrate_rejects_non_finite_horizon(T):
+    with pytest.raises(ValueError, match="horizon"):
+        integrate(make_sys(), SpectralField(G, {(1, 1): 1.0}), None, T)
+
+
+@pytest.mark.parametrize("bps", [[0.0, 0.1], [0.2, 0.3], [0.1, 0.2, 0.3]])
+def test_integrate_rejects_control_not_covering_horizon(bps):
+    sys = make_sys()
+    u0 = SpectralField(G, {(1, 1): 1.0})
+    ctl = PiecewiseConstant(bps, np.ones((len(bps) - 1, len(K1))))
+    with pytest.raises(ValueError, match="does not cover"):
+        integrate(sys, u0, ctl, 0.3)
+    # a control that runs past the horizon is cut at T
+    wide = PiecewiseConstant([0.0, 0.1, 1.0], np.ones((2, len(K1))))
+    assert integrate(sys, u0, wide, 0.3).times[-1] == 0.3
 
 
 def test_smooth_control_sine_forcing():
