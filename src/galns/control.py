@@ -14,10 +14,10 @@ from scipy.optimize import linprog
 from scipy.special import lambertw
 
 from .dynamics import (GalerkinSystem, PiecewiseConstant, Smooth,
-                       adaptive_lawson, integrate)
-from .nonlinearity import interaction_coeffs
-from .saturation import mode_set_K, selection_S
-from .spectral import SpectralField, kbar
+                       adaptive_lawson, h_weights, integrate)
+from .nonlinearity import float_params, interaction_rows
+from .saturation import infer_level, mode_set_K, selection_S
+from .spectral import SpectralField
 
 
 # ---------------------------------------------------------------------------
@@ -549,19 +549,8 @@ def _label_vector(sys: GalerkinSystem, lab, xi: float) -> np.ndarray:
     if lab[0] == "e":
         out[sys._index[tuple(lab[1])]] = lab[2] * xi
         return out
-    m, n = lab[1]
-    for k, c in interaction_coeffs(tuple(m), tuple(n), sys.geom).items():
-        if k in sys._index:
-            out[sys._index[k]] += lab[2] * xi * c
-    return out
-
-
-def _infer_levels(sys: GalerkinSystem):
-    size = len(sys.mode_set)
-    n = int(round(math.sqrt(size + 1))) - 2
-    if tuple(sorted(mode_set_K(n))) != sys.mode_set:
-        raise ValueError("mode_set is not of the form K^N")
-    return n
+    row = interaction_rows([lab[1]], sys.mode_set, *float_params(sys.geom))[0]
+    return lab[2] * xi * row
 
 
 @dataclass
@@ -581,7 +570,7 @@ def imitate(sys: GalerkinSystem, z: VertexSchedule, w: float,
     coincide; interaction-direction intervals are replaced by tracking the
     reference low-mode path plus the oscillation sqrt(2 xi) phi_w (e_m +- e_n),
     which self-interacts to the required direction on average."""
-    n_level = _infer_levels(sys)
+    n_level = infer_level(sys.mode_set)
     if J is None:
         J = tuple(sorted(mode_set_K(n_level - 1))) if n_level > 1 \
             else sys.controlled_set
@@ -659,9 +648,7 @@ def imitate(sys: GalerkinSystem, z: VertexSchedule, w: float,
         ref_here = ref._spline()(t_hi)
         pinning.append(float(np.sum(np.abs(state[idx_j] - ref_here[idx_j]))))
 
-    w_h = (sys.geom.a * sys.geom.b / 4) * np.array(
-        [-kbar(k, sys.geom) for k in sys.mode_set])
-    gap = float(np.sqrt(np.sum(w_h * (state - ref.states[-1]) ** 2)))
+    gap = float(np.sqrt(np.sum(h_weights(sys) * (state - ref.states[-1]) ** 2)))
     return ImitationResult(controls, gap, pinning, state, ref.states[-1], J)
 
 
@@ -722,10 +709,13 @@ def _build_schedule(labels, masses, xi, cycle, width_floor=0.0):
     return np.array(bps), labs
 
 
-def _schedule_endpoint(full_sys, labels, masses, xi, cycle, u0, tol,
+def _schedule_endpoint(full_sys, labels, cols, masses, xi, cycle, u0, tol,
                        width_floor=0.0):
     bps, labs = _build_schedule(labels, masses, xi, cycle, width_floor)
-    vals = np.array([_label_vector(full_sys, lab, xi) for lab in labs])
+    # each interval applies sign * xi times the column of its direction
+    col = {lab[:2]: c for lab, c in zip(labels, cols)}
+    vals = np.array([lab[2] * xi * col[lab[:2]] if lab[0] != "zero"
+                     else np.zeros(full_sys.dim) for lab in labs])
     tr = integrate(full_sys, u0, PiecewiseConstant(bps, vals),
                    float(bps[-1]), tol)
     return tr.states[-1]
@@ -771,12 +761,11 @@ def _solve_schedule(sys, full_sys, labels, cols, level, y_goal, horizon, u0,
     xi = max((4.0 if first_order else 30.0) * float(np.sum(np.abs(alpha))),
              1e-6)
     max_iter = 30 if first_order else 120
-    sw = np.sqrt((sys.geom.a * sys.geom.b / 4) * np.array(
-        [-kbar(k, sys.geom) for k in sys.mode_set]))
+    sw = np.sqrt(h_weights(sys))
 
     def endpoint(m, x):
-        return _schedule_endpoint(full_sys, labels, m.reshape(n_cycles, -1),
-                                  x, cycle, u0, tol)
+        return _schedule_endpoint(full_sys, labels, cols,
+                                  m.reshape(n_cycles, -1), x, cycle, u0, tol)
 
     ep = endpoint(masses, xi)
     r = sw * (ep - y_goal)
@@ -843,17 +832,14 @@ def cascade_to_K1(sys: GalerkinSystem, target: SpectralField, eps: float,
     to w_cap before reporting failure."""
     if u0 is None:
         u0 = SpectralField(sys.geom, {})
-    n_level = _infer_levels(sys)
-    w_h = {k: (sys.geom.a * sys.geom.b / 4) * (-kbar(k, sys.geom))
-           for k in target.coeffs if k not in sys._index}
+    n_level = infer_level(sys.mode_set)
+    # target energy per mode, |target|_H^2 = sum of the values
+    energy = dict(zip(target.coeffs, h_weights(sys, list(target.coeffs))
+                      * np.array(list(target.coeffs.values())) ** 2))
 
     def tail_norm(m):
         inside = set(mode_set_K(m))
-        t2 = sum(w * target[k] ** 2 for k, w in w_h.items())
-        t2 += sum((sys.geom.a * sys.geom.b / 4) * (-kbar(k, sys.geom))
-                  * target[k] ** 2 for k in target.coeffs
-                  if k in sys._index and k not in inside)
-        return math.sqrt(t2)
+        return math.sqrt(sum(e for k, e in energy.items() if k not in inside))
 
     m_level = 1
     while tail_norm(m_level) >= eps / 2:
@@ -863,8 +849,7 @@ def cascade_to_K1(sys: GalerkinSystem, target: SpectralField, eps: float,
                              "exceeds eps/2")
     budget = eps / (2 * m_level)
 
-    sw = np.sqrt((sys.geom.a * sys.geom.b / 4) * np.array(
-        [-kbar(k, sys.geom) for k in sys.mode_set]))
+    sw = np.sqrt(h_weights(sys))
 
     def h_dist(x, y):
         return float(np.linalg.norm(sw * (x - y)))
@@ -893,7 +878,7 @@ def cascade_to_K1(sys: GalerkinSystem, target: SpectralField, eps: float,
     covering_residual = float(np.sum(np.abs(r)))
     y_prev = tr.states[-1]
 
-    full_tail2 = sum(w * target[k] ** 2 for k, w in w_h.items())
+    full_tail2 = sum(e for k, e in energy.items() if k not in sys._index)
 
     def distance_to_target(y):
         inside = sys.to_vector(SpectralField(

@@ -5,11 +5,12 @@ interaction restricted to that set, a diagonal viscous term, a fixed
 solenoidal forcing, and a control acting on a subset of modes.  The
 quadratic term is one sparse operator over the unique interacting pairs
 (m, n), Q(y) = C @ (y_m * y_n), so it evaluates one state of shape (dim,)
-or a stack of states of shape (dim, B) alike.  The integrator is an
-integrating-factor (Lawson) RK4 on the exponentially transformed variable
-with step-doubling error control, restarted at every control breakpoint;
-it steps a stack of states on one shared step sequence, with the error
-norm taken over the whole stack.
+or a stack of states of shape (dim, B) alike; C is filled block by block
+from the array kernel nonlinearity.interaction_kernel, with no loop over
+pairs.  The integrator is an integrating-factor (Lawson) RK4 on the
+exponentially transformed variable with step-doubling error control,
+restarted at every control breakpoint; it steps a stack of states on one
+shared step sequence, with the error norm taken over the whole stack.
 """
 
 import csv
@@ -21,7 +22,8 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.sparse import csr_array
 
-from .nonlinearity import interaction_coeffs
+from .nonlinearity import (float_params, interaction_kernel, mode_array,
+                           mode_positions)
 from .spectral import ModeIndex, RectGeometry, SpectralField, check_mode, kbar
 
 
@@ -33,6 +35,9 @@ class StiffnessError(RuntimeError):
 # largest temporary, the (pairs, rows) product array of quadratic_vec,
 # stays within it, and an interaction matrix that fits in it is stored dense.
 BLOCK_BYTES = 128 * 1024
+# Pairs per interaction_kernel call when building the operator: the
+# (pairs, 4) coefficient array of one block fills BLOCK_BYTES.
+PAIR_BLOCK = BLOCK_BYTES // 32
 
 
 @dataclass
@@ -69,32 +74,35 @@ class GalerkinSystem:
     def _build_quadratic_table(self):
         """Build the pair-reduced interaction operator on mode_set: the
         unique interacting pairs (_pi[p], _pj[p]) and the matrix _Q
-        (dim x pairs) of their coefficients on each target mode.  _Q is a
-        CSR matrix, or a dense array when that fits in BLOCK_BYTES: for a
-        small system a dense product is faster than one sparse dispatch."""
-        ii, jj, tt, cc = [], [], [], []
-        modes = self.mode_set
-        for p, m in enumerate(modes):
-            for n in modes[p + 1:]:
-                for tgt, c in interaction_coeffs(m, n, self.geom).items():
-                    if tgt in self._index and c != 0.0:
-                        ii.append(self._index[m])
-                        jj.append(self._index[n])
-                        tt.append(self._index[tgt])
-                        cc.append(c)
-        qi = np.array(ii, dtype=np.int32)
-        qj = np.array(jj, dtype=np.int32)
-        qt = np.array(tt, dtype=np.int32)
-        qc = np.array(cc)
-        del ii, jj, tt, cc
-        # the entries of one pair are consecutive, so a pair starts wherever
-        # (i, j) changes
-        first = np.ones(len(qc), dtype=bool)
-        first[1:] = (qi[1:] != qi[:-1]) | (qj[1:] != qj[:-1])
-        pair = np.cumsum(first, dtype=np.int32) - 1
-        self._pi = qi[first].astype(np.intp)
-        self._pj = qj[first].astype(np.intp)
-        self._Q = csr_array((qc, (qt, pair)), shape=(self.dim, len(self._pi)))
+        (dim x pairs) of their coefficients on each target mode, from
+        interaction_kernel over blocks of PAIR_BLOCK pairs m < n, so its
+        temporaries stay small at any level.  _Q is a CSR matrix, or a dense
+        array when that fits in BLOCK_BYTES: for a small system a dense
+        product is faster than one sparse dispatch."""
+        modes = mode_array(self.mode_set)
+        ii, jj = np.triu_indices(self.dim, 1)
+        rows, pairs, vals = [], [], []
+        # at least one (possibly empty) block, so the lists are never empty
+        for lo in range(0, max(len(ii), 1), PAIR_BLOCK):
+            p = np.arange(lo, min(lo + PAIR_BLOCK, len(ii)))
+            targets, c = interaction_kernel(modes[:, ii[p]], modes[:, jj[p]],
+                                            *float_params(self.geom))
+            t = mode_positions(modes, targets)
+            hit = (t >= 0) & (c != 0.0)
+            rows.append(t[hit].astype(np.int32))
+            pairs.append(np.broadcast_to(p, hit.shape)[hit])
+            vals.append(c[hit])
+        pair = np.concatenate(pairs)
+        has = np.zeros(len(ii), dtype=bool)
+        has[pair] = True
+        self._pi, self._pj = ii[has], jj[has]
+        # an entry's column is its pair's rank among the pairs with entries
+        col = (np.cumsum(has, dtype=np.int32) - 1)[pair]
+        self._Q = csr_array((np.concatenate(vals), (np.concatenate(rows), col)),
+                            shape=(self.dim, len(self._pi)))
+        # the blocks list their entries label by label; within a row the
+        # operator keeps them by pair, as a pair-by-pair build would
+        self._Q.sort_indices()
         if 8 * self.dim * len(self._pi) <= BLOCK_BYTES:
             self._Q = self._Q.toarray()
 
@@ -144,6 +152,12 @@ class GalerkinSystem:
                              % (v.shape, len(self.controlled_set)))
         out[self._ctrl_idx] = v
         return out
+
+
+def h_weights(sys: GalerkinSystem, modes=None) -> np.ndarray:
+    """H weights (ab/4)(-kbar_k), |u|_H^2 = sum w_k u_k^2, on mode_set or modes."""
+    return (sys.geom.a * sys.geom.b / 4) * np.array(
+        [-kbar(k, sys.geom) for k in (sys.mode_set if modes is None else modes)])
 
 
 def rhs(sys: GalerkinSystem, u: SpectralField, v, t: float = 0.0) -> SpectralField:
@@ -239,8 +253,7 @@ class Trajectory:
         return self._spline()(t)
 
     def h_norms(self) -> np.ndarray:
-        w = (self.sys.geom.a * self.sys.geom.b / 4) * (-self.sys._lam / self.sys.nu)
-        return np.sqrt(np.clip(self.states**2 @ w, 0.0, None))
+        return np.sqrt(np.clip(self.states**2 @ h_weights(self.sys), 0.0, None))
 
     def write_csv(self, path):
         with open(path, "w", newline="") as fh:
@@ -361,10 +374,10 @@ def data_continuity_probe(sys: GalerkinSystem, u0: SpectralField, control,
     signs)."""
     base = integrate(sys, u0, control, T, tol)
     probe_mode = sys.mode_set[0]
+    w = h_weights(sys)
 
     def deviation(pert_sys, pert_u0):
         tr = integrate(pert_sys, pert_u0, control, T, tol)
-        w = (sys.geom.a * sys.geom.b / 4) * (-sys._lam / sys.nu)
         diff = tr._spline()(base.times) - base.states
         return float(np.max(np.sqrt(np.clip(diff**2 @ w, 0.0, None))))
 

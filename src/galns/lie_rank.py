@@ -9,15 +9,13 @@ state dimension kappa_N = |K^N|.
 
 import hashlib
 import json
-import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .dynamics import GalerkinSystem, rhs
-from .nonlinearity import bilinear, interaction_coeffs, interaction_coeffs_exact
-from .saturation import bareiss_rank, mode_set_K, selection_S
+from .nonlinearity import bilinear, float_params, interaction_rows
+from .saturation import bareiss_rank, infer_level, mode_set_K, selection_S
 from .spectral import ModeIndex, SpectralField, kbar
 
 
@@ -53,16 +51,6 @@ def _exact_geometry(geom):
     return None
 
 
-def _infer_level(sys: GalerkinSystem) -> int:
-    size = len(sys.mode_set)
-    n = int(round(math.sqrt(size + 1))) - 2
-    if n < 1 or tuple(sorted(mode_set_K(n))) != sys.mode_set:
-        raise ValueError("mode_set is not of the form K^N")
-    if tuple(sorted(mode_set_K(1))) != sys.controlled_set:
-        raise ValueError("controlled_set must be K^1")
-    return n
-
-
 def _float_rank(rows) -> int:
     m = np.array(rows, dtype=float)
     if m.size == 0:
@@ -80,27 +68,16 @@ def full_rank_check(sys: GalerkinSystem, u: SpectralField,
     Returns (rank, generation log).  The generated family is {e_k: k in K^1}
     plus the gamma_{m,n} of each selection level, so the rank does not depend
     on the evaluation point; u is recorded in the log for the verdict."""
-    n_level = _infer_level(sys)
+    n_level = infer_level(sys.mode_set)
+    if tuple(sorted(mode_set_K(1))) != sys.controlled_set:
+        raise ValueError("controlled_set must be K^1")
     exact = _exact_geometry(sys.geom)
     square = sys.geom.a == sys.geom.b
     if max_generations is None:
         max_generations = n_level - 1
     modes = sys.mode_set
 
-    def restrict_exact(pairs):
-        rows = []
-        for m, n in pairs:
-            ent = interaction_coeffs_exact(m, n, *exact)
-            rows.append([ent.get(k, Fraction(0)) for k in modes])
-        return rows
-
-    def restrict_float(pairs):
-        rows = []
-        for m, n in pairs:
-            ent = interaction_coeffs(m, n, sys.geom)
-            rows.append([ent.get(k, 0.0) for k in modes])
-        return rows
-
+    coeff_params = exact if exact else float_params(sys.geom)
     one = Fraction(1) if exact else 1.0
     rows = []
     for k in sys.controlled_set:
@@ -113,7 +90,7 @@ def full_rank_check(sys: GalerkinSystem, u: SpectralField,
                     "rank": rank}]
     for j in range(1, max_generations + 1):
         pairs = selection_S(j, square_mode=square and use_square_repair)
-        rows += restrict_exact(pairs) if exact else restrict_float(pairs)
+        rows.extend(interaction_rows(pairs, modes, *coeff_params))
         rank = rank_fn(rows)
         generations.append({"generation": j,
                             "pairs": [[list(m), list(n)] for m, n in pairs],
@@ -133,7 +110,7 @@ def rank_verdict(sys: GalerkinSystem, u: SpectralField,
     """JSON-ready verdict for one evaluation point."""
     rank, generations = full_rank_check(sys, u, use_square_repair=use_square_repair)
     return {
-        "N": _infer_level(sys),
+        "N": infer_level(sys.mode_set),
         "point_hash": point_hash(u),
         "rank": rank,
         "kappa_N": len(sys.mode_set),

@@ -7,6 +7,8 @@ u_m u_n on the target mode (n (pm1 pm2) m)^+ in the *drift* (the sign
 convention of the ODE system u'_k = quadratic(u)_k + nu*kbar*u_k + ...,
 i.e. quadratic(u) = -P[(u.grad)u] with P the Leray projection).  Targets
 with a zero component are dropped: their basis factor vanishes identically.
+Every coefficient comes from one array kernel, interaction_kernel, over
+many pairs and all four labels at once; the one-pair functions wrap it.
 """
 
 from __future__ import annotations
@@ -28,10 +30,6 @@ def wedge(m: ModeIndex, n: ModeIndex) -> int:
     return m[0] * n[1] - n[0] * m[1]
 
 
-def _sign(x: int) -> int:
-    return (x > 0) - (x < 0)
-
-
 # The four interaction labels: (s1, s2) meaning target (n1 s1 m1, n2 s2 m2)^+.
 LABELS = ((-1, -1), (-1, 1), (1, -1), (1, 1))
 
@@ -41,6 +39,65 @@ def target_mode(m: ModeIndex, n: ModeIndex, label: tuple[int, int]) -> ModeIndex
     return (abs(n[0] + s1 * m[0]), abs(n[1] + s2 * m[1]))
 
 
+def mode_array(modes) -> np.ndarray:
+    """Modes (k1, k2) as an int array of shape (2, len(modes)), component first."""
+    return np.asarray(modes, dtype=np.int64).reshape(-1, 2).T
+
+
+def interaction_kernel(m, n, a2, b2, scale=None):
+    """Closed-form coefficients of the pairs (m[:, p], n[:, p]), all four
+    labels at once.
+
+    m, n are mode_arrays (2, P) with m[:, p] < n[:, p] lexicographically.
+    Returns targets (2, 4, P), the target of label LABELS[l] of pair p in
+    targets[:, l, p], and values (4, P): the coefficients with the factor
+    pi^2/(4ab) taken out, times scale if given; exact Fractions (an object
+    array) when a2 or b2 is a Fraction.  A target with a zero component is
+    in no mode set, so callers drop it with its value."""
+    m, n = np.asarray(m, dtype=np.int64), np.asarray(n, dtype=np.int64)
+    if np.any((m[0] > n[0]) | ((m[0] == n[0]) & (m[1] >= n[1]))):
+        raise ValueError("pairs must be strictly lexicographic m < n")
+    targets = np.stack([target_mode(m, n, lab) for lab in LABELS], axis=1)
+    s1, s2 = np.sign(n - m)
+    w, v = wedge(m, n), vee(m, n)
+    # integer factor of each label, in LABELS order
+    mult = np.array([w * s1 * s2, -v * s1, v * s2, -w])
+    d1, d2 = n * n - m * m
+    t1sq, t2sq = targets * targets
+    if isinstance(a2, Fraction) or isinstance(b2, Fraction):
+        mult, d1, d2, t1sq, t2sq = (x.astype(object)
+                                    for x in (mult, d1, d2, t1sq, t2sq))
+    # (nbar - mbar) / kbar(t) with the -pi^2/(a^2 b^2) factor cancelled
+    values = mult * ((d1 * b2 + d2 * a2) / (t1sq * b2 + t2sq * a2))
+    if scale is not None:
+        values = scale * values
+    return targets, values
+
+
+def float_params(geom: RectGeometry):
+    """(a^2, b^2, pi^2/(4ab)): the kernel arguments of float coefficients."""
+    return geom.a**2, geom.b**2, math.pi**2 / (4 * geom.a * geom.b)
+
+
+def mode_positions(modes, targets) -> np.ndarray:
+    """Position in modes (a mode_array) of each target (2, ...), -1 if absent."""
+    size = 1 + max(int(modes.max(initial=0)), int(targets.max(initial=0)))
+    table = np.full((size, size), -1, dtype=np.intp)
+    table[modes[0], modes[1]] = np.arange(modes.shape[1])
+    return table[targets[0], targets[1]]
+
+
+def interaction_rows(pairs, modes, a2, b2, scale=None) -> np.ndarray:
+    """Coefficient rows of the pairs restricted to modes: row p holds the
+    kernel values of pairs[p] on its targets in modes, zero elsewhere."""
+    m, n = np.asarray(pairs, dtype=np.int64).reshape(-1, 2, 2).transpose(1, 2, 0)
+    targets, values = interaction_kernel(m, n, a2, b2, scale)
+    rows = np.zeros((len(pairs), len(modes) + 1), dtype=values.dtype)
+    # position -1 (target not in modes) addresses the extra last column
+    rows[np.arange(len(pairs)), mode_positions(mode_array(modes), targets)] = values
+    return rows[:, :-1]
+
+
 def interaction_coeffs_scaled(m: ModeIndex, n: ModeIndex, a2, b2):
     """The four coefficients with the common factor pi^2/(4ab) taken out.
 
@@ -48,36 +105,16 @@ def interaction_coeffs_scaled(m: ModeIndex, n: ModeIndex, a2, b2):
     rational in a2, b2 so exact inputs give exact outputs.  Returns
     {label: value} for the labels whose target has no zero component.
     """
-    m = check_mode(m)
-    n = check_mode(n)
-    if not m < n:
-        raise ValueError(f"pair must be strictly lexicographic, got {m} >= {n}")
-    s1 = _sign(n[0] - m[0])
-    s2 = _sign(n[1] - m[1])
-    # (nbar - mbar) / kbar(t) with the -pi^2/(a^2 b^2) factor cancelled.
-    num = (n[0] ** 2 - m[0] ** 2) * b2 + (n[1] ** 2 - m[1] ** 2) * a2
-    out = {}
-    for label in LABELS:
-        t = target_mode(m, n, label)
-        if t[0] == 0 or t[1] == 0:
-            continue
-        ratio = num / (t[0] ** 2 * b2 + t[1] ** 2 * a2)
-        if label == (1, 1):
-            val = -wedge(m, n) * ratio
-        elif label == (-1, -1):
-            val = wedge(m, n) * ratio * s1 * s2
-        elif label == (-1, 1):
-            val = -vee(m, n) * ratio * s1
-        else:  # (1, -1)
-            val = vee(m, n) * ratio * s2
-        out[label] = val
-    return out
+    targets, values = interaction_kernel(mode_array([check_mode(m)]),
+                                         mode_array([check_mode(n)]), a2, b2)
+    return {lab: v for lab, t, v in zip(LABELS, targets[:, :, 0].T, values[:, 0])
+            if t.all()}
 
 
 def interaction_coeffs(m: ModeIndex, n: ModeIndex, geom: RectGeometry) -> dict:
     """Floating coefficients {target mode: C} including the pi^2/(4ab) factor."""
-    scale = math.pi**2 / (4 * geom.a * geom.b)
-    scaled = interaction_coeffs_scaled(m, n, geom.a**2, geom.b**2)
+    a2, b2, scale = float_params(geom)
+    scaled = interaction_coeffs_scaled(m, n, a2, b2)
     return {target_mode(m, n, lab): scale * float(v) for lab, v in scaled.items()}
 
 
@@ -91,41 +128,30 @@ def interaction_coeffs_exact(m: ModeIndex, n: ModeIndex,
 def quadratic(u: SpectralField, mode_set=None) -> SpectralField:
     """Drift quadratic term: coefficients of -P[(u.grad)u], optionally
     truncated to mode_set.  Diagonal terms are pure gradients and drop out."""
-    geom = u.geom
-    modes = u.modes()
-    keep = None if mode_set is None else set(mode_set)
-    out: dict[ModeIndex, float] = {}
-    for i, m in enumerate(modes):
-        um = u.coeffs[m]
-        for n in modes[i + 1:]:
-            un = u.coeffs[n]
-            for k, c in interaction_coeffs(m, n, geom).items():
-                if keep is not None and k not in keep:
-                    continue
-                out[k] = out.get(k, 0.0) + um * un * c
-    return SpectralField(geom, out)
+    # bilinear(u, u) sums 2 u_m u_n C term by term, so halving is exact
+    return bilinear(u, u, mode_set).scaled(0.5)
 
 
 def bilinear(u: SpectralField, w: SpectralField, mode_set=None) -> SpectralField:
     """Symmetric bilinear polarization: quadratic(u+w) - quadratic(u) - quadratic(w)."""
-    geom = u.geom
-    keep = None if mode_set is None else set(mode_set)
-    out: dict[ModeIndex, float] = {}
-    pairs = set()
-    for m in u.modes():
-        for n in w.modes():
-            if m == n:
-                continue
-            pairs.add((m, n) if m < n else (n, m))
-    for m, n in pairs:
-        amp = u[m] * w[n] + w[m] * u[n]
-        if amp == 0.0:
-            continue
-        for k, c in interaction_coeffs(m, n, geom).items():
-            if keep is not None and k not in keep:
-                continue
-            out[k] = out.get(k, 0.0) + amp * c
-    return SpectralField(geom, out)
+    union = sorted(set(u.coeffs) | set(w.coeffs))
+    uu = np.array([u[k] for k in union])
+    ww = np.array([w[k] for k in union])
+    i, j = np.triu_indices(len(union), 1)
+    amp = uu[i] * ww[j] + ww[i] * uu[j]
+    i, j, amp = i[amp != 0.0], j[amp != 0.0], amp[amp != 0.0]
+    modes = mode_array(union)
+    targets, c = interaction_kernel(modes[:, i], modes[:, j],
+                                    *float_params(u.geom))
+    keep = targets.min(axis=0) > 0
+    if mode_set is not None:
+        keep &= mode_positions(mode_array(mode_set), targets) >= 0
+    size = 1 + int(targets.max(initial=0))
+    keys, inv = np.unique((targets[0] * size + targets[1])[keep],
+                          return_inverse=True)
+    sums = np.bincount(inv, weights=(amp * c)[keep], minlength=len(keys))
+    return SpectralField(u.geom, {(int(k // size), int(k % size)): s
+                                  for k, s in zip(keys, sums.tolist())})
 
 
 # ---------------------------------------------------------------------------

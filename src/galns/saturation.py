@@ -8,10 +8,12 @@ statements over Q once a^2 and b^2 are rational.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .nonlinearity import interaction_coeffs_exact, vee, wedge
+from .nonlinearity import (interaction_coeffs_exact, interaction_rows,
+                           target_mode, vee, wedge)
 from .spectral import ModeIndex
 
 Pair = tuple[ModeIndex, ModeIndex]
@@ -30,6 +32,15 @@ def mode_set_K(level: int) -> list[ModeIndex]:
     top = level + 2
     return [(i, j) for i in range(1, top + 1) for j in range(1, top + 1)
             if (i, j) != (top, top)]
+
+
+def infer_level(mode_set) -> int:
+    """The level N with mode_set == K^N (in any order); ValueError when
+    there is none."""
+    n = int(round(math.sqrt(len(mode_set) + 1))) - 2
+    if n < 1 or sorted(mode_set_K(n)) != sorted(tuple(k) for k in mode_set):
+        raise ValueError("mode_set is not of the form K^N")
+    return n
 
 
 def selection_S(j: int, square_mode: bool = False) -> list[Pair]:
@@ -168,20 +179,9 @@ def _ratio_conditions(j: int, a2: Fraction, b2: Fraction,
     conds["interaction_integers_nonzero"] = all(v != 0 for v in wedges.values())
     conds["interaction_integers"] = wedges
 
-    def coeff(pair: Pair, label) -> Fraction:
-        return interaction_coeffs_exact(pair[0], pair[1], a2, b2).get(label_target(pair, label), Fraction(0))
-
-    def label_target(pair: Pair, label):
-        from .nonlinearity import target_mode
-        return target_mode(pair[0], pair[1], label)
-
-    def exact(pair: Pair):
-        return interaction_coeffs_exact(pair[0], pair[1], a2, b2)
-
-    from .nonlinearity import target_mode
-
     def entry(pair, label):
-        return exact(pair).get(target_mode(pair[0], pair[1], label), Fraction(0))
+        return interaction_coeffs_exact(pair[0], pair[1], a2, b2).get(
+            target_mode(pair[0], pair[1], label), Fraction(0))
 
     ratios_ok = True
     checks = []
@@ -216,8 +216,6 @@ def verify_step(j: int, a2: Fraction, b2: Fraction,
     """Certify that the selected interaction directions at level j, projected
     onto the new modes of K^{j+1}, have full exact rank."""
     a2, b2 = Fraction(a2), Fraction(b2)
-    if j == 1 and a2 == b2 and not square_mode:
-        pass  # allowed: the certificate will honestly fail
     pairs = selection_S(j, square_mode=square_mode)
     prev = set(mode_set_K(j))
     new_modes = [k for k in mode_set_K(j + 1) if k not in prev]
@@ -227,14 +225,13 @@ def verify_step(j: int, a2: Fraction, b2: Fraction,
         targets = new_modes + SQUARE_REPAIR_TARGETS
     else:
         targets = new_modes
-    deltas = [delta_vector(m, n, a2, b2) for m, n in pairs]
-    matrix = [d.projected(targets) for d in deltas]
+    matrix = interaction_rows(pairs, targets, a2, b2).tolist()
     rank = bareiss_rank(matrix)
     required = len(targets)
     witnesses = {}
     if j == 1 and square_mode:
-        rep = [delta_vector(m, n, a2, b2).projected(SQUARE_REPAIR_TARGETS)
-               for m, n in SQUARE_REPAIR_PAIRS]
+        rep = interaction_rows(SQUARE_REPAIR_PAIRS, SQUARE_REPAIR_TARGETS,
+                               a2, b2).tolist()
         # determinant of the pi^2-scaled entries: divide one factor 4ab out
         d = det3(rep) / (4 * a2) ** 3 if a2 == b2 else det3(rep)
         witnesses["square_repair_det_pi2_scaled"] = d

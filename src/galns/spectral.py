@@ -67,15 +67,16 @@ class SpectralField:
         return sorted(self.coeffs)
 
     def norm(self, kind: str = "H") -> float:
-        """sqrt((ab/4) sum (-kbar)^p u_k^2), p = 1, 2, 3 for H, V, DA."""
-        p = {"H": 1, "V": 2, "DA": 3}[kind]
+        """sqrt((ab/4) sum (-kbar)^p u_k^2), p = 0, 1, 2, 3 for V', H, V, DA."""
+        p = {"V'": 0, "H": 1, "V": 2, "DA": 3}[kind]
         s = sum((-kbar(k, self.geom)) ** p * v * v for k, v in self.coeffs.items())
         return math.sqrt(self.geom.a * self.geom.b / 4 * s)
 
     def dual_norm(self) -> float:
-        """V'-norm: sqrt((ab/4) sum f_k^2 / (-kbar))."""
-        s = sum(v * v / (-kbar(k, self.geom)) for k, v in self.coeffs.items())
-        return math.sqrt(self.geom.a * self.geom.b / 4 * s)
+        """V'-norm, dual to |u|_V^2 = (ab/4) sum kbar_k^2 u_k^2 under the H
+        pairing (ab/4) sum (-kbar_k) f_k u_k: by Cauchy-Schwarz the p = 0
+        norm, attained at u_k = f_k / (-kbar_k)."""
+        return self.norm("V'")
 
     def eval_velocity(self, x1, x2) -> tuple[np.ndarray, np.ndarray]:
         """Pointwise sum of the basis fields; accepts scalars or arrays."""

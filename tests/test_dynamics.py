@@ -99,6 +99,31 @@ def test_quadratic_vec_matches_entrywise_oracle(a, b, level, seed):
     assert np.all(np.abs(got - expect) <= 1e-12 * np.max(size))
 
 
+@settings(max_examples=25, deadline=None)
+@given(a=st.floats(0.25, 4.0), b=st.floats(0.25, 4.0),
+       modes=st.sets(st.tuples(st.integers(1, 6), st.integers(1, 6)),
+                     min_size=2, max_size=24))
+def test_operator_entries_equal_scalar_coefficients(a, b, modes):
+    # an arbitrary mode set, not of the form K^N: some targets fall outside
+    geom = RectGeometry(a, b)
+    sys = GalerkinSystem(geom, 1.0, SpectralField(geom, {}), modes, ())
+    idx = sys._index
+    pi, pj, cols = [], [], []
+    for p, m in enumerate(sys.mode_set):
+        for n in sys.mode_set[p + 1:]:
+            col = np.zeros(sys.dim)
+            for k, c in interaction_coeffs(m, n, geom).items():
+                if k in idx:
+                    col[idx[k]] = c
+            if np.any(col != 0.0):
+                pi.append(idx[m])
+                pj.append(idx[n])
+                cols.append(col)
+    assert sys._pi.tolist() == pi and sys._pj.tolist() == pj
+    Q = sys._Q if isinstance(sys._Q, np.ndarray) else sys._Q.toarray()
+    assert np.array_equal(Q, np.array(cols).reshape(-1, sys.dim).T)
+
+
 def test_rhs_zero_state():
     sys = make_sys()
     out = rhs(sys, SpectralField(G, {}), None)
@@ -195,6 +220,21 @@ def test_energy_estimate_forced_runs():
                 lo, hi = bps[seg], bps[seg + 1]
                 acc += fv2[seg] * max(0.0, min(s, hi) - lo) if s > lo else 0.0
             assert hn[i] ** 2 <= u0.norm("H") ** 2 + acc / nu + 1e-8
+
+
+def test_energy_estimate_single_forced_mode():
+    # One mode, u0 = 0, constant forcing f: u(t) = f (1 - e^{-x}) / (-nu kbar)
+    # with x = -nu kbar t, so |u|_H^2 / ((t/nu)(ab/4) f^2) = (1 - e^{-x})^2 / x
+    # <= 0.41.  The bound with (ab/4) f^2 / (-kbar) in place of the V' norm
+    # is -kbar = 12.3 times smaller here and fails near x = 1.3.
+    nu, f = 1.0, 3.0
+    F = SpectralField(G, {(1, 1): f})
+    sys = GalerkinSystem(G, nu, F, [(1, 1)], [])
+    tr = integrate(sys, SpectralField(G, {}), None, 0.2, tol=1e-10)
+    h2 = tr.h_norms() ** 2
+    assert np.all(h2 <= tr.times / nu * F.dual_norm() ** 2 + 1e-12)
+    too_small = G.a * G.b / 4 * f**2 / -kbar((1, 1), G)
+    assert np.any(h2 > tr.times / nu * too_small)
 
 
 def test_tolerance_self_convergence():

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from galns.nonlinearity import (bilinear, interaction_coeffs,
-                                interaction_coeffs_exact, quadratic,
-                                quadrature_B, trilinear_b, vee, wedge)
+from galns.nonlinearity import (LABELS, bilinear, interaction_coeffs,
+                                interaction_coeffs_exact, interaction_kernel,
+                                mode_array, quadratic, quadrature_B,
+                                target_mode, trilinear_b, vee, wedge)
 from galns.spectral import RectGeometry, SpectralField, kbar
 
 
@@ -173,3 +174,93 @@ def test_exact_matches_float():
     assert set(ex) == set(fl)
     for k in ex:
         assert scale * float(ex[k]) == pytest.approx(fl[k], rel=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# The array kernel against the one-pair formula it replaced
+
+
+def reference_scaled(m, n, a2, b2):
+    """The closed form one label at a time, as the pair loop computed it."""
+    s1 = (n[0] > m[0]) - (n[0] < m[0])
+    s2 = (n[1] > m[1]) - (n[1] < m[1])
+    num = (n[0] ** 2 - m[0] ** 2) * b2 + (n[1] ** 2 - m[1] ** 2) * a2
+    out = {}
+    for label in LABELS:
+        t = target_mode(m, n, label)
+        if t[0] == 0 or t[1] == 0:
+            continue
+        ratio = num / (t[0] ** 2 * b2 + t[1] ** 2 * a2)
+        if label == (1, 1):
+            val = -wedge(m, n) * ratio
+        elif label == (-1, -1):
+            val = wedge(m, n) * ratio * s1 * s2
+        elif label == (-1, 1):
+            val = -vee(m, n) * ratio * s1
+        else:
+            val = vee(m, n) * ratio * s2
+        out[t] = val
+    return out
+
+
+mode_pairs = st.lists(st.tuples(st.integers(1, 8), st.integers(1, 8)),
+                      min_size=2, max_size=2, unique=True).map(sorted)
+
+
+@settings(max_examples=50, deadline=None)
+@given(a=st.floats(0.25, 4.0), b=st.floats(0.25, 4.0),
+       pairs=st.lists(mode_pairs, min_size=1, max_size=30))
+def test_float_coefficients_equal_the_pair_formula(a, b, pairs):
+    geom = RectGeometry(a, b)
+    scale = math.pi**2 / (4 * a * b)
+    for m, n in pairs:
+        ref = reference_scaled(m, n, a**2, b**2)
+        got = interaction_coeffs(m, n, geom)
+        assert set(got) == set(ref)
+        assert all(got[k] == scale * ref[k] for k in ref)
+
+
+@settings(max_examples=30, deadline=None)
+@given(a2=st.fractions(Fraction(1, 16), 16, max_denominator=50),
+       b2=st.fractions(Fraction(1, 16), 16, max_denominator=50),
+       pairs=st.lists(mode_pairs, min_size=1, max_size=20))
+def test_exact_kernel_equals_exact_coefficients(a2, b2, pairs):
+    targets, values = interaction_kernel(mode_array([m for m, _ in pairs]),
+                                         mode_array([n for _, n in pairs]),
+                                         a2, b2)
+    for p, (m, n) in enumerate(pairs):
+        exact = interaction_coeffs_exact(m, n, a2, b2)
+        assert exact == reference_scaled(m, n, a2, b2)
+        got = {(int(t1), int(t2)): v for t1, t2, v
+               in zip(targets[0, :, p], targets[1, :, p], values[:, p])
+               if t1 and t2}
+        assert got == exact
+        assert all(isinstance(v, Fraction) for v in got.values())
+
+
+@pytest.mark.parametrize("m, n", [((1, 2), (1, 2)), ((1, 3), (1, 2)),
+                                  ((3, 1), (2, 5))])
+def test_pair_order_enforced_in_kernel(m, n):
+    with pytest.raises(ValueError):
+        interaction_coeffs(m, n, G12)
+    with pytest.raises(ValueError):
+        interaction_kernel(mode_array([(1, 1), m]), mode_array([(2, 2), n]),
+                           1.0, 4.0)
+
+
+@settings(max_examples=15, deadline=None)
+@given(a=st.floats(0.25, 4.0), b=st.floats(0.25, 4.0),
+       level=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_polarization_random_geometry(a, b, level, seed):
+    g = RectGeometry(a, b)
+    modes = [(i, j) for i in range(1, level + 3) for j in range(1, level + 3)
+             if (i, j) != (level + 2, level + 2)]
+    rng = np.random.default_rng(seed)
+    u = SpectralField(g, {k: rng.normal() for k in modes})
+    w = SpectralField(g, {k: rng.normal() for k in modes})
+    qs = [quadratic(u.plus(w)), quadratic(u), quadratic(w)]
+    lhs = bilinear(u, w)
+    rhs = qs[0].plus(qs[1].scaled(-1)).plus(qs[2].scaled(-1))
+    size = max(abs(c) for q in qs for c in q.coeffs.values())
+    for k in set(lhs.coeffs) | set(rhs.coeffs):
+        assert abs(lhs[k] - rhs[k]) <= 1e-12 * size

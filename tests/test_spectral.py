@@ -90,6 +90,32 @@ def test_norm_ratio_bounded_below(coeffs):
     assert u.norm("V") ** 2 / u.norm("H") ** 2 >= lam_min * (1 - 1e-12)
 
 
+def h_pairing(f, u):
+    g = f.geom
+    return g.a * g.b / 4 * sum(-kbar(k, g) * f[k] * u[k] for k in f.coeffs)
+
+
+@given(a=st.floats(0.25, 4.0), b=st.floats(0.25, 4.0),
+       coeffs=st.dictionaries(st.tuples(st.integers(1, 5), st.integers(1, 5)),
+                              st.integers(-200, 200).map(lambda i: i / 100),
+                              min_size=1, max_size=8),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_dual_norm_is_the_sup_of_the_h_pairing(a, b, coeffs, seed):
+    # |f|_V' = max_u <f, u>_H / |u|_V, attained at u_k = f_k / (-kbar_k)
+    g = RectGeometry(a, b)
+    f = SpectralField(g, coeffs)
+    if f.dual_norm() == 0:
+        return
+    best = SpectralField(g, {k: v / -kbar(k, g) for k, v in f.coeffs.items()})
+    assert h_pairing(f, best) / best.norm("V") == \
+        pytest.approx(f.dual_norm(), rel=1e-12)
+    rng = np.random.default_rng(seed)
+    for _ in range(5):
+        u = SpectralField(g, {k: rng.normal() for k in f.coeffs})
+        assert h_pairing(f, u) <= f.dual_norm() * u.norm("V") * (1 + 1e-12)
+
+
 @given(st.dictionaries(
     st.tuples(st.integers(1, 3), st.integers(1, 3)),
     st.floats(-1, 1, allow_nan=False), min_size=1, max_size=5))
