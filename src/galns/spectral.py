@@ -67,10 +67,18 @@ class SpectralField:
         return sorted(self.coeffs)
 
     def norm(self, kind: str = "H") -> float:
-        """sqrt((ab/4) sum (-kbar)^p u_k^2), p = 0, 1, 2, 3 for V', H, V, DA."""
+        """sqrt((ab/4) sum (-kbar)^p u_k^2), p = 0, 1, 2, 3 for V', H, V, DA.
+
+        The coefficients are divided by the largest |u_k| before squaring, so
+        u_k^2 neither underflows nor overflows: the result keeps full
+        precision whenever it is itself a normal float."""
         p = {"V'": 0, "H": 1, "V": 2, "DA": 3}[kind]
-        s = sum((-kbar(k, self.geom)) ** p * v * v for k, v in self.coeffs.items())
-        return math.sqrt(self.geom.a * self.geom.b / 4 * s)
+        m = max((abs(v) for v in self.coeffs.values()), default=0.0)
+        if m == 0 or math.isinf(m):
+            return float(m)
+        s = sum((-kbar(k, self.geom)) ** p * (v / m) ** 2
+                for k, v in self.coeffs.items())
+        return m * math.sqrt(self.geom.a * self.geom.b / 4 * s)
 
     def dual_norm(self) -> float:
         """V'-norm, dual to |u|_V^2 = (ab/4) sum kbar_k^2 u_k^2 under the H

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -84,10 +85,24 @@ def test_norm_empty():
 def test_norm_ratio_bounded_below(coeffs):
     g = RectGeometry(1.0, 2.0)
     u = SpectralField(g, coeffs)
-    if u.norm("H") == 0:
+    # a zero or subnormal norm has too few bits to resolve the ratio; the
+    # ratio is taken before squaring because |u|^2 underflows once |u| is
+    # below ~1.5e-154
+    if u.norm("H") < sys.float_info.min:
         return
     lam_min = min(-kbar(k, g) for k, v in u.coeffs.items() if v != 0)
-    assert u.norm("V") ** 2 / u.norm("H") ** 2 >= lam_min * (1 - 1e-12)
+    assert (u.norm("V") / u.norm("H")) ** 2 >= lam_min * (1 - 1e-12)
+
+
+@pytest.mark.parametrize("scale", [6.034322169630261e-158, 1e-300, 1e200])
+def test_norm_keeps_precision_at_extreme_scales(scale):
+    # u_k^2 underflows (overflows) at these scales; the norm must not
+    g = RectGeometry(1.0, 2.0)
+    coeffs = {(1, 3): 1.0, (2, 1): -0.5}
+    for kind in ("V'", "H", "V", "DA"):
+        ref = SpectralField(g, coeffs).norm(kind)
+        tiny = SpectralField(g, {k: scale * v for k, v in coeffs.items()})
+        assert tiny.norm(kind) == pytest.approx(scale * ref, rel=1e-14, abs=0)
 
 
 def h_pairing(f, u):
