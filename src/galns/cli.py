@@ -14,6 +14,7 @@ import math
 import os
 import sys as _sys
 import time
+from dataclasses import asdict
 from fractions import Fraction
 from multiprocessing import get_context
 
@@ -167,6 +168,7 @@ def cmd_simulate(cfg, outdir, jobs, plot):
         "verdict": "pass",
         "run": run_manifest(sys, u0, control, T, tol),
         "steps": len(tr.times),
+        "integrator": asdict(tr.stats),
         "h_norm_initial": float(hn[0]),
         "h_norm_final": float(hn[-1]),
         "h_norm_monotone": bool(np.all(np.diff(hn) <= 1e-12 * max(1, hn[0]))),

@@ -9,12 +9,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.optimize import linprog
-from scipy.special import lambertw
 
 from .dynamics import (GalerkinSystem, PiecewiseConstant, Smooth,
-                       adaptive_lawson, h_weights, integrate)
+                       adaptive_lawson, h_weights, hermite, integrate)
 from .nonlinearity import float_params, interaction_rows
 from .saturation import infer_level, mode_set_K, selection_S
 from .spectral import SpectralField
@@ -77,10 +74,11 @@ def endpoint_map(exp: EndpointExperiment, p: np.ndarray,
 
         def nonlin(z, t):
             return sys.quadratic_vec(z) + drift
-        _, states = adaptive_lawson(
+        end = adaptive_lawson(
             sys._lam[:, None], nonlin,
-            np.repeat(y0[:, None], len(block), axis=1), 0.0, T, exp.tol)
-        out[lo:lo + len(block)] = exp.observed(states[-1]).T
+            np.repeat(y0[:, None], len(block), axis=1), 0.0, T,
+            exp.tol).states[-1]
+        out[lo:lo + len(block)] = exp.observed(end).T
     return out if p.ndim == 2 else out[0]
 
 
@@ -130,7 +128,16 @@ def horizon_ceiling(exp: EndpointExperiment, C: float) -> float:
     """The largest admissible horizon: solves T e^T = ((gamma-1) R / (2 d C))^2."""
     d = len(exp.observed_set)
     x = ((exp.gamma_infl - 1) * exp.radius / (2 * d * C)) ** 2
-    return float(lambertw(x).real)
+    # Lambert W of x by Halley's iteration on T e^T - x, from log(1 + x)
+    T = math.log1p(x)
+    for _ in range(64):
+        eT = math.exp(T)
+        f = T * eT - x
+        step = f / (eT * (T + 1) - (T + 2) * f / (2 * T + 2))
+        T -= step
+        if abs(step) <= 1e-15 * T:
+            break
+    return T
 
 
 def covering_check(exp: EndpointExperiment, grid_per_dim: int = 3,
@@ -430,6 +437,9 @@ def approximate_relaxed(family: RelaxedFamily, eps: float,
 def hull_scale(values, directions) -> tuple:
     """Smallest Xi with every value in Conv{+-Xi d_i}: per value, linear
     program minimizing the total absolute decomposition weight."""
+    # imported here: loading scipy.optimize takes 0.1-0.2 s, which every
+    # galns process would pay at start-up
+    from scipy.optimize import linprog
     directions = np.asarray(directions, dtype=float)
     nd = directions.shape[0]
     coeffs = []
@@ -485,24 +495,24 @@ def tracking_control(sys: GalerkinSystem, J, q: Smooth,
         out[idx_j] = 0.0
         return out
 
+    if not t1 > t0:
+        raise ValueError("tracking needs t1 > t0, got [%r, %r]" % (t0, t1))
     y0 = sys.to_vector(Q_init)
     y0[idx_j] = 0.0
-    # the returned control reads the complement through a cubic interpolant,
-    # whose O(h^4) error must stay below tol; cap the knot spacing accordingly
+    # the returned control reads the complement through the integrator's
+    # cubic Hermite dense output, whose error on a step of length h is at
+    # most h^4/384 max|z^(4)|, with |z^(4)| ~ lmax^4 |z| in the fastest
+    # mode; cap the step so that stays below tol
     lmax = float(np.max(np.abs(lam_c))) if sys.dim else 1.0
     step_cap = (384.0 * tol / max(lmax, 1.0) ** 4) ** 0.25
-    times, states = adaptive_lawson(lam_c, nonlin, y0, t0, t1, tol / 100,
-                                    max_step=min(getattr(q, "max_step", np.inf),
-                                                 step_cap))
-    times = np.array(times)
-    states = np.array(states)
-    if len(times) >= 2:
-        spline = CubicSpline(times, states, axis=0)
-    else:
-        spline = lambda t: states[0]
+    run = adaptive_lawson(lam_c, nonlin, y0, t0, t1, tol / 100,
+                          max_step=min(getattr(q, "max_step", np.inf),
+                                       step_cap))
+    times, states = np.array(run.times), np.array(run.states)
+    slopes = run.slopes()
 
     def value(t):
-        full = np.asarray(spline(min(max(t, t0), t1)), dtype=float).copy()
+        full = hermite(times, states, slopes, min(max(t, t0), t1))
         full[idx_j] = q.value(t)
         drift = sys.quadratic_vec(full) + sys._lam * full + sys._f
         return q.derivative(t) - drift[idx_j]
@@ -611,10 +621,12 @@ def imitate(sys: GalerkinSystem, z: VertexSchedule, w: float,
             controls.append((t_lo, t_hi, vec[idx_j]))
         else:
             switched = True
+            # the reference's steps on this interval, with the interval's
+            # own one-sided derivatives at its ends
             lo = int(np.searchsorted(ref.times, t_lo - 1e-12, side="left"))
             hi = int(np.searchsorted(ref.times, t_hi + 1e-12, side="right"))
-            qspl = CubicSpline(ref.times[lo:hi], ref.states[lo:hi, idx_j],
-                               axis=0)
+            window = (ref.times[lo:hi], ref.states[lo:hi][:, idx_j],
+                      ref.slopes[lo:hi - 1][..., idx_j])
             if lab[0] == "delta":
                 (m, n), sign = lab[1], lab[2]
                 osc = np.zeros(len(J))
@@ -623,18 +635,18 @@ def imitate(sys: GalerkinSystem, z: VertexSchedule, w: float,
                 # evaluate the profile on this interval's ramp only, so
                 # roundoff past an endpoint never samples the (possibly much
                 # thinner) ramp of a neighbouring interval
-                def qval(t, _s=qspl, _o=osc, _i=i, _lo=t_lo, _hi=t_hi):
-                    return _s(min(max(t, _lo), _hi)) \
+                def qval(t, _w=window, _o=osc, _i=i, _lo=t_lo, _hi=t_hi):
+                    return hermite(*_w, min(max(t, _lo), _hi)) \
                         + sqrt2xi * phi.value_in(_i, t) * _o
-                def qder(t, _s=qspl, _o=osc, _i=i, _lo=t_lo, _hi=t_hi):
-                    return _s(min(max(t, _lo), _hi), 1) \
+                def qder(t, _w=window, _o=osc, _i=i, _lo=t_lo, _hi=t_hi):
+                    return hermite(*_w, min(max(t, _lo), _hi), 1) \
                         + sqrt2xi * phi.derivative_in(_i, t) * _o
                 max_step = min((t_hi - t_lo) / 8, 2 * math.pi / w / 12)
             else:
-                def qval(t, _s=qspl):
-                    return _s(t)
-                def qder(t, _s=qspl):
-                    return _s(t, 1)
+                def qval(t, _w=window):
+                    return hermite(*_w, t)
+                def qder(t, _w=window):
+                    return hermite(*_w, t, 1)
                 max_step = (t_hi - t_lo) / 8
             q = Smooth(value=qval, derivative=qder, max_step=max_step)
             v = tracking_control(sys, J, q, sys.to_field(state),
@@ -645,7 +657,7 @@ def imitate(sys: GalerkinSystem, z: VertexSchedule, w: float,
                            t_hi - t_lo, tol_in)
             state = tr.states[-1]
             controls.append((t_lo, t_hi, v))
-        ref_here = ref._spline()(t_hi)
+        ref_here = ref.state_at(t_hi)
         pinning.append(float(np.sum(np.abs(state[idx_j] - ref_here[idx_j]))))
 
     gap = float(np.sqrt(np.sum(h_weights(sys) * (state - ref.states[-1]) ** 2)))

@@ -179,9 +179,12 @@ def _ratio_conditions(j: int, a2: Fraction, b2: Fraction,
     conds["interaction_integers_nonzero"] = all(v != 0 for v in wedges.values())
     conds["interaction_integers"] = wedges
 
-    def entry(pair, label):
-        return interaction_coeffs_exact(pair[0], pair[1], a2, b2).get(
-            target_mode(pair[0], pair[1], label), Fraction(0))
+    def entries(pair, label):
+        """The pair's exact coefficients on its label's target and on its
+        (1, 1) target."""
+        coeffs = interaction_coeffs_exact(pair[0], pair[1], a2, b2)
+        return [coeffs.get(target_mode(pair[0], pair[1], lb), Fraction(0))
+                for lb in (label, (1, 1))]
 
     ratios_ok = True
     checks = []
@@ -201,8 +204,7 @@ def _ratio_conditions(j: int, a2: Fraction, b2: Fraction,
                 (((1, 1), (2 * p, 2)), ((p, 1), (p + 1, 2)), (1, -1)),
             ]
         for pa, pb, lab in duos:
-            ca, cb = entry(pa, lab), entry(pb, lab)
-            da, db = entry(pa, (1, 1)), entry(pb, (1, 1))
+            (ca, da), (cb, db) = entries(pa, lab), entries(pb, lab)
             ok = cb != 0 and db != 0 and ca * db != cb * da
             checks.append({"pair_a": str(pa), "pair_b": str(pb), "ok": ok})
             ratios_ok = ratios_ok and ok

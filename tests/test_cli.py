@@ -2,10 +2,13 @@ import csv
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import galns
 from galns.cli import main
 from galns.spectral import RectGeometry, SpectralField
 
@@ -52,6 +55,29 @@ def test_simulate_decay_monotone_and_deterministic(tmp_path):
     assert man["command"] == "simulate"
     assert sorted(man["outputs"]) == ["report.json", "trajectory.csv"]
     assert man["config_hash"] == read_json(out2, "manifest.json")["config_hash"]
+
+
+def test_simulate_report_integrator_block(tmp_path):
+    cfg = write_cfg(tmp_path, "sim.json", SIM_CFG)
+    out = str(tmp_path / "o")
+    assert main(["--out", out, "simulate", "--config", cfg]) == 0
+    rep = read_json(out, "report.json")
+    st = rep["integrator"]
+    assert st["accepted_steps"] == rep["steps"] - 1
+    assert st["rhs_calls"] == 1 + 6 * (st["accepted_steps"]
+                                       + st["rejected_steps"])
+    assert 0 < st["smallest_step"] <= st["largest_step"] <= SIM_CFG["T"]
+
+
+def test_cli_import_leaves_heavy_scipy_modules_unloaded():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(galns.__file__)))
+    code = ("import sys, galns.cli; print(' '.join(m for m in ("
+            "'scipy.interpolate', 'scipy.optimize', 'scipy.special') "
+            "if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.strip() == ""
 
 
 def test_simulate_config_error_exit_2(tmp_path):

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from galns.control import (ApproxResult, EndpointExperiment, RelaxedFamily,
                            VertexSchedule, approximate_relaxed, cascade_to_K1,
                            covering_check, delta_metric, deviation_sweep,
-                           endpoint_map, fit_deviation_slope, hull_scale,
-                           imitate, imitation_sweep, make_phi_w,
+                           endpoint_map, fit_deviation_slope, horizon_ceiling,
+                           hull_scale, imitate, imitation_sweep, make_phi_w,
                            push_to_interior, reference_map, rx_norm,
                            tracking_control)
 from galns.dynamics import (GalerkinSystem, PiecewiseConstant, Smooth,
@@ -95,6 +95,18 @@ def test_deviation_sweep_decreases_and_slope():
     assert 0.35 <= fit["slope"] <= 0.65
     for r in rows:
         assert r["sup_deviation"] <= fit["C"] * math.sqrt(r["x_axis"]) + 1e-12
+
+
+def test_horizon_ceiling_matches_lambert_w():
+    from scipy.special import lambertw
+    exp = make_exp()
+    d = len(exp.observed_set)
+    for x in np.logspace(-12, 3, 61):
+        C = (exp.gamma_infl - 1) * exp.radius / (2 * d * math.sqrt(x))
+        # the argument as horizon_ceiling forms it from C
+        x_c = ((exp.gamma_infl - 1) * exp.radius / (2 * d * C)) ** 2
+        assert horizon_ceiling(exp, C) == pytest.approx(
+            lambertw(x_c).real, rel=1e-14, abs=0)
 
 
 def test_covering_small_grid():
@@ -361,6 +373,14 @@ def test_tracking_zero_target_is_equilibrium():
         assert np.max(np.abs(v.value(t))) < 1e-12
 
 
+def test_tracking_rejects_empty_interval():
+    sys = make_sys()
+    q = Smooth(value=lambda t: np.zeros(8), derivative=lambda t: np.zeros(8),
+               max_step=0.1)
+    with pytest.raises(ValueError, match="t1 > t0"):
+        tracking_control(sys, K1, q, SpectralField(G, {}), t0=0.5, t1=0.5)
+
+
 def test_tracking_rejects_modes_outside_system():
     sys = make_sys()
     q = Smooth(value=lambda t: np.zeros(1), derivative=lambda t: np.zeros(1),
@@ -403,6 +423,25 @@ def test_imitate_monotone_in_w_and_pinning():
     assert g2.gap < g1.gap
     for res in (g1, g2):
         assert max(res.pinning) <= 10 * tol
+
+
+def test_imitate_reference_derivative_is_one_sided():
+    # after an interaction interval every interval is tracked along the
+    # reference; at a breakpoint the tracked control must follow the
+    # interval's own reference derivative, not its neighbour's, so it stays
+    # near the interval's value and far from the 0.2 jump to the next one
+    sys, _, u0 = imitation_case()
+    xi = 0.2
+    labels = [("delta", ((1, 1), (1, 3)), 1), ("e", (1, 1), 1),
+              ("e", (2, 1), -1)]
+    bps = np.array([0.0, math.pi / 3, math.pi / 2, 2 * math.pi / 3])
+    res = imitate(sys, VertexSchedule(bps, labels, xi), 12.0, 1e-8, u0=u0)
+    for i in (1, 2):
+        t_lo, t_hi, v = res.controls[i]
+        want = np.zeros(len(res.J))
+        want[res.J.index(labels[i][1])] = labels[i][2] * xi
+        for t in (t_lo, t_hi):
+            assert np.max(np.abs(v.value(t) - want)) < 0.1 * xi
 
 
 def test_imitation_sweep_slope():

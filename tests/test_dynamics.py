@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from galns.dynamics import (GalerkinSystem, PiecewiseConstant, Smooth,
-                            Trajectory, data_continuity_probe, integrate,
-                            rhs, run_manifest)
+                            Trajectory, adaptive_lawson,
+                            data_continuity_probe, integrate, rhs,
+                            run_manifest)
 from galns.nonlinearity import interaction_coeffs, quadratic
 from galns.saturation import mode_set_K
 from galns.spectral import RectGeometry, SpectralField, kbar
@@ -365,3 +367,92 @@ def test_trajectory_spline_matches_samples():
     tr = integrate(sys, u0, None, 0.2, tol=1e-10)
     i = len(tr.times) // 2
     assert np.allclose(tr.state_at(tr.times[i]), tr.states[i], atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# The Lawson Dormand-Prince integrator, its statistics and dense output
+
+
+def test_lawson_dp5_fixed_step_order():
+    # tol = inf accepts every trial step, so max_step fixes the step
+    sys = GalerkinSystem(G, 0.05, SpectralField(G, {(1, 2): 0.5}),
+                         mode_set_K(2), ())
+    y0 = sys.to_vector(random_field(np.random.default_rng(0), K1, 0.5))
+
+    def nonlin(z, t):
+        return sys.quadratic_vec(z) + sys._f
+
+    def end_state(n):
+        run = adaptive_lawson(sys._lam, nonlin, y0, 0.0, 1.0, np.inf,
+                              max_step=1.0 / n)
+        assert len(run.times) == n + 1
+        return run.states[-1]
+
+    ref = end_state(1024)
+    errs = [np.max(np.abs(end_state(n) - ref)) for n in (8, 16, 32)]
+    orders = [math.log2(e / e_half) for e, e_half in zip(errs, errs[1:])]
+    assert min(orders) >= 4.5
+
+
+def test_integrator_statistics():
+    sys = make_sys(nu=1.0)
+    u0 = SpectralField(G, {(1, 1): 0.5, (2, 1): -0.3, (1, 2): 0.2})
+    tr = integrate(sys, u0, None, 1.0, tol=1e-8)
+    st = tr.stats
+    assert st.accepted_steps == len(tr.times) - 1
+    # one call at the start, then six per trial step: the seventh stage of
+    # an accepted step is the first stage of the next
+    assert st.rhs_calls == 1 + 6 * (st.accepted_steps + st.rejected_steps)
+    assert st.rhs_calls <= 7 * st.accepted_steps
+    steps = np.diff(tr.times)
+    assert st.smallest_step == pytest.approx(np.min(steps), rel=1e-12)
+    assert st.largest_step == pytest.approx(np.max(steps), rel=1e-12)
+    # every control breakpoint starts a segment with one fresh call
+    bps = np.array([0.0, 0.3, 0.7, 1.0])
+    ctl = PiecewiseConstant(bps, np.zeros((3, len(K1))))
+    st = integrate(sys, u0, ctl, 1.0, tol=1e-8).stats
+    assert st.rhs_calls == 3 + 6 * (st.accepted_steps + st.rejected_steps)
+
+
+def test_adaptive_lawson_result_starts_with_times():
+    sys = make_sys()
+    y0 = sys.to_vector(SpectralField(G, {(1, 1): 0.5}))
+    run = adaptive_lawson(sys._lam, lambda z, t: sys.quadratic_vec(z), y0,
+                          0.2, 0.5, 1e-8)
+    assert run[0] is run.times and run.times[0] == 0.2
+    assert len(run[0]) - 1 == run.stats.accepted_steps
+    assert len(run.states) == len(run.derivs) == len(run.times)
+
+
+@pytest.mark.parametrize("T", [1.0, 0.1, 0.01])
+def test_non_finite_trial_step_shrinks_the_step(T):
+    # a large state overflows the first trial steps; they are retried with
+    # smaller steps, without aborting the run or printing overflow warnings
+    sys = make_sys(nu=1.0)
+    u0 = SpectralField(G, {(1, 1): 1e3, (2, 2): -1e3})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        tr = integrate(sys, u0, None, T, tol=1e-8)
+    assert tr.times[-1] == pytest.approx(T, rel=1e-12)
+    assert np.all(np.isfinite(tr.states))
+    assert tr.stats.rejected_steps >= 1
+    hn = tr.h_norms()
+    assert hn[-1] < hn[0]
+
+
+def test_dense_output_at_step_midpoints():
+    # a run whose steps resolve every mode (|lam| h <= 0.12); the reference
+    # is a tol = 1e-13 run that has the step midpoints as knots
+    sys = GalerkinSystem(G, 0.01, SpectralField(G, {}), mode_set_K(2), K1)
+    u0 = random_field(np.random.default_rng(1), K1, scale=0.2)
+    tol, T = 1e-6, 1.0
+    tr = integrate(sys, u0, None, T, tol)
+    mids = (tr.times[1:] + tr.times[:-1]) / 2
+    knots = np.concatenate([[0.0], mids, [T]])
+    ref = integrate(sys, u0, PiecewiseConstant(
+        knots, np.zeros((len(knots) - 1, len(K1)))), T, 1e-13)
+    for t in mids:
+        y = ref.states[np.argmin(np.abs(ref.times - t))]
+        dy = sys.quadratic_vec(y) + sys._lam * y
+        assert np.max(np.abs(tr.state_at(t) - y)) <= 10 * tol
+        assert np.max(np.abs(tr.state_at(t, 1) - dy)) <= 10 * tol
