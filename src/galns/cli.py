@@ -3,7 +3,9 @@
 Every experiment is a subcommand driven by a JSON config file; all outputs
 land in a --out directory together with a run manifest (command, config
 hash, tool version, wall time, produced files).  The process exits 0
-exactly when every verdict in the emitted report is "pass".
+exactly when every verdict in the emitted report is "pass", 1 on a failing
+verdict, 2 on a config error and 3 on a numerical failure (the integrator
+gave up; report.json then has verdict "numerical_failure" and the message).
 """
 
 import argparse
@@ -22,8 +24,8 @@ import numpy as np
 
 from .control import (EndpointExperiment, VertexSchedule, covering_check,
                       imitate)
-from .dynamics import (GalerkinSystem, PiecewiseConstant, integrate,
-                       run_manifest)
+from .dynamics import (GalerkinSystem, PiecewiseConstant, StiffnessError,
+                       integrate, run_manifest)
 from .lie_rank import rank_verdict
 from .nonlinearity import oracle_sweep
 from .saturation import build_chain, mode_set_K
@@ -429,6 +431,10 @@ def main(argv=None) -> int:
     except (KeyError, TypeError, ValueError) as e:
         print("config error: %s" % e, file=_sys.stderr)
         return 2
+    except StiffnessError as e:
+        print("numerical failure: %s" % e, file=_sys.stderr)
+        report = {"verdict": "numerical_failure", "error": str(e)}
+        outputs = []
 
     if "report.json" not in outputs:
         outputs.append(_write_json(args.out, "report.json", report))
@@ -440,9 +446,9 @@ def main(argv=None) -> int:
         "outputs": sorted(outputs),
     }
     _write_json(args.out, "manifest.json", manifest)
-    ok = report.get("verdict") == "pass"
-    print("%s: %s" % (args.command, report.get("verdict")))
-    return 0 if ok else 1
+    verdict = report.get("verdict")
+    print("%s: %s" % (args.command, verdict))
+    return {"pass": 0, "numerical_failure": 3}.get(verdict, 1)
 
 
 if __name__ == "__main__":

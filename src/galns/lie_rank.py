@@ -107,10 +107,12 @@ def point_hash(u: SpectralField) -> str:
 
 def rank_verdict(sys: GalerkinSystem, u: SpectralField,
                  use_square_repair: bool = True) -> dict:
-    """JSON-ready verdict for one evaluation point."""
+    """JSON-ready verdict for one evaluation point; "exact" says whether the
+    rank came from exact Bareiss elimination or the floating-point SVD."""
     rank, generations = full_rank_check(sys, u, use_square_repair=use_square_repair)
     return {
         "N": infer_level(sys.mode_set),
+        "exact": _exact_geometry(sys.geom) is not None,
         "point_hash": point_hash(u),
         "rank": rank,
         "kappa_N": len(sys.mode_set),

@@ -108,29 +108,36 @@ def delta_vector(m: ModeIndex, n: ModeIndex, a2: Fraction, b2: Fraction) -> Delt
 
 
 def bareiss_rank(rows: list[list[Fraction]]) -> int:
-    """Rank of a rational matrix by fraction-free Gaussian elimination."""
-    if not rows:
-        return 0
-    m = [[Fraction(x) for x in r] for r in rows]
-    nrow, ncol = len(m), len(m[0])
-    rank = 0
-    prev = Fraction(1)
+    """Exact rank of a rational matrix (int or Fraction entries).
+
+    Each row is scaled once by the lcm of its denominators, which leaves
+    the rank unchanged, and fraction-free (Bareiss) elimination then runs
+    on Python ints: every division by the previous pivot is exact by
+    Sylvester's identity, so it is done with //."""
+    m = []
+    for row in rows:
+        row = [Fraction(x) for x in row]
+        den = math.lcm(*(x.denominator for x in row))
+        m.append([x.numerator * (den // x.denominator) for x in row])
+    nrow, ncol = len(m), len(m[0]) if m else 0
+    prev = 1
     r = 0
     for c in range(ncol):
-        piv = next((i for i in range(r, nrow) if m[i][c] != 0), None)
+        piv = next((i for i in range(r, nrow) if m[i][c]), None)
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
+        top, p = m[r], m[r][c]
         for i in range(r + 1, nrow):
-            for j in range(c + 1, ncol):
-                m[i][j] = (m[r][c] * m[i][j] - m[i][c] * m[r][j]) / prev
-            m[i][c] = Fraction(0)
-        prev = m[r][c]
+            f = m[i][c]
+            m[i][c + 1:] = [(p * x - f * y) // prev
+                            for x, y in zip(m[i][c + 1:], top[c + 1:])]
+            m[i][c] = 0
+        prev = p
         r += 1
-        rank += 1
         if r == nrow:
             break
-    return rank
+    return r
 
 
 def det3(mat: list[list[Fraction]]) -> Fraction:

@@ -14,6 +14,7 @@ kbar(k) = -pi^2 (k1^2/a^2 + k2^2/b^2).  The square of its L2 norm is
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -208,9 +209,21 @@ def field_tables(u: SpectralField) -> tuple[dict[ModeIndex, float], dict[ModeInd
     return v1, v2
 
 
-def gauss_legendre_grid(geom: RectGeometry, npts: int):
-    """Tensor-product Gauss-Legendre nodes/weights on the rectangle."""
+@functools.lru_cache(maxsize=None)
+def legendre_rule(npts: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per npts
+    (leggauss is an eigenvalue solve) and returned as read-only arrays, so
+    no caller can alter the cached rule."""
     x, w = np.polynomial.legendre.leggauss(npts)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
+def gauss_legendre_grid(geom: RectGeometry, npts: int):
+    """Tensor-product Gauss-Legendre nodes/weights on the rectangle, from
+    the cached legendre_rule(npts)."""
+    x, w = legendre_rule(npts)
     x1 = geom.a * (x + 1) / 2
     w1 = geom.a / 2 * w
     x2 = geom.b * (x + 1) / 2

@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 import galns
+from galns import cli
 from galns.cli import main
+from galns.dynamics import StiffnessError
 from galns.spectral import RectGeometry, SpectralField
 
 
@@ -101,6 +103,21 @@ def test_simulate_control_short_of_horizon_exit_2(tmp_path, capsys):
     assert main(["--out", str(tmp_path / "o"), "simulate",
                  "--config", cfg]) == 2
     assert "does not cover [0, 0.3]" in capsys.readouterr().err
+
+
+def test_numerical_failure_exit_3_with_report(tmp_path, monkeypatch, capsys):
+    def stiff(cfg, outdir, jobs, plot):
+        raise StiffnessError("step underflow at t=0.25")
+    monkeypatch.setattr(cli, "cmd_simulate", stiff)
+    cfg = write_cfg(tmp_path, "sim.json", SIM_CFG)
+    out = str(tmp_path / "o")
+    assert main(["--out", out, "simulate", "--config", cfg]) == 3
+    assert read_json(out, "report.json") == {
+        "verdict": "numerical_failure", "error": "step underflow at t=0.25"}
+    man = read_json(out, "manifest.json")
+    assert man["command"] == "simulate"
+    assert man["outputs"] == ["report.json"]
+    assert "numerical failure: step underflow" in capsys.readouterr().err
 
 
 def test_saturate_rectangle_chain(tmp_path):

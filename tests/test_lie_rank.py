@@ -140,3 +140,14 @@ def test_mode_set_shape_errors():
         sys = GalerkinSystem(G, 1.0, SpectralField(G, {}),
                              [(1, 1), (1, 2)], [(1, 1)])
         full_rank_check(sys, SpectralField(G, {}))
+
+
+def test_verdict_records_rank_path():
+    exact = rank_verdict(make_sys(2), SpectralField(G, {}))
+    assert exact["exact"] is True and exact["full_rank"] is True
+    # Fraction(0.1) has denominator 2**55: the SVD rank runs instead
+    g = RectGeometry(0.1, 2.0)
+    sys = make_sys(2, geom=g)
+    fallback = rank_verdict(sys, SpectralField(g, {}))
+    assert fallback["exact"] is False
+    assert fallback["rank"] == 15

@@ -1,9 +1,12 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from galns.nonlinearity import bilinear
+from galns.nonlinearity import bilinear, interaction_rows
 from galns.saturation import (SQUARE_REPAIR_PAIRS, SQUARE_REPAIR_TARGETS,
                               bareiss_rank, build_chain, delta_vector, det3,
                               mode_set_K, selection_S, verify_step)
@@ -171,3 +174,99 @@ def test_certificates_reproducible():
     c1 = verify_step(2, A2, B2).to_jsonable()
     c2 = verify_step(2, A2, B2).to_jsonable()
     assert c1 == c2
+
+
+def reference_rank(rows):
+    """Fraction-free Gaussian elimination carried out in Fraction
+    arithmetic: the independent oracle for bareiss_rank."""
+    if not rows:
+        return 0
+    m = [[Fraction(x) for x in r] for r in rows]
+    nrow, ncol = len(m), len(m[0])
+    prev = Fraction(1)
+    r = 0
+    for c in range(ncol):
+        piv = next((i for i in range(r, nrow) if m[i][c] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        for i in range(r + 1, nrow):
+            for j in range(c + 1, ncol):
+                m[i][j] = (m[r][c] * m[i][j] - m[i][c] * m[r][j]) / prev
+            m[i][c] = Fraction(0)
+        prev = m[r][c]
+        r += 1
+        if r == nrow:
+            break
+    return r
+
+
+small_fractions = st.fractions(-9, 9, max_denominator=12)
+
+
+@st.composite
+def rational_matrices(draw, entries, coefficients, max_rows=5, max_cols=6):
+    """Matrices with some rows zero and some rows combinations of others,
+    so that rank deficiency is common."""
+    ncol = draw(st.integers(0, max_cols))
+    rows = draw(st.lists(st.lists(entries, min_size=ncol, max_size=ncol),
+                         max_size=max_rows))
+    for _ in range(draw(st.integers(0, 3))):
+        pos = draw(st.integers(0, len(rows)))
+        if rows and draw(st.booleans()):
+            coef = draw(st.lists(coefficients, min_size=len(rows),
+                                 max_size=len(rows)))
+            new = [sum(c * r[j] for c, r in zip(coef, rows))
+                   for j in range(ncol)]
+        else:
+            new = [0] * ncol
+        rows.insert(pos, new)
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(rational_matrices(st.one_of(st.integers(-9, 9), small_fractions),
+                         small_fractions))
+@example([])
+@example([[], []])
+@example([[0, Fraction(0)], [Fraction(1, 3), 2]])
+def test_bareiss_rank_matches_fraction_elimination(rows):
+    before = [list(r) for r in rows]
+    assert bareiss_rank(rows) == reference_rank(rows)
+    assert rows == before
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_matrices(st.integers(-3, 3), st.integers(-1, 1)))
+def test_bareiss_rank_matches_float_rank_on_small_integers(rows):
+    # the drawn rows (at most 5 x 6, |x| <= 3) have integer minors, so their
+    # nonzero singular values exceed sigma_max^-4 > 1e-5; the added rows lie
+    # in their span and only raise the singular values, while the SVD
+    # round-off stays below 1e-12
+    rank = bareiss_rank(rows)
+    assert rank == reference_rank(rows)
+    if rows and rows[0]:
+        assert rank == np.linalg.matrix_rank(np.array(rows, dtype=float),
+                                             tol=1e-10)
+
+
+def transposed(k):
+    return (k[1], k[0])
+
+
+@settings(max_examples=40, deadline=None)
+@given(a=st.fractions(Fraction(1, 4), 4, max_denominator=20),
+       b=st.fractions(Fraction(1, 4), 4, max_denominator=20),
+       level=st.integers(1, 4), data=st.data())
+def test_exact_rank_invariant_under_swap(a, b, level, data):
+    modes = mode_set_K(level)
+    all_pairs = [(m, n) for i, m in enumerate(modes) for n in modes[i + 1:]]
+    pairs = data.draw(st.lists(st.sampled_from(all_pairs), min_size=1,
+                               max_size=len(modes) + 4, unique=True))
+    swapped = [tuple(sorted((transposed(m), transposed(n)))) for m, n in pairs]
+    rows = interaction_rows(pairs, modes, a * a, b * b).tolist()
+    swapped_rows = interaction_rows(swapped, [transposed(k) for k in modes],
+                                    b * b, a * a).tolist()
+    assert bareiss_rank(swapped_rows) == bareiss_rank(rows)
+    for r, s in zip(rows, swapped_rows):
+        assert s == r or s == [-x for x in r]

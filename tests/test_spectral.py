@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from galns.spectral import (GradientPart, RectGeometry, SpectralField,
                             field_tables, gauss_legendre_grid, kbar,
-                            leray_project)
+                            legendre_rule, leray_project)
 
 
 def quad_dot(u_eval, v_eval, geom, npts=40):
@@ -206,3 +206,20 @@ def test_json_roundtrip():
     u = SpectralField(g, {(2, 1): -0.25, (1, 3): 1.5})
     v = SpectralField.from_json(u.to_json())
     assert v.geom == g and v.coeffs == u.coeffs
+
+
+def test_cached_legendre_rule_is_exact_and_read_only():
+    geom = RectGeometry(1.0, 2.0)
+    for npts in (1, 8, 8, 33):
+        x, w = np.polynomial.legendre.leggauss(npts)
+        cx, cw = legendre_rule(npts)
+        assert cx.tobytes() == x.tobytes() and cw.tobytes() == w.tobytes()
+        X1, X2, W = gauss_legendre_grid(geom, npts)
+        assert X1[:, 0].tobytes() == (geom.a * (x + 1) / 2).tobytes()
+        assert X2[0].tobytes() == (geom.b * (x + 1) / 2).tobytes()
+        assert W.tobytes() == np.outer(geom.a / 2 * w, geom.b / 2 * w).tobytes()
+        with pytest.raises(ValueError):
+            cx[0] = 0.0
+        with pytest.raises(ValueError):
+            cw *= 2
+    assert legendre_rule(8)[0] is legendre_rule(8)[0]
