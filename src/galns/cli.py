@@ -425,9 +425,6 @@ def main(argv=None) -> int:
                 raise ConfigError("top-level config must be a JSON object")
             report, outputs = handlers[args.command](cfg, args.out, jobs,
                                                      args.plot)
-    except ConfigError as e:
-        print("config error: %s" % e, file=_sys.stderr)
-        return 2
     except (KeyError, TypeError, ValueError) as e:
         print("config error: %s" % e, file=_sys.stderr)
         return 2

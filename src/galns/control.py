@@ -41,7 +41,7 @@ class EndpointExperiment:
             raise ValueError("inflation factor must exceed 1")
         if self.horizon <= 0 or self.radius <= 0:
             raise ValueError("horizon and radius must be positive")
-        self._obs_idx = [self.sys._index[k] for k in self.observed_set]
+        self._obs_idx = [self.sys.index[k] for k in self.observed_set]
 
     def observed(self, y: np.ndarray) -> np.ndarray:
         return y[self._obs_idx]
@@ -69,13 +69,13 @@ def endpoint_map(exp: EndpointExperiment, p: np.ndarray,
     out = np.empty_like(stack)
     for lo in range(0, len(stack), sys.block_rows):
         block = stack[lo:lo + sys.block_rows]
-        drift = np.repeat(sys._f[:, None], len(block), axis=1)
+        drift = np.repeat(sys.forcing_vec[:, None], len(block), axis=1)
         drift[exp._obs_idx] += block.T / T
 
         def nonlin(z, t):
             return sys.quadratic_vec(z) + drift
         end = adaptive_lawson(
-            sys._lam[:, None], nonlin,
+            sys.lam[:, None], nonlin,
             np.repeat(y0[:, None], len(block), axis=1), 0.0, T,
             exp.tol).states[-1]
         out[lo:lo + len(block)] = exp.observed(end).T
@@ -140,6 +140,27 @@ def horizon_ceiling(exp: EndpointExperiment, C: float) -> float:
     return T
 
 
+def invert_endpoint(F, targets, p0, gain, tol: float, max_iter: int):
+    """Solve F(p) = target for each row of a (B, d) stack by the damped fixed
+    point p <- p + (target - F(p)) / gain.  The rows still iterating are
+    mapped together as one stack; each stops once its l1 residual is below
+    tol or after max_iter map calls.  Returns the impulses, each row's last
+    residual and each row's number of map calls."""
+    p = np.array(p0, dtype=float)
+    residuals = np.zeros(len(p))
+    calls = np.zeros(len(p), dtype=int)
+    active = np.arange(len(p))
+    while len(active):
+        r = targets[active] - F(p[active])
+        res = np.sum(np.abs(r), axis=1)
+        residuals[active] = res
+        calls[active] += 1
+        going = (res >= tol) & (calls[active] < max_iter)
+        active = active[going]
+        p[active] += r[going] / gain
+    return p, residuals, calls
+
+
 def covering_check(exp: EndpointExperiment, grid_per_dim: int = 3,
                    fit_horizons=None, max_iter: int = 60,
                    residual_tol: float = 1e-6, seed: int = 0) -> dict:
@@ -162,23 +183,10 @@ def covering_check(exp: EndpointExperiment, grid_per_dim: int = 3,
     scale = np.minimum(1.0, exp.radius / np.where(norms == 0, 1.0, norms))
     offsets = offsets * scale[:, None]
 
-    # every target runs its own damped fixed-point iteration p <- p + r;
-    # the targets still iterating are mapped as one stack per sweep
     targets = center + offsets
-    p = offsets.copy()
-    residuals = np.zeros(len(offsets))
-    iterations = np.zeros(len(offsets), dtype=int)
-    active = np.arange(len(offsets))
-    for it in range(max_iter):
-        r = targets[active] - endpoint_map(exp, p[active], T)
-        res = np.sum(np.abs(r), axis=1)
-        residuals[active] = res
-        iterations[active] = it + 1
-        going = res >= residual_tol
-        active = active[going]
-        if not len(active):
-            break
-        p[active] += r[going]
+    _, residuals, iterations = invert_endpoint(
+        lambda P: endpoint_map(exp, P, T), targets, offsets, 1.0,
+        residual_tol, max_iter)
 
     rows = []
     failures = []
@@ -460,18 +468,9 @@ def hull_scale(values, directions) -> tuple:
 # Tracking control
 
 
-class TrackedControl(Smooth):
-    """Smooth feedforward control with the co-integrated complement attached."""
-
-    def __init__(self, value, derivative, max_step, times, states):
-        super().__init__(value=value, derivative=derivative, max_step=max_step)
-        self.times = times
-        self.states = states
-
-
 def tracking_control(sys: GalerkinSystem, J, q: Smooth,
                      Q_init: SpectralField, t0: float = 0.0, t1: float = None,
-                     tol: float = 1e-8) -> TrackedControl:
+                     tol: float = 1e-8) -> Smooth:
     """Feedforward control on the modes J that makes the J-projection of the
     trajectory follow q exactly, by co-integrating the complement dynamics
     and cancelling the J-projected drift."""
@@ -480,8 +479,8 @@ def tracking_control(sys: GalerkinSystem, J, q: Smooth,
         raise ValueError("J must lie in mode_set")
     if t1 is None:
         t1 = t0 + 1.0
-    idx_j = np.array([sys._index[k] for k in J], dtype=int)
-    lam_c = sys._lam.copy()
+    idx_j = np.array([sys.index[k] for k in J], dtype=int)
+    lam_c = sys.lam.copy()
     lam_c[idx_j] = 0.0
 
     def embed(qv):
@@ -491,7 +490,7 @@ def tracking_control(sys: GalerkinSystem, J, q: Smooth,
 
     def nonlin(z, t):
         full = z + embed(q.value(t))
-        out = sys.quadratic_vec(full) + sys._f
+        out = sys.quadratic_vec(full) + sys.forcing_vec
         out[idx_j] = 0.0
         return out
 
@@ -514,12 +513,11 @@ def tracking_control(sys: GalerkinSystem, J, q: Smooth,
     def value(t):
         full = hermite(times, states, slopes, min(max(t, t0), t1))
         full[idx_j] = q.value(t)
-        drift = sys.quadratic_vec(full) + sys._lam * full + sys._f
+        drift = sys.quadratic_vec(full) + sys.lam * full + sys.forcing_vec
         return q.derivative(t) - drift[idx_j]
 
-    return TrackedControl(value=value, derivative=None,
-                          max_step=getattr(q, "max_step", np.inf),
-                          times=times, states=states)
+    return Smooth(value=value, derivative=None,
+                  max_step=getattr(q, "max_step", np.inf))
 
 
 # ---------------------------------------------------------------------------
@@ -548,16 +546,13 @@ class VertexSchedule:
             out[i] = _label_vector(sys, lab, self.xi)
         return out
 
-    def has_second_kind(self) -> bool:
-        return any(lab[0] == "delta" for lab in self.labels)
-
 
 def _label_vector(sys: GalerkinSystem, lab, xi: float) -> np.ndarray:
     out = np.zeros(sys.dim)
     if lab[0] == "zero":
         return out
     if lab[0] == "e":
-        out[sys._index[tuple(lab[1])]] = lab[2] * xi
+        out[sys.index[tuple(lab[1])]] = lab[2] * xi
         return out
     row = interaction_rows([lab[1]], sys.mode_set, *float_params(sys.geom))[0]
     return lab[2] * xi * row
@@ -569,7 +564,6 @@ class ImitationResult:
     gap: float             # H distance of end states
     pinning: list          # l1 gap of the J projection at each breakpoint
     end_state: np.ndarray
-    reference_end: np.ndarray
     J: tuple
 
 
@@ -586,7 +580,7 @@ def imitate(sys: GalerkinSystem, z: VertexSchedule, w: float,
             else sys.controlled_set
     else:
         J = tuple(sorted(tuple(k) for k in J))
-    idx_j = np.array([sys._index[k] for k in J], dtype=int)
+    idx_j = np.array([sys.index[k] for k in J], dtype=int)
     j_pos = {k: i for i, k in enumerate(J)}
 
     ref_sys = GalerkinSystem(sys.geom, sys.nu, sys.forcing, sys.mode_set,
@@ -661,7 +655,7 @@ def imitate(sys: GalerkinSystem, z: VertexSchedule, w: float,
         pinning.append(float(np.sum(np.abs(state[idx_j] - ref_here[idx_j]))))
 
     gap = float(np.sqrt(np.sum(h_weights(sys) * (state - ref.states[-1]) ** 2)))
-    return ImitationResult(controls, gap, pinning, state, ref.states[-1], J)
+    return ImitationResult(controls, gap, pinning, state, J)
 
 
 def imitation_sweep(sys: GalerkinSystem, z: VertexSchedule, ws,
@@ -689,6 +683,25 @@ def _direction_matrix(sys: GalerkinSystem, level: int):
     return labels, cols
 
 
+def _cover(full_sys, u0, goal, idx, horizon, tol):
+    """First-order covering: the impulse on the modes idx, held constant
+    over [0, horizon], whose end state matches goal on idx, by invert_endpoint
+    with the linear part's gain expm1(lam T) / (lam T).  Returns (impulse,
+    l1 residual, end state)."""
+    lam = full_sys.lam[idx] * horizon
+    gain = np.where(np.abs(lam) < 1e-12, 1.0, np.expm1(lam) / lam)
+    ends = []
+
+    def F(P):
+        full = np.zeros(full_sys.dim)
+        full[idx] = P[0] / horizon
+        ends.append(integrate(full_sys, u0, PiecewiseConstant(
+            [0.0, horizon], [full]), horizon, tol).states[-1])
+        return ends[-1][idx][None]
+    p, res, _ = invert_endpoint(F, goal[idx][None],
+                                (goal - full_sys.to_vector(u0))[idx][None],
+                                gain, 100 * tol, 60)
+    return p[0], float(res[0]), ends[-1]
 
 
 def _build_schedule(labels, masses, xi, cycle, width_floor=0.0):
@@ -733,7 +746,7 @@ def _schedule_endpoint(full_sys, labels, cols, masses, xi, cycle, u0, tol,
     return tr.states[-1]
 
 
-def _solve_schedule(sys, full_sys, labels, cols, level, y_goal, horizon, u0,
+def _solve_schedule(full_sys, labels, cols, level, y_goal, horizon, u0,
                     n_cycles, tol, res_target):
     """Coarse vertex schedule over the level's direction family whose literal
     replay ends at y_goal.
@@ -745,35 +758,23 @@ def _solve_schedule(sys, full_sys, labels, cols, level, y_goal, horizon, u0,
     xi grows adaptively whenever a cycle overflows; the endpoint impulse
     masses are invariant under that rescaling."""
     span = tuple(sorted(mode_set_K(level)))
-    idx = np.array([sys._index[k] for k in span], dtype=int)
-    y0 = sys.to_vector(u0)
+    idx = np.array([full_sys.index[k] for k in span], dtype=int)
     cycle = horizon / n_cycles
 
     # initial guess: first-order covering on the K^level components, then an
     # exact decomposition over the direction family (a square system)
-    lam = full_sys._lam[idx] * horizon
-    gain = np.where(np.abs(lam) < 1e-12, 1.0, np.expm1(lam) / lam)
-    p = (y_goal - y0)[idx]
-    for _ in range(40):
-        full = np.zeros(sys.dim)
-        full[idx] = p / horizon
-        tr = integrate(full_sys, u0, PiecewiseConstant([0.0, horizon], [full]),
-                       horizon, tol)
-        r_cov = (y_goal - tr.states[-1])[idx]
-        if np.sum(np.abs(r_cov)) < 100 * tol:
-            break
-        p = p + r_cov / gain
+    p, _, _ = _cover(full_sys, u0, y_goal, idx, horizon, tol)
     alpha = np.linalg.solve(cols.T[idx], p / horizon)
 
     masses = np.tile(alpha * cycle, (n_cycles, 1)).ravel()
     # when the goal has components outside the family's span the masses must
     # grow well past the first-order decomposition to reach them through the
     # quadratic term, so leave generous headroom in the vertex scale
-    first_order = set(span) >= set(sys.mode_set)
+    first_order = set(span) >= set(full_sys.mode_set)
     xi = max((4.0 if first_order else 30.0) * float(np.sum(np.abs(alpha))),
              1e-6)
     max_iter = 30 if first_order else 120
-    sw = np.sqrt(h_weights(sys))
+    sw = np.sqrt(h_weights(full_sys))
 
     def endpoint(m, x):
         return _schedule_endpoint(full_sys, labels, cols,
@@ -785,7 +786,7 @@ def _solve_schedule(sys, full_sys, labels, cols, level, y_goal, horizon, u0,
     for _ in range(max_iter):
         if np.linalg.norm(r) < res_target:
             break
-        J = np.zeros((sys.dim, len(masses)))
+        J = np.zeros((full_sys.dim, len(masses)))
         h = 3e-5
         for j in range(len(masses)):
             mp = masses.copy()
@@ -871,31 +872,17 @@ def cascade_to_K1(sys: GalerkinSystem, target: SpectralField, eps: float,
                               sys.mode_set)
     proj = SpectralField(sys.geom, {k: target[k] for k in target.coeffs
                                     if k in set(mode_set_K(m_level))})
-    tgt = sys.to_vector(proj)
-    idx_m = np.array([sys._index[k] for k in sorted(mode_set_K(m_level))],
+    idx_m = np.array([sys.index[k] for k in sorted(mode_set_K(m_level))],
                      dtype=int)
-    y0 = sys.to_vector(u0)
-    lam = full_sys._lam[idx_m] * horizon
-    gain = np.where(np.abs(lam) < 1e-12, 1.0, np.expm1(lam) / lam)
-    p = (tgt - y0)[idx_m]
-    for _ in range(60):
-        full = np.zeros(sys.dim)
-        full[idx_m] = p / horizon
-        tr = integrate(full_sys, u0, PiecewiseConstant([0.0, horizon], [full]),
-                       horizon, tol)
-        r = (tgt - tr.states[-1])[idx_m]
-        if np.sum(np.abs(r)) < 100 * tol:
-            break
-        p = p + r / gain
-    covering_residual = float(np.sum(np.abs(r)))
-    y_prev = tr.states[-1]
+    p, covering_residual, y_prev = _cover(full_sys, u0, sys.to_vector(proj),
+                                          idx_m, horizon, tol)
 
-    full_tail2 = sum(e for k, e in energy.items() if k not in sys._index)
+    full_tail2 = sum(e for k, e in energy.items() if k not in sys.index)
 
     def distance_to_target(y):
         inside = sys.to_vector(SpectralField(
             sys.geom, {k: target[k] for k in target.coeffs
-                       if k in sys._index}))
+                       if k in sys.index}))
         return math.sqrt(h_dist(y, inside) ** 2 + full_tail2)
 
     steps = []
@@ -903,8 +890,8 @@ def cascade_to_K1(sys: GalerkinSystem, target: SpectralField, eps: float,
     for level in range(m_level, 1, -1):
         labels, cols = _direction_matrix(sys, level)
         masses, xi, solver_res = _solve_schedule(
-            sys, full_sys, labels, cols, level, y_prev, horizon, u0,
-            n_cycles, tol, res_target=budget / 8)
+            full_sys, labels, cols, level, y_prev, horizon, u0, n_cycles, tol,
+            res_target=budget / 8)
         cycle = horizon / n_cycles
         bps, labs = _build_schedule(labels, masses, xi, cycle,
                                     width_floor=1e-4 * cycle)
@@ -929,12 +916,8 @@ def cascade_to_K1(sys: GalerkinSystem, target: SpectralField, eps: float,
         final_control = res.controls
 
     if final_control is None:
-        # target already supported in K^1: the covering control suffices
-        idx1 = np.array([sys._index[k] for k in sorted(mode_set_K(1))],
-                        dtype=int)
-        full = np.zeros(sys.dim)
-        full[idx_m] = p / horizon
-        final_control = [(0.0, horizon, full[idx1])]
+        # target already supported in K^1 = K^M: the covering control suffices
+        final_control = [(0.0, horizon, p / horizon)]
 
     distance = distance_to_target(y_prev)
     return {

@@ -47,7 +47,10 @@ PAIR_BLOCK = BLOCK_BYTES // 32
 class GalerkinSystem:
     """The controlled ODE u_k' = Q_k(u) + nu*kbar_k*u_k + F_k + v_k.
 
-    Control components v_k act only on controlled_set (zero elsewhere)."""
+    Control components v_k act only on controlled_set (zero elsewhere).
+    Public fields: index maps each mode to its position in mode_set; lam
+    (nu*kbar_k), forcing_vec (F_k) and ctrl_idx (the positions of
+    controlled_set) are arrays in mode_set order."""
 
     geom: RectGeometry
     nu: float
@@ -67,11 +70,13 @@ class GalerkinSystem:
             raise ValueError("controlled_set must be a subset of mode_set")
         if not set(self.forcing.coeffs) <= set(self.mode_set):
             raise ValueError("forcing must be supported in mode_set")
-        self._index = {k: i for i, k in enumerate(self.mode_set)}
-        self._lam = np.array([self.nu * kbar(k, self.geom) for k in self.mode_set])
-        self._f = np.array([self.forcing[k] for k in self.mode_set])
-        self._ctrl_idx = np.array([self._index[k] for k in self.controlled_set],
-                                  dtype=int)
+        self.index = {k: i for i, k in enumerate(self.mode_set)}
+        self.lam = np.array([self.nu * kbar(k, self.geom) for k in self.mode_set])
+        self.forcing_vec = np.array([self.forcing[k] for k in self.mode_set])
+        self.ctrl_idx = np.array([self.index[k] for k in self.controlled_set],
+                                 dtype=int)
+        # older names, still read by the tests
+        self._index, self._lam, self._f = self.index, self.lam, self.forcing_vec
         self._build_quadratic_table()
 
     def _build_quadratic_table(self):
@@ -118,7 +123,7 @@ class GalerkinSystem:
             raise ValueError("field not supported in mode_set")
         y = np.zeros(self.dim)
         for k, c in u.coeffs.items():
-            y[self._index[k]] = c
+            y[self.index[k]] = c
         return y
 
     def to_field(self, y: np.ndarray) -> SpectralField:
@@ -147,13 +152,13 @@ class GalerkinSystem:
             if not set(v) <= set(self.controlled_set):
                 raise ValueError("control value hits uncontrolled modes")
             for k, c in v.items():
-                out[self._index[k]] = c
+                out[self.index[k]] = c
             return out
         v = np.asarray(v, dtype=float)
         if v.shape != (len(self.controlled_set),):
             raise ValueError("control dimension %s != |controlled_set| = %d"
                              % (v.shape, len(self.controlled_set)))
-        out[self._ctrl_idx] = v
+        out[self.ctrl_idx] = v
         return out
 
 
@@ -166,7 +171,7 @@ def h_weights(sys: GalerkinSystem, modes=None) -> np.ndarray:
 def rhs(sys: GalerkinSystem, u: SpectralField, v, t: float = 0.0) -> SpectralField:
     """Full right-hand side at state u and control value v."""
     y = sys.to_vector(u)
-    dy = sys.quadratic_vec(y) + sys._lam * y + sys._f + sys.control_vec(v)
+    dy = sys.quadratic_vec(y) + sys.lam * y + sys.forcing_vec + sys.control_vec(v)
     return sys.to_field(dy)
 
 
@@ -284,9 +289,6 @@ class Trajectory:
     @property
     def end_state(self) -> SpectralField:
         return self.sys.to_field(self.states[-1])
-
-    def field_at(self, i: int) -> SpectralField:
-        return self.sys.to_field(self.states[i])
 
     def state_at(self, t: float, nu: int = 0) -> np.ndarray:
         """Cubic Hermite dense output, or its time derivative (nu=1), at the
@@ -482,14 +484,14 @@ def integrate(sys: GalerkinSystem, u0: SpectralField, control, T: float,
     for t0, t1 in _segments(control, T):
         if isinstance(control, Smooth):
             def nonlin(z, t):
-                return (sys.quadratic_vec(z) + sys._f
+                return (sys.quadratic_vec(z) + sys.forcing_vec
                         + sys.control_vec(control.value(t)))
         else:
             vfull = (sys.control_vec(control.value(0.5 * (t0 + t1)))
                      if control is not None else np.zeros(sys.dim))
             def nonlin(z, t, _v=vfull):
-                return sys.quadratic_vec(z) + sys._f + _v
-        run = adaptive_lawson(sys._lam, nonlin, y, t0, t1, tol,
+                return sys.quadratic_vec(z) + sys.forcing_vec + _v
+        run = adaptive_lawson(sys.lam, nonlin, y, t0, t1, tol,
                               max_step=max_step, h_min=h_min)
         times.extend(run.times[1:])
         states.extend(run.states[1:])

@@ -27,7 +27,7 @@ def drift_field(sys: GalerkinSystem, u: SpectralField) -> SpectralField:
 def first_bracket(sys: GalerkinSystem, u: SpectralField, i: ModeIndex) -> SpectralField:
     """Directional derivative of the drift along e_i: affine in u."""
     i = tuple(i)
-    if i not in sys._index:
+    if i not in sys.index:
         raise ValueError("bracket direction %s not in mode_set" % (i,))
     e_i = SpectralField(sys.geom, {i: 1.0})
     lin = bilinear(e_i, u, mode_set=sys.mode_set)

@@ -192,17 +192,22 @@ def _max_index(*fields_and_modes) -> int:
     return mx
 
 
+def _b_sum(W, eu, ev, ew) -> float:
+    """b(u, v, w) from the _eval_components of u, v, w on a grid of weights W."""
+    (u1, u2), _ = eu
+    _, ((d1v1, d2v1), (d1v2, d2v2)) = ev
+    (w1, w2), _ = ew
+    integrand = (u1 * d1v1 + u2 * d2v1) * w1 + (u1 * d1v2 + u2 * d2v2) * w2
+    return float(np.sum(W * integrand))
+
+
 def trilinear_b(u: SpectralField, v: SpectralField, w: SpectralField,
                 npts: int | None = None) -> float:
     """b(u, v, w) = sum_ij int u_i (d_i v_j) w_j dx by tensor quadrature."""
     if npts is None:
         npts = 6 * _max_index(u, v, w) + 8
     X1, X2, W = gauss_legendre_grid(u.geom, npts)
-    (u1, u2), _ = _eval_components(u, X1, X2)
-    _, ((d1v1, d2v1), (d1v2, d2v2)) = _eval_components(v, X1, X2)
-    (w1, w2), _ = _eval_components(w, X1, X2)
-    integrand = (u1 * d1v1 + u2 * d2v1) * w1 + (u1 * d1v2 + u2 * d2v2) * w2
-    return float(np.sum(W * integrand))
+    return _b_sum(W, *(_eval_components(f, X1, X2) for f in (u, v, w)))
 
 
 def quadrature_B(u: SpectralField, v: SpectralField, k: ModeIndex,
@@ -218,9 +223,14 @@ def quadrature_B(u: SpectralField, v: SpectralField, k: ModeIndex,
     geom = u.geom
     wk = SpectralField(geom, {k: 1.0})
     nrm2 = -kbar(k, geom) * geom.a * geom.b / 4
+    if npts is None:
+        npts = 6 * _max_index(u, v, wk) + 8
+    X1, X2, W = gauss_legendre_grid(geom, npts)
+    eu, ew = _eval_components(u, X1, X2), _eval_components(wk, X1, X2)
     if u is v or u.coeffs == v.coeffs:
-        return -trilinear_b(u, v, wk, npts) / nrm2
-    return -(trilinear_b(u, v, wk, npts) + trilinear_b(v, u, wk, npts)) / nrm2
+        return -_b_sum(W, eu, eu, ew) / nrm2
+    ev = _eval_components(v, X1, X2)
+    return -(_b_sum(W, eu, ev, ew) + _b_sum(W, ev, eu, ew)) / nrm2
 
 
 def oracle_sweep(max_index: int, geom: RectGeometry,

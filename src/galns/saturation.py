@@ -259,7 +259,6 @@ class SaturationChain:
     square_mode: bool
     levels: list[int]
     certificates: list[SaturationStepCertificate]
-    witnesses: list[dict]
 
     @property
     def ok(self) -> bool:
@@ -267,15 +266,6 @@ class SaturationChain:
 
     def final_level(self) -> int:
         return self.levels[-1] + 1 if self.levels else 1
-
-
-def convex_witness(pair: Pair, lam: Fraction = Fraction(1)) -> dict:
-    """The convex-combination construction extracting delta_{m,n}: the two
-    auxiliary control vectors with entries (v)_n = lam, (v)_m = +-1."""
-    m, n = pair
-    return {"pair": pair,
-            "v_lambda": {n: lam, m: Fraction(1)},
-            "w_lambda": {n: lam, m: Fraction(-1)}}
 
 
 def build_chain(target_modes, a2, b2,
@@ -292,10 +282,7 @@ def build_chain(target_modes, a2, b2,
     while not set(target_modes) <= set(mode_set_K(need)):
         need += 1
     certs = []
-    wits = []
     levels = list(range(1, need))
     for j in levels:
-        c = verify_step(j, a2, b2, square_mode=square)
-        certs.append(c)
-        wits.append({"level": j, "witnesses": [convex_witness(p) for p in c.pairs]})
-    return SaturationChain(a2, b2, square, levels, certs, wits)
+        certs.append(verify_step(j, a2, b2, square_mode=square))
+    return SaturationChain(a2, b2, square, levels, certs)

@@ -12,6 +12,7 @@ from galns.control import (ApproxResult, EndpointExperiment, RelaxedFamily,
                            hull_scale, imitate, imitation_sweep, make_phi_w,
                            push_to_interior, reference_map, rx_norm,
                            tracking_control)
+from galns.control import invert_endpoint
 from galns.dynamics import (GalerkinSystem, PiecewiseConstant, Smooth,
                             integrate)
 from galns.saturation import mode_set_K
@@ -489,3 +490,58 @@ def test_cascade_tail_beyond_levels_rejected():
     tgt = SpectralField(G, {(9, 9): 10.0})
     with pytest.raises(ValueError):
         cascade_to_K1(sys, tgt, 0.05)
+
+
+# ---------------------------------------------------------------------------
+# Endpoint inversion
+
+
+def linear_map(g, c, sizes):
+    """F(P) = P diag(g) + c on the rows still iterating, recording the stack
+    size of every call."""
+    def F(P):
+        sizes.append(len(P))
+        return P * g + c
+    return F
+
+
+def test_invert_endpoint_exact_gain_two_calls():
+    rng = np.random.default_rng(0)
+    g = np.array([0.5, 2.0, -1.5])
+    c = rng.normal(size=3)
+    targets = rng.normal(size=(4, 3))
+    sizes = []
+    p, res, calls = invert_endpoint(linear_map(g, c, sizes), targets,
+                                    np.zeros((4, 3)), g, 1e-12, 60)
+    assert calls.tolist() == [2, 2, 2, 2]
+    assert sizes == [4, 4]
+    assert np.all(res < 1e-12)
+    np.testing.assert_allclose(p, (targets - c) / g, rtol=1e-14)
+
+
+def test_invert_endpoint_rows_stop_on_their_own():
+    # gain 1 on F(p) = p / 2: the residual halves with every call
+    g = np.full(2, 0.5)
+    targets = np.array([[1e-3, 0.0], [1.0, 0.0], [0.0, 0.0]])
+    sizes = []
+    p, res, calls = invert_endpoint(linear_map(g, 0.0, sizes), targets,
+                                    np.zeros((3, 2)), 1.0, 1e-6, 60)
+    # residual r0 / 2^(k-1) after k calls; the zero target needs one
+    want = [1 + math.ceil(math.log2(r0 / 1e-6)) for r0 in (1e-3, 1.0)] + [1]
+    assert calls.tolist() == want
+    assert want[0] < want[1]
+    assert sizes[0] == 3 and sizes[-1] == 1 and len(sizes) == max(want)
+    assert np.all(res < 1e-6)
+
+
+def test_invert_endpoint_returns_unconverged_row():
+    # on F(p) = -p with gain 1 the iteration p <- 2 p + t diverges unless
+    # the first guess already solves it
+    targets = np.array([[0.0], [1.0]])
+    p, res, calls = invert_endpoint(lambda P: -P, targets, np.zeros((2, 1)),
+                                    1.0, 1e-8, 12)
+    assert calls.tolist() == [1, 12]
+    assert res[0] == 0.0
+    assert res[1] == 2.0 ** 11
+    # the residual belongs to the returned impulse
+    assert res[1] == abs(1.0 + p[1, 0])
