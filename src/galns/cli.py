@@ -23,7 +23,7 @@ from multiprocessing import get_context
 import numpy as np
 
 from .control import (EndpointExperiment, VertexSchedule, covering_check,
-                      imitate)
+                      imitate, loglog_slope)
 from .dynamics import (GalerkinSystem, PiecewiseConstant, StiffnessError,
                        integrate, run_manifest)
 from .lie_rank import rank_verdict
@@ -202,11 +202,10 @@ def cmd_saturate(args, outdir, jobs, plot):
 
 
 def _steer_worker(exp_cfg):
-    geom = _geom(exp_cfg)
     sys = _system(exp_cfg)
     obs = tuple(sorted(mode_set_K(int(exp_cfg.get("observed_level", 1)))))
     exp = EndpointExperiment(
-        sys, obs, _field(exp_cfg, "u0", geom),
+        sys, obs, _field(exp_cfg, "u0", sys.geom),
         radius=float(_require(exp_cfg, "radius", (int, float))),
         gamma_infl=float(_require(exp_cfg, "gamma_infl", (int, float))),
         horizon=float(_require(exp_cfg, "horizon", (int, float))),
@@ -265,8 +264,7 @@ def cmd_imitate(cfg, outdir, jobs, plot):
     tol = float(cfg.get("tol", 1e-8))
     rows = _pmap(_imitate_worker, [(cfg, w) for w in ws], jobs)
     gaps = [r["gap"] for r in rows]
-    slope = float(np.polyfit(np.log(ws), np.log(gaps), 1)[0]) \
-        if len(ws) >= 2 else float("nan")
+    slope = loglog_slope(ws, gaps)
     threshold = float(cfg.get("slope_threshold", -0.8))
     pin_ok = all(r["max_pinning"] <= 10 * tol for r in rows)
     verdict = "pass" if (len(ws) < 2 or slope <= threshold) and pin_ok \
@@ -364,18 +362,13 @@ def cmd_norms(cfg, outdir, jobs, plot):
 # Entry point
 
 
-def _config_hash(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="galns",
         description="Spectral-Galerkin Navier-Stokes experiments")
     parser.add_argument("--out", required=True, help="output directory")
     parser.add_argument("--jobs", type=int, default=1,
-                        help="parallel jobs (env GALERKIN_STEER_JOBS "
-                             "overrides)")
+                        help="parallel jobs")
     parser.add_argument("--plot", action="store_true",
                         help="also write PNG plots (requires matplotlib)")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -394,15 +387,6 @@ def main(argv=None) -> int:
                        help="use the square-domain repair selections")
 
     args = parser.parse_args(argv)
-    jobs = args.jobs
-    env_jobs = os.environ.get("GALERKIN_STEER_JOBS")
-    if env_jobs:
-        try:
-            jobs = int(env_jobs)
-        except ValueError:
-            print("error: GALERKIN_STEER_JOBS=%r is not an integer" % env_jobs,
-                  file=_sys.stderr)
-            return 2
 
     os.makedirs(args.out, exist_ok=True)
     handlers = {
@@ -417,14 +401,15 @@ def main(argv=None) -> int:
                                "target_modes": args.target_modes,
                                "square": args.square},
                               sort_keys=True).encode()
-            report, outputs = cmd_saturate(args, args.out, jobs, args.plot)
+            report, outputs = cmd_saturate(args, args.out, args.jobs,
+                                           args.plot)
         else:
             blob = open(args.config, "rb").read()
             cfg = _load_config(args.config)
             if not isinstance(cfg, dict):
                 raise ConfigError("top-level config must be a JSON object")
-            report, outputs = handlers[args.command](cfg, args.out, jobs,
-                                                     args.plot)
+            report, outputs = handlers[args.command](cfg, args.out,
+                                                     args.jobs, args.plot)
     except (KeyError, TypeError, ValueError) as e:
         print("config error: %s" % e, file=_sys.stderr)
         return 2
@@ -437,7 +422,7 @@ def main(argv=None) -> int:
         outputs.append(_write_json(args.out, "report.json", report))
     manifest = {
         "command": args.command,
-        "config_hash": _config_hash(blob),
+        "config_hash": hashlib.sha256(blob).hexdigest(),
         "tool_version": VERSION,
         "wall_time_s": time.time() - t0,
         "outputs": sorted(outputs),

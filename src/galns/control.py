@@ -114,14 +114,21 @@ def deviation_sweep(exp: EndpointExperiment, horizons, n_samples: int = 8,
     return rows
 
 
+def loglog_slope(x, y) -> float:
+    """Least-squares slope of log y against log x; NaN for fewer than two
+    points, through which no line is determined."""
+    if len(x) < 2:
+        return float("nan")
+    return float(np.polyfit(np.log(x), np.log(y), 1)[0])
+
+
 def fit_deviation_slope(rows) -> dict:
     """Least-squares slope of log deviation against log(T e^T), and the
     prefactor C with deviation <= C [T e^T]^(1/2) over the sweep."""
-    x = np.log([r["x_axis"] for r in rows])
-    y = np.log([r["sup_deviation"] for r in rows])
-    slope, intercept = np.polyfit(x, y, 1)
+    slope = loglog_slope([r["x_axis"] for r in rows],
+                         [r["sup_deviation"] for r in rows])
     C = max(r["sup_deviation"] / math.sqrt(r["x_axis"]) for r in rows)
-    return {"slope": float(slope), "intercept": float(intercept), "C": float(C)}
+    return {"slope": slope, "C": float(C)}
 
 
 def horizon_ceiling(exp: EndpointExperiment, C: float) -> float:
@@ -162,8 +169,8 @@ def invert_endpoint(F, targets, p0, gain, tol: float, max_iter: int):
 
 
 def covering_check(exp: EndpointExperiment, grid_per_dim: int = 3,
-                   fit_horizons=None, max_iter: int = 60,
-                   residual_tol: float = 1e-6, seed: int = 0) -> dict:
+                   fit_horizons=None, residual_tol: float = 1e-6,
+                   seed: int = 0) -> dict:
     """Constructive covering of the R-ball around the observed initial state:
     every grid target is solved for by damped fixed-point inversion of the
     endpoint map, and the residuals are certified directly."""
@@ -186,7 +193,7 @@ def covering_check(exp: EndpointExperiment, grid_per_dim: int = 3,
     targets = center + offsets
     _, residuals, iterations = invert_endpoint(
         lambda P: endpoint_map(exp, P, T), targets, offsets, 1.0,
-        residual_tol, max_iter)
+        residual_tol, 60)
 
     rows = []
     failures = []
@@ -356,17 +363,14 @@ def push_to_interior(x: np.ndarray, n: int, K: float = 1.0) -> np.ndarray:
 @dataclass
 class ApproxResult:
     schedules: list          # per parameter: PiecewiseConstant vertex-valued
-    vertex_indices: list     # per parameter: vertex index per interval
     n: int
-    theta: float
     theta_eps: float
     rx_distances: list
     unchanged: bool = False
 
 
 def approximate_relaxed(family: RelaxedFamily, eps: float,
-                        n_override: int = None, n_cap: int = 400,
-                        measure_rx: bool = True) -> ApproxResult:
+                        n_cap: int = 400) -> ApproxResult:
     """Replace hull-valued controls by vertex-valued chattering schedules.
 
     Weights are pushed to the interior simplex (mass preserved), the horizon
@@ -379,21 +383,16 @@ def approximate_relaxed(family: RelaxedFamily, eps: float,
     r = verts.shape[0]
     T = family.breakpoints[-1] - family.breakpoints[0]
     if np.all((family.weights == 0.0) | (family.weights == 1.0)):
-        scheds, idxs = [], []
-        for pw in family.weights:
-            idx = [int(np.argmax(row)) for row in pw]
-            scheds.append(PiecewiseConstant(family.breakpoints, verts[idx]))
-            idxs.append(idx)
-        return ApproxResult(scheds, idxs, 1, 1.0,
+        scheds = [PiecewiseConstant(family.breakpoints,
+                                    verts[np.argmax(pw, axis=1)])
+                  for pw in family.weights]
+        return ApproxResult(scheds, 1,
                             float(np.min(np.diff(family.breakpoints))),
                             [0.0] * len(family.weights), unchanged=True)
 
     D = float(np.max(np.sum(np.abs(verts), axis=1)))
-    if n_override is not None:
-        n = n_override
-    else:
-        gamma = eps / (2 * T * max(D, 1e-300) * r) / 2
-        n = int(math.ceil((r + 1) / (r * gamma))) + 1
+    gamma = eps / (2 * T * max(D, 1e-300) * r) / 2
+    n = int(math.ceil((r + 1) / (r * gamma))) + 1
     if n > n_cap:
         raise ValueError("required grid count n=%d exceeds cap %d; "
                          "increase eps or the cap" % (n, n_cap))
@@ -415,31 +414,26 @@ def approximate_relaxed(family: RelaxedFamily, eps: float,
             i += 1
         return acc
 
-    scheds, idxs, rxs = [], [], []
+    scheds, rxs = [], []
     for p, pw in enumerate(family.weights):
         bps = [family.breakpoints[0]]
-        vidx = []
         for c in range(n**2):
             durations = integrate_weights(pw, cells[c], cells[c + 1])
             t = bps[-1]
             for j in range(r):
                 t += durations[j]
                 bps.append(t)
-                vidx.append(j)
         bps = np.array(bps)
         bps[-1] = family.breakpoints[-1]
-        sched = PiecewiseConstant(bps, verts[vidx])
+        # each cell holds the vertices in order
+        sched = PiecewiseConstant(bps, np.tile(verts, (n**2, 1)))
         scheds.append(sched)
-        idxs.append(vidx)
-        if measure_rx:
-            orig = family.control(p)
-            knots = np.unique(np.concatenate([bps, orig.breakpoints]))
-            diff = np.array([sched.value(0.5 * (a + b)) - orig.value(0.5 * (a + b))
-                             for a, b in zip(knots[:-1], knots[1:])])
-            rxs.append(rx_norm((knots, diff)))
-        else:
-            rxs.append(float("nan"))
-    return ApproxResult(scheds, idxs, n, theta, theta_eps, rxs)
+        orig = family.control(p)
+        knots = np.unique(np.concatenate([bps, orig.breakpoints]))
+        diff = np.array([sched.value(0.5 * (a + b)) - orig.value(0.5 * (a + b))
+                         for a, b in zip(knots[:-1], knots[1:])])
+        rxs.append(rx_norm((knots, diff)))
+    return ApproxResult(scheds, n, theta_eps, rxs)
 
 
 def hull_scale(values, directions) -> tuple:
@@ -605,7 +599,7 @@ def imitate(sys: GalerkinSystem, z: VertexSchedule, w: float,
     for i, lab in enumerate(z.labels):
         t_lo, t_hi = float(z.breakpoints[i]), float(z.breakpoints[i + 1])
         if lab[0] != "delta" and not switched:
-            vec = _label_vector(sys, lab, z.xi)
+            vec = ref_ctl.values[i]
             if np.any(vec[np.setdiff1d(np.arange(sys.dim), idx_j)] != 0.0):
                 raise ValueError("direct interval value leaves span(J)")
             ctl = PiecewiseConstant([0.0, t_hi - t_lo], [vec[idx_j]])
@@ -661,11 +655,8 @@ def imitate(sys: GalerkinSystem, z: VertexSchedule, w: float,
 def imitation_sweep(sys: GalerkinSystem, z: VertexSchedule, ws,
                     tol: float = 1e-8, u0: SpectralField = None) -> dict:
     """Gap versus oscillation frequency, with the fitted log-log slope."""
-    gaps = []
-    for w in ws:
-        gaps.append(imitate(sys, z, w, tol, u0=u0).gap)
-    slope = float(np.polyfit(np.log(ws), np.log(gaps), 1)[0])
-    return {"w": list(ws), "gap": gaps, "slope": slope}
+    gaps = [imitate(sys, z, w, tol, u0=u0).gap for w in ws]
+    return {"w": list(ws), "gap": gaps, "slope": loglog_slope(ws, gaps)}
 
 
 # ---------------------------------------------------------------------------
@@ -734,9 +725,8 @@ def _build_schedule(labels, masses, xi, cycle, width_floor=0.0):
     return np.array(bps), labs
 
 
-def _schedule_endpoint(full_sys, labels, cols, masses, xi, cycle, u0, tol,
-                       width_floor=0.0):
-    bps, labs = _build_schedule(labels, masses, xi, cycle, width_floor)
+def _schedule_endpoint(full_sys, labels, cols, masses, xi, cycle, u0, tol):
+    bps, labs = _build_schedule(labels, masses, xi, cycle)
     # each interval applies sign * xi times the column of its direction
     col = {lab[:2]: c for lab, c in zip(labels, cols)}
     vals = np.array([lab[2] * xi * col[lab[:2]] if lab[0] != "zero"
@@ -830,10 +820,14 @@ class CascadeStep:
     intervals: int
 
 
+# The cascade's horizon, the cycles each level's vertex schedule is split
+# into, and the first and largest oscillation frequency of its imitation.
+CASCADE_HORIZON, CASCADE_CYCLES, CASCADE_W0, CASCADE_W_CAP = \
+    0.5, 3, 4000.0, 64000.0
+
+
 def cascade_to_K1(sys: GalerkinSystem, target: SpectralField, eps: float,
-                  u0: SpectralField = None, horizon: float = 0.5,
-                  tol: float = 1e-8, n_cycles: int = 3, w0: float = 4000.0,
-                  w_cap: float = 64000.0) -> dict:
+                  u0: SpectralField = None, tol: float = 1e-8) -> dict:
     """Reach the target approximately with a control on K^1 only.
 
     A fully actuated covering step matches the projection of the target onto
@@ -841,8 +835,9 @@ def cascade_to_K1(sys: GalerkinSystem, target: SpectralField, eps: float,
     a coarse vertex schedule over the next-lower direction family is solved
     to reproduce the previous end state, and its interaction directions are
     imitated by fast oscillation of the lower modes; each level's end-state
-    drift must stay within eps/(2M), escalating the oscillation frequency up
-    to w_cap before reporting failure."""
+    drift must stay within eps/(2M), doubling the oscillation frequency from
+    CASCADE_W0 up to CASCADE_W_CAP before reporting failure."""
+    horizon, n_cycles = CASCADE_HORIZON, CASCADE_CYCLES
     if u0 is None:
         u0 = SpectralField(sys.geom, {})
     n_level = infer_level(sys.mode_set)
@@ -897,11 +892,11 @@ def cascade_to_K1(sys: GalerkinSystem, target: SpectralField, eps: float,
                                     width_floor=1e-4 * cycle)
         z = VertexSchedule(bps, labs, xi)
         J = tuple(sorted(mode_set_K(level - 1)))
-        w = w0
+        w = CASCADE_W0
         while True:
             res = imitate(sys, z, w, tol, J=J, u0=u0)
             dev = h_dist(res.end_state, y_prev)
-            if dev <= budget or w >= w_cap:
+            if dev <= budget or w >= CASCADE_W_CAP:
                 break
             w *= 2
         step_index = m_level - level + 1

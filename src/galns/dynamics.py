@@ -75,8 +75,6 @@ class GalerkinSystem:
         self.forcing_vec = np.array([self.forcing[k] for k in self.mode_set])
         self.ctrl_idx = np.array([self.index[k] for k in self.controlled_set],
                                  dtype=int)
-        # older names, still read by the tests
-        self._index, self._lam, self._f = self.index, self.lam, self.forcing_vec
         self._build_quadratic_table()
 
     def _build_quadratic_table(self):
@@ -168,7 +166,7 @@ def h_weights(sys: GalerkinSystem, modes=None) -> np.ndarray:
         [-kbar(k, sys.geom) for k in (sys.mode_set if modes is None else modes)])
 
 
-def rhs(sys: GalerkinSystem, u: SpectralField, v, t: float = 0.0) -> SpectralField:
+def rhs(sys: GalerkinSystem, u: SpectralField, v) -> SpectralField:
     """Full right-hand side at state u and control value v."""
     y = sys.to_vector(u)
     dy = sys.quadratic_vec(y) + sys.lam * y + sys.forcing_vec + sys.control_vec(v)
@@ -280,7 +278,6 @@ class Trajectory:
     sys: GalerkinSystem
     times: np.ndarray
     states: np.ndarray  # shape (len(times), sys.dim)
-    tol: float
     # derivative at the start and the end of each step, shape
     # (len(times) - 1, 2, sys.dim); one-sided at control breakpoints
     slopes: np.ndarray = field(repr=False)
@@ -498,7 +495,7 @@ def integrate(sys: GalerkinSystem, u0: SpectralField, control, T: float,
         slopes.append(run.slopes())
         stats.add(run.stats)
         y = run.states[-1]
-    return Trajectory(sys, np.array(times), np.array(states), tol,
+    return Trajectory(sys, np.array(times), np.array(states),
                       np.concatenate(slopes), stats)
 
 

@@ -43,9 +43,10 @@ def gamma_vector(sys: GalerkinSystem, m: ModeIndex, n: ModeIndex) -> SpectralFie
 
 
 def _exact_geometry(geom):
-    """Exact squared side lengths when the geometry is a short rational,
-    None otherwise (falls back to floating rank)."""
-    fa, fb = Fraction(geom.a), Fraction(geom.b)
+    """Exact squared side lengths when each side's shortest decimal form
+    is a short rational (0.1 is 1/10, as galns saturate reads it), None
+    otherwise (falls back to floating rank)."""
+    fa, fb = (Fraction(str(float(side))) for side in (geom.a, geom.b))
     if fa.denominator <= 1 << 16 and fb.denominator <= 1 << 16:
         return fa * fa, fb * fb
     return None
@@ -60,7 +61,6 @@ def _float_rank(rows) -> int:
 
 
 def full_rank_check(sys: GalerkinSystem, u: SpectralField,
-                    max_generations: int = None,
                     use_square_repair: bool = True):
     """Generate constant bracket directions by the saturation selections and
     report the reached span dimension.
@@ -73,8 +73,6 @@ def full_rank_check(sys: GalerkinSystem, u: SpectralField,
         raise ValueError("controlled_set must be K^1")
     exact = _exact_geometry(sys.geom)
     square = sys.geom.a == sys.geom.b
-    if max_generations is None:
-        max_generations = n_level - 1
     modes = sys.mode_set
 
     coeff_params = exact if exact else float_params(sys.geom)
@@ -88,7 +86,7 @@ def full_rank_check(sys: GalerkinSystem, u: SpectralField,
     generations = [{"generation": 0, "pairs": [],
                     "added": [list(k) for k in sys.controlled_set],
                     "rank": rank}]
-    for j in range(1, max_generations + 1):
+    for j in range(1, n_level):
         pairs = selection_S(j, square_mode=square and use_square_repair)
         rows.extend(interaction_rows(pairs, modes, *coeff_params))
         rank = rank_fn(rows)

@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .spectral import (ModeIndex, RectGeometry, SpectralField, check_mode,
-                       gauss_legendre_grid, kbar)
+                       eval_components, gauss_legendre_grid, kbar)
 
 
 def vee(m: ModeIndex, n: ModeIndex) -> int:
@@ -158,42 +158,12 @@ def bilinear(u: SpectralField, w: SpectralField, mode_set=None) -> SpectralField
 # Quadrature oracle
 
 
-def _eval_components(u: SpectralField, X1, X2):
-    """Velocity components and their first derivatives on a grid."""
-    a, b = u.geom.a, u.geom.b
-    v1 = np.zeros_like(X1)
-    v2 = np.zeros_like(X1)
-    d1v1 = np.zeros_like(X1)
-    d2v1 = np.zeros_like(X1)
-    d1v2 = np.zeros_like(X1)
-    d2v2 = np.zeros_like(X1)
-    for (k1, k2), c in u.coeffs.items():
-        a1 = k1 * np.pi / a
-        a2 = k2 * np.pi / b
-        s1, c1 = np.sin(a1 * X1), np.cos(a1 * X1)
-        s2, c2 = np.sin(a2 * X2), np.cos(a2 * X2)
-        v1 += c * (-a2) * s1 * c2
-        v2 += c * a1 * c1 * s2
-        d1v1 += c * (-a2 * a1) * c1 * c2
-        d2v1 += c * (a2 * a2) * s1 * s2
-        d1v2 += c * (-a1 * a1) * s1 * s2
-        d2v2 += c * (a1 * a2) * c1 * c2
-    return (v1, v2), ((d1v1, d2v1), (d1v2, d2v2))
-
-
-def _max_index(*fields_and_modes) -> int:
-    mx = 1
-    for obj in fields_and_modes:
-        if isinstance(obj, SpectralField):
-            for k1, k2 in obj.coeffs:
-                mx = max(mx, k1, k2)
-        else:
-            mx = max(mx, obj[0], obj[1])
-    return mx
+def _max_index(*fields) -> int:
+    return max([1] + [max(k) for f in fields for k in f.coeffs])
 
 
 def _b_sum(W, eu, ev, ew) -> float:
-    """b(u, v, w) from the _eval_components of u, v, w on a grid of weights W."""
+    """b(u, v, w) from the eval_components of u, v, w on a grid of weights W."""
     (u1, u2), _ = eu
     _, ((d1v1, d2v1), (d1v2, d2v2)) = ev
     (w1, w2), _ = ew
@@ -201,17 +171,13 @@ def _b_sum(W, eu, ev, ew) -> float:
     return float(np.sum(W * integrand))
 
 
-def trilinear_b(u: SpectralField, v: SpectralField, w: SpectralField,
-                npts: int | None = None) -> float:
+def trilinear_b(u: SpectralField, v: SpectralField, w: SpectralField) -> float:
     """b(u, v, w) = sum_ij int u_i (d_i v_j) w_j dx by tensor quadrature."""
-    if npts is None:
-        npts = 6 * _max_index(u, v, w) + 8
-    X1, X2, W = gauss_legendre_grid(u.geom, npts)
-    return _b_sum(W, *(_eval_components(f, X1, X2) for f in (u, v, w)))
+    X1, X2, W = gauss_legendre_grid(u.geom, 6 * _max_index(u, v, w) + 8)
+    return _b_sum(W, *(eval_components(f, X1, X2) for f in (u, v, w)))
 
 
-def quadrature_B(u: SpectralField, v: SpectralField, k: ModeIndex,
-                 npts: int | None = None) -> float:
+def quadrature_B(u: SpectralField, v: SpectralField, k: ModeIndex) -> float:
     """Oracle for the k-th drift coefficient of the projected convective
     interaction of u and v: -[b(u,v,W_k) + b(v,u,W_k)] / (-kbar |W_k|^2)
     for u != v, and the plain quadratic coefficient when u is v.
@@ -223,13 +189,11 @@ def quadrature_B(u: SpectralField, v: SpectralField, k: ModeIndex,
     geom = u.geom
     wk = SpectralField(geom, {k: 1.0})
     nrm2 = -kbar(k, geom) * geom.a * geom.b / 4
-    if npts is None:
-        npts = 6 * _max_index(u, v, wk) + 8
-    X1, X2, W = gauss_legendre_grid(geom, npts)
-    eu, ew = _eval_components(u, X1, X2), _eval_components(wk, X1, X2)
+    X1, X2, W = gauss_legendre_grid(geom, 6 * _max_index(u, v, wk) + 8)
+    eu, ew = eval_components(u, X1, X2), eval_components(wk, X1, X2)
     if u is v or u.coeffs == v.coeffs:
         return -_b_sum(W, eu, eu, ew) / nrm2
-    ev = _eval_components(v, X1, X2)
+    ev = eval_components(v, X1, X2)
     return -(_b_sum(W, eu, ev, ew) + _b_sum(W, ev, eu, ew)) / nrm2
 
 

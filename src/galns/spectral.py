@@ -88,23 +88,14 @@ class SpectralField:
         return self.norm("V'")
 
     def eval_velocity(self, x1, x2) -> tuple[np.ndarray, np.ndarray]:
-        """Pointwise sum of the basis fields; accepts scalars or arrays."""
+        """Pointwise sum of the basis fields at scalars or arrays that
+        broadcast together."""
         x1 = np.asarray(x1, dtype=float)
         x2 = np.asarray(x2, dtype=float)
         if np.any(x1 < -1e-12) or np.any(x1 > self.geom.a + 1e-12) \
                 or np.any(x2 < -1e-12) or np.any(x2 > self.geom.b + 1e-12):
             raise ValueError("evaluation point outside the rectangle")
-        v1 = np.zeros(np.broadcast(x1, x2).shape)
-        v2 = np.zeros_like(v1)
-        a, b = self.geom.a, self.geom.b
-        for (k1, k2), c in self.coeffs.items():
-            s1 = np.sin(k1 * np.pi * x1 / a)
-            c1 = np.cos(k1 * np.pi * x1 / a)
-            s2 = np.sin(k2 * np.pi * x2 / b)
-            c2 = np.cos(k2 * np.pi * x2 / b)
-            v1 += c * (-(k2 * np.pi / b)) * s1 * c2
-            v2 += c * (k1 * np.pi / a) * c1 * s2
-        return v1, v2
+        return eval_components(self, *np.broadcast_arrays(x1, x2))[0]
 
     # ---- serialization ----
 
@@ -128,6 +119,30 @@ class SpectralField:
         for k, v in other.coeffs.items():
             out[k] = out.get(k, 0.0) + v
         return SpectralField(self.geom, out)
+
+
+def eval_components(u: SpectralField, X1, X2):
+    """Velocity components and their first derivatives at the points
+    (X1, X2), two arrays of one shape."""
+    a, b = u.geom.a, u.geom.b
+    v1 = np.zeros_like(X1)
+    v2 = np.zeros_like(X1)
+    d1v1 = np.zeros_like(X1)
+    d2v1 = np.zeros_like(X1)
+    d1v2 = np.zeros_like(X1)
+    d2v2 = np.zeros_like(X1)
+    for (k1, k2), c in u.coeffs.items():
+        a1 = k1 * np.pi / a
+        a2 = k2 * np.pi / b
+        s1, c1 = np.sin(a1 * X1), np.cos(a1 * X1)
+        s2, c2 = np.sin(a2 * X2), np.cos(a2 * X2)
+        v1 += c * (-a2) * s1 * c2
+        v2 += c * a1 * c1 * s2
+        d1v1 += c * (-a2 * a1) * c1 * c2
+        d2v1 += c * (a2 * a2) * s1 * s2
+        d1v2 += c * (-a1 * a1) * s1 * s2
+        d2v2 += c * (a1 * a2) * c1 * c2
+    return (v1, v2), ((d1v1, d2v1), (d1v2, d2v2))
 
 
 @dataclass

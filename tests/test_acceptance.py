@@ -190,7 +190,7 @@ def test_criterion_07_tracking():
         v = tracking_control(sys, K1, q, u0, t0=0.0, t1=0.4, tol=tol)
         tr = integrate(sys, u0, Smooth(value=v.value, derivative=None,
                                        max_step=v.max_step), 0.4, tol)
-        idx = [sys._index[k] for k in K1]
+        idx = [sys.index[k] for k in K1]
         err = max(np.max(np.abs(y[idx] - q.value(t)))
                   for t, y in zip(tr.times, tr.states))
         assert err <= 10 * tol, "tracking error %.2e" % err
@@ -262,7 +262,7 @@ def test_criterion_10_lie_rank():
         g = gamma_vector(sys3, m, n)
         d = delta_vector(m, n, Fraction(1), Fraction(4))
         for k, c in d.entries.items():
-            if k in sys3._index:
+            if k in sys3.index:
                 assert g[k] == pytest.approx(scale * float(c), rel=1e-12)
 
 

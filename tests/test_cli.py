@@ -206,11 +206,10 @@ IMI_CFG = {
 }
 
 
-def test_imitate_sweep_and_jobs_env(tmp_path, monkeypatch):
+def test_imitate_sweep_and_jobs_env(tmp_path):
     cfg = write_cfg(tmp_path, "i.json", IMI_CFG)
     out = str(tmp_path / "o")
-    monkeypatch.setenv("GALERKIN_STEER_JOBS", "2")
-    assert main(["--out", out, "--jobs", "1", "imitate",
+    assert main(["--out", out, "--jobs", "2", "imitate",
                  "--config", cfg]) == 0
     rep = read_json(out, "imitation_report.json")
     assert rep["slope"] <= -0.6
@@ -225,13 +224,6 @@ def test_imitate_failing_threshold_exit_1(tmp_path):
     out = str(tmp_path / "o")
     assert main(["--out", out, "imitate", "--config",
                  write_cfg(tmp_path, "i.json", cfg)]) == 1
-
-
-def test_jobs_env_must_be_integer(tmp_path, monkeypatch):
-    monkeypatch.setenv("GALERKIN_STEER_JOBS", "lots")
-    cfg = write_cfg(tmp_path, "i.json", IMI_CFG)
-    assert main(["--out", str(tmp_path / "o"), "imitate",
-                 "--config", cfg]) == 2
 
 
 def test_steer_small_grid(tmp_path):

@@ -12,7 +12,7 @@ from galns.control import (ApproxResult, EndpointExperiment, RelaxedFamily,
                            hull_scale, imitate, imitation_sweep, make_phi_w,
                            push_to_interior, reference_map, rx_norm,
                            tracking_control)
-from galns.control import invert_endpoint
+from galns.control import invert_endpoint, loglog_slope
 from galns.dynamics import (GalerkinSystem, PiecewiseConstant, Smooth,
                             integrate)
 from galns.saturation import mode_set_K
@@ -359,7 +359,7 @@ def test_tracking_reproduces_random_targets():
         v = tracking_control(sys, K1, q, u0, t0=0.0, t1=0.4, tol=tol)
         tr = integrate(sys, u0, Smooth(value=v.value, derivative=None,
                                        max_step=v.max_step), 0.4, tol)
-        idx = [sys._index[k] for k in K1]
+        idx = [sys.index[k] for k in K1]
         errs = [np.max(np.abs(y[idx] - q.value(t)))
                 for t, y in zip(tr.times, tr.states)]
         assert max(errs) <= 10 * tol
@@ -451,6 +451,23 @@ def test_imitation_sweep_slope():
                           u0=u0)
     assert out["slope"] <= -0.8
     assert all(b < a for a, b in zip(out["gap"], out["gap"][1:]))
+
+
+def test_imitation_sweep_single_frequency_has_no_slope():
+    """One point determines no line: the slope is NaN, which fails any
+    slope criterion, rather than a least-squares value through one point."""
+    sys, z, u0 = imitation_case()
+    out = imitation_sweep(sys, z, [6.0], tol=1e-8, u0=u0)
+    assert len(out["gap"]) == 1
+    assert math.isnan(out["slope"])
+
+
+def test_loglog_slope_of_power_laws():
+    x = [1.0, 2.0, 4.0, 8.0]
+    assert loglog_slope(x, [3 * t ** -1.5 for t in x]) == \
+        pytest.approx(-1.5, abs=1e-12)
+    assert math.isnan(loglog_slope([2.0], [5.0]))
+    assert math.isnan(loglog_slope([], []))
 
 
 # ---------------------------------------------------------------------------

@@ -87,7 +87,7 @@ def test_quadratic_vec_stack_matches_columns(a, b, level, seed):
 def test_quadratic_vec_matches_entrywise_oracle(a, b, level, seed):
     sys = random_system(a, b, level)
     y = np.random.default_rng(seed).normal(size=sys.dim)
-    idx = sys._index
+    idx = sys.index
     expect = np.zeros(sys.dim)
     size = np.zeros(sys.dim)
     for p, m in enumerate(sys.mode_set):
@@ -109,7 +109,7 @@ def test_operator_entries_equal_scalar_coefficients(a, b, modes):
     # an arbitrary mode set, not of the form K^N: some targets fall outside
     geom = RectGeometry(a, b)
     sys = GalerkinSystem(geom, 1.0, SpectralField(geom, {}), modes, ())
-    idx = sys._index
+    idx = sys.index
     pi, pj, cols = [], [], []
     for p, m in enumerate(sys.mode_set):
         for n in sys.mode_set[p + 1:]:
@@ -300,7 +300,7 @@ def test_smooth_control_sine_forcing():
     T = 1.0
     exact = eps * (w * math.exp(lam * T) - w * math.cos(w * T)
                    - lam * math.sin(w * T)) / (lam**2 + w**2)
-    got = tr.states[-1][sys._index[(1, 1)]]
+    got = tr.states[-1][sys.index[(1, 1)]]
     assert got == pytest.approx(exact, rel=1e-6, abs=1e-18)
 
 
@@ -380,10 +380,10 @@ def test_lawson_dp5_fixed_step_order():
     y0 = sys.to_vector(random_field(np.random.default_rng(0), K1, 0.5))
 
     def nonlin(z, t):
-        return sys.quadratic_vec(z) + sys._f
+        return sys.quadratic_vec(z) + sys.forcing_vec
 
     def end_state(n):
-        run = adaptive_lawson(sys._lam, nonlin, y0, 0.0, 1.0, np.inf,
+        run = adaptive_lawson(sys.lam, nonlin, y0, 0.0, 1.0, np.inf,
                               max_step=1.0 / n)
         assert len(run.times) == n + 1
         return run.states[-1]
@@ -417,7 +417,7 @@ def test_integrator_statistics():
 def test_adaptive_lawson_result_starts_with_times():
     sys = make_sys()
     y0 = sys.to_vector(SpectralField(G, {(1, 1): 0.5}))
-    run = adaptive_lawson(sys._lam, lambda z, t: sys.quadratic_vec(z), y0,
+    run = adaptive_lawson(sys.lam, lambda z, t: sys.quadratic_vec(z), y0,
                           0.2, 0.5, 1e-8)
     assert run[0] is run.times and run.times[0] == 0.2
     assert len(run[0]) - 1 == run.stats.accepted_steps
@@ -453,6 +453,6 @@ def test_dense_output_at_step_midpoints():
         knots, np.zeros((len(knots) - 1, len(K1)))), T, 1e-13)
     for t in mids:
         y = ref.states[np.argmin(np.abs(ref.times - t))]
-        dy = sys.quadratic_vec(y) + sys._lam * y
+        dy = sys.quadratic_vec(y) + sys.lam * y
         assert np.max(np.abs(tr.state_at(t) - y)) <= 10 * tol
         assert np.max(np.abs(tr.state_at(t, 1) - dy)) <= 10 * tol

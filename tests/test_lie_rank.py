@@ -79,7 +79,7 @@ def test_gamma_equals_saturation_delta():
         g = gamma_vector(sys, m, n)
         d = delta_vector(m, n, Fraction(1), Fraction(4))
         for k, c in d.entries.items():
-            if k in sys._index:
+            if k in sys.index:
                 assert g[k] == pytest.approx(scale * float(c), rel=1e-12)
 
 
@@ -145,9 +145,18 @@ def test_mode_set_shape_errors():
 def test_verdict_records_rank_path():
     exact = rank_verdict(make_sys(2), SpectralField(G, {}))
     assert exact["exact"] is True and exact["full_rank"] is True
-    # Fraction(0.1) has denominator 2**55: the SVD rank runs instead
-    g = RectGeometry(0.1, 2.0)
+    # pi has no short decimal form: the SVD rank runs instead
+    g = RectGeometry(math.pi, 2.0)
     sys = make_sys(2, geom=g)
     fallback = rank_verdict(sys, SpectralField(g, {}))
     assert fallback["exact"] is False
     assert fallback["rank"] == 15
+
+
+def test_decimal_side_ranks_exactly():
+    """A side of 0.1 is read as 1/10, its shortest decimal, as galns
+    saturate reads it: the exact Bareiss rank runs."""
+    g = RectGeometry(0.1, 2.0)
+    verdict = rank_verdict(make_sys(2, geom=g), SpectralField(g, {}))
+    assert verdict["exact"] is True
+    assert verdict["rank"] == 15 and verdict["full_rank"] is True

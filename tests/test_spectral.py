@@ -58,6 +58,19 @@ def test_eval_velocity_two_mode_sum():
     assert v2 == pytest.approx(p1[1] + p2[1], abs=1e-14)
 
 
+def test_eval_velocity_broadcasts_mixed_shapes():
+    g = RectGeometry(1.0, 2.0)
+    u = SpectralField(g, {(1, 2): 1.0, (3, 1): -0.4})
+    x1 = np.linspace(0.1, 0.9, 3)[:, None]
+    x2 = np.linspace(0.2, 1.8, 4)[None, :]
+    v1, v2 = u.eval_velocity(x1, x2)
+    assert v1.shape == v2.shape == (3, 4)
+    for i in range(3):
+        for j in range(4):
+            p1, p2 = u.eval_velocity(x1[i, 0], x2[0, j])
+            assert v1[i, j] == p1 and v2[i, j] == p2
+
+
 def test_eval_velocity_outside_domain():
     u = SpectralField(RectGeometry(1, 1), {(1, 1): 1.0})
     with pytest.raises(ValueError):
