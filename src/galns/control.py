@@ -5,13 +5,14 @@ interaction-direction controls by fast oscillation, and the cascade that
 reduces everything to controls on the eight lowest modes.
 """
 
+import bisect
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (GalerkinSystem, PiecewiseConstant, Smooth,
-                       adaptive_lawson, h_weights, hermite, integrate)
+from .dynamics import (GalerkinSystem, IntegratorStats, PiecewiseConstant,
+                       Smooth, adaptive_lawson, h_weights, hermite, integrate)
 from .nonlinearity import float_params, interaction_rows
 from .saturation import infer_level, mode_set_K, selection_S
 from .spectral import SpectralField
@@ -222,45 +223,49 @@ def covering_check(exp: EndpointExperiment, grid_per_dim: int = 3,
 
 @dataclass
 class OscillatorProfile:
-    """Sine profile with linear ramps to zero at every breakpoint."""
+    """Sine profile with linear ramps to zero at every breakpoint.  Each
+    interval is three pieces: a ramp up from zero at its start, the sine,
+    and a ramp down to zero at its end, each ramp rho long; the slope jumps
+    where a ramp meets the sine."""
 
     breakpoints: np.ndarray
     w: float
     rho: np.ndarray  # ramp width per interval
 
-    def _locate(self, t: float) -> int:
+    def pieces(self, i: int) -> list:
+        """Interval i's ramp, sine and ramp pieces as (lo, hi) pairs."""
+        a0, a1 = self.breakpoints[i], self.breakpoints[i + 1]
+        r = self.rho[i]
+        return [(a0, a0 + r), (a0 + r, a1 - r), (a1 - r, a1)]
+
+    def piece_value(self, i: int, k: int, t: float, nu: int = 0) -> float:
+        """Value (nu=0) or derivative (nu=1) of piece k of interval i, with t
+        clamped into the piece: each piece keeps its own formula up to its
+        ends, so roundoff at a corner never selects a neighbour's slope."""
+        lo, hi = self.pieces(i)[k]
+        t = min(max(t, lo), hi)
+        w = self.w
+        if k == 1:
+            return math.sin(w * t) if nu == 0 else w * math.cos(w * t)
+        # a ramp is the line from zero at the interval's end to the sine at
+        # its corner with the sine piece
+        r = self.rho[i]
+        slope, end = ((math.sin(w * hi) / r, lo) if k == 0
+                      else (math.sin(w * lo) / (-r), hi))
+        return slope * (t - end) if nu == 0 else slope
+
+    def _at(self, t: float, nu: int) -> float:
         i = int(np.searchsorted(self.breakpoints, t, side="right")) - 1
-        return min(max(i, 0), len(self.rho) - 1)
-
-    def value_in(self, i: int, t: float) -> float:
-        """Value using interval i's ramp, with t clamped into the interval;
-        at a shared breakpoint the two intervals agree (both vanish), but
-        their ramp slopes differ, so boundary evaluations must name the
-        interval explicitly."""
-        a0, a1 = self.breakpoints[i], self.breakpoints[i + 1]
-        t = min(max(t, a0), a1)
-        r, w = self.rho[i], self.w
-        if t <= a0 + r:
-            return math.sin(w * (a0 + r)) / r * (t - a0)
-        if t >= a1 - r:
-            return math.sin(w * (a1 - r)) / (-r) * (t - a1)
-        return math.sin(w * t)
-
-    def derivative_in(self, i: int, t: float) -> float:
-        a0, a1 = self.breakpoints[i], self.breakpoints[i + 1]
-        t = min(max(t, a0), a1)
-        r, w = self.rho[i], self.w
-        if t <= a0 + r:
-            return math.sin(w * (a0 + r)) / r
-        if t >= a1 - r:
-            return -math.sin(w * (a1 - r)) / r
-        return w * math.cos(w * t)
+        i = min(max(i, 0), len(self.rho) - 1)
+        (_, up), _, (down, _) = self.pieces(i)
+        return self.piece_value(i, 0 if t <= up else 2 if t >= down else 1,
+                                t, nu)
 
     def value(self, t: float) -> float:
-        return self.value_in(self._locate(t), t)
+        return self._at(t, 0)
 
     def derivative(self, t: float) -> float:
-        return self.derivative_in(self._locate(t), t)
+        return self._at(t, 1)
 
     def sine_mismatch_measure(self) -> float:
         return float(2 * np.sum(self.rho))
@@ -511,7 +516,7 @@ def tracking_control(sys: GalerkinSystem, J, q: Smooth,
         return q.derivative(t) - drift[idx_j]
 
     return Smooth(value=value, derivative=None,
-                  max_step=getattr(q, "max_step", np.inf))
+                  max_step=getattr(q, "max_step", np.inf), stats=run.stats)
 
 
 # ---------------------------------------------------------------------------
@@ -559,6 +564,7 @@ class ImitationResult:
     pinning: list          # l1 gap of the J projection at each breakpoint
     end_state: np.ndarray
     J: tuple
+    stats: IntegratorStats  # summed over every tracking run and replay
 
 
 def imitate(sys: GalerkinSystem, z: VertexSchedule, w: float,
@@ -592,10 +598,20 @@ def imitate(sys: GalerkinSystem, z: VertexSchedule, w: float,
     phi = make_phi_w(z.breakpoints, w)
     sqrt2xi = math.sqrt(2 * z.xi)
 
+    def target(window, lo, hi, wave, max_step):
+        """The J-path on [lo, hi]: the reference window plus wave(t, nu),
+        both read at t clamped into [lo, hi]."""
+        def at(t, nu):
+            t = min(max(t, lo), hi)
+            return hermite(*window, t, nu) + wave(t, nu)
+        return Smooth(value=lambda t: at(t, 0), derivative=lambda t: at(t, 1),
+                      max_step=max_step)
+
     state = sys.to_vector(u0)
     switched = False
     controls = []
     pinning = []
+    stats = IntegratorStats()
     for i, lab in enumerate(z.labels):
         t_lo, t_hi = float(z.breakpoints[i]), float(z.breakpoints[i + 1])
         if lab[0] != "delta" and not switched:
@@ -606,6 +622,7 @@ def imitate(sys: GalerkinSystem, z: VertexSchedule, w: float,
             tr = integrate(ctl_sys, sys.to_field(state), ctl, t_hi - t_lo,
                            tol_in)
             state = tr.states[-1]
+            stats.add(tr.stats)
             controls.append((t_lo, t_hi, vec[idx_j]))
         else:
             switched = True
@@ -618,38 +635,48 @@ def imitate(sys: GalerkinSystem, z: VertexSchedule, w: float,
             if lab[0] == "delta":
                 (m, n), sign = lab[1], lab[2]
                 osc = np.zeros(len(J))
-                osc[j_pos[tuple(m)]] = 1.0
-                osc[j_pos[tuple(n)]] = sign
-                # evaluate the profile on this interval's ramp only, so
-                # roundoff past an endpoint never samples the (possibly much
-                # thinner) ramp of a neighbouring interval
-                def qval(t, _w=window, _o=osc, _i=i, _lo=t_lo, _hi=t_hi):
-                    return hermite(*_w, min(max(t, _lo), _hi)) \
-                        + sqrt2xi * phi.value_in(_i, t) * _o
-                def qder(t, _w=window, _o=osc, _i=i, _lo=t_lo, _hi=t_hi):
-                    return hermite(*_w, min(max(t, _lo), _hi), 1) \
-                        + sqrt2xi * phi.derivative_in(_i, t) * _o
+                osc[j_pos[tuple(m)]] = sqrt2xi
+                osc[j_pos[tuple(n)]] = sign * sqrt2xi
                 max_step = min((t_hi - t_lo) / 8, 2 * math.pi / w / 12)
+                # the profile's slope jumps at the ramp corners: tracking and
+                # replaying each piece on its own puts every corner on a
+                # segment end instead of inside a step the integrator rejects
+                pieces = [(a, b, lambda t, nu, _k=k, _i=i, _o=osc:
+                           phi.piece_value(_i, _k, t, nu) * _o)
+                          for k, (a, b) in enumerate(phi.pieces(i))]
             else:
-                def qval(t, _w=window):
-                    return hermite(*_w, t)
-                def qder(t, _w=window):
-                    return hermite(*_w, t, 1)
                 max_step = (t_hi - t_lo) / 8
-            q = Smooth(value=qval, derivative=qder, max_step=max_step)
-            v = tracking_control(sys, J, q, sys.to_field(state),
-                                 t0=t_lo, t1=t_hi, tol=tol_in)
-            shifted = Smooth(value=lambda s, _v=v, _t0=t_lo: _v.value(_t0 + s),
-                             derivative=None, max_step=max_step)
-            tr = integrate(ctl_sys, sys.to_field(state), shifted,
-                           t_hi - t_lo, tol_in)
-            state = tr.states[-1]
-            controls.append((t_lo, t_hi, v))
+                pieces = [(t_lo, t_hi, lambda t, nu: 0.0)]
+            tracked = []
+            for a, b, wave in pieces:
+                v = tracking_control(sys, J, target(window, a, b, wave,
+                                                    max_step),
+                                     sys.to_field(state), t0=a, t1=b,
+                                     tol=tol_in)
+                shifted = Smooth(value=lambda s, _v=v, _a=a: _v.value(_a + s),
+                                 derivative=None, max_step=max_step)
+                tr = integrate(ctl_sys, sys.to_field(state), shifted, b - a,
+                               tol_in)
+                state = tr.states[-1]
+                stats.add(v.stats)
+                stats.add(tr.stats)
+                tracked.append(v)
+            controls.append((t_lo, t_hi,
+                             _joined([a for a, _, _ in pieces[1:]], tracked)))
         ref_here = ref.state_at(t_hi)
         pinning.append(float(np.sum(np.abs(state[idx_j] - ref_here[idx_j]))))
 
     gap = float(np.sqrt(np.sum(h_weights(sys) * (state - ref.states[-1]) ** 2)))
-    return ImitationResult(controls, gap, pinning, state, J)
+    return ImitationResult(controls, gap, pinning, state, J, stats)
+
+
+def _joined(starts, parts) -> Smooth:
+    """One control from consecutive Smooth pieces, the later ones starting
+    at the times starts: each time reads the piece that holds it."""
+    if len(parts) == 1:
+        return parts[0]
+    return Smooth(value=lambda t: parts[bisect.bisect_right(starts, t)].value(t),
+                  derivative=None, max_step=min(p.max_step for p in parts))
 
 
 def imitation_sweep(sys: GalerkinSystem, z: VertexSchedule, ws,
@@ -702,38 +729,94 @@ def _build_schedule(labels, masses, xi, cycle, width_floor=0.0):
     sign * xi * direction, then idles at zero for the rest of the cycle;
     the direction order alternates between cycles so the leading-order
     splitting error cancels in pairs.  Raises ValueError when a cycle
-    cannot hold its requested durations."""
+    cannot hold its requested durations.
+
+    Also returns jumps, shape (len(bps), directions, masses.size): the
+    derivative in each flattened mass of the state's jump at each
+    breakpoint, as coefficients of the direction vectors.  Mass (c, j)
+    moves the end of its interval and every later breakpoint of cycle c,
+    but not the cycle end, by sign / xi, and a breakpoint moved by d
+    changes the state by d times the control jump there, so xi cancels.  A
+    mass at or under the width floor counts as a zero-width interval of
+    sign +, the one-sided derivative."""
     masses = np.atleast_2d(masses)
     ncyc, nd = masses.shape
     bps = [0.0]
     labs = []
+    jumps = [np.zeros((nd, masses.size))]
     for c in range(ncyc):
         order = range(nd) if c % 2 == 0 else range(nd - 1, -1, -1)
         used = 0.0
+        # the current interval's value over the directions (zero while
+        # idle) and the signs of the masses that move its end
+        u, movers = np.zeros(nd), np.zeros(masses.size)
         for j in order:
             width = abs(masses[c, j]) / xi
-            if width <= max(width_floor, 1e-12):
+            floored = width <= max(width_floor, 1e-12)
+            sign = 1 if floored or masses[c, j] >= 0 else -1
+            v = np.zeros(nd)
+            v[j] = sign
+            jumps[-1] += np.outer(u - v, movers)
+            u = v
+            movers[c * nd + j] = sign
+            if floored:
                 continue
             kind, key, _ = labels[j]
-            labs.append((kind, key, 1 if masses[c, j] >= 0 else -1))
+            labs.append((kind, key, sign))
             used += width
             bps.append(c * cycle + used)
+            jumps.append(np.zeros((nd, masses.size)))
         if used > cycle * (1 - 1e-9):
             raise ValueError("overfull cycle: %g > %g" % (used, cycle))
+        jumps[-1] += np.outer(u, movers)
         labs.append(("zero",))
         bps.append((c + 1) * cycle)
-    return np.array(bps), labs
+        jumps.append(np.zeros((nd, masses.size)))
+    return np.array(bps), labs, np.array(jumps)
 
 
-def _schedule_endpoint(full_sys, labels, cols, masses, xi, cycle, u0, tol):
-    bps, labs = _build_schedule(labels, masses, xi, cycle)
+def _schedule_control(full_sys, labels, cols, masses, xi, cycle):
+    """The schedule of the masses as a control on full_sys, with the
+    breakpoint jumps of _build_schedule."""
+    bps, labs, jumps = _build_schedule(labels, masses, xi, cycle)
     # each interval applies sign * xi times the column of its direction
     col = {lab[:2]: c for lab, c in zip(labels, cols)}
     vals = np.array([lab[2] * xi * col[lab[:2]] if lab[0] != "zero"
                      else np.zeros(full_sys.dim) for lab in labs])
-    tr = integrate(full_sys, u0, PiecewiseConstant(bps, vals),
-                   float(bps[-1]), tol)
-    return tr.states[-1]
+    return PiecewiseConstant(bps, vals), jumps
+
+
+def _schedule_endpoint(full_sys, labels, cols, masses, xi, cycle, u0, tol):
+    ctl, _ = _schedule_control(full_sys, labels, cols, masses, xi, cycle)
+    T = float(ctl.breakpoints[-1])
+    return integrate(full_sys, u0, ctl, T, tol).states[-1]
+
+
+def _schedule_jacobian(full_sys, labels, cols, masses, xi, cycle, u0, tol):
+    """Derivative of the schedule's end state in the flattened masses,
+    shape (dim, masses.size), from one forward run of the state and its
+    tangent columns as one (dim, 1 + masses.size) stack: between
+    breakpoints a column Z follows the variational equation
+    Z' = lam Z + B(y, Z), and at each breakpoint it jumps by the control
+    jump times the breakpoint's shift per unit mass.  Raises ValueError
+    where _build_schedule does."""
+    ctl, jumps = _schedule_control(full_sys, labels, cols, masses, xi, cycle)
+    bps = ctl.breakpoints
+    Y = np.zeros((full_sys.dim, 1 + jumps.shape[2]))
+    Y[:, 0] = full_sys.to_vector(u0)
+    # the cycle ends are fixed, so nothing jumps at the horizon bps[-1]
+    for k, v in enumerate(ctl.values):
+        Y[:, 1:] += cols.T @ jumps[k]
+        drift = full_sys.forcing_vec + full_sys.control_vec(v)
+
+        def nonlin(Z, t, _d=drift):
+            # B(y, y) = 2 Q(y): one product serves the state and its tangents
+            out = full_sys.bilinear_vec(Z[:, 0], Z)
+            out[:, 0] = 0.5 * out[:, 0] + _d
+            return out
+        Y = adaptive_lawson(full_sys.lam[:, None], nonlin, Y, bps[k],
+                            bps[k + 1], tol, h_min=1e-13 * bps[-1]).states[-1]
+    return Y[:, 1:]
 
 
 def _solve_schedule(full_sys, labels, cols, level, y_goal, horizon, u0,
@@ -744,7 +827,9 @@ def _solve_schedule(full_sys, labels, cols, level, y_goal, horizon, u0,
     The family spans exactly the modes of K^level, so the K^level components
     respond at first order; the remaining components respond through the
     quadratic term and are reached by a damped Gauss-Newton iteration on the
-    per-cycle masses, weighted so the residual is the H distance.  The scale
+    per-cycle masses, weighted so the residual is the H distance.  Its
+    Jacobian is one tangent run (_schedule_jacobian); residuals and trial
+    steps are checked on plain replays of the schedule.  The scale
     xi grows adaptively whenever a cycle overflows; the endpoint impulse
     masses are invariant under that rescaling."""
     span = tuple(sorted(mode_set_K(level)))
@@ -776,12 +861,9 @@ def _solve_schedule(full_sys, labels, cols, level, y_goal, horizon, u0,
     for _ in range(max_iter):
         if np.linalg.norm(r) < res_target:
             break
-        J = np.zeros((full_sys.dim, len(masses)))
-        h = 3e-5
-        for j in range(len(masses)):
-            mp = masses.copy()
-            mp[j] += h
-            J[:, j] = sw * (endpoint(mp, xi) - ep) / h
+        J = sw[:, None] * _schedule_jacobian(
+            full_sys, labels, cols, masses.reshape(n_cycles, -1), xi, cycle,
+            u0, tol)
         improved = False
         for _ in range(25):
             step = np.linalg.solve(J.T @ J + mu * np.eye(len(masses)),
@@ -888,8 +970,8 @@ def cascade_to_K1(sys: GalerkinSystem, target: SpectralField, eps: float,
             full_sys, labels, cols, level, y_prev, horizon, u0, n_cycles, tol,
             res_target=budget / 8)
         cycle = horizon / n_cycles
-        bps, labs = _build_schedule(labels, masses, xi, cycle,
-                                    width_floor=1e-4 * cycle)
+        bps, labs, _ = _build_schedule(labels, masses, xi, cycle,
+                                       width_floor=1e-4 * cycle)
         z = VertexSchedule(bps, labs, xi)
         J = tuple(sorted(mode_set_K(level - 1)))
         w = CASCADE_W0

@@ -140,6 +140,15 @@ class GalerkinSystem:
         states of shape (dim, B), column by column."""
         return self._Q @ (y[self._pi] * y[self._pj])
 
+    def bilinear_vec(self, y: np.ndarray, Z: np.ndarray) -> np.ndarray:
+        """The symmetric bilinear form of the quadratic term,
+        B(y, Z) = Q(y + Z) - Q(y) - Q(Z), which is the derivative of
+        quadratic_vec at the state y (shape (dim,)) applied to Z, one
+        direction of shape (dim,) or a stack of shape (dim, B) column by
+        column; B(y, y) = 2 Q(y)."""
+        y = np.reshape(y, (-1,) + (1,) * (np.ndim(Z) - 1))
+        return self._Q @ (y[self._pi] * Z[self._pj] + Z[self._pi] * y[self._pj])
+
     def control_vec(self, v) -> np.ndarray:
         """Embed a control value (array over controlled_set, or mode dict)
         into the full state ordering."""
@@ -210,11 +219,13 @@ class PiecewiseConstant:
 class Smooth:
     """Smooth control given by value/derivative evaluators over the
     controlled modes; max_step caps the integrator step so the signal is
-    resolved."""
+    resolved.  A signal computed by an integration (a tracking control)
+    carries that integration's work in stats."""
 
     value: callable
     derivative: callable = None
     max_step: float = np.inf
+    stats: "IntegratorStats" = None
 
     def describe(self) -> dict:
         return {"kind": "smooth", "max_step": self.max_step}

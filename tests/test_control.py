@@ -12,7 +12,10 @@ from galns.control import (ApproxResult, EndpointExperiment, RelaxedFamily,
                            hull_scale, imitate, imitation_sweep, make_phi_w,
                            push_to_interior, reference_map, rx_norm,
                            tracking_control)
-from galns.control import invert_endpoint, loglog_slope
+from galns import control
+from galns.control import (_build_schedule, _direction_matrix,
+                           _schedule_endpoint, _schedule_jacobian,
+                           invert_endpoint, loglog_slope)
 from galns.dynamics import (GalerkinSystem, PiecewiseConstant, Smooth,
                             integrate)
 from galns.saturation import mode_set_K
@@ -445,6 +448,27 @@ def test_imitate_reference_derivative_is_one_sided():
             assert np.max(np.abs(v.value(t) - want)) < 0.1 * xi
 
 
+def test_imitate_short_delta_interval_replays_without_hunting():
+    # the oscillation's slope jumps at the ramp corners, rho = length / w
+    # inside the interval's ends; a replay across the whole interval hunts
+    # each corner down by step rejection (25 rejected steps here), while
+    # piece by piece every corner is a segment end
+    sys, _, u0 = imitation_case()
+    z = VertexSchedule(np.array([0.0, 3e-4]),
+                       [("delta", ((1, 1), (1, 3)), 1)], 0.2)
+    res = imitate(sys, z, 4000.0, 1e-8, u0=u0)
+    assert res.stats.rejected_steps <= 5
+    assert res.stats.accepted_steps > 0
+    # the interval keeps one control, which reads each piece in turn: one
+    # replay of it across the corners ends where the piecewise replays did
+    (t_lo, t_hi, v), = res.controls
+    assert (t_lo, t_hi) == (0.0, 3e-4)
+    ctl_sys = make_sys(nu=0.03, mode_set=sys.mode_set, controlled=res.J)
+    tr = integrate(ctl_sys, u0, Smooth(value=v.value, max_step=v.max_step),
+                   3e-4, 1e-10)
+    assert np.max(np.abs(tr.states[-1] - res.end_state)) < 1e-8
+
+
 def test_imitation_sweep_slope():
     sys, z, u0 = imitation_case()
     out = imitation_sweep(sys, z, [3.0, 6.0, 12.0, 24.0, 48.0], tol=1e-8,
@@ -507,6 +531,87 @@ def test_cascade_tail_beyond_levels_rejected():
     tgt = SpectralField(G, {(9, 9): 10.0})
     with pytest.raises(ValueError):
         cascade_to_K1(sys, tgt, 0.05)
+
+
+def schedule_case(level, seed=0):
+    """The criterion-11 system, fully actuated, with the direction family of
+    one level and random signed masses on the cascade's three cycles."""
+    sys = GalerkinSystem(G, 0.2, SpectralField(G, {}), K3, K3)
+    labels, cols = _direction_matrix(sys, level)
+    masses = 0.01 * np.random.default_rng(seed).normal(size=(3, len(labels)))
+    cycle = 0.5 / 3
+    xi = 3 * float(np.max(np.sum(np.abs(masses), axis=1))) / cycle
+    return sys, labels, cols, masses, xi, cycle
+
+
+def shifted_endpoint(case, p, h, tol):
+    """End state of the schedule replay with flattened mass p moved by h."""
+    sys, labels, cols, masses, xi, cycle = case
+    m = masses.ravel().copy()
+    m[p] += h
+    return _schedule_endpoint(sys, labels, cols, m.reshape(masses.shape), xi,
+                              cycle, SpectralField(G, {}), tol)
+
+
+@pytest.mark.parametrize("level", [3, 2])
+def test_schedule_jacobian_matches_central_differences(level):
+    case = schedule_case(level)
+    sys, labels, cols, masses, xi, cycle = case
+    assert np.any(masses < 0) and np.any(masses > 0)
+    tol, h = 1e-11, 1e-5
+    jac = _schedule_jacobian(sys, labels, cols, masses, xi, cycle,
+                             SpectralField(G, {}), tol)
+    nd = len(labels)
+    assert jac.shape == (sys.dim, masses.size)
+    # the first and last direction of every cycle and one in between
+    for p in (0, nd // 2, nd - 1, nd, 2 * nd - 1, 2 * nd + nd // 3,
+              3 * nd - 1):
+        fd = (shifted_endpoint(case, p, h, tol)
+              - shifted_endpoint(case, p, -h, tol)) / (2 * h)
+        assert np.max(np.abs(jac[:, p] - fd)) <= 1e-6 * np.max(np.abs(fd))
+
+
+def test_schedule_jacobian_floored_mass_is_one_sided():
+    # a zero mass is no interval; its derivative is that of a zero-width
+    # interval of sign +, which a forward difference opens
+    case = schedule_case(2, seed=1)
+    sys, labels, cols, masses, xi, cycle = case
+    nd = len(labels)
+    masses[1, 2] = 0.0       # between two intervals of cycle 1
+    masses[1, nd - 1] = 0.0  # first in cycle 1, which runs in reverse
+    tol, h = 1e-11, 1e-5
+    jac = _schedule_jacobian(sys, labels, cols, masses, xi, cycle,
+                             SpectralField(G, {}), tol)
+    base = shifted_endpoint(case, 0, 0.0, tol)
+    for p in (nd + 2, 2 * nd - 1):
+        fd = (shifted_endpoint(case, p, h, tol) - base) / h
+        assert np.max(np.abs(jac[:, p] - fd)) <= 1e-4 * np.max(np.abs(fd))
+
+
+def test_schedule_jacobian_rejects_overfull_cycle():
+    sys, labels, cols, masses, xi, cycle = schedule_case(2)
+    with pytest.raises(ValueError, match="overfull"):
+        _build_schedule(labels, masses, xi / 4, cycle)
+    with pytest.raises(ValueError, match="overfull"):
+        _schedule_jacobian(sys, labels, cols, masses, xi / 4, cycle,
+                           SpectralField(G, {}), 1e-8)
+
+
+def test_solve_schedule_replays_only_for_residuals(monkeypatch):
+    # the cascade workload's inputs: the Gauss-Newton Jacobian comes from
+    # one tangent run, so schedules are replayed only to check residuals
+    # and trial steps (a finite-difference Jacobian made 93 replays)
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return _schedule_endpoint(*args)
+    monkeypatch.setattr(control, "_schedule_endpoint", counted)
+    tgt = SpectralField(G, {(1, 1): 0.05, (2, 2): 0.02, (1, 4): 0.01})
+    out = cascade_to_K1(cascade_sys(), tgt, 0.05)
+    assert out["M"] == 2
+    assert out["verdict"] == "pass"
+    assert 1 <= len(calls) <= 5
 
 
 # ---------------------------------------------------------------------------

@@ -101,6 +101,30 @@ def test_quadratic_vec_matches_entrywise_oracle(a, b, level, seed):
     assert np.all(np.abs(got - expect) <= 1e-12 * np.max(size))
 
 
+# K^3 keeps its operator as a dense array, K^5 (8 dim pairs > BLOCK_BYTES)
+# as a CSR matrix
+@pytest.mark.parametrize("level, dense", [(3, True), (5, False)])
+@settings(max_examples=20, deadline=None)
+@given(a=st.floats(0.25, 4.0), b=st.floats(0.25, 4.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_bilinear_vec_polarizes_quadratic_vec(level, dense, a, b, seed):
+    sys = random_system(a, b, level)
+    assert isinstance(sys._Q, np.ndarray) == dense
+    rng = np.random.default_rng(seed)
+    y, z = rng.normal(size=(2, sys.dim))
+    want = sys.quadratic_vec(y + z) - sys.quadratic_vec(y) \
+        - sys.quadratic_vec(z)
+    got = sys.bilinear_vec(y, z)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    Z = rng.normal(size=(sys.dim, 4))
+    stack = sys.bilinear_vec(y, Z)
+    assert stack.shape == Z.shape
+    for c in range(Z.shape[1]):
+        col = sys.bilinear_vec(y, Z[:, c])
+        np.testing.assert_allclose(stack[:, c], col, rtol=0,
+                                   atol=1e-13 * np.max(np.abs(col)))
+
+
 @settings(max_examples=25, deadline=None)
 @given(a=st.floats(0.25, 4.0), b=st.floats(0.25, 4.0),
        modes=st.sets(st.tuples(st.integers(1, 6), st.integers(1, 6)),
