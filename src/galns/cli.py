@@ -18,7 +18,6 @@ import sys as _sys
 import time
 from dataclasses import asdict
 from fractions import Fraction
-from multiprocessing import get_context
 
 import numpy as np
 
@@ -105,6 +104,8 @@ def _load_config(path):
 def _pmap(worker, items, jobs):
     if jobs <= 1 or len(items) <= 1:
         return [worker(it) for it in items]
+    # imported here, so that a serial run does not load it
+    from multiprocessing import get_context
     with get_context("fork").Pool(min(jobs, len(items))) as pool:
         return pool.map(worker, items)
 

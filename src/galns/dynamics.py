@@ -3,12 +3,16 @@
 State lives on a finite mode set; the right-hand side is the quadratic
 interaction restricted to that set, a diagonal viscous term, a fixed
 solenoidal forcing, and a control acting on a subset of modes.  The
-quadratic term is one sparse operator over the unique interacting pairs
-(m, n), Q(y) = C @ (y_m * y_n), so it evaluates one state of shape (dim,)
-or a stack of states of shape (dim, B) alike; C is filled block by block
-from the array kernel nonlinearity.interaction_kernel, with no loop over
-pairs.  The integrator is the integrating-factor (Lawson) form of the
-embedded Dormand-Prince 5(4) pair, which treats the viscous term exactly;
+quadratic term is one operator over the unique interacting pairs (m, n),
+Q(y) = C @ (y_m * y_n), so it evaluates one state of shape (dim,) or a
+stack of states of shape (dim, B) alike; C is filled block by block from
+the array kernel nonlinearity.interaction_kernel, with no loop over
+pairs.  C is built the first time it is used, so a system that is only
+inspected, as the Lie-rank check does, never builds it.  It is a dense
+array for a small mode set and a scipy.sparse CSR matrix above that, and
+scipy.sparse is imported only then.  The integrator is the
+integrating-factor (Lawson) form of the embedded Dormand-Prince 5(4)
+pair, which treats the viscous term exactly;
 it reuses its last stage as the next step's first (FSAL), sizes steps
 with a PI controller and restarts at every control breakpoint.  It steps
 a stack of states on one shared step sequence, with the error norm taken
@@ -20,10 +24,10 @@ import csv
 import hashlib
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-from scipy.sparse import csr_array
 
 from .nonlinearity import (float_params, interaction_kernel, mode_array,
                            mode_positions)
@@ -50,7 +54,8 @@ class GalerkinSystem:
     Control components v_k act only on controlled_set (zero elsewhere).
     Public fields: index maps each mode to its position in mode_set; lam
     (nu*kbar_k), forcing_vec (F_k) and ctrl_idx (the positions of
-    controlled_set) are arrays in mode_set order."""
+    controlled_set) are arrays in mode_set order.  The interaction
+    operator (_pi, _pj, _Q) is built the first time one of them is read."""
 
     geom: RectGeometry
     nu: float
@@ -75,16 +80,26 @@ class GalerkinSystem:
         self.forcing_vec = np.array([self.forcing[k] for k in self.mode_set])
         self.ctrl_idx = np.array([self.index[k] for k in self.controlled_set],
                                  dtype=int)
-        self._build_quadratic_table()
+
+    # The first read of any part runs the build, which stores all three on
+    # the instance.  A __getattr__ hook would do the same, but it makes
+    # every attribute read of the class several times slower.
+    _pi = cached_property(lambda self: self._build_quadratic_table()[0])
+    _pj = cached_property(lambda self: self._build_quadratic_table()[1])
+    _Q = cached_property(lambda self: self._build_quadratic_table()[2])
 
     def _build_quadratic_table(self):
         """Build the pair-reduced interaction operator on mode_set: the
         unique interacting pairs (_pi[p], _pj[p]) and the matrix _Q
         (dim x pairs) of their coefficients on each target mode, from
         interaction_kernel over blocks of PAIR_BLOCK pairs m < n, so its
-        temporaries stay small at any level.  _Q is a CSR matrix, or a dense
-        array when that fits in BLOCK_BYTES: for a small system a dense
-        product is faster than one sparse dispatch."""
+        temporaries stay small at any level.  _Q is a dense array, filled
+        entry by entry, when 8 * dim * pairs bytes fit in BLOCK_BYTES (for a
+        small system a dense product is faster than one sparse dispatch),
+        and a scipy.sparse CSR matrix otherwise; scipy.sparse is imported
+        only for that.  A pair's four targets are distinct, so no entry is
+        written twice and both forms hold the same values.  Returns
+        (_pi, _pj, _Q)."""
         modes = mode_array(self.mode_set)
         ii, jj = np.triu_indices(self.dim, 1)
         rows, pairs, vals = [], [], []
@@ -104,13 +119,18 @@ class GalerkinSystem:
         self._pi, self._pj = ii[has], jj[has]
         # an entry's column is its pair's rank among the pairs with entries
         col = (np.cumsum(has, dtype=np.int32) - 1)[pair]
-        self._Q = csr_array((np.concatenate(vals), (np.concatenate(rows), col)),
-                            shape=(self.dim, len(self._pi)))
-        # the blocks list their entries label by label; within a row the
-        # operator keeps them by pair, as a pair-by-pair build would
-        self._Q.sort_indices()
-        if 8 * self.dim * len(self._pi) <= BLOCK_BYTES:
-            self._Q = self._Q.toarray()
+        rows, vals = np.concatenate(rows), np.concatenate(vals)
+        shape = (self.dim, len(self._pi))
+        if 8 * shape[0] * shape[1] <= BLOCK_BYTES:
+            self._Q = np.zeros(shape)
+            self._Q[rows, col] = vals
+        else:
+            from scipy.sparse import csr_array
+            self._Q = csr_array((vals, (rows, col)), shape=shape)
+            # the blocks list their entries label by label; within a row
+            # the operator keeps them by pair, as a pair-by-pair build would
+            self._Q.sort_indices()
+        return self._pi, self._pj, self._Q
 
     @property
     def dim(self) -> int:
@@ -416,8 +436,11 @@ def adaptive_lawson(lam, nonlin, y0, t0, t1, tol, max_step=np.inf,
             (ERR_FRACTION * tol / fmax) ** 0.2 if fmax > 0 else np.inf)
     prev_ratio = 1e-4
     grow_max = _GROW_MAX
+    # the run ends once t is within roundoff of t1; the sum of the steps can
+    # fall a few ulps of t1 short of it, which must not cost one more step
+    t_end = t1 - 1e-15 * max(span, abs(t1))
     with np.errstate(over="ignore", invalid="ignore"):
-        while t < t1 - 1e-15 * span:
+        while t < t_end:
             h = min(h, t1 - t)
             # every stage weight from one exp over the distinct exponents
             w = np.exp(nodes * (h * lam)).take(_LAWSON_INDEX, axis=0) \

@@ -177,23 +177,38 @@ def trilinear_b(u: SpectralField, v: SpectralField, w: SpectralField) -> float:
     return _b_sum(W, *(eval_components(f, X1, X2) for f in (u, v, w)))
 
 
-def quadrature_B(u: SpectralField, v: SpectralField, k: ModeIndex) -> float:
+def quadrature_B(u: SpectralField, v: SpectralField, k: ModeIndex,
+                 evals: dict = None) -> float:
     """Oracle for the k-th drift coefficient of the projected convective
     interaction of u and v: -[b(u,v,W_k) + b(v,u,W_k)] / (-kbar |W_k|^2)
     for u != v, and the plain quadratic coefficient when u is v.
 
     For u = e_m, v = e_n this is the full entry of delta_{m,n} on mode k
     (both orderings of the pair contribute to the same projected term).
+    A caller that compares the same fields many times passes one dict as
+    evals: it keeps each field's eval_components by (coefficients, number
+    of points), so each field is evaluated once per grid.  All fields of
+    one dict must share one geometry.
     """
     k = check_mode(k)
     geom = u.geom
     wk = SpectralField(geom, {k: 1.0})
     nrm2 = -kbar(k, geom) * geom.a * geom.b / 4
-    X1, X2, W = gauss_legendre_grid(geom, 6 * _max_index(u, v, wk) + 8)
-    eu, ew = eval_components(u, X1, X2), eval_components(wk, X1, X2)
+    npts = 6 * _max_index(u, v, wk) + 8
+    X1, X2, W = gauss_legendre_grid(geom, npts)
+
+    def components(f):
+        if evals is None:
+            return eval_components(f, X1, X2)
+        key = (tuple(sorted(f.coeffs.items())), npts)
+        if key not in evals:
+            evals[key] = eval_components(f, X1, X2)
+        return evals[key]
+
+    eu, ew = components(u), components(wk)
     if u is v or u.coeffs == v.coeffs:
         return -_b_sum(W, eu, eu, ew) / nrm2
-    ev = eval_components(v, X1, X2)
+    ev = components(v)
     return -(_b_sum(W, eu, ev, ew) + _b_sum(W, ev, eu, ew)) / nrm2
 
 
@@ -209,12 +224,14 @@ def oracle_sweep(max_index: int, geom: RectGeometry,
     targets, closed = interaction_kernel(ma[:, first], ma[:, second],
                                          *float_params(geom))
     basis = [SpectralField(geom, {k: 1.0}) for k in modes]
+    # every field is evaluated once per grid size for the whole sweep
+    evals = {}
     records = []
     for p, (i, j) in enumerate(zip(first.tolist(), second.tolist())):
         for (k1, k2), c in zip(targets[:, :, p].T.tolist(), closed[:, p].tolist()):
             if k1 == 0 or k2 == 0:
                 continue
-            q = quadrature_B(basis[i], basis[j], (k1, k2))
+            q = quadrature_B(basis[i], basis[j], (k1, k2), evals)
             err = abs(c - q) / max(abs(q), abs_floor / rel_tol)
             records.append({"m": modes[i], "n": modes[j], "target": (k1, k2),
                             "closed_form": c, "quadrature": q,

@@ -82,6 +82,38 @@ def test_cli_import_leaves_heavy_scipy_modules_unloaded():
     assert out.stdout.strip() == ""
 
 
+# what the run does after "import galns.cli", then the optional modules
+# loaded by the end of it
+LOADED = ("import sys\n{}\nprint('loaded:', *(m for m in ("
+          "'scipy.sparse', 'multiprocessing') if m in sys.modules))")
+K3_RUN = """
+from galns.dynamics import GalerkinSystem, integrate
+from galns.saturation import mode_set_K
+from galns.spectral import RectGeometry, SpectralField
+g = RectGeometry(1.0, 2.0)
+s = GalerkinSystem(g, 1.0, SpectralField(g, {}), mode_set_K(3), mode_set_K(1))
+integrate(s, SpectralField(g, {(1, 1): 0.5}), None, 0.1)
+"""
+LIERANK_6 = """
+assert galns.cli.main(["--out", OUT, "lierank", "--config", CFG]) == 0
+"""
+
+
+@pytest.mark.parametrize("run", ["", K3_RUN, LIERANK_6],
+                         ids=["import", "integrate_K3", "lierank_6"])
+def test_serial_runs_load_no_sparse_or_multiprocessing(tmp_path, run):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(galns.__file__)))
+    cfg = write_cfg(tmp_path, "l.json",
+                    {"geometry": {"a": 1.0, "b": 2.0}, "nu": 1.0, "level": 6,
+                     "controlled_level": 1, "n_points": 1})
+    paths = "OUT, CFG = %r, %r\n" % (str(tmp_path / "o"), cfg)
+    code = LOADED.format(paths + "import galns.cli\n" + run)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.splitlines()[-1] == "loaded:"
+
+
 def test_simulate_config_error_exit_2(tmp_path):
     cfg = write_cfg(tmp_path, "bad.json", {"geometry": {"a": 1, "b": 2}})
     assert main(["--out", str(tmp_path / "o"), "simulate",

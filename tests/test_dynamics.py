@@ -1,12 +1,15 @@
 import json
 import math
+import pickle
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from galns import dynamics
 from galns.dynamics import (GalerkinSystem, PiecewiseConstant, Smooth,
                             Trajectory, adaptive_lawson,
                             data_continuity_probe, integrate, rhs,
@@ -148,6 +151,38 @@ def test_operator_entries_equal_scalar_coefficients(a, b, modes):
     assert sys._pi.tolist() == pi and sys._pj.tolist() == pj
     Q = sys._Q if isinstance(sys._Q, np.ndarray) else sys._Q.toarray()
     assert np.array_equal(Q, np.array(cols).reshape(-1, sys.dim).T)
+
+
+def test_operator_is_built_on_first_use():
+    sys = random_system(1.0, 2.0, 4)
+    assert not {"_pi", "_pj", "_Q"} & set(vars(sys))
+    # K^4 (dim 35) is the first level whose operator exceeds BLOCK_BYTES
+    assert not isinstance(sys._Q, np.ndarray) and sys._Q.format == "csr"
+    assert {"_pi", "_pj", "_Q"} <= set(vars(sys))
+
+
+@pytest.mark.parametrize("level", [1, 2, 3])
+@settings(max_examples=10, deadline=None)
+@given(a=st.floats(0.25, 4.0), b=st.floats(0.25, 4.0))
+def test_dense_operator_equals_csr_bit_for_bit(level, a, b):
+    dense = random_system(a, b, level)
+    sparse = random_system(a, b, level)
+    # a zero budget sends every operator down the CSR branch
+    with mock.patch.object(dynamics, "BLOCK_BYTES", 0):
+        csr = sparse._Q
+    assert isinstance(dense._Q, np.ndarray) and not isinstance(csr, np.ndarray)
+    assert dense._pi.tolist() == sparse._pi.tolist()
+    assert dense._pj.tolist() == sparse._pj.tolist()
+    assert dense._Q.tobytes() == csr.toarray().tobytes()
+
+
+def test_unbuilt_system_pickles_and_evaluates():
+    sys = make_sys()
+    copy = pickle.loads(pickle.dumps(sys))
+    assert "_Q" not in vars(copy)
+    y = np.random.default_rng(5).normal(size=sys.dim)
+    assert copy.quadratic_vec(y).tobytes() == sys.quadratic_vec(y).tobytes()
+    assert copy == sys
 
 
 def test_rhs_zero_state():
@@ -446,6 +481,20 @@ def test_adaptive_lawson_result_starts_with_times():
     assert run[0] is run.times and run.times[0] == 0.2
     assert len(run[0]) - 1 == run.stats.accepted_steps
     assert len(run.states) == len(run.derivs) == len(run.times)
+
+
+@pytest.mark.parametrize("span", [4e-5, 3e-4, 3e-3])
+def test_short_late_span_takes_no_roundoff_step(span):
+    # eight steps of span/8 from t0 ~ 0.2 can sum to an ulp of t1 short of
+    # t1; that shortfall must not become a ninth step of ~1e-17
+    sys = make_sys(mode_set=K1)
+    y0 = sys.to_vector(SpectralField(G, {(1, 1): 0.5}))
+    for t0 in np.linspace(0.17, 0.34, 18):
+        run = adaptive_lawson(sys.lam, lambda z, t: sys.quadratic_vec(z),
+                              y0, t0, t0 + span, np.inf, max_step=span / 8)
+        assert run.stats.smallest_step >= span / 16
+        assert run.stats.accepted_steps == 8
+        assert run.times[-1] == pytest.approx(t0 + span, rel=1e-15)
 
 
 @pytest.mark.parametrize("T", [1.0, 0.1, 0.01])

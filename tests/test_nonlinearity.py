@@ -1,15 +1,18 @@
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from galns import nonlinearity
 from galns.nonlinearity import (LABELS, bilinear, interaction_coeffs,
                                 interaction_coeffs_exact, interaction_kernel,
-                                mode_array, quadratic, quadrature_B,
-                                target_mode, trilinear_b, vee, wedge)
+                                mode_array, oracle_sweep, quadratic,
+                                quadrature_B, target_mode, trilinear_b, vee,
+                                wedge)
 from galns.spectral import RectGeometry, SpectralField, kbar
 
 
@@ -54,6 +57,23 @@ def test_coeffs_against_quadrature_12_22():
     en = SpectralField(g, {(2, 2): 1.0})
     for k, c in cs.items():
         assert quadrature_B(em, en, k) == pytest.approx(c, rel=1e-9)
+
+
+def test_oracle_sweep_evaluates_each_field_once_per_grid():
+    geom = RectGeometry(2.0, 1.0)
+    counting = mock.Mock(wraps=nonlinearity.eval_components)
+    with mock.patch.object(nonlinearity, "eval_components", counting):
+        records = oracle_sweep(3, geom)
+    grids = set()
+    for r in records:
+        npts = 6 * max(max(r["m"]), max(r["n"]), max(r["target"])) + 8
+        grids |= {(r["m"], npts), (r["n"], npts), (r["target"], npts)}
+    assert counting.call_count == len(grids)
+    # the shared evaluations give the standalone oracle's values exactly
+    for r in records:
+        q = quadrature_B(SpectralField(geom, {r["m"]: 1.0}),
+                         SpectralField(geom, {r["n"]: 1.0}), r["target"])
+        assert r["quadrature"] == q
 
 
 def test_quadratic_single_mode_vanishes():
