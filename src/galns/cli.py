@@ -172,6 +172,7 @@ def cmd_simulate(cfg, outdir, jobs, plot):
         "run": run_manifest(sys, u0, control, T, tol),
         "steps": len(tr.times),
         "integrator": asdict(tr.stats),
+        "quadratic": sys.quadratic_path,
         "h_norm_initial": float(hn[0]),
         "h_norm_final": float(hn[-1]),
         "h_norm_monotone": bool(np.all(np.diff(hn) <= 1e-12 * max(1, hn[0]))),

@@ -3,14 +3,18 @@
 State lives on a finite mode set; the right-hand side is the quadratic
 interaction restricted to that set, a diagonal viscous term, a fixed
 solenoidal forcing, and a control acting on a subset of modes.  The
-quadratic term is one operator over the unique interacting pairs (m, n),
-Q(y) = C @ (y_m * y_n), so it evaluates one state of shape (dim,) or a
-stack of states of shape (dim, B) alike; C is filled block by block from
-the array kernel nonlinearity.interaction_kernel, with no loop over
-pairs.  C is built the first time it is used, so a system that is only
-inspected, as the Lie-rank check does, never builds it.  It is a dense
-array for a small mode set and a scipy.sparse CSR matrix above that, and
-scipy.sparse is imported only then.  The integrator is the
+quadratic term evaluates one state of shape (dim,) or a stack of states of
+shape (dim, B) alike, on one of two paths chosen from the mode set alone.
+A small mode set uses one dense operator over the unique interacting pairs
+(m, n), Q(y) = C @ (y_m * y_n), filled from the array kernel
+nonlinearity.interaction_kernel.  A larger one evaluates the velocity and
+vorticity gradient on a 3/2-rule dealiased grid by small sine and cosine
+matrix transforms and projects their product back by the trapezoid rule
+(the transform method: Orszag, J. Atmos. Sci. 28, 1971; Canuto, Hussaini,
+Quarteroni & Zang, Spectral Methods in Fluid Dynamics, section 7.2), which
+is exact for this product.  Either is built the first time it is used, so
+a system that is only inspected, as the Lie-rank check does, builds
+neither.  The integrator is the
 integrating-factor (Lawson) form of the embedded Dormand-Prince 5(4)
 pair, which treats the viscous term exactly;
 it reuses its last stage as the next step's first (FSAL), sizes steps
@@ -39,12 +43,81 @@ class StiffnessError(RuntimeError):
 
 
 # Cache-sized working set: stacks of states are evaluated in blocks whose
-# largest temporary, the (pairs, rows) product array of quadratic_vec,
-# stays within it, and an interaction matrix that fits in it is stored dense.
+# largest temporary in quadratic_vec stays within it, and a mode set whose
+# dense operator over all its pairs fits in it uses that operator.
 BLOCK_BYTES = 128 * 1024
-# Pairs per interaction_kernel call when building the operator: the
-# (pairs, 4) coefficient array of one block fills BLOCK_BYTES.
-PAIR_BLOCK = BLOCK_BYTES // 32
+
+
+def _sine_cosine(n, m):
+    """sin and cos of k pi j / m at the interior nodes j = 1 .. m - 1 of m
+    equal intervals, for k = 1 .. n: two arrays of shape (m - 1, n)."""
+    phase = np.pi * np.outer(np.arange(1, m), np.arange(1, n + 1)) / m
+    return np.sin(phase), np.cos(phase)
+
+
+class SineTransform:
+    """The quadratic term of a mode set by dealiased grid transforms.
+
+    With a state scattered into the n1 x n2 coefficient grid Y (n_i the
+    largest index on axis i), alpha = pi k1/a, beta = pi k2/b and
+    kappa = alpha^2 + beta^2 = -kbar, the velocity and the vorticity
+    gradient of the field are
+
+        u1 = -S_x (Y beta) C_y^T,             u2 = C_x (Y alpha) S_y^T,
+        omega_x = -C_x (Y kappa alpha) S_y^T,  omega_y = -S_x (Y kappa beta) C_y^T
+
+    at the interior nodes of m_i = 3 n_i // 2 + 1 equal intervals per side,
+    where S and C hold the sine and cosine of each index at the nodes.  The
+    trapezoid rule, (2/m1)(2/m2) S_x^T J S_y, gives the sine coefficients f
+    of J = u1 omega_x + u2 omega_y, and Q_k = f_k / kappa_k on the mode set.
+    Every term of J has a sine factor on each axis, so the rule's end terms
+    vanish, and it is exact: the integrand's frequencies are at most
+    3 n_i < 2 m_i (the 3/2 rule)."""
+
+    def __init__(self, mode_set, geom: RectGeometry):
+        k1, k2 = mode_array(mode_set)
+        n1, n2 = self.shape = int(k1.max()), int(k2.max())
+        self.pos = (k1 - 1) * n2 + (k2 - 1)
+        alpha = np.pi / geom.a * np.arange(1, n1 + 1)[:, None]
+        beta = np.pi / geom.b * np.arange(1, n2 + 1)
+        kappa = alpha**2 + beta**2
+        # grid weights of u1, u2, omega_x and omega_y
+        self.weights = np.stack([np.broadcast_to(-beta, kappa.shape),
+                                 np.broadcast_to(alpha, kappa.shape),
+                                 -kappa * alpha, -kappa * beta])
+        (sx, cx), (sy, cy) = (_sine_cosine(n, 3 * n // 2 + 1)
+                              for n in self.shape)
+        self.nodes = len(sx) * len(sy)
+        # the x-axis matrices act on the first grid axis, the y-axis ones
+        # on the second; a stack's columns follow it as a third
+        self.left = np.stack([sx, cx, cx, sx])
+        self.right = np.stack([cy, sy, sy, cy])
+        self.proj_x = (2 / (len(sx) + 1)) * sx.T
+        self.proj_y = (2 / (len(sy) + 1)) * sy.T
+        self.inv_kappa = 1 / kappa.ravel()[self.pos]
+
+    def fields(self, y):
+        """u1, u2, omega_x and omega_y of one state (dim,) or a stack
+        (dim, B) at the nodes, shape (4, nodes_x, nodes_y) + y.shape[1:]."""
+        n1, n2 = self.shape
+        grid = np.zeros((n1 * n2,) + y.shape[1:])
+        grid[self.pos] = y
+        w = self.weights if y.ndim == 1 else self.weights[..., None]
+        grid = w * grid.reshape((n1, n2) + y.shape[1:])
+        x = self.left @ grid.reshape(4, n1, -1)
+        if y.ndim == 1:
+            return x @ self.right.transpose(0, 2, 1)
+        return self.right[:, None] @ x.reshape(4, -1, n2, y.shape[1])
+
+    def project(self, J):
+        """The quadratic term on the mode set whose grid product is J, of
+        shape (nodes_x, nodes_y) or (nodes_x, nodes_y, B)."""
+        n1, n2 = self.shape
+        g = self.proj_x @ J.reshape(len(J), -1)
+        if J.ndim == 2:
+            return (g @ self.proj_y.T).ravel()[self.pos] * self.inv_kappa
+        f = (self.proj_y @ g.reshape(n1, J.shape[1], -1)).reshape(n1 * n2, -1)
+        return f[self.pos] * self.inv_kappa[:, None]
 
 
 @dataclass
@@ -88,48 +161,42 @@ class GalerkinSystem:
     _pj = cached_property(lambda self: self._build_quadratic_table()[1])
     _Q = cached_property(lambda self: self._build_quadratic_table()[2])
 
+    @cached_property
+    def _transform(self):
+        """The SineTransform of quadratic_vec, or None when the dense
+        operator over all dim (dim - 1) / 2 pairs of mode_set fits in
+        BLOCK_BYTES (K^3 and below): there one small product beats the
+        transforms.  This is the one choice between the two paths."""
+        dim = self.dim
+        if 8 * dim * (dim * (dim - 1) // 2) <= BLOCK_BYTES:
+            return None
+        return SineTransform(self.mode_set, self.geom)
+
+    @property
+    def quadratic_path(self) -> str:
+        """The path of quadratic_vec: "pair" or "transform"."""
+        return "pair" if self._transform is None else "transform"
+
     def _build_quadratic_table(self):
-        """Build the pair-reduced interaction operator on mode_set: the
-        unique interacting pairs (_pi[p], _pj[p]) and the matrix _Q
-        (dim x pairs) of their coefficients on each target mode, from
-        interaction_kernel over blocks of PAIR_BLOCK pairs m < n, so its
-        temporaries stay small at any level.  _Q is a dense array, filled
-        entry by entry, when 8 * dim * pairs bytes fit in BLOCK_BYTES (for a
-        small system a dense product is faster than one sparse dispatch),
-        and a scipy.sparse CSR matrix otherwise; scipy.sparse is imported
-        only for that.  A pair's four targets are distinct, so no entry is
-        written twice and both forms hold the same values.  Returns
-        (_pi, _pj, _Q)."""
+        """Build the pair-reduced interaction operator of the "pair" path:
+        the unique interacting pairs (_pi[p], _pj[p]) and the dense matrix
+        _Q (dim x pairs) of their coefficients on each target mode, from one
+        interaction_kernel call over the pairs m < n.  A pair's four targets
+        are distinct, so no entry is written twice.  Returns (_pi, _pj, _Q)."""
         modes = mode_array(self.mode_set)
         ii, jj = np.triu_indices(self.dim, 1)
-        rows, pairs, vals = [], [], []
-        # at least one (possibly empty) block, so the lists are never empty
-        for lo in range(0, max(len(ii), 1), PAIR_BLOCK):
-            p = np.arange(lo, min(lo + PAIR_BLOCK, len(ii)))
-            targets, c = interaction_kernel(modes[:, ii[p]], modes[:, jj[p]],
-                                            *float_params(self.geom))
-            t = mode_positions(modes, targets)
-            hit = (t >= 0) & (c != 0.0)
-            rows.append(t[hit].astype(np.int32))
-            pairs.append(np.broadcast_to(p, hit.shape)[hit])
-            vals.append(c[hit])
-        pair = np.concatenate(pairs)
+        targets, c = interaction_kernel(modes[:, ii], modes[:, jj],
+                                        *float_params(self.geom))
+        t = mode_positions(modes, targets)
+        hit = (t >= 0) & (c != 0.0)
+        pair = np.broadcast_to(np.arange(len(ii)), hit.shape)[hit]
         has = np.zeros(len(ii), dtype=bool)
         has[pair] = True
         self._pi, self._pj = ii[has], jj[has]
         # an entry's column is its pair's rank among the pairs with entries
-        col = (np.cumsum(has, dtype=np.int32) - 1)[pair]
-        rows, vals = np.concatenate(rows), np.concatenate(vals)
-        shape = (self.dim, len(self._pi))
-        if 8 * shape[0] * shape[1] <= BLOCK_BYTES:
-            self._Q = np.zeros(shape)
-            self._Q[rows, col] = vals
-        else:
-            from scipy.sparse import csr_array
-            self._Q = csr_array((vals, (rows, col)), shape=shape)
-            # the blocks list their entries label by label; within a row
-            # the operator keeps them by pair, as a pair-by-pair build would
-            self._Q.sort_indices()
+        col = (np.cumsum(has) - 1)[pair]
+        self._Q = np.zeros((self.dim, len(self._pi)))
+        self._Q[t[hit], col] = c[hit]
         return self._pi, self._pj, self._Q
 
     @property
@@ -151,14 +218,21 @@ class GalerkinSystem:
 
     @property
     def block_rows(self) -> int:
-        """Widest stack whose pair-product temporary in quadratic_vec stays
-        within BLOCK_BYTES."""
-        return max(1, BLOCK_BYTES // (8 * max(1, len(self._pi))))
+        """Widest stack whose largest temporary in quadratic_vec stays within
+        BLOCK_BYTES: the (pairs, rows) pair products of the "pair" path, or
+        the four (nodes, rows) grid fields of the transform."""
+        t = self._transform
+        width = len(self._pi) if t is None else 4 * t.nodes
+        return max(1, BLOCK_BYTES // (8 * max(1, width)))
 
     def quadratic_vec(self, y: np.ndarray) -> np.ndarray:
         """Quadratic term Q(y) for one state of shape (dim,) or a stack of
         states of shape (dim, B), column by column."""
-        return self._Q @ (y[self._pi] * y[self._pj])
+        t = self._transform
+        if t is None:
+            return self._Q @ (y[self._pi] * y[self._pj])
+        u1, u2, wx, wy = t.fields(y)
+        return t.project(u1 * wx + u2 * wy)
 
     def bilinear_vec(self, y: np.ndarray, Z: np.ndarray) -> np.ndarray:
         """The symmetric bilinear form of the quadratic term,
@@ -167,7 +241,13 @@ class GalerkinSystem:
         direction of shape (dim,) or a stack of shape (dim, B) column by
         column; B(y, y) = 2 Q(y)."""
         y = np.reshape(y, (-1,) + (1,) * (np.ndim(Z) - 1))
-        return self._Q @ (y[self._pi] * Z[self._pj] + Z[self._pi] * y[self._pj])
+        t = self._transform
+        if t is None:
+            return self._Q @ (y[self._pi] * Z[self._pj]
+                              + Z[self._pi] * y[self._pj])
+        u1, u2, wx, wy = t.fields(y)
+        v1, v2, zx, zy = t.fields(Z)
+        return t.project(u1 * zx + v1 * wx + u2 * zy + v2 * wy)
 
     def control_vec(self, v) -> np.ndarray:
         """Embed a control value (array over controlled_set, or mode dict)

@@ -13,6 +13,7 @@ many pairs and all four labels at once; the one-pair functions wrap it.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -224,17 +225,26 @@ def oracle_sweep(max_index: int, geom: RectGeometry,
     targets, closed = interaction_kernel(ma[:, first], ma[:, second],
                                          *float_params(geom))
     basis = [SpectralField(geom, {k: 1.0}) for k in modes]
-    # every field is evaluated once per grid size for the whole sweep
-    evals = {}
-    records = []
+    # every comparison (m, n, target, closed form) in pair order, and the
+    # largest index of the three modes, from which quadrature_B sizes its grid
+    jobs, size = [], []
     for p, (i, j) in enumerate(zip(first.tolist(), second.tolist())):
-        for (k1, k2), c in zip(targets[:, :, p].T.tolist(), closed[:, p].tolist()):
-            if k1 == 0 or k2 == 0:
-                continue
-            q = quadrature_B(basis[i], basis[j], (k1, k2), evals)
+        for k, c in zip(map(tuple, targets[:, :, p].T.tolist()),
+                        closed[:, p].tolist()):
+            if k[0] != 0 and k[1] != 0:
+                jobs.append((i, j, k, c))
+                size.append(max(modes[i] + modes[j] + k))
+    # the comparisons run grid by grid, and each grid's field evaluations
+    # are dropped once its comparisons are done
+    records = [None] * len(jobs)
+    by_grid = sorted(range(len(jobs)), key=size.__getitem__)
+    for _, group in itertools.groupby(by_grid, key=size.__getitem__):
+        evals = {}
+        for r in group:
+            i, j, k, c = jobs[r]
+            q = quadrature_B(basis[i], basis[j], k, evals)
             err = abs(c - q) / max(abs(q), abs_floor / rel_tol)
-            records.append({"m": modes[i], "n": modes[j], "target": (k1, k2),
-                            "closed_form": c, "quadrature": q,
-                            "rel_err": err,
-                            "ok": abs(c - q) <= max(rel_tol * abs(q), abs_floor)})
+            records[r] = {"m": modes[i], "n": modes[j], "target": k,
+                          "closed_form": c, "quadrature": q, "rel_err": err,
+                          "ok": abs(c - q) <= max(rel_tol * abs(q), abs_floor)}
     return records

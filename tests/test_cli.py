@@ -69,6 +69,8 @@ def test_simulate_report_integrator_block(tmp_path):
     assert st["rhs_calls"] == 1 + 6 * (st["accepted_steps"]
                                        + st["rejected_steps"])
     assert 0 < st["smallest_step"] <= st["largest_step"] <= SIM_CFG["T"]
+    # K^3 evaluates the quadratic term with the dense pair operator
+    assert rep["quadratic"] == "pair"
 
 
 def test_cli_import_leaves_heavy_scipy_modules_unloaded():
@@ -97,16 +99,24 @@ integrate(s, SpectralField(g, {(1, 1): 0.5}), None, 0.1)
 LIERANK_6 = """
 assert galns.cli.main(["--out", OUT, "lierank", "--config", CFG]) == 0
 """
+SIMULATE_8 = """
+import json, os
+assert galns.cli.main(["--out", OUT, "simulate", "--config", SIM]) == 0
+with open(os.path.join(OUT, "report.json")) as fh:
+    assert json.load(fh)["quadratic"] == "transform"
+"""
 
 
-@pytest.mark.parametrize("run", ["", K3_RUN, LIERANK_6],
-                         ids=["import", "integrate_K3", "lierank_6"])
+@pytest.mark.parametrize("run", ["", K3_RUN, LIERANK_6, SIMULATE_8],
+                         ids=["import", "integrate_K3", "lierank_6",
+                              "simulate_8"])
 def test_serial_runs_load_no_sparse_or_multiprocessing(tmp_path, run):
     src = os.path.dirname(os.path.dirname(os.path.abspath(galns.__file__)))
     cfg = write_cfg(tmp_path, "l.json",
                     {"geometry": {"a": 1.0, "b": 2.0}, "nu": 1.0, "level": 6,
                      "controlled_level": 1, "n_points": 1})
-    paths = "OUT, CFG = %r, %r\n" % (str(tmp_path / "o"), cfg)
+    sim = write_cfg(tmp_path, "s.json", dict(SIM_CFG, level=8, T=0.01))
+    paths = "OUT, CFG, SIM = %r, %r, %r\n" % (str(tmp_path / "o"), cfg, sim)
     code = LOADED.format(paths + "import galns.cli\n" + run)
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True,

@@ -48,13 +48,47 @@ def test_system_rejects_non_finite_viscosity(nu):
 
 
 # ---------------------------------------------------------------------------
-# The pair-reduced interaction operator, over random geometries and levels
+# The quadratic term on both paths, over random geometries and levels
 
 
 def random_system(a, b, level):
     geom = RectGeometry(a, b)
     return GalerkinSystem(geom, 1.0, SpectralField(geom, {}),
                           mode_set_K(level), ())
+
+
+def forced_transform(sys):
+    """sys, sent down the transform path whatever its mode set."""
+    # a zero budget sends any mode set to the transform
+    with mock.patch.object(dynamics, "BLOCK_BYTES", 0):
+        assert sys.quadratic_path == "transform"
+    return sys
+
+
+def both_paths(a, b, level):
+    """The level's system on the path its mode set selects (pair up to K^3,
+    transform from K^4 on), and one with the transform forced."""
+    return (random_system(a, b, level),
+            forced_transform(random_system(a, b, level)))
+
+
+def scalar_sums(sys, y):
+    """Q(y) summed term by term from the scalar interaction_coeffs, the sum
+    of the terms' magnitudes on each mode, and the largest such sum over
+    every target, in mode_set or not."""
+    idx = sys.index
+    expect = np.zeros(sys.dim)
+    size = np.zeros(sys.dim)
+    whole = {}
+    for p, m in enumerate(sys.mode_set):
+        for n in sys.mode_set[p + 1:]:
+            for k, c in interaction_coeffs(m, n, sys.geom).items():
+                term = c * y[idx[m]] * y[idx[n]]
+                whole[k] = whole.get(k, 0.0) + abs(term)
+                if k in idx:
+                    expect[idx[k]] += term
+                    size[idx[k]] += abs(term)
+    return expect, size, max(whole.values(), default=0.0)
 
 
 operator_cases = dict(a=st.floats(0.25, 4.0), b=st.floats(0.25, 4.0),
@@ -64,76 +98,70 @@ operator_cases = dict(a=st.floats(0.25, 4.0), b=st.floats(0.25, 4.0),
 @settings(max_examples=20, deadline=None)
 @given(**operator_cases)
 def test_quadratic_vec_energy_skew_symmetry(a, b, level, seed):
-    sys = random_system(a, b, level)
-    y = np.random.default_rng(seed).normal(size=sys.dim)
-    w = (a * b / 4) * np.array([-kbar(k, sys.geom) for k in sys.mode_set])
-    q = sys.quadratic_vec(y)
-    scale = math.sqrt(np.sum(w * q**2) * np.sum(w * y**2))
-    assert abs(np.sum(w * q * y)) <= 1e-12 * scale
+    y = np.random.default_rng(seed).normal(size=len(mode_set_K(level)))
+    for sys in both_paths(a, b, level):
+        w = (a * b / 4) * np.array([-kbar(k, sys.geom) for k in sys.mode_set])
+        q = sys.quadratic_vec(y)
+        scale = math.sqrt(np.sum(w * q**2) * np.sum(w * y**2))
+        assert abs(np.sum(w * q * y)) <= 1e-12 * scale
 
 
 @settings(max_examples=20, deadline=None)
 @given(**operator_cases)
 def test_quadratic_vec_stack_matches_columns(a, b, level, seed):
-    sys = random_system(a, b, level)
-    ys = np.random.default_rng(seed).normal(size=(sys.dim, 5))
-    out = sys.quadratic_vec(ys)
-    assert out.shape == ys.shape
-    for c in range(ys.shape[1]):
-        col = sys.quadratic_vec(ys[:, c])
-        np.testing.assert_allclose(out[:, c], col, rtol=0,
-                                   atol=1e-13 * np.max(np.abs(col)))
+    ys = np.random.default_rng(seed).normal(size=(len(mode_set_K(level)), 5))
+    for sys in both_paths(a, b, level):
+        out = sys.quadratic_vec(ys)
+        assert out.shape == ys.shape
+        for c in range(ys.shape[1]):
+            col = sys.quadratic_vec(ys[:, c])
+            np.testing.assert_allclose(out[:, c], col, rtol=0,
+                                       atol=1e-13 * np.max(np.abs(col)))
 
 
 @settings(max_examples=20, deadline=None)
 @given(**operator_cases)
 def test_quadratic_vec_matches_entrywise_oracle(a, b, level, seed):
-    sys = random_system(a, b, level)
-    y = np.random.default_rng(seed).normal(size=sys.dim)
-    idx = sys.index
-    expect = np.zeros(sys.dim)
-    size = np.zeros(sys.dim)
-    for p, m in enumerate(sys.mode_set):
-        for n in sys.mode_set[p + 1:]:
-            for k, c in interaction_coeffs(m, n, sys.geom).items():
-                if k in idx:
-                    term = c * y[idx[m]] * y[idx[n]]
-                    expect[idx[k]] += term
-                    size[idx[k]] += abs(term)
-    got = sys.quadratic_vec(y)
-    assert np.all(np.abs(got - expect) <= 1e-12 * np.max(size))
+    y = np.random.default_rng(seed).normal(size=len(mode_set_K(level)))
+    expect, size, _ = scalar_sums(random_system(a, b, level), y)
+    for sys in both_paths(a, b, level):
+        got = sys.quadratic_vec(y)
+        assert np.all(np.abs(got - expect) <= 1e-12 * np.max(size))
 
 
-# K^3 keeps its operator as a dense array, K^5 (8 dim pairs > BLOCK_BYTES)
-# as a CSR matrix
-@pytest.mark.parametrize("level, dense", [(3, True), (5, False)])
+# K^3 keeps the dense pair operator, K^5 (8 dim pairs > BLOCK_BYTES) takes
+# the transform; each is also checked with the transform forced
+@pytest.mark.parametrize("level, path", [(3, "pair"), (5, "transform")])
 @settings(max_examples=20, deadline=None)
 @given(a=st.floats(0.25, 4.0), b=st.floats(0.25, 4.0),
        seed=st.integers(0, 2**32 - 1))
-def test_bilinear_vec_polarizes_quadratic_vec(level, dense, a, b, seed):
-    sys = random_system(a, b, level)
-    assert isinstance(sys._Q, np.ndarray) == dense
+def test_bilinear_vec_polarizes_quadratic_vec(level, path, a, b, seed):
     rng = np.random.default_rng(seed)
-    y, z = rng.normal(size=(2, sys.dim))
-    want = sys.quadratic_vec(y + z) - sys.quadratic_vec(y) \
-        - sys.quadratic_vec(z)
-    got = sys.bilinear_vec(y, z)
-    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-    Z = rng.normal(size=(sys.dim, 4))
-    stack = sys.bilinear_vec(y, Z)
-    assert stack.shape == Z.shape
-    for c in range(Z.shape[1]):
-        col = sys.bilinear_vec(y, Z[:, c])
-        np.testing.assert_allclose(stack[:, c], col, rtol=0,
-                                   atol=1e-13 * np.max(np.abs(col)))
+    y, z = rng.normal(size=(2, len(mode_set_K(level))))
+    Z = rng.normal(size=(len(y), 4))
+    selected, forced = both_paths(a, b, level)
+    assert selected.quadratic_path == path
+    for sys in (selected, forced):
+        want = sys.quadratic_vec(y + z) - sys.quadratic_vec(y) \
+            - sys.quadratic_vec(z)
+        got = sys.bilinear_vec(y, z)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        stack = sys.bilinear_vec(y, Z)
+        assert stack.shape == Z.shape
+        for c in range(Z.shape[1]):
+            col = sys.bilinear_vec(y, Z[:, c])
+            np.testing.assert_allclose(stack[:, c], col, rtol=0,
+                                       atol=1e-13 * np.max(np.abs(col)))
+
+
+# an arbitrary mode set, not of the form K^N: some targets fall outside
+arbitrary_modes = st.sets(st.tuples(st.integers(1, 6), st.integers(1, 6)),
+                          min_size=2, max_size=24)
 
 
 @settings(max_examples=25, deadline=None)
-@given(a=st.floats(0.25, 4.0), b=st.floats(0.25, 4.0),
-       modes=st.sets(st.tuples(st.integers(1, 6), st.integers(1, 6)),
-                     min_size=2, max_size=24))
+@given(a=st.floats(0.25, 4.0), b=st.floats(0.25, 4.0), modes=arbitrary_modes)
 def test_operator_entries_equal_scalar_coefficients(a, b, modes):
-    # an arbitrary mode set, not of the form K^N: some targets fall outside
     geom = RectGeometry(a, b)
     sys = GalerkinSystem(geom, 1.0, SpectralField(geom, {}), modes, ())
     idx = sys.index
@@ -149,31 +177,38 @@ def test_operator_entries_equal_scalar_coefficients(a, b, modes):
                 pj.append(idx[n])
                 cols.append(col)
     assert sys._pi.tolist() == pi and sys._pj.tolist() == pj
-    Q = sys._Q if isinstance(sys._Q, np.ndarray) else sys._Q.toarray()
-    assert np.array_equal(Q, np.array(cols).reshape(-1, sys.dim).T)
+    assert np.array_equal(sys._Q, np.array(cols).reshape(-1, sys.dim).T)
+
+
+@settings(max_examples=25, deadline=None)
+@given(a=st.floats(0.25, 4.0), b=st.floats(0.25, 4.0), modes=arbitrary_modes,
+       seed=st.integers(0, 2**32 - 1))
+def test_transform_matches_scalar_coefficient_sums(a, b, modes, seed):
+    geom = RectGeometry(a, b)
+    sys = forced_transform(GalerkinSystem(geom, 1.0, SpectralField(geom, {}),
+                                          modes, ()))
+    y = np.random.default_rng(seed).normal(size=sys.dim)
+    expect, _, whole = scalar_sums(sys, y)
+    # the transform forms every target before it keeps those in mode_set,
+    # so its rounding follows the whole term, not only the part on
+    # mode_set; where the whole term vanishes (a == b and every pair on one
+    # eigenvalue shell) it follows the size of u (x) u, (sum |y_k| |k|)^2
+    # with |k|^2 = -kbar
+    velocity = np.sum(np.abs(y) * np.sqrt(-sys.lam / sys.nu))
+    got = sys.quadratic_vec(y)
+    assert np.all(np.abs(got - expect) <= 1e-12 * max(whole, velocity**2))
 
 
 def test_operator_is_built_on_first_use():
     sys = random_system(1.0, 2.0, 4)
-    assert not {"_pi", "_pj", "_Q"} & set(vars(sys))
-    # K^4 (dim 35) is the first level whose operator exceeds BLOCK_BYTES
-    assert not isinstance(sys._Q, np.ndarray) and sys._Q.format == "csr"
-    assert {"_pi", "_pj", "_Q"} <= set(vars(sys))
-
-
-@pytest.mark.parametrize("level", [1, 2, 3])
-@settings(max_examples=10, deadline=None)
-@given(a=st.floats(0.25, 4.0), b=st.floats(0.25, 4.0))
-def test_dense_operator_equals_csr_bit_for_bit(level, a, b):
-    dense = random_system(a, b, level)
-    sparse = random_system(a, b, level)
-    # a zero budget sends every operator down the CSR branch
-    with mock.patch.object(dynamics, "BLOCK_BYTES", 0):
-        csr = sparse._Q
-    assert isinstance(dense._Q, np.ndarray) and not isinstance(csr, np.ndarray)
-    assert dense._pi.tolist() == sparse._pi.tolist()
-    assert dense._pj.tolist() == sparse._pj.tolist()
-    assert dense._Q.tobytes() == csr.toarray().tobytes()
+    operator = {"_pi", "_pj", "_Q", "_transform"}
+    assert not operator & set(vars(sys))
+    # K^4 (dim 35) is the first level whose dense operator over all pairs
+    # exceeds BLOCK_BYTES
+    sys.quadratic_vec(np.ones(sys.dim))
+    assert isinstance(vars(sys)["_transform"], dynamics.SineTransform)
+    # the choice builds no pair table
+    assert operator & set(vars(sys)) == {"_transform"}
 
 
 def test_unbuilt_system_pickles_and_evaluates():
