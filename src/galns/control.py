@@ -5,14 +5,14 @@ interaction-direction controls by fast oscillation, and the cascade that
 reduces everything to controls on the eight lowest modes.
 """
 
-import bisect
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dynamics import (GalerkinSystem, IntegratorStats, PiecewiseConstant,
-                       Smooth, adaptive_lawson, h_weights, hermite, integrate)
+                       POLY_THETA, PiecewisePolynomial, Smooth,
+                       adaptive_lawson, h_weights, hermite, integrate)
 from .nonlinearity import float_params, interaction_rows
 from .saturation import infer_level, mode_set_K, selection_S
 from .spectral import SpectralField
@@ -238,15 +238,16 @@ class OscillatorProfile:
         r = self.rho[i]
         return [(a0, a0 + r), (a0 + r, a1 - r), (a1 - r, a1)]
 
-    def piece_value(self, i: int, k: int, t: float, nu: int = 0) -> float:
-        """Value (nu=0) or derivative (nu=1) of piece k of interval i, with t
-        clamped into the piece: each piece keeps its own formula up to its
-        ends, so roundoff at a corner never selects a neighbour's slope."""
+    def piece_value(self, i: int, k: int, t, nu: int = 0):
+        """Value (nu=0) or derivative (nu=1) of piece k of interval i at a
+        time or an array of times, with t clamped into the piece: each piece
+        keeps its own formula up to its ends, so roundoff at a corner never
+        selects a neighbour's slope."""
         lo, hi = self.pieces(i)[k]
-        t = min(max(t, lo), hi)
+        t = np.minimum(np.maximum(t, lo), hi)
         w = self.w
         if k == 1:
-            return math.sin(w * t) if nu == 0 else w * math.cos(w * t)
+            return np.sin(w * t) if nu == 0 else w * np.cos(w * t)
         # a ramp is the line from zero at the interval's end to the sine at
         # its corner with the sine piece
         r = self.rho[i]
@@ -469,10 +470,13 @@ def hull_scale(values, directions) -> tuple:
 
 def tracking_control(sys: GalerkinSystem, J, q: Smooth,
                      Q_init: SpectralField, t0: float = 0.0, t1: float = None,
-                     tol: float = 1e-8) -> Smooth:
+                     tol: float = 1e-8) -> PiecewisePolynomial:
     """Feedforward control on the modes J that makes the J-projection of the
     trajectory follow q exactly, by co-integrating the complement dynamics
-    and cancelling the J-projected drift."""
+    and cancelling the J-projected drift.  The control is one polynomial
+    per step of that integration on [t0, t1], fitted at its nodes, where
+    the complement comes from the integrator's dense output and q is read
+    once at the column of all node times."""
     J = tuple(sorted(tuple(k) for k in J))
     if not set(J) <= set(sys.mode_set):
         raise ValueError("J must lie in mode_set")
@@ -482,13 +486,9 @@ def tracking_control(sys: GalerkinSystem, J, q: Smooth,
     lam_c = sys.lam.copy()
     lam_c[idx_j] = 0.0
 
-    def embed(qv):
-        full = np.zeros(sys.dim)
-        full[idx_j] = qv
-        return full
-
     def nonlin(z, t):
-        full = z + embed(q.value(t))
+        full = z.copy()
+        full[idx_j] = q.value(t)
         out = sys.quadratic_vec(full) + sys.forcing_vec
         out[idx_j] = 0.0
         return out
@@ -497,26 +497,28 @@ def tracking_control(sys: GalerkinSystem, J, q: Smooth,
         raise ValueError("tracking needs t1 > t0, got [%r, %r]" % (t0, t1))
     y0 = sys.to_vector(Q_init)
     y0[idx_j] = 0.0
-    # the returned control reads the complement through the integrator's
-    # cubic Hermite dense output, whose error on a step of length h is at
-    # most h^4/384 max|z^(4)|, with |z^(4)| ~ lmax^4 |z| in the fastest
-    # mode; cap the step so that stays below tol
-    lmax = float(np.max(np.abs(lam_c))) if sys.dim else 1.0
-    step_cap = (384.0 * tol / max(lmax, 1.0) ** 4) ** 0.25
+    max_step = getattr(q, "max_step", np.inf)
     run = adaptive_lawson(lam_c, nonlin, y0, t0, t1, tol / 100,
-                          max_step=min(getattr(q, "max_step", np.inf),
-                                       step_cap))
-    times, states = np.array(run.times), np.array(run.states)
-    slopes = run.slopes()
-
-    def value(t):
-        full = hermite(times, states, slopes, min(max(t, t0), t1))
-        full[idx_j] = q.value(t)
-        drift = sys.quadratic_vec(full) + sys.lam * full + sys.forcing_vec
-        return q.derivative(t) - drift[idx_j]
-
-    return Smooth(value=value, derivative=None,
-                  max_step=getattr(q, "max_step", np.inf), stats=run.stats)
+                          max_step=max_step, dense=True)
+    knots = np.array(run.times)
+    knots[-1] = t1
+    steps = np.repeat(np.arange(len(knots) - 1), len(POLY_THETA))
+    theta = np.tile(POLY_THETA, len(knots) - 1)
+    nodes = knots[steps] + np.diff(knots)[steps] * theta
+    shape = (len(nodes), len(J))
+    qv = np.broadcast_to(q.value(nodes[:, None]), shape)
+    dq = np.broadcast_to(q.derivative(nodes[:, None]), shape)
+    values = np.empty(shape)
+    for lo in range(0, len(nodes), sys.block_rows):
+        cols = slice(lo, lo + sys.block_rows)
+        full = run.dense(lam_c, steps[cols], theta[cols]).T
+        full[idx_j] = qv[cols].T
+        drift = (sys.quadratic_vec(full) + sys.lam[:, None] * full
+                 + sys.forcing_vec[:, None])
+        values[cols] = dq[cols] - drift[idx_j].T
+    return PiecewisePolynomial.fit(
+        knots, values.reshape(len(knots) - 1, len(POLY_THETA), len(J)),
+        max_step=max_step, stats=run.stats)
 
 
 # ---------------------------------------------------------------------------
@@ -559,7 +561,9 @@ def _label_vector(sys: GalerkinSystem, lab, xi: float) -> np.ndarray:
 
 @dataclass
 class ImitationResult:
-    controls: list         # per interval: (t_lo, t_hi, Smooth over J or const vector)
+    # per interval: (t_lo, t_hi, control over J at the time since t_lo), a
+    # PiecewisePolynomial where tracked, a constant vector where direct
+    controls: list
     gap: float             # H distance of end states
     pinning: list          # l1 gap of the J projection at each breakpoint
     end_state: np.ndarray
@@ -599,10 +603,11 @@ def imitate(sys: GalerkinSystem, z: VertexSchedule, w: float,
     sqrt2xi = math.sqrt(2 * z.xi)
 
     def target(window, lo, hi, wave, max_step):
-        """The J-path on [lo, hi]: the reference window plus wave(t, nu),
-        both read at t clamped into [lo, hi]."""
+        """The J-path on [lo, hi] at a time or a column of times: the
+        reference window plus wave(t, nu), both read at t clamped into
+        [lo, hi]."""
         def at(t, nu):
-            t = min(max(t, lo), hi)
+            t = np.minimum(np.maximum(t, lo), hi)
             return hermite(*window, t, nu) + wave(t, nu)
         return Smooth(value=lambda t: at(t, 0), derivative=lambda t: at(t, 1),
                       max_step=max_step)
@@ -647,36 +652,29 @@ def imitate(sys: GalerkinSystem, z: VertexSchedule, w: float,
             else:
                 max_step = (t_hi - t_lo) / 8
                 pieces = [(t_lo, t_hi, lambda t, nu: 0.0)]
-            tracked = []
+            knots, coefficients = [np.array([t_lo])], []
             for a, b, wave in pieces:
                 v = tracking_control(sys, J, target(window, a, b, wave,
                                                     max_step),
                                      sys.to_field(state), t0=a, t1=b,
                                      tol=tol_in)
-                shifted = Smooth(value=lambda s, _v=v, _a=a: _v.value(_a + s),
-                                 derivative=None, max_step=max_step)
-                tr = integrate(ctl_sys, sys.to_field(state), shifted, b - a,
-                               tol_in)
+                # each piece is replayed on its own, in its own time
+                tr = integrate(ctl_sys, sys.to_field(state),
+                               PiecewisePolynomial(v.knots - a, v.coefficients,
+                                                   max_step), b - a, tol_in)
                 state = tr.states[-1]
                 stats.add(v.stats)
                 stats.add(tr.stats)
-                tracked.append(v)
-            controls.append((t_lo, t_hi,
-                             _joined([a for a, _, _ in pieces[1:]], tracked)))
+                knots.append(v.knots[1:])
+                coefficients.append(v.coefficients)
+            controls.append((t_lo, t_hi, PiecewisePolynomial(
+                np.concatenate(knots) - t_lo, np.concatenate(coefficients),
+                max_step)))
         ref_here = ref.state_at(t_hi)
         pinning.append(float(np.sum(np.abs(state[idx_j] - ref_here[idx_j]))))
 
     gap = float(np.sqrt(np.sum(h_weights(sys) * (state - ref.states[-1]) ** 2)))
     return ImitationResult(controls, gap, pinning, state, J, stats)
-
-
-def _joined(starts, parts) -> Smooth:
-    """One control from consecutive Smooth pieces, the later ones starting
-    at the times starts: each time reads the piece that holds it."""
-    if len(parts) == 1:
-        return parts[0]
-    return Smooth(value=lambda t: parts[bisect.bisect_right(starts, t)].value(t),
-                  derivative=None, max_step=min(p.max_step for p in parts))
 
 
 def imitation_sweep(sys: GalerkinSystem, z: VertexSchedule, ws,

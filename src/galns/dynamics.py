@@ -21,12 +21,16 @@ it reuses its last stage as the next step's first (FSAL), sizes steps
 with a PI controller and restarts at every control breakpoint.  It steps
 a stack of states on one shared step sequence, with the error norm taken
 over the whole stack.  The derivatives at the step ends, which are FSAL
-stages, give the trajectories a cubic Hermite dense output.
+stages, give the trajectories a cubic Hermite dense output; a run that
+keeps its stages also has the Lawson form of the pair's fourth-order
+continuous extension, from which tracked controls are fitted as one
+polynomial per step.
 """
 
-import csv
+import bisect
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -319,16 +323,77 @@ class PiecewiseConstant:
 class Smooth:
     """Smooth control given by value/derivative evaluators over the
     controlled modes; max_step caps the integrator step so the signal is
-    resolved.  A signal computed by an integration (a tracking control)
-    carries that integration's work in stats."""
+    resolved.  As a tracking target it is also read at a column of times
+    (n, 1), giving one row per time or one row for all."""
 
     value: callable
     derivative: callable = None
     max_step: float = np.inf
-    stats: "IntegratorStats" = None
 
     def describe(self) -> dict:
         return {"kind": "smooth", "max_step": self.max_step}
+
+
+# A PiecewisePolynomial's degree, the Chebyshev-Lobatto points
+# x_j = cos(pi j / degree) of [-1, 1] at which each polynomial is fitted,
+# and the same points as fractions of a knot interval
+POLY_DEGREE = 7
+_CHEB_K = np.arange(POLY_DEGREE + 1)
+_CHEB_X = np.cos(np.pi * _CHEB_K / POLY_DEGREE)
+POLY_THETA = (1 + _CHEB_X) / 2
+# Chebyshev coefficients from the values at the points: the discrete
+# cosine transform of the first kind, with the end points and the end
+# coefficients halved (no matrix inverse, which would load LAPACK at import)
+_CHEB_HALF = np.where(_CHEB_K % POLY_DEGREE == 0, 0.5, 1.0)
+_CHEB_FIT = (2 / POLY_DEGREE) * np.outer(_CHEB_HALF, _CHEB_HALF) * np.cos(
+    np.pi * np.outer(_CHEB_K, _CHEB_K) / POLY_DEGREE)
+
+
+@dataclass
+class PiecewisePolynomial:
+    """Control given by one polynomial of degree POLY_DEGREE per knot
+    interval, one column per controlled mode: on [knots[i], knots[i+1]]
+    the value is sum_k coefficients[i, k] T_k(x), with T_k the Chebyshev
+    polynomials and x = (2 t - knots[i] - knots[i+1]) / (knots[i+1] -
+    knots[i]); outside the knots it holds the end values.  describe()
+    holds its kind and every field but stats, and PiecewisePolynomial of
+    those fields rebuilds the same control.  A control computed by an
+    integration (a tracking control) carries that integration's work in
+    stats."""
+
+    knots: np.ndarray         # (n + 1,)
+    coefficients: np.ndarray  # (n, POLY_DEGREE + 1, controlled modes)
+    max_step: float = np.inf
+    stats: "IntegratorStats" = None
+
+    def __post_init__(self):
+        self.knots = np.asarray(self.knots, dtype=float)
+        self.coefficients = np.asarray(self.coefficients, dtype=float)
+        if self.knots.ndim != 1 or np.any(np.diff(self.knots) <= 0):
+            raise ValueError("knots must be strictly increasing")
+        if (self.coefficients.ndim != 3 or self.coefficients.shape[:2]
+                != (len(self.knots) - 1, POLY_DEGREE + 1)):
+            raise ValueError("one (%d, modes) coefficient block per knot "
+                             "interval required" % (POLY_DEGREE + 1))
+        self._bounds = self.knots.tolist()
+
+    @classmethod
+    def fit(cls, knots, values, **fields) -> "PiecewisePolynomial":
+        """The control through values of shape (n, degree + 1, modes) at
+        the times knots[i] + POLY_THETA (knots[i+1] - knots[i])."""
+        return cls(knots, _CHEB_FIT @ values, **fields)
+
+    def value(self, t: float) -> np.ndarray:
+        b = self._bounds
+        i = min(max(bisect.bisect_right(b, t) - 1, 0), len(b) - 2)
+        x = (2 * t - b[i] - b[i + 1]) / (b[i + 1] - b[i])
+        return (np.cos(_CHEB_K * math.acos(min(max(x, -1.0), 1.0)))
+                @ self.coefficients[i])
+
+    def describe(self) -> dict:
+        return {"kind": "piecewise_polynomial", "knots": self.knots.tolist(),
+                "coefficients": self.coefficients.tolist(),
+                "max_step": self.max_step}
 
 
 def _segments(control, T: float):
@@ -367,12 +432,16 @@ def hermite(times, states, slopes, t, nu=0):
     """Piecewise cubic Hermite interpolant through states (first axis
     along times) with slopes[k] = (derivative at times[k], derivative at
     times[k+1]) on step k, so a derivative may jump at a knot.  Returns the
-    value (nu=0) or the time derivative (nu=1) at the time t; outside
-    [times[0], times[-1]] the end cubics extrapolate."""
-    k = min(max(int(times.searchsorted(t, "right")) - 1, 0), len(times) - 2)
+    value (nu=0) or the time derivative (nu=1) at the time t, or one row
+    per time at a column of times (n, 1); outside [times[0], times[-1]]
+    the end cubics extrapolate."""
+    k = np.minimum(np.maximum(times.searchsorted(t, "right") - 1, 0),
+                   len(times) - 2)
     h = times[k + 1] - times[k]
     s = (t - times[k]) / h
-    y0, (f0, f1) = states[k], slopes[k]
+    if np.ndim(t):
+        k = k[:, 0]
+    y0, f0, f1 = states[k], slopes[k, 0], slopes[k, 1]
     if nu == 0:
         return (y0 + (s * s * (3 - 2 * s)) * (states[k + 1] - y0)
                 + (h * s * (1 - s) ** 2) * f0 - (h * s * s * (1 - s)) * f1)
@@ -410,11 +479,17 @@ class Trajectory:
         return np.sqrt(np.clip(self.states**2 @ h_weights(self.sys), 0.0, None))
 
     def write_csv(self, path):
+        """One row per accepted time, t then the state in mode_set order,
+        each number as its shortest round-trip repr, with CRLF line ends
+        (the csv module's format; no field needs quoting).  Rows are
+        formatted one at a time: the whole table as Python floats and
+        strings takes about ten times the memory of the states."""
         with open(path, "w", newline="") as fh:
-            wr = csv.writer(fh)
-            wr.writerow(["t"] + ["%d.%d" % k for k in self.sys.mode_set])
-            for t, row in zip(self.times, self.states):
-                wr.writerow([repr(float(t))] + [repr(float(x)) for x in row])
+            fh.write(",".join(["t"] + ["%d.%d" % k for k in self.sys.mode_set])
+                     + "\r\n")
+            for t, row in zip(self.times.tolist(), self.states):
+                fh.write(repr(t) + "," + ",".join(map(repr, row.tolist()))
+                         + "\r\n")
 
 
 # Dormand-Prince 5(4) (J. Comput. Appl. Math. 6, 1980): nodes, the stage
@@ -451,6 +526,23 @@ def _lawson_tables():
 
 
 _LAWSON_NODES, _LAWSON_INDEX, _LAWSON_ON_H, _LAWSON_ON_1 = _lawson_tables()
+# The pair's continuous extension (Hairer, Norsett & Wanner, vol. I, II.6;
+# the P matrix of scipy's RK45): stage i's weight at the fraction theta of
+# a step is sum_j P[i, j] theta^(j + 1), the fifth-order weight at theta =
+# 1.  Only the stages of nonzero weight, N_1 and N_3 .. N_7, are kept here.
+_DENSE_STAGES = (1, 3, 4, 5, 6, 7)
+_DENSE_P = np.array([
+    [1, -8048581381 / 2820520608, 8663915743 / 2820520608,
+     -12715105075 / 11282082432],
+    [0, 131558114200 / 32700410799, -68118460800 / 10900136933,
+     87487479700 / 32700410799],
+    [0, -1754552775 / 470086768, 14199869525 / 1410260304,
+     -10690763975 / 1880347072],
+    [0, 127303824393 / 49829197408, -318862633887 / 49829197408,
+     701980252875 / 199316789632],
+    [0, -282668133 / 205662961, 2019193451 / 616988883,
+     -1453857185 / 822651844],
+    [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423]])
 # Steps are sized so the estimated local error is this fraction of tol.
 # Sized for tol itself, the global error on unforced K^3 runs was 3 to 10
 # times that of the step-doubling RK4 this integrator replaced, at the same
@@ -465,12 +557,33 @@ _SHRINK_MIN, _GROW_MAX = 0.2, 10.0
 
 class LawsonRun(NamedTuple):
     """Result of adaptive_lawson: the accepted times (t0 included), the
-    states there, the derivatives lam*y + nonlin(y, t) there, and the work."""
+    states there, the derivatives lam*y + nonlin(y, t) there, and the work;
+    with dense=True also stages, shape (steps, 8) + state shape, the start
+    state and the seven nonlin stages N_1 .. N_7 of every accepted step."""
 
     times: list
     states: list
     derivs: list
     stats: IntegratorStats
+    stages: np.ndarray = None
+
+    def dense(self, lam, k, theta) -> np.ndarray:
+        """The Lawson continuous extension at t_k + theta h_k for each
+        accepted step k and fraction theta (two arrays of one shape (B,)):
+        y = e^(theta h L) y_k + h sum_i b_i(theta) e^((theta - c_i) h L) N_i,
+        shape (B,) + state shape.  Each exponent is taken whole: split as
+        e^(theta h L) e^(-c_i h L) it overflows, or cancels, in a stiff mode.
+        At theta = 0 it is y_k, at theta = 1 the next state to roundoff."""
+        k, theta = np.asarray(k), np.asarray(theta, dtype=float)
+        h = np.diff(self.times)[k]
+        s = self.stages[k]
+        col = (-1,) + (1,) * np.ndim(lam)
+        hL, th = h.reshape(col) * lam, theta.reshape(col)
+        weights = h[:, None] * (theta[:, None] ** np.arange(1, 5) @ _DENSE_P.T)
+        out = np.exp(th * hL) * s[:, 0]
+        for w, i in zip(weights.T, _DENSE_STAGES):
+            out += w.reshape(col) * np.exp((th - _DP_C[i - 1]) * hL) * s[:, i]
+        return out
 
     def slopes(self) -> np.ndarray:
         """Derivatives at the start and end of every step, shape
@@ -480,7 +593,7 @@ class LawsonRun(NamedTuple):
 
 
 def adaptive_lawson(lam, nonlin, y0, t0, t1, tol, max_step=np.inf,
-                    h_min=None) -> LawsonRun:
+                    h_min=None, dense=False) -> LawsonRun:
     """Integrate y' = lam*y + nonlin(y, t) over [t0, t1] at absolute local
     error tol with the Lawson (integrating-factor) form of the
     Dormand-Prince 5(4) pair: stage values are exact for the linear part,
@@ -492,7 +605,8 @@ def adaptive_lawson(lam, nonlin, y0, t0, t1, tol, max_step=np.inf,
     target); a trial step that turns non-finite is retried with a smaller
     step, and StiffnessError is raised once a rejected step is no larger
     than 2 * h_min (default 1e-13 of the span).  Returns a LawsonRun whose
-    item 0 is the list of times including t0.
+    item 0 is the list of times including t0; with dense=True it keeps the
+    accepted steps' stages for LawsonRun.dense, 8 states' worth per step.
 
     y0 may be one state of shape (dim,) or a stack of shape (dim, B) with
     lam of shape (dim, 1); the stack shares one step sequence and the error
@@ -509,6 +623,7 @@ def adaptive_lawson(lam, nonlin, y0, t0, t1, tol, max_step=np.inf,
     t = t0
     f = nonlin(y, t)
     times, states, derivs = [t0], [y], [lam * y + f]
+    kept = []
     # stage buffer [y, N_1 .. N_7]
     stages = np.empty((8,) + y.shape)
     fmax = float(np.max(np.abs(f)))
@@ -534,6 +649,8 @@ def adaptive_lawson(lam, nonlin, y0, t0, t1, tol, max_step=np.inf,
             ratio = float(np.max(np.abs(np.einsum(
                 "i...,i...->...", w[49:], stages[1:])))) / (ERR_FRACTION * tol)
             if ratio <= 1.0:
+                if dense:
+                    kept.append(stages.copy())
                 t += h
                 y, f = y_new, stages[7].copy()
                 times.append(t)
@@ -557,7 +674,8 @@ def adaptive_lawson(lam, nonlin, y0, t0, t1, tol, max_step=np.inf,
                 shrink = _SAFETY * ratio ** -0.2 if ratio < np.inf else 0.0
                 h = max(h * max(_SHRINK_MIN, shrink), h_min)
                 grow_max = 1.0
-    return LawsonRun(times, states, derivs, stats)
+    return LawsonRun(times, states, derivs, stats,
+                     np.array(kept) if dense else None)
 
 
 def integrate(sys: GalerkinSystem, u0: SpectralField, control, T: float,
@@ -573,27 +691,27 @@ def integrate(sys: GalerkinSystem, u0: SpectralField, control, T: float,
     times = [0.0]
     states = [y.copy()]
 
+    constant = control is None or isinstance(control, PiecewiseConstant)
     if isinstance(control, PiecewiseConstant):
         if control.values.shape[1] != len(sys.controlled_set):
             raise ValueError("control dimension != |controlled_set|")
-        bp = control.breakpoints
-        if bp[0] > 0 or bp[-1] < T:
-            raise ValueError("control breakpoints span [%r, %r], which does "
-                             "not cover [0, %r]"
-                             % (float(bp[0]), float(bp[-1]), T))
-        max_step = np.inf
-    elif isinstance(control, Smooth):
-        max_step = control.max_step
-    elif control is None:
-        max_step = np.inf
+        span = control.breakpoints
+    elif isinstance(control, PiecewisePolynomial):
+        span = control.knots
+    elif constant or isinstance(control, Smooth):
+        span = None
     else:
         raise TypeError("unsupported control signal")
+    if span is not None and (span[0] > 0 or span[-1] < T):
+        raise ValueError("control breakpoints span [%r, %r], which does not "
+                         "cover [0, %r]" % (float(span[0]), float(span[-1]), T))
+    max_step = getattr(control, "max_step", np.inf)
 
     h_min = 1e-13 * T
     slopes = []
     stats = IntegratorStats()
     for t0, t1 in _segments(control, T):
-        if isinstance(control, Smooth):
+        if not constant:
             def nonlin(z, t):
                 return (sys.quadratic_vec(z) + sys.forcing_vec
                         + sys.control_vec(control.value(t)))

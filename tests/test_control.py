@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -16,8 +17,8 @@ from galns import control
 from galns.control import (_build_schedule, _direction_matrix,
                            _schedule_endpoint, _schedule_jacobian,
                            invert_endpoint, loglog_slope)
-from galns.dynamics import (GalerkinSystem, PiecewiseConstant, Smooth,
-                            integrate)
+from galns.dynamics import (GalerkinSystem, PiecewiseConstant,
+                            PiecewisePolynomial, Smooth, integrate)
 from galns.saturation import mode_set_K
 from galns.spectral import RectGeometry, SpectralField, kbar
 
@@ -444,7 +445,8 @@ def test_imitate_reference_derivative_is_one_sided():
         t_lo, t_hi, v = res.controls[i]
         want = np.zeros(len(res.J))
         want[res.J.index(labels[i][1])] = labels[i][2] * xi
-        for t in (t_lo, t_hi):
+        # a control's time starts at its interval's start
+        for t in (0.0, t_hi - t_lo):
             assert np.max(np.abs(v.value(t) - want)) < 0.1 * xi
 
 
@@ -467,6 +469,31 @@ def test_imitate_short_delta_interval_replays_without_hunting():
     tr = integrate(ctl_sys, u0, Smooth(value=v.value, max_step=v.max_step),
                    3e-4, 1e-10)
     assert np.max(np.abs(tr.states[-1] - res.end_state)) < 1e-8
+
+
+def test_imitate_tracked_intervals_are_polynomial_artifacts():
+    sys, _, u0 = imitation_case()
+    labels = [("e", (1, 1), 1), ("delta", ((1, 1), (1, 3)), 1),
+              ("e", (2, 1), -1), ("zero",)]
+    bps = np.array([0.0, 0.2, 0.2 + math.pi / 3, 1.3, 1.5])
+    res = imitate(sys, VertexSchedule(bps, labels, 0.2), 12.0, 1e-8, u0=u0)
+    (_, _, direct), *tracked = res.controls
+    assert isinstance(direct, np.ndarray)
+    rng = np.random.default_rng(8)
+    for t_lo, t_hi, v in tracked:
+        assert isinstance(v, PiecewisePolynomial)
+        assert v.knots[0] == 0.0 and v.knots[-1] == t_hi - t_lo
+        assert v.coefficients.shape[2] == len(res.J)
+        desc = json.loads(json.dumps(v.describe()))
+        del desc["kind"]
+        again = PiecewisePolynomial(**desc)
+        for t in rng.uniform(0.0, t_hi - t_lo, 100):
+            assert np.array_equal(again.value(t), v.value(t))
+    # the interaction interval joins its ramp, sine and ramp pieces
+    knots = tracked[0][2].knots
+    rho = (math.pi / 3) / 12.0
+    for corner in (rho, math.pi / 3 - rho):
+        assert np.min(np.abs(knots - corner)) <= 1e-15
 
 
 def test_imitation_sweep_slope():

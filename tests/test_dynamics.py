@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import pickle
@@ -10,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from galns import dynamics
-from galns.dynamics import (GalerkinSystem, PiecewiseConstant, Smooth,
+from galns.dynamics import (POLY_THETA, GalerkinSystem, IntegratorStats,
+                            PiecewiseConstant, PiecewisePolynomial, Smooth,
                             Trajectory, adaptive_lawson,
                             data_continuity_probe, integrate, rhs,
                             run_manifest)
@@ -455,6 +457,27 @@ def test_csv_and_manifest(tmp_path):
     assert man3["content_hash"] != man["content_hash"]
 
 
+def test_write_csv_matches_csv_module(tmp_path):
+    # the row-wise writer against the csv.writer one it replaced, on values
+    # whose repr has a sign, an exponent or seventeen digits
+    sys = make_sys(mode_set=K1)
+    rng = np.random.default_rng(2)
+    states = rng.normal(size=(6, sys.dim)) * 10.0 ** rng.integers(-5, 5, (6, 1))
+    states[0, :5] = [-0.0, 1e-300, 1e16, 123456789012345678.0, -2.5e-7]
+    times = np.array([0.0, 1e-300, 0.1, 1 / 3, 1e16, 123456789012345678.0])
+    tr = Trajectory(sys, times, states, np.zeros((5, 2, sys.dim)),
+                    IntegratorStats())
+    tr.write_csv(tmp_path / "new.csv")
+    with open(tmp_path / "old.csv", "w", newline="") as fh:
+        wr = csv.writer(fh)
+        wr.writerow(["t"] + ["%d.%d" % k for k in sys.mode_set])
+        for t, row in zip(times, states):
+            wr.writerow([repr(float(t))] + [repr(float(x)) for x in row])
+    new = (tmp_path / "new.csv").read_bytes()
+    assert new == (tmp_path / "old.csv").read_bytes()
+    assert b"-0.0," in new and b"1e-300," in new and b"1.2345678901234568e+17" in new
+
+
 def test_trajectory_spline_matches_samples():
     sys = make_sys()
     u0 = SpectralField(G, {(1, 1): 1.0, (2, 1): 0.5})
@@ -564,3 +587,118 @@ def test_dense_output_at_step_midpoints():
         dy = sys.quadratic_vec(y) + sys.lam * y
         assert np.max(np.abs(tr.state_at(t) - y)) <= 10 * tol
         assert np.max(np.abs(tr.state_at(t, 1) - dy)) <= 10 * tol
+
+
+def lawson_k3_run(tol, T=0.5, seed=0):
+    """The K^3, nu = 1 run of u0 = 0.5 N(0,1) on K^1, with its stages."""
+    sys = make_sys(nu=1.0)
+    u0 = random_field(np.random.default_rng(seed), K1, scale=0.5)
+    run = adaptive_lawson(sys.lam,
+                          lambda z, t: sys.quadratic_vec(z) + sys.forcing_vec,
+                          sys.to_vector(u0), 0.0, T, tol, dense=True)
+    return sys, u0, run
+
+
+def test_lawson_dense_output_at_step_midpoints():
+    # the fast K^3 modes decay within one step (|lam| h up to 58 here), where
+    # the cubic Hermite state_at is 3.7e3 tol off at the midpoints; the
+    # reference is a tol = 1e-13 run that has the midpoints as knots
+    tol, T = 1e-8, 0.5
+    sys, u0, run = lawson_k3_run(tol, T)
+    times = np.array(run.times)
+    assert np.max(np.diff(times)) * np.max(np.abs(sys.lam)) > 10
+    mids = (times[1:] + times[:-1]) / 2
+    knots = np.concatenate([[0.0], mids, [T]])
+    ref = integrate(sys, u0, PiecewiseConstant(
+        knots, np.zeros((len(knots) - 1, len(K1)))), T, 1e-13)
+    dense = run.dense(sys.lam, np.arange(len(mids)), np.full(len(mids), 0.5))
+    for t, y in zip(mids, dense):
+        assert np.max(np.abs(y - ref.states[np.argmin(np.abs(ref.times - t))])) \
+            <= 10 * tol
+
+
+def test_lawson_dense_output_reproduces_step_ends():
+    sys, _, run = lawson_k3_run(1e-8)
+    n = len(run.times) - 1
+    states = np.array(run.states)
+    steps = np.arange(n)
+    assert np.array_equal(run.dense(sys.lam, steps, np.zeros(n)), states[:-1])
+    assert np.max(np.abs(run.dense(sys.lam, steps, np.ones(n)) - states[1:])) \
+        <= 1e-14 * np.max(np.abs(states))
+    # a stack of states: each column's dense output is its own run's
+    Y = np.stack([states[0], 2 * states[0]], axis=1)
+    stack = adaptive_lawson(sys.lam[:, None],
+                            lambda z, t: sys.quadratic_vec(z), Y, 0.0, 0.1,
+                            1e-8, dense=True)
+    m = len(stack.times) - 1
+    got = stack.dense(sys.lam[:, None], np.arange(m), np.full(m, 0.3))
+    for c in range(2):
+        col = stack._replace(stages=stack.stages[..., c],
+                             states=[y[:, c] for y in stack.states])
+        assert np.array_equal(got[..., c],
+                              col.dense(sys.lam, np.arange(m), np.full(m, 0.3)))
+
+
+def test_integrate_keeps_no_stages():
+    # dense output is kept only where a caller reads it: at level 20 the
+    # stages of a simulate run would be 381 x 8 x 483 floats, 10 MB
+    sys = make_sys(nu=1.0)
+    u0 = SpectralField(G, {(1, 1): 0.5, (2, 1): -0.3})
+    runs = []
+
+    def spy(*args, **kwargs):
+        runs.append(adaptive_lawson(*args, **kwargs))
+        return runs[-1]
+
+    ctl = PiecewiseConstant([0.0, 0.1, 0.3], np.zeros((2, len(K1))))
+    with mock.patch.object(dynamics, "adaptive_lawson", spy):
+        tr = integrate(sys, u0, ctl, 0.3, 1e-8)
+    assert len(runs) == 2 and all(r.stages is None for r in runs)
+    held = sum(v.nbytes for v in vars(tr).values() if isinstance(v, np.ndarray))
+    assert held == tr.times.nbytes + tr.states.nbytes + tr.slopes.nbytes
+    assert tr.slopes.shape == (len(tr.times) - 1, 2, sys.dim)
+
+
+def test_piecewise_polynomial_fits_and_describes_exactly():
+    # a degree-7 polynomial per interval reproduces one of degree 7
+    knots = np.array([0.0, 0.3, 0.35, 1.0])
+    coef = np.array([[1.0, -2.0], [0.5, 0.0], [0.0, 3.0], [0.25, 0.0],
+                     [0.0, 0.0], [0.0, -1.0], [0.0, 0.0], [2.0, 0.5]])
+
+    def poly(t):
+        return np.polynomial.polynomial.polyval(t, coef).T
+
+    nodes = knots[:-1, None] + np.diff(knots)[:, None] * POLY_THETA
+    ctl = PiecewisePolynomial.fit(knots, poly(nodes.ravel()).reshape(
+        nodes.shape + (2,)), max_step=0.05)
+    rng = np.random.default_rng(4)
+    for t in rng.uniform(0.0, 1.0, 50):
+        assert np.max(np.abs(ctl.value(t) - poly(t))) <= 1e-12
+    # outside the knots it holds the end values
+    for out, end in ((-1.0, 0.0), (2.0, 1.0)):
+        assert np.max(np.abs(ctl.value(out) - poly(end))) <= 1e-12
+    desc = json.loads(json.dumps(ctl.describe()))
+    assert desc.pop("kind") == "piecewise_polynomial"
+    again = PiecewisePolynomial(**desc)
+    assert again.max_step == 0.05
+    for t in rng.uniform(-0.1, 1.1, 100):
+        assert np.array_equal(again.value(t), ctl.value(t))
+    with pytest.raises(ValueError, match="increasing"):
+        PiecewisePolynomial([0.0, 0.0, 1.0], np.zeros((2, 8, 1)))
+    with pytest.raises(ValueError, match="coefficient"):
+        PiecewisePolynomial([0.0, 1.0], np.zeros((1, 6, 1)))
+
+
+def test_integrate_polynomial_control_must_cover_horizon():
+    sys = make_sys(mode_set=K1, controlled=((1, 1),))
+    ctl = PiecewisePolynomial([0.0, 0.2], np.zeros((1, 8, 1)))
+    with pytest.raises(ValueError, match="does not cover"):
+        integrate(sys, SpectralField(G, {}), ctl, 0.3)
+    # a constant polynomial is the constant control
+    const = np.zeros((1, 8, 1))
+    const[0, 0, 0] = 0.7
+    tr = integrate(sys, SpectralField(G, {}),
+                   PiecewisePolynomial([0.0, 0.3], const), 0.3, 1e-10)
+    ref = integrate(sys, SpectralField(G, {}),
+                    PiecewiseConstant([0.0, 0.3], [[0.7]]), 0.3, 1e-10)
+    assert np.max(np.abs(tr.states[-1] - ref.states[-1])) <= 1e-14
