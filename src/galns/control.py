@@ -12,7 +12,7 @@ import numpy as np
 
 from .dynamics import (GalerkinSystem, IntegratorStats, PiecewiseConstant,
                        POLY_THETA, PiecewisePolynomial, Smooth,
-                       adaptive_lawson, h_weights, hermite, integrate)
+                       adaptive_lawson, h_weights, integrate)
 from .nonlinearity import float_params, interaction_rows
 from .saturation import infer_level, mode_set_K, selection_S
 from .spectral import SpectralField
@@ -276,7 +276,8 @@ def make_phi_w(breakpoints, w: float) -> OscillatorProfile:
     if w < 3:
         raise ValueError("oscillator frequency must be >= 3")
     bp = np.asarray(breakpoints, dtype=float)
-    if bp.ndim != 1 or len(bp) < 2 or np.any(np.diff(bp) <= 0):
+    # NaN compares false, so a NaN breakpoint fails this test too
+    if bp.ndim != 1 or len(bp) < 2 or not np.all(np.diff(bp) > 0):
         raise ValueError("breakpoints must be strictly increasing")
     lengths = np.diff(bp)
     return OscillatorProfile(bp, float(w), lengths / w)
@@ -476,7 +477,8 @@ def tracking_control(sys: GalerkinSystem, J, q: Smooth,
     and cancelling the J-projected drift.  The control is one polynomial
     per step of that integration on [t0, t1], fitted at its nodes, where
     the complement comes from the integrator's dense output and q is read
-    once at the column of all node times."""
+    at a column of node times, one block of sys.block_rows nodes at a time
+    as the dense output is."""
     J = tuple(sorted(tuple(k) for k in J))
     if not set(J) <= set(sys.mode_set):
         raise ValueError("J must lie in mode_set")
@@ -497,28 +499,21 @@ def tracking_control(sys: GalerkinSystem, J, q: Smooth,
         raise ValueError("tracking needs t1 > t0, got [%r, %r]" % (t0, t1))
     y0 = sys.to_vector(Q_init)
     y0[idx_j] = 0.0
-    max_step = getattr(q, "max_step", np.inf)
     run = adaptive_lawson(lam_c, nonlin, y0, t0, t1, tol / 100,
-                          max_step=max_step, dense=True)
-    knots = np.array(run.times)
-    knots[-1] = t1
-    steps = np.repeat(np.arange(len(knots) - 1), len(POLY_THETA))
-    theta = np.tile(POLY_THETA, len(knots) - 1)
-    nodes = knots[steps] + np.diff(knots)[steps] * theta
-    shape = (len(nodes), len(J))
-    qv = np.broadcast_to(q.value(nodes[:, None]), shape)
-    dq = np.broadcast_to(q.derivative(nodes[:, None]), shape)
-    values = np.empty(shape)
+                          max_step=q.max_step, dense=True)
+    knots, steps, theta, nodes = run.fit_nodes(t1)
+    values = np.empty((len(nodes), len(J)))
     for lo in range(0, len(nodes), sys.block_rows):
         cols = slice(lo, lo + sys.block_rows)
+        at = nodes[cols, None]
         full = run.dense(lam_c, steps[cols], theta[cols]).T
-        full[idx_j] = qv[cols].T
+        full[idx_j] = np.broadcast_to(q.value(at), (len(at), len(J))).T
         drift = (sys.quadratic_vec(full) + sys.lam[:, None] * full
                  + sys.forcing_vec[:, None])
-        values[cols] = dq[cols] - drift[idx_j].T
+        values[cols] = q.derivative(at) - drift[idx_j].T
     return PiecewisePolynomial.fit(
         knots, values.reshape(len(knots) - 1, len(POLY_THETA), len(J)),
-        max_step=max_step, stats=run.stats)
+        max_step=q.max_step, stats=run.stats)
 
 
 # ---------------------------------------------------------------------------
@@ -561,10 +556,13 @@ def _label_vector(sys: GalerkinSystem, lab, xi: float) -> np.ndarray:
 
 @dataclass
 class ImitationResult:
+    """imitate's controls and end state, compared with the reference: the
+    literal schedule on every mode from the same u0."""
+
     # per interval: (t_lo, t_hi, control over J at the time since t_lo), a
     # PiecewisePolynomial where tracked, a constant vector where direct
     controls: list
-    gap: float             # H distance of end states
+    gap: float             # H distance of the end state from the reference's
     pinning: list          # l1 gap of the J projection at each breakpoint
     end_state: np.ndarray
     J: tuple
@@ -577,7 +575,9 @@ def imitate(sys: GalerkinSystem, z: VertexSchedule, w: float,
     the schedule z: direct values are copied while the trajectories still
     coincide; interaction-direction intervals are replaced by tracking the
     reference low-mode path plus the oscillation sqrt(2 xi) phi_w (e_m +- e_n),
-    which self-interacts to the required direction on average."""
+    which self-interacts to the required direction on average.  The reference
+    is carried interval by interval; a tracked interval's reference J-path
+    is a PiecewisePolynomial fitted from its dense output."""
     n_level = infer_level(sys.mode_set)
     if J is None:
         J = tuple(sorted(mode_set_K(n_level - 1))) if n_level > 1 \
@@ -587,40 +587,34 @@ def imitate(sys: GalerkinSystem, z: VertexSchedule, w: float,
     idx_j = np.array([sys.index[k] for k in J], dtype=int)
     j_pos = {k: i for i, k in enumerate(J)}
 
-    ref_sys = GalerkinSystem(sys.geom, sys.nu, sys.forcing, sys.mode_set,
-                             sys.mode_set)
-    ref_ctl = PiecewiseConstant(z.breakpoints, z.full_values(sys))
+    values = z.full_values(sys)
     T = float(z.breakpoints[-1])
     if u0 is None:
         u0 = SpectralField(sys.geom, {})
     # integrate a notch tighter than the stated tolerance so the breakpoint
     # pinning bound has headroom over the accumulated replay error
     tol_in = tol / 10
-    ref = integrate(ref_sys, u0, ref_ctl, T, tol_in)
     ctl_sys = GalerkinSystem(sys.geom, sys.nu, sys.forcing, sys.mode_set, J)
 
     phi = make_phi_w(z.breakpoints, w)
     sqrt2xi = math.sqrt(2 * z.xi)
 
-    def target(window, lo, hi, wave, max_step):
-        """The J-path on [lo, hi] at a time or a column of times: the
-        reference window plus wave(t, nu), both read at t clamped into
-        [lo, hi]."""
-        def at(t, nu):
-            t = np.minimum(np.maximum(t, lo), hi)
-            return hermite(*window, t, nu) + wave(t, nu)
-        return Smooth(value=lambda t: at(t, 0), derivative=lambda t: at(t, 1),
-                      max_step=max_step)
-
     state = sys.to_vector(u0)
+    ref = state
     switched = False
     controls = []
     pinning = []
     stats = IntegratorStats()
     for i, lab in enumerate(z.labels):
         t_lo, t_hi = float(z.breakpoints[i]), float(z.breakpoints[i + 1])
-        if lab[0] != "delta" and not switched:
-            vec = ref_ctl.values[i]
+        switched = switched or lab[0] == "delta"
+        # the reference on this interval, stepped as integrate steps [0, T]
+        run = adaptive_lawson(
+            sys.lam, lambda y, t, _v=values[i]: (sys.quadratic_vec(y)
+                                                 + sys.forcing_vec + _v),
+            ref, t_lo, t_hi, tol_in, h_min=1e-13 * T, dense=switched)
+        if not switched:
+            vec = values[i]
             if np.any(vec[np.setdiff1d(np.arange(sys.dim), idx_j)] != 0.0):
                 raise ValueError("direct interval value leaves span(J)")
             ctl = PiecewiseConstant([0.0, t_hi - t_lo], [vec[idx_j]])
@@ -630,13 +624,13 @@ def imitate(sys: GalerkinSystem, z: VertexSchedule, w: float,
             stats.add(tr.stats)
             controls.append((t_lo, t_hi, vec[idx_j]))
         else:
-            switched = True
-            # the reference's steps on this interval, with the interval's
-            # own one-sided derivatives at its ends
-            lo = int(np.searchsorted(ref.times, t_lo - 1e-12, side="left"))
-            hi = int(np.searchsorted(ref.times, t_hi + 1e-12, side="right"))
-            window = (ref.times[lo:hi], ref.states[lo:hi][:, idx_j],
-                      ref.slopes[lo:hi - 1][..., idx_j])
+            # the dense output is taken mode by mode: read the J modes only
+            ref_knots, steps, theta, _ = run.fit_nodes(t_hi)
+            path = run._replace(stages=run.stages[..., idx_j]).dense(
+                sys.lam[idx_j], steps, theta)
+            window = PiecewisePolynomial.fit(ref_knots, path.reshape(
+                len(ref_knots) - 1, len(POLY_THETA), len(J)))
+            slope = window.derivative()
             if lab[0] == "delta":
                 (m, n), sign = lab[1], lab[2]
                 osc = np.zeros(len(J))
@@ -654,10 +648,11 @@ def imitate(sys: GalerkinSystem, z: VertexSchedule, w: float,
                 pieces = [(t_lo, t_hi, lambda t, nu: 0.0)]
             knots, coefficients = [np.array([t_lo])], []
             for a, b, wave in pieces:
-                v = tracking_control(sys, J, target(window, a, b, wave,
-                                                    max_step),
-                                     sys.to_field(state), t0=a, t1=b,
-                                     tol=tol_in)
+                q = Smooth(lambda t, _w=wave: window.value(t) + _w(t, 0),
+                           lambda t, _w=wave: slope.value(t) + _w(t, 1),
+                           max_step)
+                v = tracking_control(sys, J, q, sys.to_field(state), t0=a,
+                                     t1=b, tol=tol_in)
                 # each piece is replayed on its own, in its own time
                 tr = integrate(ctl_sys, sys.to_field(state),
                                PiecewisePolynomial(v.knots - a, v.coefficients,
@@ -670,10 +665,10 @@ def imitate(sys: GalerkinSystem, z: VertexSchedule, w: float,
             controls.append((t_lo, t_hi, PiecewisePolynomial(
                 np.concatenate(knots) - t_lo, np.concatenate(coefficients),
                 max_step)))
-        ref_here = ref.state_at(t_hi)
-        pinning.append(float(np.sum(np.abs(state[idx_j] - ref_here[idx_j]))))
+        ref = run.states[-1]
+        pinning.append(float(np.sum(np.abs(state[idx_j] - ref[idx_j]))))
 
-    gap = float(np.sqrt(np.sum(h_weights(sys) * (state - ref.states[-1]) ** 2)))
+    gap = float(np.sqrt(np.sum(h_weights(sys) * (state - ref) ** 2)))
     return ImitationResult(controls, gap, pinning, state, J, stats)
 
 

@@ -20,18 +20,17 @@ pair, which treats the viscous term exactly;
 it reuses its last stage as the next step's first (FSAL), sizes steps
 with a PI controller and restarts at every control breakpoint.  It steps
 a stack of states on one shared step sequence, with the error norm taken
-over the whole stack.  The derivatives at the step ends, which are FSAL
-stages, give the trajectories a cubic Hermite dense output; a run that
-keeps its stages also has the Lawson form of the pair's fourth-order
-continuous extension, from which tracked controls are fitted as one
-polynomial per step.
+over the whole stack.  Its one dense output is the Lawson form of the
+pair's fourth-order continuous extension, kept by a run that asks for it;
+tracked controls and the reference paths they follow are fitted from it
+as one polynomial per step.
 """
 
 import bisect
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -155,6 +154,8 @@ class GalerkinSystem:
         self.index = {k: i for i, k in enumerate(self.mode_set)}
         self.lam = np.array([self.nu * kbar(k, self.geom) for k in self.mode_set])
         self.forcing_vec = np.array([self.forcing[k] for k in self.mode_set])
+        if not np.all(np.isfinite(self.forcing_vec)):
+            raise ValueError("forcing must be finite")
         self.ctrl_idx = np.array([self.index[k] for k in self.controlled_set],
                                  dtype=int)
 
@@ -303,10 +304,13 @@ class PiecewiseConstant:
         self.values = np.asarray(self.values, dtype=float)
         if self.breakpoints.ndim != 1 or len(self.breakpoints) < 2:
             raise ValueError("need at least two breakpoints")
-        if np.any(np.diff(self.breakpoints) <= 0):
+        # NaN compares false, so a NaN breakpoint fails this test too
+        if not np.all(np.diff(self.breakpoints) > 0):
             raise ValueError("breakpoints must be strictly increasing")
         if self.values.shape[0] != len(self.breakpoints) - 1:
             raise ValueError("one value vector per interval required")
+        if not np.all(np.isfinite(self.values)):
+            raise ValueError("control values must be finite")
 
     def value(self, t: float) -> np.ndarray:
         i = int(np.searchsorted(self.breakpoints, t, side="right")) - 1
@@ -321,17 +325,14 @@ class PiecewiseConstant:
 
 @dataclass
 class Smooth:
-    """Smooth control given by value/derivative evaluators over the
-    controlled modes; max_step caps the integrator step so the signal is
-    resolved.  As a tracking target it is also read at a column of times
-    (n, 1), giving one row per time or one row for all."""
+    """Tracking target given by value/derivative evaluators over the
+    tracked modes, each read at a time or at a column of times (n, 1),
+    giving one row per time or one row for all; max_step caps the tracking
+    integrator's step so the target is resolved."""
 
     value: callable
-    derivative: callable = None
+    derivative: callable
     max_step: float = np.inf
-
-    def describe(self) -> dict:
-        return {"kind": "smooth", "max_step": self.max_step}
 
 
 # A PiecewisePolynomial's degree, the Chebyshev-Lobatto points
@@ -347,6 +348,14 @@ POLY_THETA = (1 + _CHEB_X) / 2
 _CHEB_HALF = np.where(_CHEB_K % POLY_DEGREE == 0, 0.5, 1.0)
 _CHEB_FIT = (2 / POLY_DEGREE) * np.outer(_CHEB_HALF, _CHEB_HALF) * np.cos(
     np.pi * np.outer(_CHEB_K, _CHEB_K) / POLY_DEGREE)
+# Chebyshev coefficients of the x-derivative from those of the values:
+# T_k' = 2k (T_(k-1) + T_(k-3) + ...), with the T_0 term halved.  Built
+# from Python integers, as value() below takes math.acos: the first call of
+# a numpy function that galns does not otherwise use maps 0.1-0.3 MB more
+# of numpy's machine code into memory (measured for arccos, > and &)
+_CHEB_DIFF = np.array([[(k if j == 0 else 2 * k) if k > j and (k - j) % 2
+                        else 0 for k in _CHEB_K.tolist()]
+                       for j in _CHEB_K.tolist()], dtype=float)
 
 
 @dataclass
@@ -369,12 +378,15 @@ class PiecewisePolynomial:
     def __post_init__(self):
         self.knots = np.asarray(self.knots, dtype=float)
         self.coefficients = np.asarray(self.coefficients, dtype=float)
-        if self.knots.ndim != 1 or np.any(np.diff(self.knots) <= 0):
-            raise ValueError("knots must be strictly increasing")
+        if (self.knots.ndim != 1 or not np.all(np.isfinite(self.knots))
+                or not np.all(np.diff(self.knots) > 0)):
+            raise ValueError("knots must be finite and strictly increasing")
         if (self.coefficients.ndim != 3 or self.coefficients.shape[:2]
                 != (len(self.knots) - 1, POLY_DEGREE + 1)):
             raise ValueError("one (%d, modes) coefficient block per knot "
                              "interval required" % (POLY_DEGREE + 1))
+        if not np.all(np.isfinite(self.coefficients)):
+            raise ValueError("control coefficients must be finite")
         self._bounds = self.knots.tolist()
 
     @classmethod
@@ -383,12 +395,31 @@ class PiecewisePolynomial:
         the times knots[i] + POLY_THETA (knots[i+1] - knots[i])."""
         return cls(knots, _CHEB_FIT @ values, **fields)
 
-    def value(self, t: float) -> np.ndarray:
+    def value(self, t) -> np.ndarray:
+        """The value at a time, shape (modes,), or at an array of times
+        (a column (n, 1) included), one row per time."""
+        if np.ndim(t):
+            t, k = np.ravel(t), self.knots
+            i = np.minimum(np.maximum(k.searchsorted(t, "right") - 1, 0),
+                           len(k) - 2)
+            x = np.minimum(np.maximum(
+                (2 * t - k[i] - k[i + 1]) / (k[i + 1] - k[i]), -1.0), 1.0)
+            # math.acos, as for one time: numpy's arccos differs in the last bit
+            angle = np.array([math.acos(a) for a in x.tolist()])
+            return (np.cos(angle[:, None, None] * _CHEB_K)
+                    @ self.coefficients[i])[:, 0]
         b = self._bounds
         i = min(max(bisect.bisect_right(b, t) - 1, 0), len(b) - 2)
         x = (2 * t - b[i] - b[i + 1]) / (b[i + 1] - b[i])
         return (np.cos(_CHEB_K * math.acos(min(max(x, -1.0), 1.0)))
                 @ self.coefficients[i])
+
+    def derivative(self) -> "PiecewisePolynomial":
+        """The time derivative on the same knots; outside them it holds the
+        end derivatives."""
+        return PiecewisePolynomial(
+            self.knots, (2 / np.diff(self.knots))[:, None, None]
+            * (_CHEB_DIFF @ self.coefficients), self.max_step)
 
     def describe(self) -> dict:
         return {"kind": "piecewise_polynomial", "knots": self.knots.tolist(),
@@ -428,52 +459,19 @@ class IntegratorStats:
         self.largest_step = max(self.largest_step, other.largest_step)
 
 
-def hermite(times, states, slopes, t, nu=0):
-    """Piecewise cubic Hermite interpolant through states (first axis
-    along times) with slopes[k] = (derivative at times[k], derivative at
-    times[k+1]) on step k, so a derivative may jump at a knot.  Returns the
-    value (nu=0) or the time derivative (nu=1) at the time t, or one row
-    per time at a column of times (n, 1); outside [times[0], times[-1]]
-    the end cubics extrapolate."""
-    k = np.minimum(np.maximum(times.searchsorted(t, "right") - 1, 0),
-                   len(times) - 2)
-    h = times[k + 1] - times[k]
-    s = (t - times[k]) / h
-    if np.ndim(t):
-        k = k[:, 0]
-    y0, f0, f1 = states[k], slopes[k, 0], slopes[k, 1]
-    if nu == 0:
-        return (y0 + (s * s * (3 - 2 * s)) * (states[k + 1] - y0)
-                + (h * s * (1 - s) ** 2) * f0 - (h * s * s * (1 - s)) * f1)
-    return ((6 * s * (1 - s) / h) * (states[k + 1] - y0)
-            + ((1 - s) * (1 - 3 * s)) * f0 + (s * (3 * s - 2)) * f1)
-
-
 @dataclass
 class Trajectory:
-    """The accepted steps of one integration run (times, states), the
-    derivatives at both ends of every step for the dense output state_at,
-    and the integrator statistics."""
+    """The accepted steps of one integration run (times, states) and the
+    integrator statistics."""
 
     sys: GalerkinSystem
     times: np.ndarray
     states: np.ndarray  # shape (len(times), sys.dim)
-    # derivative at the start and the end of each step, shape
-    # (len(times) - 1, 2, sys.dim); one-sided at control breakpoints
-    slopes: np.ndarray = field(repr=False)
     stats: IntegratorStats
 
     @property
     def end_state(self) -> SpectralField:
         return self.sys.to_field(self.states[-1])
-
-    def state_at(self, t: float, nu: int = 0) -> np.ndarray:
-        """Cubic Hermite dense output, or its time derivative (nu=1), at the
-        time t.  Its error on a step of length h is at most
-        h^4/384 max|y^(4)| (h^3 for the derivative), which tol does not
-        bound: it stays near tol only where the steps resolve every mode,
-        |lam| h well below 1."""
-        return hermite(self.times, self.states, self.slopes, t, nu)
 
     def h_norms(self) -> np.ndarray:
         return np.sqrt(np.clip(self.states**2 @ h_weights(self.sys), 0.0, None))
@@ -557,13 +555,13 @@ _SHRINK_MIN, _GROW_MAX = 0.2, 10.0
 
 class LawsonRun(NamedTuple):
     """Result of adaptive_lawson: the accepted times (t0 included), the
-    states there, the derivatives lam*y + nonlin(y, t) there, and the work;
-    with dense=True also stages, shape (steps, 8) + state shape, the start
-    state and the seven nonlin stages N_1 .. N_7 of every accepted step."""
+    states there and the work; with dense=True also stages, shape
+    (steps, 8) + state shape, the start state and the seven nonlin stages
+    N_1 .. N_7 of every accepted step, from which dense evaluates the
+    solution between the accepted times."""
 
     times: list
     states: list
-    derivs: list
     stats: IntegratorStats
     stages: np.ndarray = None
 
@@ -585,11 +583,15 @@ class LawsonRun(NamedTuple):
             out += w.reshape(col) * np.exp((th - _DP_C[i - 1]) * hL) * s[:, i]
         return out
 
-    def slopes(self) -> np.ndarray:
-        """Derivatives at the start and end of every step, shape
-        (steps, 2) + state shape, as hermite takes them."""
-        d = np.array(self.derivs)
-        return np.stack([d[:-1], d[1:]], axis=1)
+    def fit_nodes(self, t1: float):
+        """The knots of the accepted steps, the last set to t1 exactly, and
+        the nodes at which PiecewisePolynomial.fit reads each step (its
+        POLY_THETA fractions): each node's step, fraction and time."""
+        knots = np.array(self.times)
+        knots[-1] = t1
+        steps = np.repeat(np.arange(len(knots) - 1), len(POLY_THETA))
+        theta = np.tile(POLY_THETA, len(knots) - 1)
+        return knots, steps, theta, knots[steps] + np.diff(knots)[steps] * theta
 
 
 def adaptive_lawson(lam, nonlin, y0, t0, t1, tol, max_step=np.inf,
@@ -622,7 +624,7 @@ def adaptive_lawson(lam, nonlin, y0, t0, t1, tol, max_step=np.inf,
     stats = IntegratorStats(rhs_calls=1)
     t = t0
     f = nonlin(y, t)
-    times, states, derivs = [t0], [y], [lam * y + f]
+    times, states = [t0], [y]
     kept = []
     # stage buffer [y, N_1 .. N_7]
     stages = np.empty((8,) + y.shape)
@@ -655,7 +657,6 @@ def adaptive_lawson(lam, nonlin, y0, t0, t1, tol, max_step=np.inf,
                 y, f = y_new, stages[7].copy()
                 times.append(t)
                 states.append(y)
-                derivs.append(lam * y + f)
                 stats.accepted_steps += 1
                 stats.smallest_step = min(stats.smallest_step, h)
                 stats.largest_step = max(stats.largest_step, h)
@@ -674,31 +675,33 @@ def adaptive_lawson(lam, nonlin, y0, t0, t1, tol, max_step=np.inf,
                 shrink = _SAFETY * ratio ** -0.2 if ratio < np.inf else 0.0
                 h = max(h * max(_SHRINK_MIN, shrink), h_min)
                 grow_max = 1.0
-    return LawsonRun(times, states, derivs, stats,
-                     np.array(kept) if dense else None)
+    return LawsonRun(times, states, stats, np.array(kept) if dense else None)
 
 
 def integrate(sys: GalerkinSystem, u0: SpectralField, control, T: float,
               tol: float = 1e-8) -> Trajectory:
     """Integrate the controlled system over [0, T] with adaptive_lawson at
-    absolute local error tol on the coefficients.  Control breakpoints are
-    exact knots: each starts a new segment, and the trajectory's dense
-    output keeps the one-sided derivatives there.  Trajectory.stats sums
-    the work of all segments."""
+    absolute local error tol on the coefficients, under no control (None),
+    a PiecewiseConstant or a PiecewisePolynomial one.  Control breakpoints
+    are exact knots: each starts a new segment.  The Trajectory keeps the
+    accepted times and states, no stages, and its stats sum the work of
+    all segments."""
     if not 0 < T < np.inf:
         raise ValueError("horizon must be positive and finite, got %r" % (T,))
     y = sys.to_vector(u0)
+    if not np.all(np.isfinite(y)):
+        raise ValueError("u0 must be finite")
     times = [0.0]
     states = [y.copy()]
 
-    constant = control is None or isinstance(control, PiecewiseConstant)
+    constant = not isinstance(control, PiecewisePolynomial)
     if isinstance(control, PiecewiseConstant):
         if control.values.shape[1] != len(sys.controlled_set):
             raise ValueError("control dimension != |controlled_set|")
         span = control.breakpoints
     elif isinstance(control, PiecewisePolynomial):
         span = control.knots
-    elif constant or isinstance(control, Smooth):
+    elif control is None:
         span = None
     else:
         raise TypeError("unsupported control signal")
@@ -708,7 +711,6 @@ def integrate(sys: GalerkinSystem, u0: SpectralField, control, T: float,
     max_step = getattr(control, "max_step", np.inf)
 
     h_min = 1e-13 * T
-    slopes = []
     stats = IntegratorStats()
     for t0, t1 in _segments(control, T):
         if not constant:
@@ -724,54 +726,47 @@ def integrate(sys: GalerkinSystem, u0: SpectralField, control, T: float,
                               max_step=max_step, h_min=h_min)
         times.extend(run.times[1:])
         states.extend(run.states[1:])
-        slopes.append(run.slopes())
         stats.add(run.stats)
         y = run.states[-1]
-    return Trajectory(sys, np.array(times), np.array(states),
-                      np.concatenate(slopes), stats)
+    return Trajectory(sys, np.array(times), np.array(states), stats)
 
 
 # ---------------------------------------------------------------------------
 # Continuity probe and run manifests
 
 
-def data_continuity_probe(sys: GalerkinSystem, u0: SpectralField, control,
-                          T: float, deltas, tol: float = 1e-9) -> list:
+def data_continuity_probe(sys: GalerkinSystem, u0: SpectralField, T: float,
+                          deltas, tol: float = 1e-9) -> list:
     """Deviation of perturbed trajectories from the baseline in C([0,T], H).
 
     Each row reports the sup-over-time H-norm deviation for a perturbation of
     size delta applied to the data u0, to the forcing F, and to nu (both
-    signs)."""
-    base = integrate(sys, u0, control, T, tol)
-    probe_mode = sys.mode_set[0]
+    signs).  The baseline and its four perturbations are integrated as one
+    (dim, 5) stack, each column under its own lam and forcing, so all are
+    read at the same accepted times."""
+    keys = ("delta", "u0_dev", "forcing_dev", "nu_plus_dev", "nu_minus_dev")
+    y0 = sys.to_vector(u0)
     w = h_weights(sys)
-
-    def deviation(pert_sys, pert_u0):
-        tr = integrate(pert_sys, pert_u0, control, T, tol)
-        diff = np.array([tr.state_at(t) for t in base.times]) - base.states
-        return float(np.max(np.sqrt(np.clip(diff**2 @ w, 0.0, None))))
-
     rows = []
     for d in deltas:
         if d == 0.0:
-            rows.append({"delta": 0.0, "u0_dev": 0.0, "forcing_dev": 0.0,
-                         "nu_plus_dev": 0.0, "nu_minus_dev": 0.0})
+            rows.append(dict.fromkeys(keys, 0.0))
             continue
-        u0_d = u0.plus(SpectralField(sys.geom, {probe_mode: d}))
-        f_d = sys.forcing.plus(SpectralField(sys.geom, {probe_mode: d}))
-        sys_f = GalerkinSystem(sys.geom, sys.nu, f_d, sys.mode_set,
-                               sys.controlled_set)
-        sys_np = GalerkinSystem(sys.geom, sys.nu + d, sys.forcing,
-                                sys.mode_set, sys.controlled_set)
-        sys_nm = GalerkinSystem(sys.geom, sys.nu - d, sys.forcing,
-                                sys.mode_set, sys.controlled_set)
-        rows.append({
-            "delta": float(d),
-            "u0_dev": deviation(sys, u0_d),
-            "forcing_dev": deviation(sys_f, u0),
-            "nu_plus_dev": deviation(sys_np, u0),
-            "nu_minus_dev": deviation(sys_nm, u0),
-        })
+        lam = np.stack([sys.lam] * 3 + [
+            GalerkinSystem(sys.geom, nu, sys.forcing, sys.mode_set,
+                           sys.controlled_set).lam
+            for nu in (sys.nu + d, sys.nu - d)], axis=1)
+        # u0 and F are perturbed on the first mode of mode_set
+        Y0 = np.repeat(y0[:, None], 5, axis=1)
+        Y0[0, 1] += d
+        forcing = np.repeat(sys.forcing_vec[:, None], 5, axis=1)
+        forcing[0, 2] += d
+        states = np.array(adaptive_lawson(
+            lam, lambda Y, t: sys.quadratic_vec(Y) + forcing, Y0, 0.0, T,
+            tol).states)
+        diff2 = (states[..., 1:] - states[..., :1]) ** 2
+        dev = np.sqrt(np.clip(w @ diff2, 0.0, None))
+        rows.append(dict(zip(keys, [float(d)] + np.max(dev, axis=0).tolist())))
     return rows
 
 

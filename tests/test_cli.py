@@ -87,7 +87,8 @@ def test_cli_import_leaves_heavy_scipy_modules_unloaded():
 # what the run does after "import galns.cli", then the optional modules
 # loaded by the end of it
 LOADED = ("import sys\n{}\nprint('loaded:', *(m for m in ("
-          "'scipy.sparse', 'multiprocessing') if m in sys.modules))")
+          "'scipy.sparse', 'multiprocessing', 'numpy.polynomial') "
+          "if m in sys.modules))")
 K3_RUN = """
 from galns.dynamics import GalerkinSystem, integrate
 from galns.saturation import mode_set_K
@@ -106,17 +107,29 @@ with open(os.path.join(OUT, "report.json")) as fh:
     assert json.load(fh)["quadratic"] == "transform"
 """
 
+IMITATE_2 = """
+assert galns.cli.main(["--out", OUT, "imitate", "--config", IMI]) == 0
+"""
 
-@pytest.mark.parametrize("run", ["", K3_RUN, LIERANK_6, SIMULATE_8],
+
+@pytest.mark.parametrize("run", ["", K3_RUN, LIERANK_6, SIMULATE_8, IMITATE_2],
                          ids=["import", "integrate_K3", "lierank_6",
-                              "simulate_8"])
+                              "simulate_8", "imitate_2"])
 def test_serial_runs_load_no_sparse_or_multiprocessing(tmp_path, run):
     src = os.path.dirname(os.path.dirname(os.path.abspath(galns.__file__)))
     cfg = write_cfg(tmp_path, "l.json",
                     {"geometry": {"a": 1.0, "b": 2.0}, "nu": 1.0, "level": 6,
                      "controlled_level": 1, "n_points": 1})
     sim = write_cfg(tmp_path, "s.json", dict(SIM_CFG, level=8, T=0.01))
-    paths = "OUT, CFG, SIM = %r, %r, %r\n" % (str(tmp_path / "o"), cfg, sim)
+    # one interaction interval on K^2, tracked and replayed at one frequency
+    imi = write_cfg(tmp_path, "i.json", {
+        "geometry": {"a": 1.0, "b": 2.0}, "nu": 0.03, "level": 2,
+        "controlled_level": 1, "u0": {"1,1": 0.05, "2,2": -0.025},
+        "xi": 0.2, "breakpoints": [0.0, 0.3],
+        "labels": [["delta", [[1, 1], [1, 3]], 1]], "ws": [12],
+        "tol": 1e-8})
+    paths = "OUT, CFG, SIM, IMI = %r, %r, %r, %r\n" % (
+        str(tmp_path / "o"), cfg, sim, imi)
     code = LOADED.format(paths + "import galns.cli\n" + run)
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True,
@@ -137,6 +150,24 @@ def test_simulate_invalid_json_reports_line(tmp_path, capsys):
                  "--config", str(p)]) == 2
     err = capsys.readouterr().err
     assert "line 2" in err
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("u0", {"1,1": NAN}, "u0 must be finite"),
+    ("forcing", {"1,1": NAN}, "forcing must be finite"),
+    ("control", {"breakpoints": [0.0, NAN, 0.3], "values": [[0.0] * 8] * 2},
+     "breakpoints must be strictly increasing")],
+    ids=["u0", "forcing", "breakpoints"])
+def test_simulate_non_finite_input_exit_2(tmp_path, capsys, field, value,
+                                          message):
+    # json reads NaN; it is bad input, not a numerical failure
+    cfg = write_cfg(tmp_path, "nan.json", dict(SIM_CFG, **{field: value}))
+    assert main(["--out", str(tmp_path / "o"), "simulate",
+                 "--config", cfg]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_simulate_control_short_of_horizon_exit_2(tmp_path, capsys):

@@ -153,6 +153,8 @@ def test_phi_w_requires_w_at_least_3():
         make_phi_w([0.0, 1.0], 2.9)
     with pytest.raises(ValueError):
         make_phi_w([0.0, 0.0, 1.0], 5.0)
+    with pytest.raises(ValueError, match="increasing"):
+        make_phi_w([0.0, math.nan, 1.0], 5.0)
 
 
 def test_phi_vanishes_at_breakpoints():
@@ -361,8 +363,7 @@ def test_tracking_reproduces_random_targets():
                    max_step=0.05)
         u0 = SpectralField(G, dict(zip(K1, c0)))
         v = tracking_control(sys, K1, q, u0, t0=0.0, t1=0.4, tol=tol)
-        tr = integrate(sys, u0, Smooth(value=v.value, derivative=None,
-                                       max_step=v.max_step), 0.4, tol)
+        tr = integrate(sys, u0, v, 0.4, tol)
         idx = [sys.index[k] for k in K1]
         errs = [np.max(np.abs(y[idx] - q.value(t)))
                 for t, y in zip(tr.times, tr.states)]
@@ -466,8 +467,7 @@ def test_imitate_short_delta_interval_replays_without_hunting():
     (t_lo, t_hi, v), = res.controls
     assert (t_lo, t_hi) == (0.0, 3e-4)
     ctl_sys = make_sys(nu=0.03, mode_set=sys.mode_set, controlled=res.J)
-    tr = integrate(ctl_sys, u0, Smooth(value=v.value, max_step=v.max_step),
-                   3e-4, 1e-10)
+    tr = integrate(ctl_sys, u0, v, 3e-4, 1e-10)
     assert np.max(np.abs(tr.states[-1] - res.end_state)) < 1e-8
 
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from galns import dynamics
 from galns.dynamics import (POLY_THETA, GalerkinSystem, IntegratorStats,
-                            PiecewiseConstant, PiecewisePolynomial, Smooth,
+                            PiecewiseConstant, PiecewisePolynomial,
                             Trajectory, adaptive_lawson,
                             data_continuity_probe, integrate, rhs,
                             run_manifest)
@@ -370,6 +370,27 @@ def test_integrate_rejects_non_finite_horizon(T):
         integrate(make_sys(), SpectralField(G, {(1, 1): 1.0}), None, T)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_inputs_are_rejected(bad):
+    # each names the input, rather than running until the step underflows
+    with pytest.raises(ValueError, match="forcing must be finite"):
+        make_sys(forcing=SpectralField(G, {(1, 2): bad}))
+    with pytest.raises(ValueError, match="u0 must be finite"):
+        integrate(make_sys(), SpectralField(G, {(1, 1): bad}), None, 0.1)
+    values = np.zeros((2, len(K1)))
+    values[1, 3] = bad
+    with pytest.raises(ValueError, match="control values must be finite"):
+        PiecewiseConstant([0.0, 0.1, 0.3], values)
+    with pytest.raises(ValueError, match="increasing"):
+        PiecewiseConstant([0.0, bad, 0.3], np.zeros((2, len(K1))))
+    coefficients = np.zeros((1, 8, 1))
+    coefficients[0, 5, 0] = bad
+    with pytest.raises(ValueError, match="control coefficients must be finite"):
+        PiecewisePolynomial([0.0, 0.3], coefficients)
+    with pytest.raises(ValueError, match="increasing"):
+        PiecewisePolynomial([0.0, bad], np.zeros((1, 8, 1)))
+
+
 @pytest.mark.parametrize("bps", [[0.0, 0.1], [0.2, 0.3], [0.1, 0.2, 0.3]])
 def test_integrate_rejects_control_not_covering_horizon(bps):
     sys = make_sys()
@@ -389,9 +410,11 @@ def test_smooth_control_sine_forcing():
     lam = kbar((1, 1), G)
     w = 5.0
     eps = 1e-8
-    ctl = Smooth(value=lambda t: np.array([eps * math.sin(w * t)]),
-                 derivative=lambda t: np.array([eps * w * math.cos(w * t)]),
-                 max_step=0.02)
+    # the sine as one degree-7 polynomial per 0.02 long interval
+    knots = np.linspace(0.0, 1.0, 51)
+    nodes = knots[:-1, None] + 0.02 * POLY_THETA
+    ctl = PiecewisePolynomial.fit(knots, eps * np.sin(w * nodes)[..., None],
+                                  max_step=0.02)
     tr = integrate(sys, SpectralField(G, {}), ctl, 1.0, tol=1e-14)
     T = 1.0
     exact = eps * (w * math.exp(lam * T) - w * math.cos(w * T)
@@ -403,15 +426,24 @@ def test_smooth_control_sine_forcing():
 def test_continuity_probe_zero_delta():
     sys = make_sys()
     u0 = SpectralField(G, {(1, 1): 0.5})
-    rows = data_continuity_probe(sys, u0, None, 0.2, [0.0])
+    rows = data_continuity_probe(sys, u0, 0.2, [0.0])
     assert rows[0]["u0_dev"] == 0.0 and rows[0]["nu_plus_dev"] == 0.0
+
+
+@pytest.mark.parametrize("delta", [1.0, 1.5])
+def test_continuity_probe_rejects_delta_at_least_nu(delta):
+    # nu - delta is no viscosity
+    sys = make_sys(nu=1.0)
+    with pytest.raises(ValueError, match="viscosity"):
+        data_continuity_probe(sys, SpectralField(G, {(1, 1): 0.5}), 0.2,
+                              [delta])
 
 
 def test_continuity_probe_halving_and_nu_flip():
     rng = np.random.default_rng(6)
     sys = make_sys(nu=1.0, forcing=SpectralField(G, {(1, 2): 0.3}))
     u0 = random_field(rng, K1, scale=0.5)
-    rows = data_continuity_probe(sys, u0, None, 0.2, [1e-3, 5e-4])
+    rows = data_continuity_probe(sys, u0, 0.2, [1e-3, 5e-4])
     for key in ("u0_dev", "forcing_dev", "nu_plus_dev"):
         ratio = rows[1][key] / rows[0][key]
         assert 0.3 <= ratio <= 0.7
@@ -465,8 +497,7 @@ def test_write_csv_matches_csv_module(tmp_path):
     states = rng.normal(size=(6, sys.dim)) * 10.0 ** rng.integers(-5, 5, (6, 1))
     states[0, :5] = [-0.0, 1e-300, 1e16, 123456789012345678.0, -2.5e-7]
     times = np.array([0.0, 1e-300, 0.1, 1 / 3, 1e16, 123456789012345678.0])
-    tr = Trajectory(sys, times, states, np.zeros((5, 2, sys.dim)),
-                    IntegratorStats())
+    tr = Trajectory(sys, times, states, IntegratorStats())
     tr.write_csv(tmp_path / "new.csv")
     with open(tmp_path / "old.csv", "w", newline="") as fh:
         wr = csv.writer(fh)
@@ -476,14 +507,6 @@ def test_write_csv_matches_csv_module(tmp_path):
     new = (tmp_path / "new.csv").read_bytes()
     assert new == (tmp_path / "old.csv").read_bytes()
     assert b"-0.0," in new and b"1e-300," in new and b"1.2345678901234568e+17" in new
-
-
-def test_trajectory_spline_matches_samples():
-    sys = make_sys()
-    u0 = SpectralField(G, {(1, 1): 1.0, (2, 1): 0.5})
-    tr = integrate(sys, u0, None, 0.2, tol=1e-10)
-    i = len(tr.times) // 2
-    assert np.allclose(tr.state_at(tr.times[i]), tr.states[i], atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -538,7 +561,7 @@ def test_adaptive_lawson_result_starts_with_times():
                           0.2, 0.5, 1e-8)
     assert run[0] is run.times and run.times[0] == 0.2
     assert len(run[0]) - 1 == run.stats.accepted_steps
-    assert len(run.states) == len(run.derivs) == len(run.times)
+    assert len(run.states) == len(run.times)
 
 
 @pytest.mark.parametrize("span", [4e-5, 3e-4, 3e-3])
@@ -571,42 +594,32 @@ def test_non_finite_trial_step_shrinks_the_step(T):
     assert hn[-1] < hn[0]
 
 
-def test_dense_output_at_step_midpoints():
-    # a run whose steps resolve every mode (|lam| h <= 0.12); the reference
-    # is a tol = 1e-13 run that has the step midpoints as knots
-    sys = GalerkinSystem(G, 0.01, SpectralField(G, {}), mode_set_K(2), K1)
-    u0 = random_field(np.random.default_rng(1), K1, scale=0.2)
-    tol, T = 1e-6, 1.0
-    tr = integrate(sys, u0, None, T, tol)
-    mids = (tr.times[1:] + tr.times[:-1]) / 2
-    knots = np.concatenate([[0.0], mids, [T]])
-    ref = integrate(sys, u0, PiecewiseConstant(
-        knots, np.zeros((len(knots) - 1, len(K1)))), T, 1e-13)
-    for t in mids:
-        y = ref.states[np.argmin(np.abs(ref.times - t))]
-        dy = sys.quadratic_vec(y) + sys.lam * y
-        assert np.max(np.abs(tr.state_at(t) - y)) <= 10 * tol
-        assert np.max(np.abs(tr.state_at(t, 1) - dy)) <= 10 * tol
-
-
-def lawson_k3_run(tol, T=0.5, seed=0):
-    """The K^3, nu = 1 run of u0 = 0.5 N(0,1) on K^1, with its stages."""
-    sys = make_sys(nu=1.0)
-    u0 = random_field(np.random.default_rng(seed), K1, scale=0.5)
+def lawson_run(tol, T=0.5, seed=0, nu=1.0, mode_set=K3, scale=0.5):
+    """The run of u0 = scale N(0,1) on K^1, with its stages; by default
+    on K^3 with nu = 1."""
+    sys = make_sys(nu=nu, mode_set=mode_set)
+    u0 = random_field(np.random.default_rng(seed), K1, scale=scale)
     run = adaptive_lawson(sys.lam,
                           lambda z, t: sys.quadratic_vec(z) + sys.forcing_vec,
                           sys.to_vector(u0), 0.0, T, tol, dense=True)
     return sys, u0, run
 
 
-def test_lawson_dense_output_at_step_midpoints():
-    # the fast K^3 modes decay within one step (|lam| h up to 58 here), where
-    # the cubic Hermite state_at is 3.7e3 tol off at the midpoints; the
-    # reference is a tol = 1e-13 run that has the midpoints as knots
-    tol, T = 1e-8, 0.5
-    sys, u0, run = lawson_k3_run(tol, T)
+# stiff: the fast K^3 modes decay within one step (|lam| h up to 58), where
+# a cubic Hermite interpolant of the step ends and their derivatives is
+# 3.7e3 tol off at the midpoints; non-stiff: the steps resolve every mode
+# (|lam| h <= 0.12)
+@pytest.mark.parametrize("tol, T, seed, nu, mode_set, scale, stiff", [
+    (1e-8, 0.5, 0, 1.0, K3, 0.5, True),
+    (1e-6, 1.0, 1, 0.01, tuple(sorted(mode_set_K(2))), 0.2, False)],
+    ids=["stiff_K3", "nonstiff_K2"])
+def test_lawson_dense_output_at_step_midpoints(tol, T, seed, nu, mode_set,
+                                               scale, stiff):
+    # the reference is a tol = 1e-13 run that has the midpoints as knots
+    sys, u0, run = lawson_run(tol, T, seed, nu, mode_set, scale)
     times = np.array(run.times)
-    assert np.max(np.diff(times)) * np.max(np.abs(sys.lam)) > 10
+    h_lam = np.max(np.diff(times)) * np.max(np.abs(sys.lam))
+    assert h_lam > 10 if stiff else h_lam < 1
     mids = (times[1:] + times[:-1]) / 2
     knots = np.concatenate([[0.0], mids, [T]])
     ref = integrate(sys, u0, PiecewiseConstant(
@@ -618,7 +631,7 @@ def test_lawson_dense_output_at_step_midpoints():
 
 
 def test_lawson_dense_output_reproduces_step_ends():
-    sys, _, run = lawson_k3_run(1e-8)
+    sys, _, run = lawson_run(1e-8)
     n = len(run.times) - 1
     states = np.array(run.states)
     steps = np.arange(n)
@@ -654,9 +667,8 @@ def test_integrate_keeps_no_stages():
     with mock.patch.object(dynamics, "adaptive_lawson", spy):
         tr = integrate(sys, u0, ctl, 0.3, 1e-8)
     assert len(runs) == 2 and all(r.stages is None for r in runs)
-    held = sum(v.nbytes for v in vars(tr).values() if isinstance(v, np.ndarray))
-    assert held == tr.times.nbytes + tr.states.nbytes + tr.slopes.nbytes
-    assert tr.slopes.shape == (len(tr.times) - 1, 2, sys.dim)
+    held = {k for k, v in vars(tr).items() if isinstance(v, np.ndarray)}
+    assert held == {"times", "states"}
 
 
 def test_piecewise_polynomial_fits_and_describes_exactly():
@@ -668,6 +680,10 @@ def test_piecewise_polynomial_fits_and_describes_exactly():
     def poly(t):
         return np.polynomial.polynomial.polyval(t, coef).T
 
+    def dpoly(t):
+        return np.polynomial.polynomial.polyval(
+            t, np.polynomial.polynomial.polyder(coef)).T
+
     nodes = knots[:-1, None] + np.diff(knots)[:, None] * POLY_THETA
     ctl = PiecewisePolynomial.fit(knots, poly(nodes.ravel()).reshape(
         nodes.shape + (2,)), max_step=0.05)
@@ -677,6 +693,18 @@ def test_piecewise_polynomial_fits_and_describes_exactly():
     # outside the knots it holds the end values
     for out, end in ((-1.0, 0.0), (2.0, 1.0)):
         assert np.max(np.abs(ctl.value(out) - poly(end))) <= 1e-12
+    # a column of times gives one row per time, as one time at a time does
+    ts = rng.uniform(-0.2, 1.2, 200)
+    rows = ctl.value(ts[:, None])
+    assert rows.shape == (200, 2)
+    assert np.max(np.abs(rows - [ctl.value(t) for t in ts])) <= 1e-15
+    assert np.array_equal(ctl.value(ts), rows)
+    # the derivative, which holds the end derivatives outside the knots
+    slope = ctl.derivative()
+    assert np.max(np.abs(slope.value(ts[:, None])
+                         - dpoly(np.clip(ts, 0.0, 1.0)))) <= 1e-11
+    for out, end in ((-1.0, 0.0), (2.0, 1.0)):
+        assert np.max(np.abs(slope.value(out) - dpoly(end))) <= 1e-11
     desc = json.loads(json.dumps(ctl.describe()))
     assert desc.pop("kind") == "piecewise_polynomial"
     again = PiecewisePolynomial(**desc)
