@@ -110,12 +110,13 @@ def _pmap(worker, items, jobs):
         return pool.map(worker, items)
 
 
-def _write_json(outdir, name, obj):
-    path = os.path.join(outdir, name)
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True, default=str)
-        fh.write("\n")
-    return name
+def _write_json(outdir, obj, *names):
+    """Write obj as indented JSON under each of names, encoded once."""
+    text = json.dumps(obj, indent=2, sort_keys=True, default=str) + "\n"
+    for name in names:
+        with open(os.path.join(outdir, name), "w") as fh:
+            fh.write(text)
+    return list(names)
 
 
 def _write_csv(outdir, name, header, rows):
@@ -148,6 +149,7 @@ def _plot_series(outdir, name, xs, ys, xlabel, ylabel, loglog=False):
 
 # ---------------------------------------------------------------------------
 # Subcommands; each returns (report dict with "verdict", list of outputs)
+# and writes a report it names also as report.json, from the same text
 
 
 def cmd_simulate(cfg, outdir, jobs, plot):
@@ -200,7 +202,8 @@ def cmd_saturate(args, outdir, jobs, plot):
         "certificates": [c.to_jsonable() for c in chain.certificates],
         "verdict": "pass" if chain.ok else "fail",
     }
-    return report, [_write_json(outdir, "certificate.json", report)]
+    return report, _write_json(outdir, report, "certificate.json",
+                               "report.json")
 
 
 def _steer_worker(exp_cfg):
@@ -234,7 +237,7 @@ def cmd_steer(cfg, outdir, jobs, plot):
                           + ["residual", "iterations"], rows)]
     verdict = "pass" if all(r["verdict"] == "pass" for r in reports) else "fail"
     report = {"experiments": reports, "verdict": verdict}
-    outputs.append(_write_json(outdir, "steer_report.json", report))
+    outputs += _write_json(outdir, report, "steer_report.json", "report.json")
     return report, outputs
 
 
@@ -277,7 +280,8 @@ def cmd_imitate(cfg, outdir, jobs, plot):
     report = {"w": ws, "gaps": gaps, "slope": slope,
               "slope_threshold": threshold, "pinning_ok": pin_ok,
               "verdict": verdict}
-    outputs.append(_write_json(outdir, "imitation_report.json", report))
+    outputs += _write_json(outdir, report, "imitation_report.json",
+                           "report.json")
     if plot:
         p = _plot_series(outdir, "imitation_gaps.png", ws, gaps, "w",
                          "end-state gap", loglog=True)
@@ -300,7 +304,8 @@ def cmd_lierank(cfg, outdir, jobs, plot):
     ok = all(v["full_rank"] for v in verdicts)
     report = {"points": verdicts, "kappa_N": len(sys.mode_set),
               "verdict": "pass" if ok else "fail"}
-    return report, [_write_json(outdir, "lierank_report.json", report)]
+    return report, _write_json(outdir, report, "lierank_report.json",
+                               "report.json")
 
 
 def _oracle_worker(arg):
@@ -328,7 +333,7 @@ def cmd_oracle(cfg, outdir, jobs, plot):
                            "quadrature", "rel_err", "ok"], rows)]
     report = {"comparisons": len(rows), "failures": n_fail,
               "verdict": "pass" if n_fail == 0 else "fail"}
-    outputs.append(_write_json(outdir, "oracle_report.json", report))
+    outputs += _write_json(outdir, report, "oracle_report.json", "report.json")
     return report, outputs
 
 
@@ -348,7 +353,7 @@ def cmd_project(cfg, outdir, jobs, plot):
         "solenoidal_H_norm": u.norm("H"),
         "verdict": "pass",
     }
-    return report, [_write_json(outdir, "projection.json", report)]
+    return report, _write_json(outdir, report, "projection.json", "report.json")
 
 
 def cmd_norms(cfg, outdir, jobs, plot):
@@ -357,7 +362,7 @@ def cmd_norms(cfg, outdir, jobs, plot):
     report = {"H": u.norm("H"), "V": u.norm("V"), "DA": u.norm("DA"),
               "dual": u.dual_norm(), "n_modes": len(u.coeffs),
               "verdict": "pass"}
-    return report, [_write_json(outdir, "norms.json", report)]
+    return report, _write_json(outdir, report, "norms.json", "report.json")
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +426,7 @@ def main(argv=None) -> int:
         outputs = []
 
     if "report.json" not in outputs:
-        outputs.append(_write_json(args.out, "report.json", report))
+        outputs += _write_json(args.out, report, "report.json")
     manifest = {
         "command": args.command,
         "config_hash": hashlib.sha256(blob).hexdigest(),
@@ -429,7 +434,7 @@ def main(argv=None) -> int:
         "wall_time_s": time.time() - t0,
         "outputs": sorted(outputs),
     }
-    _write_json(args.out, "manifest.json", manifest)
+    _write_json(args.out, manifest, "manifest.json")
     verdict = report.get("verdict")
     print("%s: %s" % (args.command, verdict))
     return {"pass": 0, "numerical_failure": 3}.get(verdict, 1)

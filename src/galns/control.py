@@ -585,6 +585,8 @@ def imitate(sys: GalerkinSystem, z: VertexSchedule, w: float,
     else:
         J = tuple(sorted(tuple(k) for k in J))
     idx_j = np.array([sys.index[k] for k in J], dtype=int)
+    off_j = np.ones(sys.dim, dtype=bool)
+    off_j[idx_j] = False
     j_pos = {k: i for i, k in enumerate(J)}
 
     values = z.full_values(sys)
@@ -615,7 +617,7 @@ def imitate(sys: GalerkinSystem, z: VertexSchedule, w: float,
             ref, t_lo, t_hi, tol_in, h_min=1e-13 * T, dense=switched)
         if not switched:
             vec = values[i]
-            if np.any(vec[np.setdiff1d(np.arange(sys.dim), idx_j)] != 0.0):
+            if np.any(vec[off_j] != 0.0):
                 raise ValueError("direct interval value leaves span(J)")
             ctl = PiecewiseConstant([0.0, t_hi - t_lo], [vec[idx_j]])
             tr = integrate(ctl_sys, sys.to_field(state), ctl, t_hi - t_lo,

@@ -15,7 +15,7 @@ import numpy as np
 
 from .dynamics import GalerkinSystem, rhs
 from .nonlinearity import bilinear, float_params, interaction_rows
-from .saturation import bareiss_rank, infer_level, mode_set_K, selection_S
+from .saturation import RowEchelon, infer_level, mode_set_K, selection_S
 from .spectral import ModeIndex, SpectralField, kbar
 
 
@@ -67,7 +67,9 @@ def full_rank_check(sys: GalerkinSystem, u: SpectralField,
 
     Returns (rank, generation log).  The generated family is {e_k: k in K^1}
     plus the gamma_{m,n} of each selection level, so the rank does not depend
-    on the evaluation point; u is recorded in the log for the verdict."""
+    on the evaluation point: u is not read here, and rank_verdict records
+    only its hash.  Exact ranks grow one RowEchelon generation by
+    generation, so no row is eliminated twice."""
     n_level = infer_level(sys.mode_set)
     if tuple(sorted(mode_set_K(1))) != sys.controlled_set:
         raise ValueError("controlled_set must be K^1")
@@ -75,21 +77,23 @@ def full_rank_check(sys: GalerkinSystem, u: SpectralField,
     square = sys.geom.a == sys.geom.b
     modes = sys.mode_set
 
-    coeff_params = exact if exact else float_params(sys.geom)
-    one = Fraction(1) if exact else 1.0
-    rows = []
-    for k in sys.controlled_set:
-        row = [one if mode == k else one * 0 for mode in modes]
-        rows.append(row)
-    rank_fn = bareiss_rank if exact else _float_rank
-    rank = rank_fn(rows)
+    if exact:
+        add_rows = RowEchelon().extend
+    else:
+        rows = []
+
+        def add_rows(block):
+            rows.extend(block)
+            return _float_rank(rows)
+    rank = add_rows([[int(mode == k) for mode in modes]
+                     for k in sys.controlled_set])
     generations = [{"generation": 0, "pairs": [],
                     "added": [list(k) for k in sys.controlled_set],
                     "rank": rank}]
     for j in range(1, n_level):
         pairs = selection_S(j, square_mode=square and use_square_repair)
-        rows.extend(interaction_rows(pairs, modes, *coeff_params))
-        rank = rank_fn(rows)
+        rank = add_rows(interaction_rows(
+            pairs, modes, *(exact or float_params(sys.geom))).tolist())
         generations.append({"generation": j,
                             "pairs": [[list(m), list(n)] for m, n in pairs],
                             "rank": rank})
@@ -106,7 +110,7 @@ def point_hash(u: SpectralField) -> str:
 def rank_verdict(sys: GalerkinSystem, u: SpectralField,
                  use_square_repair: bool = True) -> dict:
     """JSON-ready verdict for one evaluation point; "exact" says whether the
-    rank came from exact Bareiss elimination or the floating-point SVD."""
+    rank came from exact elimination or the floating-point SVD."""
     rank, generations = full_rank_check(sys, u, use_square_repair=use_square_repair)
     return {
         "N": infer_level(sys.mode_set),

@@ -9,18 +9,24 @@ i.e. quadratic(u) = -P[(u.grad)u] with P the Leray projection).  Targets
 with a zero component are dropped: their basis factor vanishes identically.
 Every coefficient comes from one array kernel, interaction_kernel, over
 many pairs and all four labels at once; the one-pair functions wrap it.
+
+The quadrature oracle never calls that kernel.  Each term of the trilinear
+form b(W_m, W_n, W_k) on basis fields is an x1 product times an x2 product
+of sines and cosines, so its tensor Gauss-Legendre sum is a product of two
+1-D sums; quadrature_B and oracle_sweep share that separable evaluation,
+and trilinear_b keeps the plain 2-D tensor sum for general fields.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 
 from .spectral import (ModeIndex, RectGeometry, SpectralField, check_mode,
-                       eval_components, gauss_legendre_grid, kbar)
+                       eval_components, gauss_legendre_grid, kbar,
+                       legendre_rule)
 
 
 def vee(m: ModeIndex, n: ModeIndex) -> int:
@@ -163,88 +169,99 @@ def _max_index(*fields) -> int:
     return max([1] + [max(k) for f in fields for k in f.coeffs])
 
 
-def _b_sum(W, eu, ev, ew) -> float:
-    """b(u, v, w) from the eval_components of u, v, w on a grid of weights W."""
-    (u1, u2), _ = eu
-    _, ((d1v1, d2v1), (d1v2, d2v2)) = ev
-    (w1, w2), _ = ew
+def trilinear_b(u: SpectralField, v: SpectralField, w: SpectralField) -> float:
+    """b(u, v, w) = sum_ij int u_i (d_i v_j) w_j dx by tensor quadrature."""
+    X1, X2, W = gauss_legendre_grid(u.geom, 6 * _max_index(u, v, w) + 8)
+    (u1, u2), _ = eval_components(u, X1, X2)
+    _, ((d1v1, d2v1), (d1v2, d2v2)) = eval_components(v, X1, X2)
+    (w1, w2), _ = eval_components(w, X1, X2)
     integrand = (u1 * d1v1 + u2 * d2v1) * w1 + (u1 * d1v2 + u2 * d2v2) * w2
     return float(np.sum(W * integrand))
 
 
-def trilinear_b(u: SpectralField, v: SpectralField, w: SpectralField) -> float:
-    """b(u, v, w) = sum_ij int u_i (d_i v_j) w_j dx by tensor quadrature."""
-    X1, X2, W = gauss_legendre_grid(u.geom, 6 * _max_index(u, v, w) + 8)
-    return _b_sum(W, *(eval_components(f, X1, X2) for f in (u, v, w)))
+def _axis_sums(ku, kv, kw, side, npts):
+    """Gauss-Legendre sums over [0, side], one row per index triple, of
+    the products S C S, C S S, S S C and C C C, whose factors are sin or
+    cos of k pi x / side for k = ku, kv, kw.  Rows are reduced one by one,
+    so a triple gets the same bits in any stack."""
+    x, w = legendre_rule(npts)
+    x, w = side * (x + 1) / 2, side / 2 * w
+    (su, cu), (sv, cv), (sw, cw) = (
+        (np.sin(t), np.cos(t))
+        for t in (np.multiply.outer(k * np.pi / side, x) for k in (ku, kv, kw)))
+    return [(f * g * h * w).sum(axis=-1)
+            for f, g, h in ((su, cv, sw), (cu, sv, sw), (su, sv, cw), (cu, cv, cw))]
 
 
-def quadrature_B(u: SpectralField, v: SpectralField, k: ModeIndex,
-                 evals: dict = None) -> float:
+def _b_basis(geom: RectGeometry, npts: int, u, v, w) -> np.ndarray:
+    """b(W_u, W_v, W_w) for the columns of the mode_arrays u, v, w.  Each
+    basis component and first derivative is a constant times sin or cos of
+    x1 times sin or cos of x2 (eval_components), so each term u_i d_i v_j w_j
+    sums over the tensor grid as a product of two 1-D sums; the x2
+    patterns of the four terms are the x1 patterns reversed."""
+    s1 = _axis_sums(u[0], v[0], w[0], geom.a, npts)
+    s2 = _axis_sums(u[1], v[1], w[1], geom.b, npts)
+    au, av, aw = (f[0] * np.pi / geom.a for f in (u, v, w))
+    bu, bv, bw = (f[1] * np.pi / geom.b for f in (u, v, w))
+    # u1 d1v1 w1, u2 d2v1 w1, u1 d1v2 w2, u2 d2v2 w2
+    return (-(bu * av * bv * bw) * s1[0] * s2[3]
+            - (au * bv * bv * bw) * s1[1] * s2[2]
+            + (bu * av * av * aw) * s1[2] * s2[1]
+            + (au * av * bv * aw) * s1[3] * s2[0])
+
+
+def _oracle_values(geom: RectGeometry, npts: int, m, n, k) -> np.ndarray:
+    """-[b(W_m, W_n, W_k) + b(W_n, W_m, W_k)] / |W_k|^2, column by column."""
+    nrm2 = -kbar(k, geom) * geom.a * geom.b / 4
+    return -(_b_basis(geom, npts, m, n, k) + _b_basis(geom, npts, n, m, k)) / nrm2
+
+
+def quadrature_B(u: SpectralField, v: SpectralField, k: ModeIndex) -> float:
     """Oracle for the k-th drift coefficient of the projected convective
     interaction of u and v: -[b(u,v,W_k) + b(v,u,W_k)] / (-kbar |W_k|^2)
     for u != v, and the plain quadratic coefficient when u is v.
 
     For u = e_m, v = e_n this is the full entry of delta_{m,n} on mode k
-    (both orderings of the pair contribute to the same projected term).
-    A caller that compares the same fields many times passes one dict as
-    evals: it keeps each field's eval_components by (coefficients, number
-    of points), so each field is evaluated once per grid.  All fields of
-    one dict must share one geometry.
+    (both orderings of the pair contribute to the same projected term),
+    bit for bit oracle_sweep's value.  General fields are summed by
+    trilinearity over their coefficient pairs.
     """
     k = check_mode(k)
-    geom = u.geom
-    wk = SpectralField(geom, {k: 1.0})
-    nrm2 = -kbar(k, geom) * geom.a * geom.b / 4
-    npts = 6 * _max_index(u, v, wk) + 8
-    X1, X2, W = gauss_legendre_grid(geom, npts)
-
-    def components(f):
-        if evals is None:
-            return eval_components(f, X1, X2)
-        key = (tuple(sorted(f.coeffs.items())), npts)
-        if key not in evals:
-            evals[key] = eval_components(f, X1, X2)
-        return evals[key]
-
-    eu, ew = components(u), components(wk)
-    if u is v or u.coeffs == v.coeffs:
-        return -_b_sum(W, eu, eu, ew) / nrm2
-    ev = components(v)
-    return -(_b_sum(W, eu, ev, ew) + _b_sum(W, ev, eu, ew)) / nrm2
+    i, j = np.indices((len(u.coeffs), len(v.coeffs))).reshape(2, -1)
+    vals = _oracle_values(u.geom, 6 * max(_max_index(u, v), *k) + 8,
+                          mode_array(list(u.coeffs))[:, i],
+                          mode_array(list(v.coeffs))[:, j], mode_array([k] * len(i)))
+    cu, cv = (np.array(list(f.coeffs.values())) for f in (u, v))
+    total = float(np.sum(cu[i] * cv[j] * vals))
+    return 0.5 * total if u is v or u.coeffs == v.coeffs else total
 
 
 def oracle_sweep(max_index: int, geom: RectGeometry,
                  rel_tol: float = 1e-8, abs_floor: float = 1e-12) -> list[dict]:
     """Compare every closed-form coefficient against the quadrature oracle
     for all pairs m < n with components <= max_index.  Returns one record
-    per (pair, target) with the relative error and a pass flag."""
+    per (pair, target) with the relative error and a pass flag.  The
+    comparisons of one grid (6 * largest index + 8 nodes) run at once."""
     modes = [(i, j) for i in range(1, max_index + 1) for j in range(1, max_index + 1)]
     first, second = np.triu_indices(len(modes), 1)
     ma = mode_array(modes)
     # every closed-form value from one kernel call; the oracle stays quadrature
     targets, closed = interaction_kernel(ma[:, first], ma[:, second],
                                          *float_params(geom))
-    basis = [SpectralField(geom, {k: 1.0}) for k in modes]
-    # every comparison (m, n, target, closed form) in pair order, and the
-    # largest index of the three modes, from which quadrature_B sizes its grid
-    jobs, size = [], []
-    for p, (i, j) in enumerate(zip(first.tolist(), second.tolist())):
-        for k, c in zip(map(tuple, targets[:, :, p].T.tolist()),
-                        closed[:, p].tolist()):
-            if k[0] != 0 and k[1] != 0:
-                jobs.append((i, j, k, c))
-                size.append(max(modes[i] + modes[j] + k))
-    # the comparisons run grid by grid, and each grid's field evaluations
-    # are dropped once its comparisons are done
-    records = [None] * len(jobs)
-    by_grid = sorted(range(len(jobs)), key=size.__getitem__)
-    for _, group in itertools.groupby(by_grid, key=size.__getitem__):
-        evals = {}
-        for r in group:
-            i, j, k, c = jobs[r]
-            q = quadrature_B(basis[i], basis[j], k, evals)
-            err = abs(c - q) / max(abs(q), abs_floor / rel_tol)
-            records[r] = {"m": modes[i], "n": modes[j], "target": k,
-                          "closed_form": c, "quadrature": q, "rel_err": err,
-                          "ok": abs(c - q) <= max(rel_tol * abs(q), abs_floor)}
+    # the comparisons in pair order, labels in LABELS order within a pair
+    pair, label = np.nonzero(targets.min(axis=0).T > 0)
+    m, n = ma[:, first[pair]], ma[:, second[pair]]
+    k = targets[:, label, pair]
+    npts = 6 * np.concatenate([m, n, k]).max(axis=0) + 8
+    quad = np.empty(len(pair))
+    for size in sorted(set(npts.tolist())):
+        on = npts == size
+        quad[on] = _oracle_values(geom, size, m[:, on], n[:, on], k[:, on])
+    records = []
+    for mi, ni, ki, c, q in zip(m.T.tolist(), n.T.tolist(), k.T.tolist(),
+                                closed[label, pair].tolist(), quad.tolist()):
+        records.append({"m": tuple(mi), "n": tuple(ni), "target": tuple(ki),
+                        "closed_form": c, "quadrature": q,
+                        "rel_err": abs(c - q) / max(abs(q), abs_floor / rel_tol),
+                        "ok": abs(c - q) <= max(rel_tol * abs(q), abs_floor)})
     return records

@@ -104,40 +104,47 @@ def delta_vector(m: ModeIndex, n: ModeIndex, a2: Fraction, b2: Fraction) -> Delt
 
 
 # ---------------------------------------------------------------------------
-# Exact rank via fraction-free (Bareiss) elimination
+# Exact rank via an incremental fraction-free row echelon
+
+
+class RowEchelon:
+    """Exact row echelon form of rational rows (int or Fraction entries),
+    grown one row at a time; the rank is the number of pivots.
+
+    A new row is cleared of denominators and reduced against the pivots
+    in the order they were found: r <- p_c r - r_c p (both factors divided
+    by their gcd) clears column c, and no column an earlier step cleared,
+    since each pivot is zero at the columns of the pivots before it.  The
+    row is then divided by the gcd of its entries and, if not zero, kept
+    as the pivot of its leading column.  It is a rational multiple of the
+    row fraction-free (Bareiss) elimination reaches, whose entries are
+    minors of the input, and its primitive part divides that row: entries
+    stay as small as Bareiss's."""
+
+    def __init__(self):
+        self.pivots: dict[int, list[int]] = {}  # column -> row, as found
+
+    def extend(self, rows) -> int:
+        """Insert the rows in order; return the rank after them."""
+        for row in rows:
+            den = math.lcm(*(x.denominator for x in row))
+            row = [x.numerator * (den // x.denominator) for x in row]
+            for c, p in self.pivots.items():
+                if row[c]:
+                    g = math.gcd(p[c], row[c])
+                    s, t = p[c] // g, row[c] // g
+                    row = [s * x - t * y for x, y in zip(row, p)]
+            g = math.gcd(*row)
+            if g:
+                row = [x // g for x in row]
+                self.pivots[next(i for i, x in enumerate(row) if x)] = row
+        return len(self.pivots)
 
 
 def bareiss_rank(rows: list[list[Fraction]]) -> int:
-    """Exact rank of a rational matrix (int or Fraction entries).
-
-    Each row is scaled once by the lcm of its denominators, which leaves
-    the rank unchanged, and fraction-free (Bareiss) elimination then runs
-    on Python ints: every division by the previous pivot is exact by
-    Sylvester's identity, so it is done with //."""
-    m = []
-    for row in rows:
-        row = [Fraction(x) for x in row]
-        den = math.lcm(*(x.denominator for x in row))
-        m.append([x.numerator * (den // x.denominator) for x in row])
-    nrow, ncol = len(m), len(m[0]) if m else 0
-    prev = 1
-    r = 0
-    for c in range(ncol):
-        piv = next((i for i in range(r, nrow) if m[i][c]), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        top, p = m[r], m[r][c]
-        for i in range(r + 1, nrow):
-            f = m[i][c]
-            m[i][c + 1:] = [(p * x - f * y) // prev
-                            for x, y in zip(m[i][c + 1:], top[c + 1:])]
-            m[i][c] = 0
-        prev = p
-        r += 1
-        if r == nrow:
-            break
-    return r
+    """Exact rank of a rational matrix (int or Fraction entries): the
+    pivot count of its RowEchelon, whose entries Bareiss's bound keeps."""
+    return RowEchelon().extend(rows)
 
 
 def det3(mat: list[list[Fraction]]) -> Fraction:

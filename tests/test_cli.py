@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import os
@@ -87,8 +88,8 @@ def test_cli_import_leaves_heavy_scipy_modules_unloaded():
 # what the run does after "import galns.cli", then the optional modules
 # loaded by the end of it
 LOADED = ("import sys\n{}\nprint('loaded:', *(m for m in ("
-          "'scipy.sparse', 'multiprocessing', 'numpy.polynomial') "
-          "if m in sys.modules))")
+          "'scipy.sparse', 'multiprocessing', 'numpy.polynomial', 'numpy.ma'"
+          ") if m in sys.modules))")
 K3_RUN = """
 from galns.dynamics import GalerkinSystem, integrate
 from galns.saturation import mode_set_K
@@ -110,11 +111,15 @@ with open(os.path.join(OUT, "report.json")) as fh:
 IMITATE_2 = """
 assert galns.cli.main(["--out", OUT, "imitate", "--config", IMI]) == 0
 """
+IMITATE_DIRECT = """
+assert galns.cli.main(["--out", OUT, "imitate", "--config", IMD]) == 0
+"""
 
 
-@pytest.mark.parametrize("run", ["", K3_RUN, LIERANK_6, SIMULATE_8, IMITATE_2],
+@pytest.mark.parametrize("run", ["", K3_RUN, LIERANK_6, SIMULATE_8, IMITATE_2,
+                                 IMITATE_DIRECT],
                          ids=["import", "integrate_K3", "lierank_6",
-                              "simulate_8", "imitate_2"])
+                              "simulate_8", "imitate_2", "imitate_direct"])
 def test_serial_runs_load_no_sparse_or_multiprocessing(tmp_path, run):
     src = os.path.dirname(os.path.dirname(os.path.abspath(galns.__file__)))
     cfg = write_cfg(tmp_path, "l.json",
@@ -122,14 +127,19 @@ def test_serial_runs_load_no_sparse_or_multiprocessing(tmp_path, run):
                      "controlled_level": 1, "n_points": 1})
     sim = write_cfg(tmp_path, "s.json", dict(SIM_CFG, level=8, T=0.01))
     # one interaction interval on K^2, tracked and replayed at one frequency
-    imi = write_cfg(tmp_path, "i.json", {
+    imi_cfg = {
         "geometry": {"a": 1.0, "b": 2.0}, "nu": 0.03, "level": 2,
         "controlled_level": 1, "u0": {"1,1": 0.05, "2,2": -0.025},
         "xi": 0.2, "breakpoints": [0.0, 0.3],
         "labels": [["delta", [[1, 1], [1, 3]], 1]], "ws": [12],
-        "tol": 1e-8})
-    paths = "OUT, CFG, SIM, IMI = %r, %r, %r, %r\n" % (
-        str(tmp_path / "o"), cfg, sim, imi)
+        "tol": 1e-8}
+    imi = write_cfg(tmp_path, "i.json", imi_cfg)
+    # the same after a direct interval, whose value is checked against span(J)
+    imd = write_cfg(tmp_path, "d.json", dict(
+        imi_cfg, breakpoints=[0.0, 0.1, 0.3],
+        labels=[["e", [1, 1], 1], ["delta", [[1, 1], [1, 3]], 1]]))
+    paths = "OUT, CFG, SIM, IMI, IMD = %r, %r, %r, %r, %r\n" % (
+        str(tmp_path / "o"), cfg, sim, imi, imd)
     code = LOADED.format(paths + "import galns.cli\n" + run)
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True,
@@ -200,6 +210,20 @@ def test_saturate_rectangle_chain(tmp_path):
     rep = read_json(out, "certificate.json")
     assert rep["verdict"] == "pass"
     assert rep["levels"] == [1, 2, 3]
+
+
+def test_saturate_certificate_bytes_are_pinned(tmp_path):
+    # sha256 of the certificate written before the exact rank became an
+    # incremental echelon; report.json is the same text
+    out = str(tmp_path / "o")
+    assert main(["--out", out, "saturate", "--a", "1", "--b", "2",
+                 "--target-modes", "18,1"]) == 0
+    with open(os.path.join(out, "certificate.json"), "rb") as fh:
+        cert = fh.read()
+    with open(os.path.join(out, "report.json"), "rb") as fh:
+        assert fh.read() == cert
+    assert hashlib.sha256(cert).hexdigest() == (
+        "131722cf476d4a448e1c7e6ea52f96f44811c0f6c33f8e94a28e42bace743ddf")
 
 
 def test_saturate_square_needs_repair(tmp_path):

@@ -59,17 +59,13 @@ def test_coeffs_against_quadrature_12_22():
         assert quadrature_B(em, en, k) == pytest.approx(c, rel=1e-9)
 
 
-def test_oracle_sweep_evaluates_each_field_once_per_grid():
+def test_oracle_sweep_evaluates_no_field_on_a_grid():
     geom = RectGeometry(2.0, 1.0)
     counting = mock.Mock(wraps=nonlinearity.eval_components)
     with mock.patch.object(nonlinearity, "eval_components", counting):
         records = oracle_sweep(3, geom)
-    grids = set()
-    for r in records:
-        npts = 6 * max(max(r["m"]), max(r["n"]), max(r["target"])) + 8
-        grids |= {(r["m"], npts), (r["n"], npts), (r["target"], npts)}
-    assert counting.call_count == len(grids)
-    # the shared evaluations give the standalone oracle's values exactly
+    assert counting.call_count == 0
+    # the stacked evaluation gives the standalone oracle's values exactly
     for r in records:
         q = quadrature_B(SpectralField(geom, {r["m"]: 1.0}),
                          SpectralField(geom, {r["n"]: 1.0}), r["target"])
@@ -155,6 +151,26 @@ def test_quadrature_printed_value():
     a, b = G12.a, G12.b
     assert quadrature_B(em, en, (2, 2)) == pytest.approx(
         2 * a * math.pi**2 / (b * (b**2 + a**2)), rel=1e-9)
+
+
+@pytest.mark.parametrize("a, b", [(1.0, 2.0), (2.0, 1.0), (math.pi, math.pi)])
+def test_quadrature_B_matches_tensor_trilinear_b(a, b):
+    # the separable kernel, summed over coefficient pairs, against the
+    # plain 2-D tensor evaluation of b; an absolute floor of 1e-12 covers
+    # the targets whose coefficient vanishes ((6, 5) here, (4, 4) on the
+    # square), where only round-off is left
+    g = RectGeometry(a, b)
+    rng = np.random.default_rng(17)
+    K1 = [(i, j) for i in range(1, 4) for j in range(1, 4) if (i, j) != (3, 3)]
+    u = SpectralField(g, {k: rng.normal() for k in K1})
+    v = SpectralField(g, {k: rng.normal() for k in K1[::2]})
+    for k in [(1, 1), (1, 4), (2, 3), (3, 5), (4, 4), (5, 2), (6, 5)]:
+        wk = SpectralField(g, {k: 1.0})
+        nrm2 = -kbar(k, g) * g.a * g.b / 4
+        ref = -(trilinear_b(u, v, wk) + trilinear_b(v, u, wk)) / nrm2
+        assert quadrature_B(u, v, k) == pytest.approx(ref, rel=1e-12, abs=1e-12)
+        ref = -trilinear_b(u, u, wk) / nrm2
+        assert quadrature_B(u, u, k) == pytest.approx(ref, rel=1e-12, abs=1e-12)
 
 
 def test_energy_conservation_of_quadratic():

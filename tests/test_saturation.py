@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from galns.nonlinearity import bilinear, interaction_rows
 from galns.saturation import (SQUARE_REPAIR_PAIRS, SQUARE_REPAIR_TARGETS,
-                              bareiss_rank, build_chain, delta_vector, det3,
-                              mode_set_K, selection_S, verify_step)
+                              RowEchelon, bareiss_rank, build_chain,
+                              delta_vector, det3, mode_set_K, selection_S,
+                              verify_step)
 from galns.spectral import RectGeometry, SpectralField
 
 A2, B2 = Fraction(1), Fraction(4)  # a=1, b=2
@@ -178,7 +179,7 @@ def test_certificates_reproducible():
 
 def reference_rank(rows):
     """Fraction-free Gaussian elimination carried out in Fraction
-    arithmetic: the independent oracle for bareiss_rank."""
+    arithmetic: the independent oracle for bareiss_rank and RowEchelon."""
     if not rows:
         return 0
     m = [[Fraction(x) for x in r] for r in rows]
@@ -248,6 +249,17 @@ def test_bareiss_rank_matches_float_rank_on_small_integers(rows):
     if rows and rows[0]:
         assert rank == np.linalg.matrix_rank(np.array(rows, dtype=float),
                                              tol=1e-10)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_matrices(st.one_of(st.integers(-9, 9), small_fractions),
+                         small_fractions, max_rows=8, max_cols=7),
+       st.data())
+def test_row_echelon_rank_after_each_block_matches_prefix(rows, data):
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(rows)), max_size=4)))
+    echelon = RowEchelon()
+    for lo, hi in zip([0] + cuts, cuts + [len(rows)]):
+        assert echelon.extend(rows[lo:hi]) == reference_rank(rows[:hi])
 
 
 def transposed(k):
