@@ -4,8 +4,10 @@ Every experiment is a subcommand driven by a JSON config file; all outputs
 land in a --out directory together with a run manifest (command, config
 hash, tool version, wall time, produced files).  The process exits 0
 exactly when every verdict in the emitted report is "pass", 1 on a failing
-verdict, 2 on a config error and 3 on a numerical failure (the integrator
-gave up; report.json then has verdict "numerical_failure" and the message).
+verdict, 2 on a config error (any ValueError: a missing, mistyped or invalid
+field), 3 on a numerical failure (the integrator gave up; report.json then
+has verdict "numerical_failure" and the message) and 4 on an internal error
+(any other exception; its traceback goes to stderr).
 """
 
 import argparse
@@ -59,6 +61,24 @@ def _require(cfg, field, types, where=""):
     return cfg[field]
 
 
+def _optional(cfg, field, types, default, where=""):
+    """A field that may be absent (default), else checked as _require does."""
+    return _require(cfg, field, types, where) if field in cfg else default
+
+
+def _floats(cfg, field, ndim, where=""):
+    """A required list (ndim 1) or list of lists (ndim 2) of numbers, as a
+    float array."""
+    try:
+        out = np.asarray(_require(cfg, field, list, where), dtype=float)
+    except (TypeError, ValueError) as e:
+        raise ConfigError("field %r%s: %s" % (field, where, e))
+    if out.ndim != ndim:
+        raise ConfigError("field %r%s must be a list%s of numbers"
+                          % (field, where, " of lists" * (ndim - 1)))
+    return out
+
+
 def _geom(cfg):
     g = _require(cfg, "geometry", dict)
     return RectGeometry(_num(_require(g, "a", None, " in geometry"), "a"),
@@ -73,32 +93,43 @@ def _mode_key(s):
     return (k1, k2)
 
 
+def _coeffs(cfg, name):
+    """An optional object of "k1,k2": number entries, as a mode dict."""
+    table = _optional(cfg, name, dict, {})
+    for v in table.values():
+        if not isinstance(v, (int, float)):
+            raise ConfigError("field %r: value %r is not a number" % (name, v))
+    return {_mode_key(k): float(v) for k, v in table.items()}
+
+
 def _field(cfg, name, geom):
-    table = cfg.get(name, {})
-    if not isinstance(table, dict):
-        raise ConfigError("field %r must be an object of \"k1,k2\": value" % name)
-    return SpectralField(geom, {_mode_key(k): float(v) for k, v in table.items()})
+    return SpectralField(geom, _coeffs(cfg, name))
 
 
 def _system(cfg):
     geom = _geom(cfg)
     nu = float(_require(cfg, "nu", (int, float)))
     level = int(_require(cfg, "level", int))
-    controlled = int(cfg.get("controlled_level", level))
+    controlled = _optional(cfg, "controlled_level", int, level)
     return GalerkinSystem(geom, nu, _field(cfg, "forcing", geom),
                           tuple(sorted(mode_set_K(level))),
                           tuple(sorted(mode_set_K(controlled))))
 
 
 def _load_config(path):
+    """The file's bytes and the JSON object they hold."""
     try:
-        with open(path) as fh:
-            return json.load(fh)
+        with open(path, "rb") as fh:
+            blob = fh.read()
+        cfg = json.loads(blob)
     except json.JSONDecodeError as e:
         raise ConfigError("%s: invalid JSON at line %d column %d: %s"
                           % (path, e.lineno, e.colno, e.msg))
     except OSError as e:
         raise ConfigError("cannot read config %s: %s" % (path, e))
+    if not isinstance(cfg, dict):
+        raise ConfigError("top-level config must be a JSON object")
+    return blob, cfg
 
 
 def _pmap(worker, items, jobs):
@@ -157,13 +188,12 @@ def cmd_simulate(cfg, outdir, jobs, plot):
     geom = sys.geom
     u0 = _field(cfg, "u0", geom)
     T = float(_require(cfg, "T", (int, float)))
-    tol = float(cfg.get("tol", 1e-8))
+    tol = float(_optional(cfg, "tol", (int, float), 1e-8))
     control = None
     if "control" in cfg:
-        c = cfg["control"]
-        control = PiecewiseConstant(
-            np.asarray(_require(c, "breakpoints", list, " in control"), float),
-            np.asarray(_require(c, "values", list, " in control"), float))
+        c = _require(cfg, "control", dict)
+        control = PiecewiseConstant(_floats(c, "breakpoints", 1, " in control"),
+                                    _floats(c, "values", 2, " in control"))
     tr = integrate(sys, u0, control, T, tol)
     outputs = []
     tr.write_csv(os.path.join(outdir, "trajectory.csv"))
@@ -187,8 +217,11 @@ def cmd_simulate(cfg, outdir, jobs, plot):
 
 
 def cmd_saturate(args, outdir, jobs, plot):
-    a2 = Fraction(args.a) ** 2
-    b2 = Fraction(args.b) ** 2
+    try:
+        a2 = Fraction(args.a) ** 2
+        b2 = Fraction(args.b) ** 2
+    except (ValueError, ZeroDivisionError) as e:
+        raise ConfigError("--a/--b: %s" % e)
     targets = []
     for part in args.target_modes.split(";"):
         targets.append(_mode_key(part))
@@ -207,24 +240,29 @@ def cmd_saturate(args, outdir, jobs, plot):
 
 
 def _steer_worker(exp_cfg):
+    if not isinstance(exp_cfg, dict):
+        raise ConfigError("each experiment must be a JSON object")
     sys = _system(exp_cfg)
-    obs = tuple(sorted(mode_set_K(int(exp_cfg.get("observed_level", 1)))))
+    obs = tuple(sorted(mode_set_K(_optional(exp_cfg, "observed_level", int,
+                                            1))))
     exp = EndpointExperiment(
         sys, obs, _field(exp_cfg, "u0", sys.geom),
         radius=float(_require(exp_cfg, "radius", (int, float))),
         gamma_infl=float(_require(exp_cfg, "gamma_infl", (int, float))),
         horizon=float(_require(exp_cfg, "horizon", (int, float))),
-        tol=float(exp_cfg.get("tol", 1e-8)))
+        tol=float(_optional(exp_cfg, "tol", (int, float), 1e-8)))
     return covering_check(
         exp,
-        grid_per_dim=int(exp_cfg.get("grid_per_dim", 3)),
-        fit_horizons=exp_cfg.get("fit_horizons"),
-        residual_tol=float(exp_cfg.get("residual_tol", 1e-6)),
-        seed=int(exp_cfg.get("seed", 0)))
+        grid_per_dim=_optional(exp_cfg, "grid_per_dim", int, 3),
+        fit_horizons=(_floats(exp_cfg, "fit_horizons", 1).tolist()
+                      if "fit_horizons" in exp_cfg else None),
+        residual_tol=float(_optional(exp_cfg, "residual_tol", (int, float),
+                                     1e-6)),
+        seed=_optional(exp_cfg, "seed", int, 0))
 
 
 def cmd_steer(cfg, outdir, jobs, plot):
-    exps = cfg["experiments"] if "experiments" in cfg else [cfg]
+    exps = _optional(cfg, "experiments", list, [cfg])
     reports = _pmap(_steer_worker, exps, jobs)
     rows = []
     for i, rep in enumerate(reports):
@@ -242,35 +280,39 @@ def cmd_steer(cfg, outdir, jobs, plot):
 
 
 def _parse_label(lab):
-    kind = lab[0]
-    if kind == "zero":
-        return ("zero",)
-    if kind == "e":
-        return ("e", tuple(lab[1]), int(lab[2]))
-    if kind == "delta":
-        return ("delta", (tuple(lab[1][0]), tuple(lab[1][1])), int(lab[2]))
+    try:
+        kind = lab[0]
+        if kind == "zero":
+            return ("zero",)
+        if kind == "e":
+            return ("e", tuple(lab[1]), int(lab[2]))
+        if kind == "delta":
+            return ("delta", (tuple(lab[1][0]), tuple(lab[1][1])), int(lab[2]))
+    except (IndexError, KeyError, TypeError):
+        raise ConfigError("schedule label %r is malformed" % (lab,))
     raise ConfigError("unknown schedule label kind %r" % (kind,))
 
 
 def _imitate_worker(arg):
     cfg, w = arg
     sys = _system(cfg)
-    z = VertexSchedule(np.asarray(_require(cfg, "breakpoints", list), float),
+    z = VertexSchedule(_floats(cfg, "breakpoints", 1),
                        [_parse_label(l) for l in _require(cfg, "labels", list)],
                        float(_require(cfg, "xi", (int, float))))
-    res = imitate(sys, z, float(w), tol=float(cfg.get("tol", 1e-8)),
+    res = imitate(sys, z, float(w),
+                  tol=float(_optional(cfg, "tol", (int, float), 1e-8)),
                   u0=_field(cfg, "u0", sys.geom))
     return {"w": float(w), "gap": res.gap,
             "max_pinning": float(max(res.pinning))}
 
 
 def cmd_imitate(cfg, outdir, jobs, plot):
-    ws = [float(w) for w in _require(cfg, "ws", list)]
-    tol = float(cfg.get("tol", 1e-8))
+    ws = _floats(cfg, "ws", 1).tolist()
+    tol = float(_optional(cfg, "tol", (int, float), 1e-8))
     rows = _pmap(_imitate_worker, [(cfg, w) for w in ws], jobs)
     gaps = [r["gap"] for r in rows]
     slope = loglog_slope(ws, gaps)
-    threshold = float(cfg.get("slope_threshold", -0.8))
+    threshold = float(_optional(cfg, "slope_threshold", (int, float), -0.8))
     pin_ok = all(r["max_pinning"] <= 10 * tol for r in rows)
     verdict = "pass" if (len(ws) < 2 or slope <= threshold) and pin_ok \
         else "fail"
@@ -292,10 +334,10 @@ def cmd_imitate(cfg, outdir, jobs, plot):
 
 def cmd_lierank(cfg, outdir, jobs, plot):
     sys = _system(cfg)
-    rng = np.random.default_rng(int(cfg.get("seed", 0)))
-    n_points = int(cfg.get("n_points", 5))
-    scale = float(cfg.get("scale", 1.0))
-    repair = bool(cfg.get("square_repair", True))
+    rng = np.random.default_rng(_optional(cfg, "seed", int, 0))
+    n_points = _optional(cfg, "n_points", int, 5)
+    scale = float(_optional(cfg, "scale", (int, float), 1.0))
+    repair = _optional(cfg, "square_repair", bool, True)
     verdicts = []
     for _ in range(n_points):
         u = SpectralField(sys.geom, {k: scale * rng.normal()
@@ -310,15 +352,19 @@ def cmd_lierank(cfg, outdir, jobs, plot):
 
 def _oracle_worker(arg):
     cfg, ab = arg
+    if not (isinstance(ab, list) and len(ab) == 2):
+        raise ConfigError("each geometry must be a list [a, b], got %r" % (ab,))
     geom = RectGeometry(_num(ab[0], "a"), _num(ab[1], "b"))
-    recs = oracle_sweep(int(cfg.get("max_index", 5)), geom,
-                        rel_tol=float(cfg.get("rel_tol", 1e-8)),
-                        abs_floor=float(cfg.get("abs_floor", 1e-12)))
+    recs = oracle_sweep(_optional(cfg, "max_index", int, 5), geom,
+                        rel_tol=float(_optional(cfg, "rel_tol", (int, float),
+                                                1e-8)),
+                        abs_floor=float(_optional(cfg, "abs_floor",
+                                                  (int, float), 1e-12)))
     return (ab, recs)
 
 
 def cmd_oracle(cfg, outdir, jobs, plot):
-    geoms = cfg.get("geometries", [[1.0, 1.0]])
+    geoms = _optional(cfg, "geometries", list, [[1.0, 1.0]])
     results = _pmap(_oracle_worker, [(cfg, ab) for ab in geoms], jobs)
     rows = []
     n_fail = 0
@@ -339,9 +385,7 @@ def cmd_oracle(cfg, outdir, jobs, plot):
 
 def cmd_project(cfg, outdir, jobs, plot):
     geom = _geom(cfg)
-    v1 = {_mode_key(k): float(v) for k, v in cfg.get("v1", {}).items()}
-    v2 = {_mode_key(k): float(v) for k, v in cfg.get("v2", {}).items()}
-    u, grad = leray_project(v1, v2, geom)
+    u, grad = leray_project(_coeffs(cfg, "v1"), _coeffs(cfg, "v2"), geom)
     report = {
         "solenoidal": {"%d,%d" % k: c for k, c in sorted(u.coeffs.items())},
         "gradient_axis_x1": {str(k): c
@@ -411,19 +455,23 @@ def main(argv=None) -> int:
             report, outputs = cmd_saturate(args, args.out, args.jobs,
                                            args.plot)
         else:
-            blob = open(args.config, "rb").read()
-            cfg = _load_config(args.config)
-            if not isinstance(cfg, dict):
-                raise ConfigError("top-level config must be a JSON object")
+            blob, cfg = _load_config(args.config)
             report, outputs = handlers[args.command](cfg, args.out,
                                                      args.jobs, args.plot)
-    except (KeyError, TypeError, ValueError) as e:
+    except ValueError as e:
         print("config error: %s" % e, file=_sys.stderr)
         return 2
     except StiffnessError as e:
         print("numerical failure: %s" % e, file=_sys.stderr)
         report = {"verdict": "numerical_failure", "error": str(e)}
         outputs = []
+    except Exception as e:
+        # imported here: no run that succeeds needs it
+        import traceback
+        traceback.print_exc()
+        print("internal error: %s: %s" % (type(e).__name__, e),
+              file=_sys.stderr)
+        return 4
 
     if "report.json" not in outputs:
         outputs += _write_json(args.out, report, "report.json")

@@ -244,10 +244,16 @@ class OscillatorProfile:
         keeps its own formula up to its ends, so roundoff at a corner never
         selects a neighbour's slope."""
         lo, hi = self.pieces(i)[k]
-        t = np.minimum(np.maximum(t, lo), hi)
+        one = isinstance(t, (int, float))
+        t = min(max(t, lo), hi) if one else np.minimum(np.maximum(t, lo), hi)
         w = self.w
         if k == 1:
-            return np.sin(w * t) if nu == 0 else w * np.cos(w * t)
+            # math.sin and math.cos for one time and for each of an array's,
+            # so that both agree to the last bit
+            f = math.sin if nu == 0 else math.cos
+            s = f(w * t) if one else np.reshape(
+                list(map(f, (w * t).ravel().tolist())), np.shape(t))
+            return s if nu == 0 else w * s
         # a ramp is the line from zero at the interval's end to the sine at
         # its corner with the sine piece
         r = self.rho[i]
@@ -316,11 +322,18 @@ def rx_norm(g) -> float:
     return best
 
 
+def _sorted_unique(x: np.ndarray) -> np.ndarray:
+    """np.unique(x) for a 1-D float array, without loading numpy.ma, which
+    np.unique imports on its first call."""
+    x = np.sort(x)
+    return x[np.concatenate([[True], x[1:] != x[:-1]])]
+
+
 def delta_metric(g, h) -> float:
     """Measure of the time set where the two signals differ."""
     bp_g, vg = _as_pwc(g)
     bp_h, vh = _as_pwc(h)
-    knots = np.unique(np.concatenate([bp_g, bp_h]))
+    knots = _sorted_unique(np.concatenate([bp_g, bp_h]))
     total = 0.0
     for lo, hi in zip(knots[:-1], knots[1:]):
         mid = 0.5 * (lo + hi)
@@ -436,7 +449,7 @@ def approximate_relaxed(family: RelaxedFamily, eps: float,
         sched = PiecewiseConstant(bps, np.tile(verts, (n**2, 1)))
         scheds.append(sched)
         orig = family.control(p)
-        knots = np.unique(np.concatenate([bps, orig.breakpoints]))
+        knots = _sorted_unique(np.concatenate([bps, orig.breakpoints]))
         diff = np.array([sched.value(0.5 * (a + b)) - orig.value(0.5 * (a + b))
                          for a, b in zip(knots[:-1], knots[1:])])
         rxs.append(rx_norm((knots, diff)))
@@ -588,6 +601,13 @@ def imitate(sys: GalerkinSystem, z: VertexSchedule, w: float,
     off_j = np.ones(sys.dim, dtype=bool)
     off_j[idx_j] = False
     j_pos = {k: i for i, k in enumerate(J)}
+    for lab in z.labels:
+        if lab[0] == "e" and tuple(lab[1]) not in sys.index:
+            raise ValueError("schedule label %r names a mode outside mode_set"
+                             % (lab,))
+        if lab[0] == "delta" and not {tuple(m) for m in lab[1]} <= set(J):
+            raise ValueError("schedule label %r names a mode outside J"
+                             % (lab,))
 
     values = z.full_values(sys)
     T = float(z.breakpoints[-1])

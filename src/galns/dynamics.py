@@ -7,12 +7,14 @@ quadratic term evaluates one state of shape (dim,) or a stack of states of
 shape (dim, B) alike, on one of two paths chosen from the mode set alone.
 A small mode set uses one dense operator over the unique interacting pairs
 (m, n), Q(y) = C @ (y_m * y_n), filled from the array kernel
-nonlinearity.interaction_kernel.  A larger one evaluates the velocity and
-vorticity gradient on a 3/2-rule dealiased grid by small sine and cosine
-matrix transforms and projects their product back by the trapezoid rule
-(the transform method: Orszag, J. Atmos. Sci. 28, 1971; Canuto, Hussaini,
-Quarteroni & Zang, Spectral Methods in Fluid Dynamics, section 7.2), which
-is exact for this product.  Either is built the first time it is used, so
+nonlinearity.interaction_kernel; its bilinear form, the tangent right-hand
+side, is one product with the Jacobian tensor D[k, i, j] = D[k, j, i] =
+C[k, (i, j)], formed from C the first time it is used.  A larger one
+evaluates the velocity and vorticity gradient on a 3/2-rule dealiased grid
+by small sine and cosine matrix transforms and projects their product back
+by the trapezoid rule (the transform method: Orszag, J. Atmos. Sci. 28,
+1971; Canuto, Hussaini, Quarteroni & Zang, Spectral Methods in Fluid
+Dynamics, section 7.2), which is exact for this product.  Either is built the first time it is used, so
 a system that is only inspected, as the Lie-rank check does, builds
 neither.  The integrator is the
 integrating-factor (Lawson) form of the embedded Dormand-Prince 5(4)
@@ -131,7 +133,8 @@ class GalerkinSystem:
     Public fields: index maps each mode to its position in mode_set; lam
     (nu*kbar_k), forcing_vec (F_k) and ctrl_idx (the positions of
     controlled_set) are arrays in mode_set order.  The interaction
-    operator (_pi, _pj, _Q) is built the first time one of them is read."""
+    operator (_pi, _pj, _Q) is built the first time one of them is read,
+    and its Jacobian tensor _D the first time bilinear_vec needs it."""
 
     geom: RectGeometry
     nu: float
@@ -204,6 +207,18 @@ class GalerkinSystem:
         self._Q[t[hit], col] = c[hit]
         return self._pi, self._pj, self._Q
 
+    @cached_property
+    def _D(self):
+        """The Jacobian tensor of the "pair" path, shape (dim * dim, dim):
+        row k * dim + i, column j holds the coefficient D[k, i, j] =
+        D[k, j, i] of the pair (i, j) on mode k, so that the derivative of
+        quadratic_vec at y is (_D @ y).reshape(dim, dim)."""
+        dim = self.dim
+        D = np.zeros((dim, dim, dim))
+        D[:, self._pi, self._pj] = self._Q
+        D[:, self._pj, self._pi] = self._Q
+        return D.reshape(dim * dim, dim)
+
     @property
     def dim(self) -> int:
         return len(self.mode_set)
@@ -244,12 +259,14 @@ class GalerkinSystem:
         B(y, Z) = Q(y + Z) - Q(y) - Q(Z), which is the derivative of
         quadratic_vec at the state y (shape (dim,)) applied to Z, one
         direction of shape (dim,) or a stack of shape (dim, B) column by
-        column; B(y, y) = 2 Q(y)."""
-        y = np.reshape(y, (-1,) + (1,) * (np.ndim(Z) - 1))
+        column; B(y, y) = 2 Q(y).  On the "pair" path it is the Jacobian
+        at y, (_D @ y).reshape(dim, dim), applied to Z: one small product
+        for the whole stack, where the pair form gathers the stack four
+        times."""
         t = self._transform
         if t is None:
-            return self._Q @ (y[self._pi] * Z[self._pj]
-                              + Z[self._pi] * y[self._pj])
+            return (self._D @ y).reshape(self.dim, self.dim) @ Z
+        y = np.reshape(y, (-1,) + (1,) * (np.ndim(Z) - 1))
         u1, u2, wx, wy = t.fields(y)
         v1, v2, zx, zy = t.fields(Z)
         return t.project(u1 * zx + v1 * wx + u2 * zy + v2 * wy)
@@ -398,7 +415,8 @@ class PiecewisePolynomial:
     def value(self, t) -> np.ndarray:
         """The value at a time, shape (modes,), or at an array of times
         (a column (n, 1) included), one row per time."""
-        if np.ndim(t):
+        # a float (np.float64 included) is one time; np.ndim decides the rest
+        if not isinstance(t, float) and np.ndim(t):
             t, k = np.ravel(t), self.knots
             i = np.minimum(np.maximum(k.searchsorted(t, "right") - 1, 0),
                            len(k) - 2)
@@ -696,15 +714,15 @@ def integrate(sys: GalerkinSystem, u0: SpectralField, control, T: float,
 
     constant = not isinstance(control, PiecewisePolynomial)
     if isinstance(control, PiecewiseConstant):
-        if control.values.shape[1] != len(sys.controlled_set):
-            raise ValueError("control dimension != |controlled_set|")
-        span = control.breakpoints
+        span, width = control.breakpoints, control.values.shape[1]
     elif isinstance(control, PiecewisePolynomial):
-        span = control.knots
+        span, width = control.knots, control.coefficients.shape[2]
     elif control is None:
         span = None
     else:
         raise TypeError("unsupported control signal")
+    if span is not None and width != len(sys.controlled_set):
+        raise ValueError("control dimension != |controlled_set|")
     if span is not None and (span[0] > 0 or span[-1] < T):
         raise ValueError("control breakpoints span [%r, %r], which does not "
                          "cover [0, %r]" % (float(span[0]), float(span[-1]), T))
@@ -714,9 +732,12 @@ def integrate(sys: GalerkinSystem, u0: SpectralField, control, T: float,
     stats = IntegratorStats()
     for t0, t1 in _segments(control, T):
         if not constant:
-            def nonlin(z, t):
-                return (sys.quadratic_vec(z) + sys.forcing_vec
-                        + sys.control_vec(control.value(t)))
+            # the value is added at the controlled modes only: the same sum
+            # as adding its control_vec, without building that each call
+            def nonlin(z, t, _idx=sys.ctrl_idx):
+                out = sys.quadratic_vec(z) + sys.forcing_vec
+                out[_idx] += control.value(t)
+                return out
         else:
             vfull = (sys.control_vec(control.value(0.5 * (t0 + t1)))
                      if control is not None else np.zeros(sys.dim))

@@ -203,6 +203,29 @@ def test_numerical_failure_exit_3_with_report(tmp_path, monkeypatch, capsys):
     assert "numerical failure: step underflow" in capsys.readouterr().err
 
 
+def test_internal_error_exit_4_with_traceback(tmp_path, monkeypatch, capsys):
+    # a bug inside a command is neither a config error nor a verdict
+    def broken(cfg, outdir, jobs, plot):
+        return {}["missing"]
+    monkeypatch.setattr(cli, "cmd_simulate", broken)
+    cfg = write_cfg(tmp_path, "sim.json", SIM_CFG)
+    assert main(["--out", str(tmp_path / "o"), "simulate",
+                 "--config", cfg]) == 4
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "KeyError: 'missing'" in err
+    assert "internal error" in err and "config error" not in err
+
+
+def test_missing_config_or_bad_side_is_config_error(tmp_path, capsys):
+    out = str(tmp_path / "o")
+    assert main(["--out", out, "simulate",
+                 "--config", str(tmp_path / "absent.json")]) == 2
+    assert main(["--out", out, "saturate", "--a", "1/0", "--b", "1",
+                 "--target-modes", "2,2"]) == 2
+    err = capsys.readouterr().err
+    assert "cannot read config" in err and "--a/--b" in err
+
+
 def test_saturate_rectangle_chain(tmp_path):
     out = str(tmp_path / "o")
     assert main(["--out", out, "saturate", "--a", "1", "--b", "2",
@@ -346,3 +369,39 @@ def test_plot_flag_writes_png_when_matplotlib_present(tmp_path):
     out = str(tmp_path / "o")
     assert main(["--out", out, "--plot", "simulate", "--config", cfg]) == 0
     assert os.path.exists(os.path.join(out, "h_norm.png"))
+
+
+LIERANK_CFG = {"geometry": {"a": 1.0, "b": 2.0}, "nu": 1.0, "level": 1,
+               "controlled_level": 1, "n_points": 1}
+STEER_CFG = {"geometry": {"a": 1.0, "b": 2.0}, "nu": 1.0, "level": 1,
+             "radius": 0.1, "gamma_infl": 1.5, "horizon": 0.1}
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("simulate", dict(SIM_CFG, tol=[1e-8])),
+    ("simulate", dict(SIM_CFG, u0={"1,1": [0.5]})),
+    ("simulate", dict(SIM_CFG, controlled_level="1")),
+    ("simulate", dict(SIM_CFG, control=[0.0, 0.3])),
+    ("simulate", dict(SIM_CFG, control={"breakpoints": [0.0, 0.3],
+                                        "values": [{"1,1": 1.0}]})),
+    ("simulate", dict(SIM_CFG, control={"breakpoints": [0.0, 0.3],
+                                        "values": [0.0] * 8})),
+    ("imitate", dict(IMI_CFG, labels=[["delta", 5, 1]])),
+    ("imitate", dict(IMI_CFG, labels=[["delta", [[1, 1], [3, 3]], 1]])),
+    ("imitate", dict(IMI_CFG, labels=[["e", [6, 6], 1]])),
+    ("imitate", dict(IMI_CFG, ws=[[3.0]])),
+    ("steer", {"experiments": [3]}),
+    ("steer", dict(STEER_CFG, fit_horizons=[[0.1]])),
+    ("steer", dict(STEER_CFG, seed=[1])),
+    ("lierank", dict(LIERANK_CFG, n_points=[2])),
+    ("oracle", {"geometries": [1.0]}),
+    ("project", {"geometry": {"a": 1.0, "b": 1.0}, "v1": [1.0]}),
+], ids=["tol", "u0_value", "controlled_level", "control", "control_values",
+        "control_values_flat", "label", "label_outside_J", "label_outside",
+        "ws", "experiment", "fit_horizons", "seed", "n_points",
+        "geometries", "v1"])
+def test_mistyped_fields_are_config_errors(tmp_path, capsys, command, cfg):
+    path = write_cfg(tmp_path, "c.json", cfg)
+    assert main(["--out", str(tmp_path / "o"), command,
+                 "--config", path]) == 2
+    assert "config error" in capsys.readouterr().err

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+from sys import executable
 
 import numpy as np
 import pytest
@@ -203,6 +206,27 @@ def test_phi_derivative_is_consistent():
         assert phi.derivative(t) == pytest.approx(fd, rel=1e-5, abs=1e-5)
 
 
+@pytest.mark.parametrize("nu", [0, 1])
+def test_phi_piece_value_scalar_equals_array(nu):
+    # one time (float, np.float64 or int) and a column of times read each
+    # piece by the same formula, to the last bit
+    phi = make_phi_w([0.0, 0.3, 0.35, 1.0], 400.0)
+    rng = np.random.default_rng(nu)
+    for i in range(3):
+        for k, (lo, hi) in enumerate(phi.pieces(i)):
+            ts = np.concatenate([rng.uniform(lo - 1e-3, hi + 1e-3, 40),
+                                 [lo, hi]])
+            col = phi.piece_value(i, k, ts[:, None], nu)
+            assert np.shape(col) in ((len(ts), 1), ())
+            col = np.broadcast_to(col, (len(ts), 1))[:, 0]
+            for t, want in zip(ts, col):
+                for form in (float(t), np.float64(t)):
+                    assert phi.piece_value(i, k, form, nu) == want
+            n = int(round(hi))
+            assert phi.piece_value(i, k, n, nu) \
+                == phi.piece_value(i, k, float(n), nu)
+
+
 # ---------------------------------------------------------------------------
 # Relaxation metric
 
@@ -263,6 +287,33 @@ def test_delta_metric_identity_and_overlap():
     h = ([0.0, 0.25, 1.0], np.array([[1.0], [2.0]]))
     # signals differ exactly on [0.25, 0.5]
     assert delta_metric(g, h) == pytest.approx(0.25, abs=1e-12)
+
+
+def test_knot_merges_leave_numpy_ma_unloaded():
+    # np.unique imports numpy.ma on its first call; the merged knots of
+    # delta_metric and approximate_relaxed come without it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(control.__file__)))
+    code = ("import sys, numpy as np\n"
+            "from galns.control import (RelaxedFamily, approximate_relaxed,\n"
+            "                           delta_metric)\n"
+            "g = ([0.0, 0.5, 1.0], [[1.0], [2.0]])\n"
+            "h = ([0.0, 0.25, 0.5, 1.0], [[1.0], [3.0], [2.0]])\n"
+            "assert abs(delta_metric(g, h) - 0.25) < 1e-12\n"
+            "fam = RelaxedFamily([[1.0], [-1.0]], [0.0, 1.0],\n"
+            "                    np.full((1, 1, 2), 0.5))\n"
+            "approximate_relaxed(fam, 0.1)\n"
+            "print('numpy.ma' in sys.modules)")
+    out = subprocess.run([executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.strip() == "False"
+
+
+def test_sorted_unique_equals_np_unique():
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        x = rng.choice(np.round(rng.uniform(-1, 1, 12), 2), 30)
+        assert np.unique(x).tobytes() == control._sorted_unique(x).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ def test_only_dynamics_reads_private_system_fields():
 
 
 # the operator internals that tests of the operator itself may read
-OPERATOR_FIELDS = {"_pi", "_pj", "_Q", "_transform"}
+OPERATOR_FIELDS = {"_pi", "_pj", "_Q", "_D", "_transform"}
 
 
 def test_tests_read_only_operator_internals():

@@ -162,6 +162,46 @@ arbitrary_modes = st.sets(st.tuples(st.integers(1, 6), st.integers(1, 6)),
 
 
 @settings(max_examples=25, deadline=None)
+@given(a=st.floats(0.25, 4.0), b=st.floats(0.25, 4.0),
+       modes=st.one_of(st.integers(1, 3).map(mode_set_K), arbitrary_modes),
+       seed=st.integers(0, 2**32 - 1))
+def test_jacobian_bilinear_vec_matches_pair_form(a, b, modes, seed):
+    # on the pair path bilinear_vec is one product with the Jacobian tensor
+    # _D; it agrees with the pair form of the bilinear term, and _D is built
+    # by bilinear_vec alone
+    geom = RectGeometry(a, b)
+    sys = GalerkinSystem(geom, 1.0, SpectralField(geom, {}), modes, ())
+    assert sys.quadratic_path == "pair"
+    rng = np.random.default_rng(seed)
+    y, z = rng.normal(size=(2, sys.dim))
+    Z = rng.normal(size=(sys.dim, 5))
+    q = sys.quadratic_vec(y)
+    sys.quadratic_vec(Z)
+    assert "_D" not in vars(sys)
+    pi, pj, Q = sys._pi, sys._pj, sys._Q
+    for d in (z, Z):
+        y_ = y.reshape((-1,) + (1,) * (d.ndim - 1))
+        want = Q @ (y_[pi] * d[pj] + d[pi] * y_[pj])
+        # the sum of the terms' magnitudes, the scale of their roundoff
+        size = np.abs(Q) @ (np.abs(y_[pi] * d[pj]) + np.abs(d[pi] * y_[pj]))
+        got = sys.bilinear_vec(y, d)
+        assert got.shape == d.shape
+        assert np.all(np.abs(got - want) <= 1e-13 * np.max(size, initial=0.0))
+    assert "_D" in vars(sys)
+    size = np.abs(Q) @ np.abs(y[pi] * y[pj])
+    assert np.all(np.abs(sys.bilinear_vec(y, y) - 2 * q)
+                  <= 1e-13 * np.max(size, initial=0.0))
+
+
+def test_transform_path_builds_no_jacobian():
+    sys = random_system(1.0, 2.0, 5)
+    assert sys.quadratic_path == "transform"
+    y = np.random.default_rng(0).normal(size=sys.dim)
+    sys.bilinear_vec(y, np.ones((sys.dim, 3)))
+    assert "_D" not in vars(sys)
+
+
+@settings(max_examples=25, deadline=None)
 @given(a=st.floats(0.25, 4.0), b=st.floats(0.25, 4.0), modes=arbitrary_modes)
 def test_operator_entries_equal_scalar_coefficients(a, b, modes):
     geom = RectGeometry(a, b)
@@ -715,6 +755,45 @@ def test_piecewise_polynomial_fits_and_describes_exactly():
         PiecewisePolynomial([0.0, 0.0, 1.0], np.zeros((2, 8, 1)))
     with pytest.raises(ValueError, match="coefficient"):
         PiecewisePolynomial([0.0, 1.0], np.zeros((1, 6, 1)))
+
+
+def test_piecewise_polynomial_value_is_one_function_of_time():
+    # every form of one time gives the float's value bit for bit, and a
+    # column gives it row by row
+    rng = np.random.default_rng(8)
+    knots = np.array([0.0, 1.0, 1.5, 3.0, 4.0])
+    ctl = PiecewisePolynomial(knots, rng.normal(size=(4, 8, 3)))
+    ts = np.concatenate([rng.uniform(-0.5, 4.5, 60), knots, [0.0, 2.0]])
+    one = np.array([ctl.value(float(t)) for t in ts])
+    assert one.shape == (len(ts), 3)
+    for t, row in zip(ts, one):
+        for form in (np.float64(t), np.array(t)):
+            got = ctl.value(form)
+            assert got.shape == (3,) and np.array_equal(got, row)
+    assert np.array_equal(ctl.value(ts[:, None]), one)
+    for n in (-1, 0, 1, 2, 3, 4, 5):
+        got = ctl.value(n)
+        assert got.shape == (3,) and np.array_equal(got, ctl.value(float(n)))
+
+
+def test_integrate_polynomial_control_adds_its_control_vec():
+    # the replay right-hand side adds the value at the controlled modes;
+    # the run equals, bit for bit, the one that adds the whole control_vec
+    sys = make_sys()
+    rng = np.random.default_rng(9)
+    knots = np.linspace(0.0, 0.2, 6)
+    ctl = PiecewisePolynomial(knots, rng.normal(size=(5, 8, len(K1))))
+    u0 = random_field(rng, K3, 0.3)
+    tr = integrate(sys, u0, ctl, 0.2, tol=1e-9)
+    run = adaptive_lawson(
+        sys.lam, lambda z, t: (sys.quadratic_vec(z) + sys.forcing_vec
+                               + sys.control_vec(ctl.value(t))),
+        sys.to_vector(u0), 0.0, 0.2, 1e-9, h_min=1e-13 * 0.2)
+    assert tr.times.tobytes() == np.array(run.times).tobytes()
+    assert tr.states.tobytes() == np.array(run.states).tobytes()
+    narrow = PiecewisePolynomial(knots, np.zeros((5, 8, 1)))
+    with pytest.raises(ValueError, match="control dimension"):
+        integrate(sys, u0, narrow, 0.2)
 
 
 def test_integrate_polynomial_control_must_cover_horizon():
