@@ -11,7 +11,6 @@ has verdict "numerical_failure" and the message) and 4 on an internal error
 """
 
 import argparse
-import csv
 import hashlib
 import json
 import math
@@ -150,12 +149,33 @@ def _write_json(outdir, obj, *names):
     return list(names)
 
 
+def _csv_field(x, floats):
+    """One field as csv.writer writes it: str(x), quoted (inner quotes
+    doubled) where the text holds a comma, a quote or a line end.  A
+    nonzero float's text is kept in floats, keyed by value: only for a
+    nonzero float does the value fix the text (0, 0.0, -0.0 and False are
+    one key, as are 1, 1.0 and True)."""
+    if type(x) is float and x:
+        s = floats.get(x)
+        if s is None:
+            s = floats[x] = repr(x)
+        return s
+    s = str(x)
+    if "," in s or '"' in s or "\r" in s or "\n" in s:
+        return '"%s"' % s.replace('"', '""')
+    return s
+
+
 def _write_csv(outdir, name, header, rows):
-    path = os.path.join(outdir, name)
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(header)
-        wr.writerows(rows)
+    """Write the table as csv.writer does, byte for byte, for fields that
+    are not None and rows that are not one empty string, with CRLF line
+    ends; rows are written one at a time, and each distinct nonzero float
+    is formatted once per table."""
+    floats = {}
+    with open(os.path.join(outdir, name), "w", newline="") as fh:
+        fh.write(",".join([_csv_field(x, floats) for x in header]) + "\r\n")
+        for row in rows:
+            fh.write(",".join([_csv_field(x, floats) for x in row]) + "\r\n")
     return name
 
 
@@ -264,12 +284,10 @@ def _steer_worker(exp_cfg):
 def cmd_steer(cfg, outdir, jobs, plot):
     exps = _optional(cfg, "experiments", list, [cfg])
     reports = _pmap(_steer_worker, exps, jobs)
-    rows = []
-    for i, rep in enumerate(reports):
-        for row in rep.pop("per_target"):
-            rows.append([i] + row["target"]
-                        + [row["residual"], row["iterations"]])
-    d = max(len(r) - 3 for r in rows)
+    d = max(rep["observed_dim"] for rep in reports)
+    # each row is made as it is written: the table never exists twice
+    rows = ([i] + row["target"] + [row["residual"], row["iterations"]]
+            for i, rep in enumerate(reports) for row in rep.pop("per_target"))
     outputs = [_write_csv(outdir, "steer_residuals.csv",
                           ["experiment"] + ["target_%d" % i for i in range(d)]
                           + ["residual", "iterations"], rows)]

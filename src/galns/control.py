@@ -6,13 +6,14 @@ reduces everything to controls on the eight lowest modes.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .dynamics import (GalerkinSystem, IntegratorStats, PiecewiseConstant,
                        POLY_THETA, PiecewisePolynomial, Smooth,
-                       adaptive_lawson, h_weights, integrate)
+                       adaptive_lawson, h_weights, integrate,
+                       integrate_tangent)
 from .nonlinearity import float_params, interaction_rows
 from .saturation import infer_level, mode_set_K, selection_S
 from .spectral import SpectralField
@@ -148,12 +149,31 @@ def horizon_ceiling(exp: EndpointExperiment, C: float) -> float:
     return T
 
 
+def endpoint_tangent(exp: EndpointExperiment, T: float):
+    """F(0) and the d x d Jacobian DF(0) of the endpoint map at horizon T,
+    from one integrate_tangent run: parameter j is the impulse on observed
+    mode j, which moves the control value by 1/T there.  Also returns the
+    run's IntegratorStats."""
+    sys = exp.sys
+    d = len(exp.observed_set)
+    directions = np.zeros((len(sys.controlled_set), d))
+    directions[[sys.controlled_set.index(k) for k in exp.observed_set],
+               np.arange(d)] = 1.0 / T
+    y, Z, stats = integrate_tangent(sys, exp.u0, None, T, directions,
+                                    tol=exp.tol)
+    return exp.observed(y), exp.observed(Z), stats
+
+
 def invert_endpoint(F, targets, p0, gain, tol: float, max_iter: int):
-    """Solve F(p) = target for each row of a (B, d) stack by the damped fixed
-    point p <- p + (target - F(p)) / gain.  The rows still iterating are
-    mapped together as one stack; each stops once its l1 residual is below
-    tol or after max_iter map calls.  Returns the impulses, each row's last
-    residual and each row's number of map calls."""
+    """Solve F(p) = target for each row of a (B, d) stack by the damped step
+    p <- p + (target - F(p)) / gain.  A scalar or per-coordinate gain
+    divides; a (d, d) gain is a Jacobian of F, inverted once and applied
+    to each residual by a matmul (the chord Newton step).  The rows still
+    iterating are mapped together as one stack; each stops once its l1
+    residual is below tol or after max_iter map calls.  Returns the
+    impulses, each row's last residual and each row's number of map
+    calls."""
+    inverse = np.linalg.inv(gain).T if np.ndim(gain) == 2 else None
     p = np.array(p0, dtype=float)
     residuals = np.zeros(len(p))
     calls = np.zeros(len(p), dtype=int)
@@ -165,16 +185,32 @@ def invert_endpoint(F, targets, p0, gain, tol: float, max_iter: int):
         calls[active] += 1
         going = (res >= tol) & (calls[active] < max_iter)
         active = active[going]
-        p[active] += r[going] / gain
+        p[active] += r[going] / gain if inverse is None else r[going] @ inverse
     return p, residuals, calls
+
+
+def _ball_grid(radius: float, d: int, grid_per_dim: int) -> np.ndarray:
+    """The points of a cube grid of side 2 radius in d dimensions, those
+    outside the closed l1 ball of that radius pulled onto its boundary.
+    The grid's temporaries die with this call, before covering_check
+    builds its per-target rows."""
+    axes = np.linspace(-radius, radius, grid_per_dim)
+    grids = np.meshgrid(*([axes] * d), indexing="ij")
+    offsets = np.stack([g.ravel() for g in grids], axis=-1)
+    norms = np.sum(np.abs(offsets), axis=1)
+    scale = np.minimum(1.0, radius / np.where(norms == 0, 1.0, norms))
+    return offsets * scale[:, None]
 
 
 def covering_check(exp: EndpointExperiment, grid_per_dim: int = 3,
                    fit_horizons=None, residual_tol: float = 1e-6,
                    seed: int = 0) -> dict:
     """Constructive covering of the R-ball around the observed initial state:
-    every grid target is solved for by damped fixed-point inversion of the
-    endpoint map, and the residuals are certified directly."""
+    every grid target is solved for by invert_endpoint's chord Newton step
+    with the Jacobian DF(0) of one tangent run (endpoint_tangent), from the
+    chord prediction p0 = DF(0)^-1 (target - F(0)), and the residuals are
+    certified directly.  rows_mapped counts the endpoint-map rows of the
+    inversion plus the tangent run's 1 + d columns."""
     d = len(exp.observed_set)
     if fit_horizons is None:
         fit_horizons = [exp.horizon, exp.horizon / 2, exp.horizon / 4]
@@ -183,18 +219,12 @@ def covering_check(exp: EndpointExperiment, grid_per_dim: int = 3,
     T = min(exp.horizon, T0)
     center = exp.observed(exp.sys.to_vector(exp.u0))
 
-    axes = np.linspace(-exp.radius, exp.radius, grid_per_dim)
-    grids = np.meshgrid(*([axes] * d), indexing="ij")
-    offsets = np.stack([g.ravel() for g in grids], axis=-1)
-    # pull cube corners into the closed l1 ball
-    norms = np.sum(np.abs(offsets), axis=1)
-    scale = np.minimum(1.0, exp.radius / np.where(norms == 0, 1.0, norms))
-    offsets = offsets * scale[:, None]
-
-    targets = center + offsets
-    _, residuals, iterations = invert_endpoint(
-        lambda P: endpoint_map(exp, P, T), targets, offsets, 1.0,
-        residual_tol, 60)
+    targets = center + _ball_grid(exp.radius, d, grid_per_dim)
+    F0, DF, tangent_stats = endpoint_tangent(exp, T)
+    # the impulses are not reported, so their stack is not kept
+    residuals, iterations = invert_endpoint(
+        lambda P: endpoint_map(exp, P, T), targets,
+        (targets - F0) @ np.linalg.inv(DF).T, DF, residual_tol, 60)[1:]
 
     rows = []
     failures = []
@@ -210,8 +240,10 @@ def covering_check(exp: EndpointExperiment, grid_per_dim: int = 3,
         "deviation_slope": fit["slope"],
         "T0": T0,
         "T_used": T,
-        "n_targets": len(offsets),
+        "n_targets": len(targets),
         "max_residual": float(np.max(residuals)),
+        "rows_mapped": int(np.sum(iterations)) + 1 + d,
+        "tangent_integrator": asdict(tangent_stats),
         "failures": failures,
         "verdict": "pass" if not failures else "fail",
     }
@@ -456,28 +488,6 @@ def approximate_relaxed(family: RelaxedFamily, eps: float,
     return ApproxResult(scheds, n, theta_eps, rxs)
 
 
-def hull_scale(values, directions) -> tuple:
-    """Smallest Xi with every value in Conv{+-Xi d_i}: per value, linear
-    program minimizing the total absolute decomposition weight."""
-    # imported here: loading scipy.optimize takes 0.1-0.2 s, which every
-    # galns process would pay at start-up
-    from scipy.optimize import linprog
-    directions = np.asarray(directions, dtype=float)
-    nd = directions.shape[0]
-    coeffs = []
-    xi = 0.0
-    for v in np.atleast_2d(np.asarray(values, dtype=float)):
-        a_eq = np.hstack([directions.T, -directions.T])
-        res = linprog(np.ones(2 * nd), A_eq=a_eq, b_eq=v,
-                      bounds=[(0, None)] * (2 * nd), method="highs")
-        if not res.success:
-            raise ValueError("value outside the span of the directions")
-        alpha = res.x[:nd] - res.x[nd:]
-        coeffs.append(alpha)
-        xi = max(xi, float(np.sum(np.abs(alpha))))
-    return xi, np.array(coeffs)
-
-
 # ---------------------------------------------------------------------------
 # Tracking control
 
@@ -694,13 +704,6 @@ def imitate(sys: GalerkinSystem, z: VertexSchedule, w: float,
     return ImitationResult(controls, gap, pinning, state, J, stats)
 
 
-def imitation_sweep(sys: GalerkinSystem, z: VertexSchedule, ws,
-                    tol: float = 1e-8, u0: SpectralField = None) -> dict:
-    """Gap versus oscillation frequency, with the fitted log-log slope."""
-    gaps = [imitate(sys, z, w, tol, u0=u0).gap for w in ws]
-    return {"w": list(ws), "gap": gaps, "slope": loglog_slope(ws, gaps)}
-
-
 # ---------------------------------------------------------------------------
 # Cascade to K^1
 
@@ -809,29 +812,17 @@ def _schedule_endpoint(full_sys, labels, cols, masses, xi, cycle, u0, tol):
 
 def _schedule_jacobian(full_sys, labels, cols, masses, xi, cycle, u0, tol):
     """Derivative of the schedule's end state in the flattened masses,
-    shape (dim, masses.size), from one forward run of the state and its
-    tangent columns as one (dim, 1 + masses.size) stack: between
-    breakpoints a column Z follows the variational equation
-    Z' = lam Z + B(y, Z), and at each breakpoint it jumps by the control
-    jump times the breakpoint's shift per unit mass.  Raises ValueError
-    where _build_schedule does."""
+    shape (dim, masses.size), from one integrate_tangent run: the masses
+    move no control value, only breakpoints, so the tangent starts at zero
+    and jumps at each breakpoint by the control jump times the
+    breakpoint's shift per unit mass.  Raises ValueError where
+    _build_schedule does."""
     ctl, jumps = _schedule_control(full_sys, labels, cols, masses, xi, cycle)
-    bps = ctl.breakpoints
-    Y = np.zeros((full_sys.dim, 1 + jumps.shape[2]))
-    Y[:, 0] = full_sys.to_vector(u0)
-    # the cycle ends are fixed, so nothing jumps at the horizon bps[-1]
-    for k, v in enumerate(ctl.values):
-        Y[:, 1:] += cols.T @ jumps[k]
-        drift = full_sys.forcing_vec + full_sys.control_vec(v)
-
-        def nonlin(Z, t, _d=drift):
-            # B(y, y) = 2 Q(y): one product serves the state and its tangents
-            out = full_sys.bilinear_vec(Z[:, 0], Z)
-            out[:, 0] = 0.5 * out[:, 0] + _d
-            return out
-        Y = adaptive_lawson(full_sys.lam[:, None], nonlin, Y, bps[k],
-                            bps[k + 1], tol, h_min=1e-13 * bps[-1]).states[-1]
-    return Y[:, 1:]
+    _, Z, _ = integrate_tangent(
+        full_sys, u0, ctl, float(ctl.breakpoints[-1]),
+        np.zeros((len(full_sys.controlled_set), jumps.shape[2])),
+        [cols.T @ j for j in jumps], tol)
+    return Z
 
 
 def _solve_schedule(full_sys, labels, cols, level, y_goal, horizon, u0,

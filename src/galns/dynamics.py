@@ -22,7 +22,9 @@ pair, which treats the viscous term exactly;
 it reuses its last stage as the next step's first (FSAL), sizes steps
 with a PI controller and restarts at every control breakpoint.  It steps
 a stack of states on one shared step sequence, with the error norm taken
-over the whole stack.  Its one dense output is the Lawson form of the
+over the whole stack, which integrate_tangent uses to carry a state and
+its sensitivities to P parameters as one (dim, 1 + P) stack.  Its one
+dense output is the Lawson form of the
 pair's fourth-order continuous extension, kept by a run that asks for it;
 tracked controls and the reference paths they follow are fitted from it
 as one polynomial per step.
@@ -704,34 +706,13 @@ def integrate(sys: GalerkinSystem, u0: SpectralField, control, T: float,
     are exact knots: each starts a new segment.  The Trajectory keeps the
     accepted times and states, no stages, and its stats sum the work of
     all segments."""
-    if not 0 < T < np.inf:
-        raise ValueError("horizon must be positive and finite, got %r" % (T,))
-    y = sys.to_vector(u0)
-    if not np.all(np.isfinite(y)):
-        raise ValueError("u0 must be finite")
+    y = _start_vector(sys, u0, control, T)
     times = [0.0]
     states = [y.copy()]
-
-    constant = not isinstance(control, PiecewisePolynomial)
-    if isinstance(control, PiecewiseConstant):
-        span, width = control.breakpoints, control.values.shape[1]
-    elif isinstance(control, PiecewisePolynomial):
-        span, width = control.knots, control.coefficients.shape[2]
-    elif control is None:
-        span = None
-    else:
-        raise TypeError("unsupported control signal")
-    if span is not None and width != len(sys.controlled_set):
-        raise ValueError("control dimension != |controlled_set|")
-    if span is not None and (span[0] > 0 or span[-1] < T):
-        raise ValueError("control breakpoints span [%r, %r], which does not "
-                         "cover [0, %r]" % (float(span[0]), float(span[-1]), T))
     max_step = getattr(control, "max_step", np.inf)
-
-    h_min = 1e-13 * T
     stats = IntegratorStats()
     for t0, t1 in _segments(control, T):
-        if not constant:
+        if isinstance(control, PiecewisePolynomial):
             # the value is added at the controlled modes only: the same sum
             # as adding its control_vec, without building that each call
             def nonlin(z, t, _idx=sys.ctrl_idx):
@@ -739,17 +720,95 @@ def integrate(sys: GalerkinSystem, u0: SpectralField, control, T: float,
                 out[_idx] += control.value(t)
                 return out
         else:
-            vfull = (sys.control_vec(control.value(0.5 * (t0 + t1)))
-                     if control is not None else np.zeros(sys.dim))
+            vfull = _segment_control(sys, control, t0, t1)
             def nonlin(z, t, _v=vfull):
                 return sys.quadratic_vec(z) + sys.forcing_vec + _v
         run = adaptive_lawson(sys.lam, nonlin, y, t0, t1, tol,
-                              max_step=max_step, h_min=h_min)
+                              max_step=max_step, h_min=1e-13 * T)
         times.extend(run.times[1:])
         states.extend(run.states[1:])
         stats.add(run.stats)
         y = run.states[-1]
     return Trajectory(sys, np.array(times), np.array(states), stats)
+
+
+def _start_vector(sys: GalerkinSystem, u0: SpectralField, control,
+                  T: float) -> np.ndarray:
+    """u0 as a vector, once the horizon, u0 and the control are checked:
+    the control must be None or a piecewise one of width
+    len(controlled_set) whose breakpoints cover [0, T]."""
+    if not 0 < T < np.inf:
+        raise ValueError("horizon must be positive and finite, got %r" % (T,))
+    y = sys.to_vector(u0)
+    if not np.all(np.isfinite(y)):
+        raise ValueError("u0 must be finite")
+    if isinstance(control, PiecewiseConstant):
+        span, width = control.breakpoints, control.values.shape[1]
+    elif isinstance(control, PiecewisePolynomial):
+        span, width = control.knots, control.coefficients.shape[2]
+    elif control is None:
+        return y
+    else:
+        raise TypeError("unsupported control signal")
+    if width != len(sys.controlled_set):
+        raise ValueError("control dimension != |controlled_set|")
+    if span[0] > 0 or span[-1] < T:
+        raise ValueError("control breakpoints span [%r, %r], which does not "
+                         "cover [0, %r]" % (float(span[0]), float(span[-1]), T))
+    return y
+
+
+def _segment_control(sys: GalerkinSystem, control, t0: float,
+                     t1: float) -> np.ndarray:
+    """The full-state vector of a constant control (or None) on [t0, t1]."""
+    if control is None:
+        return np.zeros(sys.dim)
+    return sys.control_vec(control.value(0.5 * (t0 + t1)))
+
+
+def integrate_tangent(sys: GalerkinSystem, u0: SpectralField, control,
+                      T: float, directions, jumps=None, tol: float = 1e-8):
+    """The end state of the run integrate makes under a constant-valued
+    control (None or a PiecewiseConstant) and its derivative in P
+    parameters, from one run of the state and its tangent columns as one
+    (dim, 1 + P) stack on one step sequence.
+
+    directions, shape (len(controlled_set), P), is the derivative of the
+    control value in each parameter, the same on every segment: between
+    breakpoints a tangent column Z follows the variational equation
+    Z' = lam Z + B(y, Z) + control_vec(direction).  jumps, one (dim, P)
+    array per control breakpoint, is added to the tangent at that
+    breakpoint, before the segment that starts there: a parameter that
+    moves a breakpoint by d moves the state by d times the control's jump
+    there.  Returns the end state, the (dim, P) end tangent and the run's
+    IntegratorStats; the state is stepped with its tangents, so it is not
+    integrate's to the last bit."""
+    if isinstance(control, PiecewisePolynomial):
+        raise TypeError("integrate_tangent takes a piecewise-constant control")
+    Y = np.zeros((sys.dim, 1 + np.shape(directions)[1]))
+    Y[:, 0] = _start_vector(sys, u0, control, T)
+    forced = np.zeros_like(Y)
+    forced[sys.ctrl_idx, 1:] = directions
+    knots = control.breakpoints if jumps is not None else ()
+    k = 0
+    stats = IntegratorStats()
+    for t0, t1 in _segments(control, T):
+        while k < len(knots) and knots[k] <= t0:
+            Y[:, 1:] += jumps[k]
+            k += 1
+        forced[:, 0] = sys.forcing_vec + _segment_control(sys, control, t0, t1)
+
+        def nonlin(Z, t, _f=forced.copy()):
+            # B(y, y) = 2 Q(y): one product serves the state and its tangents
+            out = sys.bilinear_vec(Z[:, 0], Z)
+            out[:, 0] *= 0.5
+            out += _f
+            return out
+        run = adaptive_lawson(sys.lam[:, None], nonlin, Y, t0, t1, tol,
+                              h_min=1e-13 * T)
+        stats.add(run.stats)
+        Y = run.states[-1]
+    return Y[:, 0], Y[:, 1:], stats
 
 
 # ---------------------------------------------------------------------------

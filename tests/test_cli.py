@@ -346,6 +346,26 @@ def test_imitate_failing_threshold_exit_1(tmp_path):
                  write_cfg(tmp_path, "i.json", cfg)]) == 1
 
 
+def test_write_csv_matches_csv_writer(tmp_path):
+    # zeros of every kind, bools, numpy scalars, extreme exponents and
+    # seventeen digits, strings that need quoting and repeated floats; a
+    # text cache keyed on value would print 0.0 as "0" or 1 as "1.0"
+    rows = [[0, 0.0, -0.0, False, 1, 1.0, True, 0.1],
+            [np.float64(0.1), np.float64(-0.0), np.int64(7), 1e-300, 1e16,
+             123456789012345678.0, -2.5e-7, 0.1],
+            ["a,b", 'say "hi"', "line\nend", "", "plain", 1.0, 1, 0.0],
+            [1e-300, 1e16, 0.1, -0.0, 0.0, 0, True, "0.1"]]
+    header = ["x%d" % i for i in range(8)]
+    cli._write_csv(str(tmp_path), "new.csv", header, rows)
+    with open(tmp_path / "old.csv", "w", newline="") as fh:
+        wr = csv.writer(fh)
+        wr.writerow(header)
+        wr.writerows(rows)
+    new = (tmp_path / "new.csv").read_bytes()
+    assert new == (tmp_path / "old.csv").read_bytes()
+    assert b"\r\n0,0.0,-0.0,False,1,1.0,True,0.1\r\n" in new
+
+
 def test_steer_small_grid(tmp_path):
     cfg = write_cfg(tmp_path, "s.json", {
         "geometry": {"a": 1.0, "b": 2.0}, "nu": 1.0, "level": 3,

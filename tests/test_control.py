@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 from galns.control import (ApproxResult, EndpointExperiment, RelaxedFamily,
                            VertexSchedule, approximate_relaxed, cascade_to_K1,
                            covering_check, delta_metric, deviation_sweep,
-                           endpoint_map, fit_deviation_slope, horizon_ceiling,
-                           hull_scale, imitate, imitation_sweep, make_phi_w,
-                           push_to_interior, reference_map, rx_norm,
-                           tracking_control)
+                           endpoint_map, endpoint_tangent,
+                           fit_deviation_slope, horizon_ceiling, imitate,
+                           make_phi_w, push_to_interior, reference_map,
+                           rx_norm, tracking_control)
 from galns import control
 from galns.control import (_build_schedule, _direction_matrix,
                            _schedule_endpoint, _schedule_jacobian,
@@ -117,6 +117,41 @@ def test_horizon_ceiling_matches_lambert_w():
             lambertw(x_c).real, rel=1e-14, abs=0)
 
 
+def criterion_6_horizon(exp):
+    """T_used of criterion 6's covering: the horizon ceiling of its fit."""
+    fit = fit_deviation_slope(deviation_sweep(exp, [0.1, 0.05, 0.025],
+                                              seed=1))
+    return min(exp.horizon, horizon_ceiling(exp, fit["C"]))
+
+
+@pytest.mark.parametrize("T", [None, 0.025])
+def test_endpoint_tangent_matches_central_differences(T):
+    exp = make_exp()
+    T = criterion_6_horizon(exp) if T is None else T
+    F0, DF, stats = endpoint_tangent(exp, T)
+    assert DF.shape == (8, 8) and stats.accepted_steps >= 1
+    assert np.max(np.abs(F0 - endpoint_map(exp, np.zeros(8), T))) <= exp.tol
+    # the 16 shifted impulses share one block, so one step sequence
+    h = 1e-4
+    shifted = endpoint_map(exp, np.vstack([h * np.eye(8), -h * np.eye(8)]), T)
+    fd = (shifted[:8] - shifted[8:]).T / (2 * h)
+    assert np.max(np.abs(DF - fd)) <= 1e-6
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_covering_lands_in_one_chord_step(seed):
+    """Criterion 6's covering: the chord prediction from the tangent run
+    leaves every target within residual_tol after one endpoint map."""
+    exp = make_exp()
+    rep = covering_check(exp, grid_per_dim=3,
+                         fit_horizons=[0.1, 0.05, 0.025], seed=seed)
+    assert {row["iterations"] for row in rep["per_target"]} == {1}
+    assert rep["max_residual"] < 1e-6
+    assert rep["rows_mapped"] == 3 ** 8 + 1 + 8
+    assert rep["tangent_integrator"]["accepted_steps"] >= 1
+    assert rep["tangent_integrator"]["largest_step"] <= rep["T_used"]
+
+
 def test_covering_small_grid():
     exp = make_exp()
     rep = covering_check(exp, grid_per_dim=2,
@@ -129,20 +164,20 @@ def test_covering_small_grid():
 
 def test_covering_matches_sequential_reference():
     """The stacked covering loop takes, per target, the iterations of the
-    one-target-at-a-time damped fixed-point loop."""
+    one-target-at-a-time chord Newton loop on the same Jacobian."""
     exp = make_exp()
     rep = covering_check(exp, grid_per_dim=2,
                          fit_horizons=[0.1, 0.05, 0.025], seed=1)
-    center = exp.observed(exp.sys.to_vector(exp.u0))
+    F0, DF, _ = endpoint_tangent(exp, rep["T_used"])
     for row in rep["per_target"]:
         target = np.array(row["target"])
-        p = target - center
+        p = np.linalg.solve(DF, target - F0)
         for it in range(60):
             r = target - endpoint_map(exp, p, rep["T_used"])
             res = float(np.sum(np.abs(r)))
             if res < 1e-6:
                 break
-            p = p + r
+            p = p + np.linalg.solve(DF, r)
         assert row["iterations"] == it + 1
         assert abs(row["residual"] - res) <= exp.tol
 
@@ -386,15 +421,6 @@ def test_approximate_capacity_error():
         approximate_relaxed(fam, 1e-9, n_cap=50)
 
 
-def test_hull_scale_examples():
-    dirs = np.eye(2)
-    xi, coeffs = hull_scale([[0.3, -0.4]], dirs)
-    assert xi == pytest.approx(0.7, rel=1e-9)
-    assert np.allclose(coeffs, [[0.3, -0.4]])
-    with pytest.raises(ValueError):
-        hull_scale([[1.0, 0.0, 1.0]], np.array([[1.0, 0.0, 0.0]]))
-
-
 # ---------------------------------------------------------------------------
 # Tracking
 
@@ -549,19 +575,13 @@ def test_imitate_tracked_intervals_are_polynomial_artifacts():
 
 def test_imitation_sweep_slope():
     sys, z, u0 = imitation_case()
-    out = imitation_sweep(sys, z, [3.0, 6.0, 12.0, 24.0, 48.0], tol=1e-8,
-                          u0=u0)
-    assert out["slope"] <= -0.8
-    assert all(b < a for a, b in zip(out["gap"], out["gap"][1:]))
-
-
-def test_imitation_sweep_single_frequency_has_no_slope():
-    """One point determines no line: the slope is NaN, which fails any
-    slope criterion, rather than a least-squares value through one point."""
-    sys, z, u0 = imitation_case()
-    out = imitation_sweep(sys, z, [6.0], tol=1e-8, u0=u0)
-    assert len(out["gap"]) == 1
-    assert math.isnan(out["slope"])
+    ws = [3.0, 6.0, 12.0, 24.0, 48.0]
+    gaps = [imitate(sys, z, w, 1e-8, u0=u0).gap for w in ws]
+    assert loglog_slope(ws, gaps) <= -0.8
+    assert all(b < a for a, b in zip(gaps, gaps[1:]))
+    # one frequency determines no line: the slope is NaN, which fails any
+    # slope criterion, rather than a least-squares value through one point
+    assert math.isnan(loglog_slope(ws[:1], gaps[:1]))
 
 
 def test_loglog_slope_of_power_laws():
@@ -717,6 +737,27 @@ def test_invert_endpoint_exact_gain_two_calls():
     assert sizes == [4, 4]
     assert np.all(res < 1e-12)
     np.testing.assert_allclose(p, (targets - c) / g, rtol=1e-14)
+
+
+def test_invert_endpoint_jacobian_gain_two_calls():
+    # a (d, d) gain is the Jacobian: on an affine map the chord step from
+    # any start lands, so the second call certifies every row
+    rng = np.random.default_rng(1)
+    A = np.eye(3) + 0.3 * rng.normal(size=(3, 3))
+    c = rng.normal(size=3)
+    targets = rng.normal(size=(4, 3))
+    sizes = []
+
+    def F(P):
+        sizes.append(len(P))
+        return P @ A.T + c
+    p, res, calls = invert_endpoint(F, targets, np.zeros((4, 3)), A, 1e-12,
+                                    60)
+    assert calls.tolist() == [2, 2, 2, 2]
+    assert sizes == [4, 4]
+    assert np.all(res < 1e-12)
+    np.testing.assert_allclose(p, np.linalg.solve(A, (targets - c).T).T,
+                               rtol=1e-12)
 
 
 def test_invert_endpoint_rows_stop_on_their_own():
