@@ -579,9 +579,15 @@ def test_imitation_sweep_slope():
     gaps = [imitate(sys, z, w, 1e-8, u0=u0).gap for w in ws]
     assert loglog_slope(ws, gaps) <= -0.8
     assert all(b < a for a, b in zip(gaps, gaps[1:]))
-    # one frequency determines no line: the slope is NaN, which fails any
-    # slope criterion, rather than a least-squares value through one point
-    assert math.isnan(loglog_slope(ws[:1], gaps[:1]))
+
+
+def test_imitation_sweep_single_frequency_has_no_slope():
+    """One point determines no line: the slope is NaN, which fails any
+    slope criterion, rather than a least-squares value through one point."""
+    sys, z, u0 = imitation_case()
+    gaps = [imitate(sys, z, 6.0, 1e-8, u0=u0).gap]
+    assert len(gaps) == 1
+    assert math.isnan(loglog_slope([6.0], gaps))
 
 
 def test_loglog_slope_of_power_laws():
