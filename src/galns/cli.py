@@ -42,9 +42,15 @@ class ConfigError(ValueError):
     pass
 
 
+def _is_a(x, types):
+    """isinstance, except that a bool is only a bool: JSON true is no
+    number."""
+    return isinstance(x, types) and (type(x) is not bool or types is bool)
+
+
 def _num(x, what):
     """Numbers in configs; the string "pi" is accepted for irrational sides."""
-    if isinstance(x, (int, float)):
+    if _is_a(x, (int, float)):
         return float(x)
     if isinstance(x, str) and x.strip().lower() == "pi":
         return math.pi
@@ -54,7 +60,7 @@ def _num(x, what):
 def _require(cfg, field, types, where=""):
     if field not in cfg:
         raise ConfigError("missing required field %r%s" % (field, where))
-    if types is not None and not isinstance(cfg[field], types):
+    if types is not None and not _is_a(cfg[field], types):
         raise ConfigError("field %r%s has wrong type %s"
                           % (field, where, type(cfg[field]).__name__))
     return cfg[field]
@@ -96,7 +102,7 @@ def _coeffs(cfg, name):
     """An optional object of "k1,k2": number entries, as a mode dict."""
     table = _optional(cfg, name, dict, {})
     for v in table.values():
-        if not isinstance(v, (int, float)):
+        if not _is_a(v, (int, float)):
             raise ConfigError("field %r: value %r is not a number" % (name, v))
     return {_mode_key(k): float(v) for k, v in table.items()}
 
@@ -285,9 +291,12 @@ def cmd_steer(cfg, outdir, jobs, plot):
     exps = _optional(cfg, "experiments", list, [cfg])
     reports = _pmap(_steer_worker, exps, jobs)
     d = max(rep["observed_dim"] for rep in reports)
-    # each row is made as it is written: the table never exists twice
-    rows = ([i] + row["target"] + [row["residual"], row["iterations"]]
-            for i, rep in enumerate(reports) for row in rep.pop("per_target"))
+    tables = [rep.pop("per_target") for rep in reports]
+    # each row is made from the arrays as it is written
+    rows = ([i] + target.tolist() + [res, its]
+            for i, t in enumerate(tables)
+            for target, res, its in zip(t.targets, t.residuals.tolist(),
+                                        t.iterations.tolist()))
     outputs = [_write_csv(outdir, "steer_residuals.csv",
                           ["experiment"] + ["target_%d" % i for i in range(d)]
                           + ["residual", "iterations"], rows)]
@@ -326,6 +335,8 @@ def _imitate_worker(arg):
 
 def cmd_imitate(cfg, outdir, jobs, plot):
     ws = _floats(cfg, "ws", 1).tolist()
+    if not ws:
+        raise ConfigError("field 'ws' must list at least one frequency")
     tol = float(_optional(cfg, "tol", (int, float), 1e-8))
     rows = _pmap(_imitate_worker, [(cfg, w) for w in ws], jobs)
     gaps = [r["gap"] for r in rows]
@@ -354,6 +365,9 @@ def cmd_lierank(cfg, outdir, jobs, plot):
     sys = _system(cfg)
     rng = np.random.default_rng(_optional(cfg, "seed", int, 0))
     n_points = _optional(cfg, "n_points", int, 5)
+    if n_points < 1:
+        raise ConfigError("field 'n_points' must be positive, got %d"
+                          % n_points)
     scale = float(_optional(cfg, "scale", (int, float), 1.0))
     repair = _optional(cfg, "square_repair", bool, True)
     verdicts = []

@@ -169,21 +169,24 @@ def invert_endpoint(F, targets, p0, gain, tol: float, max_iter: int):
     p <- p + (target - F(p)) / gain.  A scalar or per-coordinate gain
     divides; a (d, d) gain is a Jacobian of F, inverted once and applied
     to each residual by a matmul (the chord Newton step).  The rows still
-    iterating are mapped together as one stack; each stops once its l1
-    residual is below tol or after max_iter map calls.  Returns the
-    impulses, each row's last residual and each row's number of map
-    calls."""
+    iterating are mapped together as one stack (a view of the impulses
+    while every row iterates, so F must not write into it); each stops
+    once its l1 residual is below tol or after max_iter map calls.
+    Returns the impulses, each row's last residual and each row's number
+    of map calls."""
     inverse = np.linalg.inv(gain).T if np.ndim(gain) == 2 else None
     p = np.array(p0, dtype=float)
     residuals = np.zeros(len(p))
     calls = np.zeros(len(p), dtype=int)
     active = np.arange(len(p))
     while len(active):
-        r = targets[active] - F(p[active])
+        # with every row active, a slice reads the stacks as views
+        rows = slice(None) if len(active) == len(p) else active
+        r = targets[rows] - F(p[rows])
         res = np.sum(np.abs(r), axis=1)
-        residuals[active] = res
-        calls[active] += 1
-        going = (res >= tol) & (calls[active] < max_iter)
+        residuals[rows] = res
+        calls[rows] += 1
+        going = (res >= tol) & (calls[rows] < max_iter)
         active = active[going]
         p[active] += r[going] / gain if inverse is None else r[going] @ inverse
     return p, residuals, calls
@@ -191,15 +194,35 @@ def invert_endpoint(F, targets, p0, gain, tol: float, max_iter: int):
 
 def _ball_grid(radius: float, d: int, grid_per_dim: int) -> np.ndarray:
     """The points of a cube grid of side 2 radius in d dimensions, those
-    outside the closed l1 ball of that radius pulled onto its boundary.
-    The grid's temporaries die with this call, before covering_check
-    builds its per-target rows."""
+    outside the closed l1 ball of that radius pulled onto its boundary, as
+    one (grid_per_dim^d, d) array that no other array shares."""
     axes = np.linspace(-radius, radius, grid_per_dim)
-    grids = np.meshgrid(*([axes] * d), indexing="ij")
-    offsets = np.stack([g.ravel() for g in grids], axis=-1)
-    norms = np.sum(np.abs(offsets), axis=1)
+    points = np.stack(np.meshgrid(*([axes] * d), indexing="ij", copy=False),
+                      axis=-1).reshape(-1, d)
+    norms = np.sum(np.abs(points), axis=1)
     scale = np.minimum(1.0, radius / np.where(norms == 0, 1.0, norms))
-    return offsets * scale[:, None]
+    points *= scale[:, None]
+    return points
+
+
+@dataclass(eq=False)
+class TargetRows:
+    """covering_check's per-target results, kept as three arrays.  Row i
+    reads as the dict {"target": list, "residual": float, "iterations":
+    int} of Python scalars, built when it is read; iterating reads the
+    rows in order."""
+
+    targets: np.ndarray     # (N, d)
+    residuals: np.ndarray   # (N,)
+    iterations: np.ndarray  # (N,) int
+
+    def __len__(self):
+        return len(self.residuals)
+
+    def __getitem__(self, i):
+        return {"target": self.targets[i].tolist(),
+                "residual": float(self.residuals[i]),
+                "iterations": int(self.iterations[i])}
 
 
 def covering_check(exp: EndpointExperiment, grid_per_dim: int = 3,
@@ -211,30 +234,29 @@ def covering_check(exp: EndpointExperiment, grid_per_dim: int = 3,
     chord prediction p0 = DF(0)^-1 (target - F(0)), and the residuals are
     certified directly.  rows_mapped counts the endpoint-map rows of the
     inversion plus the tangent run's 1 + d columns."""
+    if grid_per_dim < 2:
+        raise ValueError("grid_per_dim must be at least 2, got %r"
+                         % (grid_per_dim,))
     d = len(exp.observed_set)
     if fit_horizons is None:
         fit_horizons = [exp.horizon, exp.horizon / 2, exp.horizon / 4]
     fit = fit_deviation_slope(deviation_sweep(exp, fit_horizons, seed=seed))
     T0 = horizon_ceiling(exp, fit["C"])
     T = min(exp.horizon, T0)
-    center = exp.observed(exp.sys.to_vector(exp.u0))
 
-    targets = center + _ball_grid(exp.radius, d, grid_per_dim)
+    targets = _ball_grid(exp.radius, d, grid_per_dim)
+    targets += exp.observed(exp.sys.to_vector(exp.u0))
     F0, DF, tangent_stats = endpoint_tangent(exp, T)
     # the impulses are not reported, so their stack is not kept
     residuals, iterations = invert_endpoint(
         lambda P: endpoint_map(exp, P, T), targets,
         (targets - F0) @ np.linalg.inv(DF).T, DF, residual_tol, 60)[1:]
 
-    rows = []
-    failures = []
-    for target, res, its in zip(targets.tolist(), residuals.tolist(),
-                                iterations.tolist()):
-        rows.append({"target": target, "residual": res, "iterations": its})
-        if res >= residual_tol:
-            failures.append({"target": target, "residual": res})
+    failures = [{"target": targets[i].tolist(),
+                 "residual": float(residuals[i])}
+                for i in np.flatnonzero(residuals >= residual_tol)]
     return {
-        "per_target": rows,
+        "per_target": TargetRows(targets, residuals, iterations),
         "observed_dim": d,
         "C_fit": fit["C"],
         "deviation_slope": fit["slope"],

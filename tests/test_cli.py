@@ -383,6 +383,28 @@ def test_steer_small_grid(tmp_path):
     assert len(rows) == 2 ** 8 + 1
 
 
+def test_steer_parallel_experiments_write_serial_bytes(tmp_path):
+    # the per-target arrays come back from the worker processes pickled
+    exp = {"geometry": {"a": 1.0, "b": 2.0}, "nu": 1.0, "level": 3,
+           "controlled_level": 1, "u0": {"1,1": 0.1, "2,2": -0.05},
+           "radius": 0.1, "gamma_infl": 1.5, "horizon": 2.0,
+           "grid_per_dim": 2, "fit_horizons": [0.1, 0.05, 0.025]}
+    cfg = write_cfg(tmp_path, "s.json", {"experiments": [
+        dict(exp, seed=1), dict(exp, seed=2, radius=0.05)]})
+    outs = [str(tmp_path / name) for name in ("serial", "parallel")]
+    for out, jobs in zip(outs, ("1", "2")):
+        assert main(["--out", out, "--jobs", jobs, "steer",
+                     "--config", cfg]) == 0
+    for name in ("steer_residuals.csv", "steer_report.json"):
+        with open(os.path.join(outs[0], name), "rb") as a, \
+                open(os.path.join(outs[1], name), "rb") as b:
+            assert a.read() == b.read()
+    with open(os.path.join(outs[0], "steer_residuals.csv")) as fh:
+        rows = list(csv.reader(fh))
+    assert len(rows) == 2 * 2 ** 8 + 1
+    assert [r[0] for r in rows[1:]] == ["0"] * 2 ** 8 + ["1"] * 2 ** 8
+
+
 def test_plot_flag_writes_png_when_matplotlib_present(tmp_path):
     pytest.importorskip("matplotlib")
     cfg = write_cfg(tmp_path, "sim.json", SIM_CFG)
@@ -414,11 +436,24 @@ STEER_CFG = {"geometry": {"a": 1.0, "b": 2.0}, "nu": 1.0, "level": 1,
     ("steer", dict(STEER_CFG, fit_horizons=[[0.1]])),
     ("steer", dict(STEER_CFG, seed=[1])),
     ("lierank", dict(LIERANK_CFG, n_points=[2])),
+    ("simulate", dict(SIM_CFG, level=True)),
+    ("simulate", dict(SIM_CFG, nu=True)),
+    ("lierank", dict(LIERANK_CFG, n_points=True)),
+    ("lierank", dict(LIERANK_CFG, seed=False)),
+    ("lierank", dict(LIERANK_CFG, square_repair=1)),
+    ("simulate", dict(SIM_CFG, geometry={"a": True, "b": 2.0})),
+    ("simulate", dict(SIM_CFG, u0={"1,1": True})),
+    ("steer", dict(STEER_CFG, grid_per_dim=1)),
+    ("lierank", dict(LIERANK_CFG, n_points=0)),
+    ("imitate", dict(IMI_CFG, ws=[])),
     ("oracle", {"geometries": [1.0]}),
     ("project", {"geometry": {"a": 1.0, "b": 1.0}, "v1": [1.0]}),
 ], ids=["tol", "u0_value", "controlled_level", "control", "control_values",
         "control_values_flat", "label", "label_outside_J", "label_outside",
         "ws", "experiment", "fit_horizons", "seed", "n_points",
+        "level_bool", "nu_bool", "n_points_bool", "seed_bool",
+        "square_repair_int", "side_bool", "u0_value_bool", "grid_per_dim_1",
+        "n_points_0", "ws_empty",
         "geometries", "v1"])
 def test_mistyped_fields_are_config_errors(tmp_path, capsys, command, cfg):
     path = write_cfg(tmp_path, "c.json", cfg)

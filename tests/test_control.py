@@ -1,7 +1,9 @@
 import json
 import math
 import os
+import pickle
 import subprocess
+import tracemalloc
 from sys import executable
 
 import numpy as np
@@ -180,6 +182,49 @@ def test_covering_matches_sequential_reference():
             p = p + np.linalg.solve(DF, r)
         assert row["iterations"] == it + 1
         assert abs(row["residual"] - res) <= exp.tol
+
+
+@pytest.mark.parametrize("grid_per_dim", [0, 1])
+def test_covering_needs_two_points_per_dim(grid_per_dim):
+    # one point per dimension is a single corner target, which covers
+    # nothing; zero points are no grid at all
+    with pytest.raises(ValueError, match="grid_per_dim must be at least 2"):
+        covering_check(make_exp(), grid_per_dim=grid_per_dim)
+
+
+def test_covering_heap_is_per_target_arrays():
+    """Criterion 6's covering keeps its per-target results as arrays, 8
+    (d + 2) bytes a target: 0.5 MiB for 6,561 targets at d = 8."""
+    exp = make_exp()
+    kw = dict(fit_horizons=[0.1, 0.05, 0.025], seed=1)
+    covering_check(exp, grid_per_dim=2, **kw)  # first-call caches
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        rep = covering_check(exp, grid_per_dim=3, **kw)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep["n_targets"] == 3 ** 8
+    assert (peak - base) / 2 ** 20 <= 2.5
+    assert (held - base) / 2 ** 20 <= 0.6
+
+
+def test_covering_rows_hold_python_scalars():
+    exp = make_exp()
+    rep = covering_check(exp, grid_per_dim=2,
+                         fit_horizons=[0.1, 0.05, 0.025], seed=1)
+    rows = list(rep["per_target"])
+    assert len(rows) == len(rep["per_target"]) == rep["n_targets"] == 2 ** 8
+    for row in rows:
+        assert type(row["residual"]) is float
+        assert type(row["iterations"]) is int
+        assert len(row["target"]) == 8
+        assert all(type(x) is float for x in row["target"])
+    # the view is read again from the start, and its totals encode as JSON
+    total = sum(row["iterations"] for row in rep["per_target"])
+    assert json.loads(json.dumps(total)) == rep["rows_mapped"] - 9
+    assert list(pickle.loads(pickle.dumps(rep))["per_target"]) == rows
 
 
 # ---------------------------------------------------------------------------
@@ -792,3 +837,48 @@ def test_invert_endpoint_returns_unconverged_row():
     assert res[1] == 2.0 ** 11
     # the residual belongs to the returned impulse
     assert res[1] == abs(1.0 + p[1, 0])
+
+
+def indexed_invert_endpoint(F, targets, p0, gain, tol, max_iter):
+    """The inversion loop with every stack read through an index array
+    (so copied), also when every row is still active."""
+    inverse = np.linalg.inv(gain).T if np.ndim(gain) == 2 else None
+    p = np.array(p0, dtype=float)
+    residuals = np.zeros(len(p))
+    calls = np.zeros(len(p), dtype=int)
+    active = np.arange(len(p))
+    while len(active):
+        r = targets[active] - F(p[active])
+        res = np.sum(np.abs(r), axis=1)
+        residuals[active] = res
+        calls[active] += 1
+        going = (res >= tol) & (calls[active] < max_iter)
+        active = active[going]
+        p[active] += r[going] / gain if inverse is None else r[going] @ inverse
+    return p, residuals, calls
+
+
+@pytest.mark.parametrize("jacobian", [True, False])
+def test_invert_endpoint_matches_indexed_loop_bitwise(jacobian):
+    rng = np.random.default_rng(2)
+    A = np.eye(3) + 0.2 * rng.normal(size=(3, 3))
+    gain = A if jacobian else 1.0
+    # rows of growing size take more chord steps on the quadratic part
+    targets = rng.normal(size=(6, 3)) * np.logspace(-4, -0.5, 6)[:, None]
+    p0 = np.zeros((6, 3))
+    targets_in, p0_in = targets.copy(), p0.copy()
+    results = []
+
+    def F(P):
+        out = P @ A.T + 0.3 * P ** 2
+        results.append((out, out.copy()))
+        return out
+    got = invert_endpoint(F, targets, p0, gain, 1e-12, 60)
+    want = indexed_invert_endpoint(lambda P: P @ A.T + 0.3 * P ** 2,
+                                   targets, p0, gain, 1e-12, 60)
+    assert len(set(want[2].tolist())) >= 3 and min(want[2]) >= 2
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+    assert targets.tobytes() == targets_in.tobytes()
+    assert p0.tobytes() == p0_in.tobytes()
+    assert all(out.tobytes() == kept.tobytes() for out, kept in results)
