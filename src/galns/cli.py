@@ -74,8 +74,13 @@ def _optional(cfg, field, types, default, where=""):
 def _floats(cfg, field, ndim, where=""):
     """A required list (ndim 1) or list of lists (ndim 2) of numbers, as a
     float array."""
+    value = _require(cfg, field, list, where)
+    if any(type(x) is bool for row in value
+           for x in (row if isinstance(row, list) else [row])):
+        raise ConfigError("field %r%s: true/false is no number"
+                          % (field, where))
     try:
-        out = np.asarray(_require(cfg, field, list, where), dtype=float)
+        out = np.asarray(value, dtype=float)
     except (TypeError, ValueError) as e:
         raise ConfigError("field %r%s: %s" % (field, where, e))
     if out.ndim != ndim:

@@ -348,32 +348,30 @@ def make_phi_w(breakpoints, w: float) -> OscillatorProfile:
 
 
 def _as_pwc(g):
-    if isinstance(g, PiecewiseConstant):
-        return g.breakpoints, np.atleast_2d(g.values)
     bp, vals = g
     return np.asarray(bp, dtype=float), np.atleast_2d(np.asarray(vals, dtype=float))
 
 
+def _at(bp: np.ndarray, vals: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Rows of the piecewise-constant signal (bp, vals) at the times t, read
+    as PiecewiseConstant.value reads one time."""
+    i = np.searchsorted(bp, t, side="right") - 1
+    return vals[np.clip(i, 0, len(vals) - 1)]
+
+
 def rx_norm(g) -> float:
-    """max over t1 < t2 of the l1 norm of the integral of g over [t1, t2]."""
+    """max over t1 < t2 of the l1 norm of the integral of g over [t1, t2].
+
+    The l1 norm of a difference is its largest signed sum over sign vectors
+    sigma, and sigma and -sigma spread the prefix integrals alike, so the
+    2^(d-1) sign vectors with last entry -1 suffice."""
     bp, vals = _as_pwc(g)
-    dt = np.diff(bp)
-    prefix = np.vstack([np.zeros(vals.shape[1]),
-                        np.cumsum(vals * dt[:, None], axis=0)])
     d = vals.shape[1]
-    if d <= 12:
-        # l1 of a difference = max over sign patterns of the signed difference
-        best = 0.0
-        for mask in range(1 << d):
-            sig = np.array([1.0 if mask >> i & 1 else -1.0 for i in range(d)])
-            proj = prefix @ sig
-            best = max(best, float(np.max(proj) - np.min(proj)))
-        return best
-    best = 0.0
-    for i in range(len(prefix)):
-        best = max(best, float(np.max(
-            np.sum(np.abs(prefix[i + 1:] - prefix[i]), axis=1), initial=0.0)))
-    return best
+    prefix = np.vstack([np.zeros(d),
+                        np.cumsum(vals * np.diff(bp)[:, None], axis=0)])
+    bits = np.arange(1 << (d - 1))[:, None] >> np.arange(d) & 1
+    signs = np.where(bits == 1, 1.0, -1.0)
+    return max(float(np.ptp(prefix @ sigma)) for sigma in signs)
 
 
 def _sorted_unique(x: np.ndarray) -> np.ndarray:
@@ -388,14 +386,9 @@ def delta_metric(g, h) -> float:
     bp_g, vg = _as_pwc(g)
     bp_h, vh = _as_pwc(h)
     knots = _sorted_unique(np.concatenate([bp_g, bp_h]))
-    total = 0.0
-    for lo, hi in zip(knots[:-1], knots[1:]):
-        mid = 0.5 * (lo + hi)
-        ig = min(max(int(np.searchsorted(bp_g, mid) - 1), 0), len(vg) - 1)
-        ih = min(max(int(np.searchsorted(bp_h, mid) - 1), 0), len(vh) - 1)
-        if not np.array_equal(vg[ig], vh[ih]):
-            total += hi - lo
-    return float(total)
+    mid = 0.5 * (knots[:-1] + knots[1:])
+    differ = np.any(_at(bp_g, vg, mid) != _at(bp_h, vh, mid), axis=1)
+    return float(np.sum(np.diff(knots)[differ]))
 
 
 # ---------------------------------------------------------------------------
@@ -422,10 +415,6 @@ class RelaxedFamily:
         if not np.allclose(np.sum(self.weights, axis=2), 1.0, atol=1e-9):
             raise ValueError("weights must sum to one")
 
-    def control(self, param: int = 0) -> PiecewiseConstant:
-        return PiecewiseConstant(self.breakpoints,
-                                 self.weights[param] @ self.vertices)
-
 
 def push_to_interior(x: np.ndarray, n: int, K: float = 1.0) -> np.ndarray:
     """Shrink a weight vector toward the barycenter so every entry is at
@@ -443,8 +432,12 @@ class ApproxResult:
     unchanged: bool = False
 
 
-def approximate_relaxed(family: RelaxedFamily, eps: float,
-                        n_cap: int = 400) -> ApproxResult:
+# Largest grid count n of approximate_relaxed: its schedules have n^2 r
+# segments
+N_CAP = 400
+
+
+def approximate_relaxed(family: RelaxedFamily, eps: float) -> ApproxResult:
     """Replace hull-valued controls by vertex-valued chattering schedules.
 
     Weights are pushed to the interior simplex (mass preserved), the horizon
@@ -454,60 +447,45 @@ def approximate_relaxed(family: RelaxedFamily, eps: float,
     if eps <= 0:
         raise ValueError("eps must be positive")
     verts = family.vertices
+    bp = family.breakpoints
     r = verts.shape[0]
-    T = family.breakpoints[-1] - family.breakpoints[0]
+    T = bp[-1] - bp[0]
     if np.all((family.weights == 0.0) | (family.weights == 1.0)):
-        scheds = [PiecewiseConstant(family.breakpoints,
-                                    verts[np.argmax(pw, axis=1)])
+        scheds = [PiecewiseConstant(bp, verts[np.argmax(pw, axis=1)])
                   for pw in family.weights]
-        return ApproxResult(scheds, 1,
-                            float(np.min(np.diff(family.breakpoints))),
+        return ApproxResult(scheds, 1, float(np.min(np.diff(bp))),
                             [0.0] * len(family.weights), unchanged=True)
 
     D = float(np.max(np.sum(np.abs(verts), axis=1)))
     gamma = eps / (2 * T * max(D, 1e-300) * r) / 2
     n = int(math.ceil((r + 1) / (r * gamma))) + 1
-    if n > n_cap:
+    if n > N_CAP:
         raise ValueError("required grid count n=%d exceeds cap %d; "
-                         "increase eps or the cap" % (n, n_cap))
+                         "increase eps" % (n, N_CAP))
     theta = 1.0 / (n * r)
     cell = T / n**2
-    theta_eps = cell * theta
-    cells = family.breakpoints[0] + cell * np.arange(n**2 + 1)
-
-    def integrate_weights(pw, lo, hi):
-        """Exact integral of the pushed weight signal over [lo, hi]."""
-        acc = np.zeros(r)
-        i0 = max(int(np.searchsorted(family.breakpoints, lo, side="right")) - 1, 0)
-        i = i0
-        t = lo
-        while t < hi - 1e-15 * T and i < len(pw):
-            seg_hi = min(hi, family.breakpoints[i + 1])
-            acc += push_to_interior(pw[i], n) * (seg_hi - t)
-            t = seg_hi
-            i += 1
-        return acc
-
+    cells = bp[0] + cell * np.arange(n**2 + 1)
+    # each cell holds the vertices in order
+    chatter = np.tile(verts, (n**2, 1))
     scheds, rxs = [], []
-    for p, pw in enumerate(family.weights):
-        bps = [family.breakpoints[0]]
-        for c in range(n**2):
-            durations = integrate_weights(pw, cells[c], cells[c + 1])
-            t = bps[-1]
-            for j in range(r):
-                t += durations[j]
-                bps.append(t)
-        bps = np.array(bps)
-        bps[-1] = family.breakpoints[-1]
-        # each cell holds the vertices in order
-        sched = PiecewiseConstant(bps, np.tile(verts, (n**2, 1)))
+    for pw in family.weights:
+        # the pushed weights' integral from bp[0]: exact at the breakpoints
+        # and linear between them, so read exactly at the cell edges
+        acc = np.vstack([np.zeros(r), np.cumsum(
+            push_to_interior(pw, n) * np.diff(bp)[:, None], axis=0)])
+        durations = np.diff([np.interp(cells, bp, a) for a in acc.T], axis=1)
+        bps = np.cumsum(np.concatenate([bp[:1], durations.T.ravel()]))
+        bps[-1] = bp[-1]
+        sched = PiecewiseConstant(bps, chatter)
         scheds.append(sched)
-        orig = family.control(p)
-        knots = _sorted_unique(np.concatenate([bps, orig.breakpoints]))
-        diff = np.array([sched.value(0.5 * (a + b)) - orig.value(0.5 * (a + b))
-                         for a, b in zip(knots[:-1], knots[1:])])
+        # the relaxed control, whose construction checks the family's
+        # breakpoints and values
+        orig = PiecewiseConstant(bp, pw @ verts)
+        knots = _sorted_unique(np.concatenate([bps, bp]))
+        mid = 0.5 * (knots[:-1] + knots[1:])
+        diff = _at(bps, chatter, mid) - _at(bp, orig.values, mid)
         rxs.append(rx_norm((knots, diff)))
-    return ApproxResult(scheds, n, theta_eps, rxs)
+    return ApproxResult(scheds, n, cell * theta, rxs)
 
 
 # ---------------------------------------------------------------------------

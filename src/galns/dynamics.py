@@ -812,42 +812,7 @@ def integrate_tangent(sys: GalerkinSystem, u0: SpectralField, control,
 
 
 # ---------------------------------------------------------------------------
-# Continuity probe and run manifests
-
-
-def data_continuity_probe(sys: GalerkinSystem, u0: SpectralField, T: float,
-                          deltas, tol: float = 1e-9) -> list:
-    """Deviation of perturbed trajectories from the baseline in C([0,T], H).
-
-    Each row reports the sup-over-time H-norm deviation for a perturbation of
-    size delta applied to the data u0, to the forcing F, and to nu (both
-    signs).  The baseline and its four perturbations are integrated as one
-    (dim, 5) stack, each column under its own lam and forcing, so all are
-    read at the same accepted times."""
-    keys = ("delta", "u0_dev", "forcing_dev", "nu_plus_dev", "nu_minus_dev")
-    y0 = sys.to_vector(u0)
-    w = h_weights(sys)
-    rows = []
-    for d in deltas:
-        if d == 0.0:
-            rows.append(dict.fromkeys(keys, 0.0))
-            continue
-        lam = np.stack([sys.lam] * 3 + [
-            GalerkinSystem(sys.geom, nu, sys.forcing, sys.mode_set,
-                           sys.controlled_set).lam
-            for nu in (sys.nu + d, sys.nu - d)], axis=1)
-        # u0 and F are perturbed on the first mode of mode_set
-        Y0 = np.repeat(y0[:, None], 5, axis=1)
-        Y0[0, 1] += d
-        forcing = np.repeat(sys.forcing_vec[:, None], 5, axis=1)
-        forcing[0, 2] += d
-        states = np.array(adaptive_lawson(
-            lam, lambda Y, t: sys.quadratic_vec(Y) + forcing, Y0, 0.0, T,
-            tol).states)
-        diff2 = (states[..., 1:] - states[..., :1]) ** 2
-        dev = np.sqrt(np.clip(w @ diff2, 0.0, None))
-        rows.append(dict(zip(keys, [float(d)] + np.max(dev, axis=0).tolist())))
-    return rows
+# Run manifests
 
 
 def run_manifest(sys: GalerkinSystem, u0: SpectralField, control, T: float,

@@ -446,6 +446,11 @@ STEER_CFG = {"geometry": {"a": 1.0, "b": 2.0}, "nu": 1.0, "level": 1,
     ("steer", dict(STEER_CFG, grid_per_dim=1)),
     ("lierank", dict(LIERANK_CFG, n_points=0)),
     ("imitate", dict(IMI_CFG, ws=[])),
+    ("imitate", dict(IMI_CFG, ws=[True, 6.0])),
+    ("simulate", dict(SIM_CFG, control={"breakpoints": [False, 0.3],
+                                        "values": [[0.0] * 8]})),
+    ("simulate", dict(SIM_CFG, control={"breakpoints": [0.0, 0.3],
+                                        "values": [[True] + [0.0] * 7]})),
     ("oracle", {"geometries": [1.0]}),
     ("project", {"geometry": {"a": 1.0, "b": 1.0}, "v1": [1.0]}),
 ], ids=["tol", "u0_value", "controlled_level", "control", "control_values",
@@ -453,10 +458,20 @@ STEER_CFG = {"geometry": {"a": 1.0, "b": 2.0}, "nu": 1.0, "level": 1,
         "ws", "experiment", "fit_horizons", "seed", "n_points",
         "level_bool", "nu_bool", "n_points_bool", "seed_bool",
         "square_repair_int", "side_bool", "u0_value_bool", "grid_per_dim_1",
-        "n_points_0", "ws_empty",
+        "n_points_0", "ws_empty", "ws_bool_entry", "breakpoints_bool_entry",
+        "values_bool_entry",
         "geometries", "v1"])
 def test_mistyped_fields_are_config_errors(tmp_path, capsys, command, cfg):
     path = write_cfg(tmp_path, "c.json", cfg)
     assert main(["--out", str(tmp_path / "o"), command,
                  "--config", path]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("ndim, value", [
+    (1, [True, 6.0]), (1, [0.0, False]), (2, [[True, 0.5]]),
+    (2, [[0.5, 1.0], [0.0, False]])])
+def test_floats_reject_bool_entries(ndim, value):
+    # np.asarray reads true as 1.0; a bool inside a number list is no number
+    with pytest.raises(cli.ConfigError, match="true/false"):
+        cli._floats({"ws": value}, "ws", ndim)

@@ -348,6 +348,27 @@ def test_rx_norm_triangle_and_homogeneity():
                                                       rel=1e-12, abs=1e-15)
 
 
+def rx_norm_by_knot_pairs(bp, vals):
+    """The largest l1 distance between the signal's integrals from bp[0]
+    to two knots, over every pair of knots."""
+    prefix = np.vstack([np.zeros(vals.shape[1]),
+                        np.cumsum(vals * np.diff(bp)[:, None], axis=0)])
+    return max(float(np.max(np.sum(np.abs(prefix[i + 1:] - prefix[i]), axis=1),
+                            initial=0.0))
+               for i in range(len(prefix)))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_rx_norm_matches_knot_pair_maximum(d):
+    # the integral is piecewise linear and the l1 norm convex, so the
+    # supremum over t1 < t2 sits on a pair of knots
+    rng = np.random.default_rng(d)
+    for m in (1, 2, 7, 30):
+        bp, vals = random_pwc(rng, d=d, m=m)
+        assert rx_norm((bp, vals)) == pytest.approx(
+            rx_norm_by_knot_pairs(bp, vals), rel=1e-12)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.floats(-3, 3), min_size=2, max_size=6))
 def test_rx_norm_nonnegative_and_zero_iff_zero_signal(vals):
@@ -440,13 +461,24 @@ def test_approximate_barycenter_two_vertices():
                                                 rel=1e-9)
 
 
-def test_approximate_properties_across_parameters():
+def hull_family():
+    """Criterion 9's family: four parameters of random weights on three
+    vertices of the plane, over five shared intervals."""
     rng = np.random.default_rng(3)
     verts = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
     w = rng.random((4, 5, 3))
     w /= w.sum(axis=2, keepdims=True)
     bp = np.concatenate([[0.0], np.sort(rng.random(4)), [1.0]])
-    fam = RelaxedFamily(verts, bp, w)
+    return RelaxedFamily(verts, bp, w)
+
+
+def on_vertices(values, verts):
+    """Per row of values: whether np.allclose puts it on some vertex."""
+    return np.any(np.all(np.isclose(values[:, None], verts), axis=2), axis=1)
+
+
+def test_approximate_properties_across_parameters():
+    fam = hull_family()
     eps = 0.5
     out = approximate_relaxed(fam, eps)
     counts = {len(s.values) for s in out.schedules}
@@ -455,15 +487,79 @@ def test_approximate_properties_across_parameters():
         assert np.min(np.diff(sched.breakpoints)) >= out.theta_eps * (1 - 1e-9)
         assert rx < eps
         # vertex-valued everywhere
-        for v in sched.values:
-            assert any(np.allclose(v, vert) for vert in verts)
+        assert np.all(on_vertices(sched.values, fam.vertices))
+    # the membership test sees one value off the vertices
+    off = out.schedules[0].values.copy()
+    off[7] = 0.5 * (fam.vertices[0] + fam.vertices[1])
+    assert on_vertices(off, fam.vertices).tolist().count(False) == 1
+
+
+def looped_approximate_relaxed(family, eps):
+    """approximate_relaxed's grid as a loop over cells, each vertex's time
+    integrated segment by segment, and its rx distance read one knot
+    interval at a time through PiecewiseConstant.value: (breakpoints, rx
+    distance) per parameter."""
+    verts = family.vertices
+    r = verts.shape[0]
+    T = family.breakpoints[-1] - family.breakpoints[0]
+    D = float(np.max(np.sum(np.abs(verts), axis=1)))
+    gamma = eps / (2 * T * max(D, 1e-300) * r) / 2
+    n = int(math.ceil((r + 1) / (r * gamma))) + 1
+    cell = T / n**2
+    cells = family.breakpoints[0] + cell * np.arange(n**2 + 1)
+
+    def integrate_weights(pw, lo, hi):
+        """Exact integral of the pushed weight signal over [lo, hi]."""
+        acc = np.zeros(r)
+        i = max(int(np.searchsorted(family.breakpoints, lo, side="right")) - 1, 0)
+        t = lo
+        while t < hi - 1e-15 * T and i < len(pw):
+            seg_hi = min(hi, family.breakpoints[i + 1])
+            acc += push_to_interior(pw[i], n) * (seg_hi - t)
+            t = seg_hi
+            i += 1
+        return acc
+
+    out = []
+    for pw in family.weights:
+        bps = [family.breakpoints[0]]
+        for c in range(n**2):
+            durations = integrate_weights(pw, cells[c], cells[c + 1])
+            t = bps[-1]
+            for j in range(r):
+                t += durations[j]
+                bps.append(t)
+        bps = np.array(bps)
+        bps[-1] = family.breakpoints[-1]
+        sched = PiecewiseConstant(bps, np.tile(verts, (n**2, 1)))
+        orig = PiecewiseConstant(family.breakpoints, pw @ verts)
+        knots = np.unique(np.concatenate([bps, orig.breakpoints]))
+        diff = np.array([sched.value(0.5 * (a + b)) - orig.value(0.5 * (a + b))
+                         for a, b in zip(knots[:-1], knots[1:])])
+        out.append((bps, rx_norm((knots, diff))))
+    return out
+
+
+@pytest.mark.parametrize("eps", [0.5, 0.25])
+def test_approximate_matches_cell_loop(eps):
+    # the cumulative integral read at the cell edges gives the loop's
+    # breakpoints; midpoint lookups on the merged knots its rx distances
+    fam = hull_family()
+    out = approximate_relaxed(fam, eps)
+    want = looped_approximate_relaxed(fam, eps)
+    assert len(out.schedules) == len(want) == 4
+    for sched, rx, (bps, rx_loop) in zip(out.schedules, out.rx_distances,
+                                         want):
+        assert len(sched.breakpoints) == len(bps)
+        assert np.max(np.abs(sched.breakpoints - bps)) <= 1e-12
+        assert rx == pytest.approx(rx_loop, rel=1e-9)
 
 
 def test_approximate_capacity_error():
     verts = np.array([[1.0], [-1.0]])
     fam = RelaxedFamily(verts, [0.0, 1.0], np.full((1, 1, 2), 0.5))
-    with pytest.raises(ValueError):
-        approximate_relaxed(fam, 1e-9, n_cap=50)
+    with pytest.raises(ValueError, match="exceeds cap %d" % control.N_CAP):
+        approximate_relaxed(fam, 1e-9)
 
 
 # ---------------------------------------------------------------------------

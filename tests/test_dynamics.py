@@ -13,8 +13,7 @@ from hypothesis import strategies as st
 from galns import dynamics
 from galns.dynamics import (POLY_THETA, GalerkinSystem, IntegratorStats,
                             PiecewiseConstant, PiecewisePolynomial,
-                            Trajectory, adaptive_lawson,
-                            data_continuity_probe, integrate, rhs,
+                            Trajectory, adaptive_lawson, integrate, rhs,
                             run_manifest)
 from galns.nonlinearity import interaction_coeffs, quadratic
 from galns.saturation import mode_set_K
@@ -45,6 +44,12 @@ def test_system_invariants():
 
 @pytest.mark.parametrize("nu", [math.nan, math.inf])
 def test_system_rejects_non_finite_viscosity(nu):
+    with pytest.raises(ValueError, match="viscosity"):
+        make_sys(nu=nu)
+
+
+@pytest.mark.parametrize("nu", [0.0, -0.5])
+def test_system_rejects_nonpositive_viscosity(nu):
     with pytest.raises(ValueError, match="viscosity"):
         make_sys(nu=nu)
 
@@ -461,35 +466,6 @@ def test_smooth_control_sine_forcing():
                    - lam * math.sin(w * T)) / (lam**2 + w**2)
     got = tr.states[-1][sys.index[(1, 1)]]
     assert got == pytest.approx(exact, rel=1e-6, abs=1e-18)
-
-
-def test_continuity_probe_zero_delta():
-    sys = make_sys()
-    u0 = SpectralField(G, {(1, 1): 0.5})
-    rows = data_continuity_probe(sys, u0, 0.2, [0.0])
-    assert rows[0]["u0_dev"] == 0.0 and rows[0]["nu_plus_dev"] == 0.0
-
-
-@pytest.mark.parametrize("delta", [1.0, 1.5])
-def test_continuity_probe_rejects_delta_at_least_nu(delta):
-    # nu - delta is no viscosity
-    sys = make_sys(nu=1.0)
-    with pytest.raises(ValueError, match="viscosity"):
-        data_continuity_probe(sys, SpectralField(G, {(1, 1): 0.5}), 0.2,
-                              [delta])
-
-
-def test_continuity_probe_halving_and_nu_flip():
-    rng = np.random.default_rng(6)
-    sys = make_sys(nu=1.0, forcing=SpectralField(G, {(1, 2): 0.3}))
-    u0 = random_field(rng, K1, scale=0.5)
-    rows = data_continuity_probe(sys, u0, 0.2, [1e-3, 5e-4])
-    for key in ("u0_dev", "forcing_dev", "nu_plus_dev"):
-        ratio = rows[1][key] / rows[0][key]
-        assert 0.3 <= ratio <= 0.7
-    for r in rows:
-        assert r["nu_plus_dev"] < 2 * r["nu_minus_dev"]
-        assert r["nu_minus_dev"] < 2 * r["nu_plus_dev"]
 
 
 def test_control_perturbation_deviation_decreases():
