@@ -39,10 +39,11 @@ class EndpointExperiment:
         self.observed_set = tuple(sorted(tuple(k) for k in self.observed_set))
         if not set(self.observed_set) <= set(self.sys.controlled_set):
             raise ValueError("observed_set must be controlled")
-        if self.gamma_infl <= 1:
-            raise ValueError("inflation factor must exceed 1")
-        if self.horizon <= 0 or self.radius <= 0:
-            raise ValueError("horizon and radius must be positive")
+        # NaN compares false, so these tests reject it too
+        for name, low in (("radius", 0), ("gamma_infl", 1), ("horizon", 0)):
+            if not low < getattr(self, name) < np.inf:
+                raise ValueError("%s must exceed %d and be finite, got %r"
+                                 % (name, low, getattr(self, name)))
         self._obs_idx = [self.sys.index[k] for k in self.observed_set]
 
     def observed(self, y: np.ndarray) -> np.ndarray:
@@ -164,18 +165,17 @@ def endpoint_tangent(exp: EndpointExperiment, T: float):
     return exp.observed(y), exp.observed(Z), stats
 
 
-def invert_endpoint(F, targets, p0, gain, tol: float, max_iter: int):
-    """Solve F(p) = target for each row of a (B, d) stack by the damped step
-    p <- p + (target - F(p)) / gain.  A scalar or per-coordinate gain
-    divides; a (d, d) gain is a Jacobian of F, inverted once and applied
-    to each residual by a matmul (the chord Newton step).  The rows still
-    iterating are mapped together as one stack (a view of the impulses
-    while every row iterates, so F must not write into it); each stops
-    once its l1 residual is below tol or after max_iter map calls.
-    Returns the impulses, each row's last residual and each row's number
-    of map calls."""
-    inverse = np.linalg.inv(gain).T if np.ndim(gain) == 2 else None
-    p = np.array(p0, dtype=float)
+def invert_endpoint(F, targets, F0, DF, tol: float, max_iter: int):
+    """Solve F(p) = target for each row of a (B, d) stack by the chord
+    Newton step from F0 = F(0) and the (d, d) Jacobian DF = DF(0): p
+    starts at DF^-1 (target - F0) and moves by DF^-1 (target - F(p)),
+    with DF inverted once.  The rows still iterating are mapped together
+    as one stack (a view of the impulses while every row iterates, so F
+    must not write into it); each stops once its l1 residual is below tol
+    or after max_iter map calls.  Returns the impulses, each row's last
+    residual and each row's number of map calls."""
+    inverse = np.linalg.inv(DF).T
+    p = (targets - F0) @ inverse
     residuals = np.zeros(len(p))
     calls = np.zeros(len(p), dtype=int)
     active = np.arange(len(p))
@@ -188,7 +188,7 @@ def invert_endpoint(F, targets, p0, gain, tol: float, max_iter: int):
         calls[rows] += 1
         going = (res >= tol) & (calls[rows] < max_iter)
         active = active[going]
-        p[active] += r[going] / gain if inverse is None else r[going] @ inverse
+        p[active] += r[going] @ inverse
     return p, residuals, calls
 
 
@@ -237,6 +237,9 @@ def covering_check(exp: EndpointExperiment, grid_per_dim: int = 3,
     if grid_per_dim < 2:
         raise ValueError("grid_per_dim must be at least 2, got %r"
                          % (grid_per_dim,))
+    if not 0 < residual_tol < np.inf:
+        raise ValueError("residual_tol must be positive and finite, got %r"
+                         % (residual_tol,))
     d = len(exp.observed_set)
     if fit_horizons is None:
         fit_horizons = [exp.horizon, exp.horizon / 2, exp.horizon / 4]
@@ -249,8 +252,8 @@ def covering_check(exp: EndpointExperiment, grid_per_dim: int = 3,
     F0, DF, tangent_stats = endpoint_tangent(exp, T)
     # the impulses are not reported, so their stack is not kept
     residuals, iterations = invert_endpoint(
-        lambda P: endpoint_map(exp, P, T), targets,
-        (targets - F0) @ np.linalg.inv(DF).T, DF, residual_tol, 60)[1:]
+        lambda P: endpoint_map(exp, P, T), targets, F0, DF, residual_tol,
+        60)[1:]
 
     failures = [{"target": targets[i].tolist(),
                  "residual": float(residuals[i])}
@@ -333,8 +336,8 @@ class OscillatorProfile:
 
 
 def make_phi_w(breakpoints, w: float) -> OscillatorProfile:
-    if w < 3:
-        raise ValueError("oscillator frequency must be >= 3")
+    if not 3 <= w < np.inf:
+        raise ValueError("w must be at least 3 and finite, got %r" % (w,))
     bp = np.asarray(breakpoints, dtype=float)
     # NaN compares false, so a NaN breakpoint fails this test too
     if bp.ndim != 1 or len(bp) < 2 or not np.all(np.diff(bp) > 0):
@@ -557,6 +560,9 @@ class VertexSchedule:
         self.breakpoints = np.asarray(self.breakpoints, dtype=float)
         if len(self.labels) != len(self.breakpoints) - 1:
             raise ValueError("one label per interval required")
+        if not 0 < self.xi < np.inf:
+            raise ValueError("xi must be positive and finite, got %r"
+                             % (self.xi,))
 
     def full_values(self, sys: GalerkinSystem) -> np.ndarray:
         """The literal control vectors over sys.mode_set."""
@@ -721,11 +727,13 @@ def _direction_matrix(sys: GalerkinSystem, level: int):
 
 def _cover(full_sys, u0, goal, idx, horizon, tol):
     """First-order covering: the impulse on the modes idx, held constant
-    over [0, horizon], whose end state matches goal on idx, by invert_endpoint
-    with the linear part's gain expm1(lam T) / (lam T).  Returns (impulse,
-    l1 residual, end state)."""
-    lam = full_sys.lam[idx] * horizon
-    gain = np.where(np.abs(lam) < 1e-12, 1.0, np.expm1(lam) / lam)
+    over [0, horizon], whose end state matches goal on idx, by
+    invert_endpoint from F(0) and DF(0) of one integrate_tangent run.
+    Returns (impulse, l1 residual, end state)."""
+    directions = np.zeros((full_sys.dim, len(idx)))
+    directions[idx, np.arange(len(idx))] = 1.0 / horizon
+    y, Z, _ = integrate_tangent(full_sys, u0, None, horizon, directions,
+                                tol=tol)
     ends = []
 
     def F(P):
@@ -734,9 +742,8 @@ def _cover(full_sys, u0, goal, idx, horizon, tol):
         ends.append(integrate(full_sys, u0, PiecewiseConstant(
             [0.0, horizon], [full]), horizon, tol).states[-1])
         return ends[-1][idx][None]
-    p, res, _ = invert_endpoint(F, goal[idx][None],
-                                (goal - full_sys.to_vector(u0))[idx][None],
-                                gain, 100 * tol, 60)
+    p, res, _ = invert_endpoint(F, goal[idx][None], y[idx], Z[idx],
+                                100 * tol, 60)
     return p[0], float(res[0]), ends[-1]
 
 
@@ -953,19 +960,17 @@ def cascade_to_K1(sys: GalerkinSystem, target: SpectralField, eps: float,
     # covering at level M, actuated on the K^M modes
     full_sys = GalerkinSystem(sys.geom, sys.nu, sys.forcing, sys.mode_set,
                               sys.mode_set)
-    proj = SpectralField(sys.geom, {k: target[k] for k in target.coeffs
-                                    if k in set(mode_set_K(m_level))})
+    # the target on mode_set: _cover reads its K^M part
+    inside = sys.to_vector(SpectralField(
+        sys.geom, {k: target[k] for k in target.coeffs if k in sys.index}))
     idx_m = np.array([sys.index[k] for k in sorted(mode_set_K(m_level))],
                      dtype=int)
-    p, covering_residual, y_prev = _cover(full_sys, u0, sys.to_vector(proj),
-                                          idx_m, horizon, tol)
+    p, covering_residual, y_prev = _cover(full_sys, u0, inside, idx_m,
+                                          horizon, tol)
 
     full_tail2 = sum(e for k, e in energy.items() if k not in sys.index)
 
     def distance_to_target(y):
-        inside = sys.to_vector(SpectralField(
-            sys.geom, {k: target[k] for k in target.coeffs
-                       if k in sys.index}))
         return math.sqrt(h_dist(y, inside) ** 2 + full_tail2)
 
     steps = []

@@ -6,8 +6,8 @@ solenoidal forcing, and a control acting on a subset of modes.  The
 quadratic term evaluates one state of shape (dim,) or a stack of states of
 shape (dim, B) alike, on one of two paths chosen from the mode set alone.
 A small mode set uses one dense operator over the unique interacting pairs
-(m, n), Q(y) = C @ (y_m * y_n), filled from the array kernel
-nonlinearity.interaction_kernel; its bilinear form, the tangent right-hand
+(m, n), Q(y) = C @ (y_m * y_n), whose columns are the coefficient rows
+of nonlinearity.interaction_rows; its bilinear form, the tangent right-hand
 side, is one product with the Jacobian tensor D[k, i, j] = D[k, j, i] =
 C[k, (i, j)], formed from C the first time it is used.  A larger one
 evaluates the velocity and vorticity gradient on a 3/2-rule dealiased grid
@@ -40,8 +40,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .nonlinearity import (float_params, interaction_kernel, mode_array,
-                           mode_positions)
+from .nonlinearity import float_params, interaction_rows, mode_array
 from .spectral import ModeIndex, RectGeometry, SpectralField, check_mode, kbar
 
 
@@ -191,22 +190,16 @@ class GalerkinSystem:
         """Build the pair-reduced interaction operator of the "pair" path:
         the unique interacting pairs (_pi[p], _pj[p]) and the dense matrix
         _Q (dim x pairs) of their coefficients on each target mode, from one
-        interaction_kernel call over the pairs m < n.  A pair's four targets
-        are distinct, so no entry is written twice.  Returns (_pi, _pj, _Q)."""
-        modes = mode_array(self.mode_set)
+        interaction_rows call over the pairs m < n, keeping the pairs with
+        a nonzero entry.  Returns (_pi, _pj, _Q)."""
         ii, jj = np.triu_indices(self.dim, 1)
-        targets, c = interaction_kernel(modes[:, ii], modes[:, jj],
-                                        *float_params(self.geom))
-        t = mode_positions(modes, targets)
-        hit = (t >= 0) & (c != 0.0)
-        pair = np.broadcast_to(np.arange(len(ii)), hit.shape)[hit]
-        has = np.zeros(len(ii), dtype=bool)
-        has[pair] = True
+        modes = np.array(self.mode_set)
+        rows = interaction_rows(np.stack([modes[ii], modes[jj]], axis=1),
+                                self.mode_set, *float_params(self.geom))
+        has = (rows != 0.0).any(axis=1)
         self._pi, self._pj = ii[has], jj[has]
-        # an entry's column is its pair's rank among the pairs with entries
-        col = (np.cumsum(has) - 1)[pair]
-        self._Q = np.zeros((self.dim, len(self._pi)))
-        self._Q[t[hit], col] = c[hit]
+        # C order, which the products of quadratic_vec and _D read
+        self._Q = np.ascontiguousarray(rows[has].T)
         return self._pi, self._pj, self._Q
 
     @cached_property
@@ -633,6 +626,10 @@ def adaptive_lawson(lam, nonlin, y0, t0, t1, tol, max_step=np.inf,
     y0 may be one state of shape (dim,) or a stack of shape (dim, B) with
     lam of shape (dim, 1); the stack shares one step sequence and the error
     is the largest over all its entries, so each member meets tol."""
+    # tol = inf accepts every step, which fixes the step at a finite max_step
+    if not (0 < tol < np.inf or tol == np.inf and max_step < np.inf):
+        raise ValueError("tol must be positive, and finite unless max_step "
+                         "is, got %r" % (tol,))
     span = t1 - t0
     if h_min is None:
         h_min = 1e-13 * span

@@ -8,7 +8,8 @@ convention of the ODE system u'_k = quadratic(u)_k + nu*kbar*u_k + ...,
 i.e. quadratic(u) = -P[(u.grad)u] with P the Leray projection).  Targets
 with a zero component are dropped: their basis factor vanishes identically.
 Every coefficient comes from one array kernel, interaction_kernel, over
-many pairs and all four labels at once; the one-pair functions wrap it.
+many pairs and all four labels at once; other modules read it only through
+interaction_rows and the one-pair functions.
 
 The quadrature oracle never calls that kernel.  Each term of the trilinear
 form b(W_m, W_n, W_k) on basis fields is an x1 product times an x2 product
@@ -105,31 +106,25 @@ def interaction_rows(pairs, modes, a2, b2, scale=None) -> np.ndarray:
     return rows[:, :-1]
 
 
-def interaction_coeffs_scaled(m: ModeIndex, n: ModeIndex, a2, b2):
-    """The four coefficients with the common factor pi^2/(4ab) taken out.
-
-    a2, b2 may be floats or exact Fractions (of a^2, b^2); the result is
-    rational in a2, b2 so exact inputs give exact outputs.  Returns
-    {label: value} for the labels whose target has no zero component.
-    """
+def _pair_coeffs(m: ModeIndex, n: ModeIndex, a2, b2) -> dict:
+    """The kernel values of the one pair (m, n) as {target: value}, over
+    the targets with no zero component."""
     targets, values = interaction_kernel(mode_array([check_mode(m)]),
                                          mode_array([check_mode(n)]), a2, b2)
-    return {lab: v for lab, t, v in zip(LABELS, targets[:, :, 0].T, values[:, 0])
-            if t.all()}
+    return {tuple(t): v for t, v in zip(targets[:, :, 0].T.tolist(), values[:, 0])
+            if all(t)}
 
 
 def interaction_coeffs(m: ModeIndex, n: ModeIndex, geom: RectGeometry) -> dict:
     """Floating coefficients {target mode: C} including the pi^2/(4ab) factor."""
     a2, b2, scale = float_params(geom)
-    scaled = interaction_coeffs_scaled(m, n, a2, b2)
-    return {target_mode(m, n, lab): scale * float(v) for lab, v in scaled.items()}
+    return {k: scale * float(v) for k, v in _pair_coeffs(m, n, a2, b2).items()}
 
 
 def interaction_coeffs_exact(m: ModeIndex, n: ModeIndex,
                              a2: Fraction, b2: Fraction) -> dict[ModeIndex, Fraction]:
     """Exact coefficients {target: r} with C = (pi^2/4ab) * r, r in Q(a2, b2)."""
-    scaled = interaction_coeffs_scaled(m, n, Fraction(a2), Fraction(b2))
-    return {target_mode(m, n, lab): v for lab, v in scaled.items()}
+    return _pair_coeffs(m, n, Fraction(a2), Fraction(b2))
 
 
 def quadratic(u: SpectralField, mode_set=None) -> SpectralField:

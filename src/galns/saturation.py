@@ -193,13 +193,6 @@ def _ratio_conditions(j: int, a2: Fraction, b2: Fraction,
     conds["interaction_integers_nonzero"] = all(v != 0 for v in wedges.values())
     conds["interaction_integers"] = wedges
 
-    def entries(pair, label):
-        """The pair's exact coefficients on its label's target and on its
-        (1, 1) target."""
-        coeffs = interaction_coeffs_exact(pair[0], pair[1], a2, b2)
-        return [coeffs.get(target_mode(pair[0], pair[1], lb), Fraction(0))
-                for lb in (label, (1, 1))]
-
     ratios_ok = True
     checks = []
     if j >= 2:
@@ -217,8 +210,14 @@ def _ratio_conditions(j: int, a2: Fraction, b2: Fraction,
                 (((1, 1), (2, 2 * p)), ((1, p), (2, p + 1)), (-1, 1)),
                 (((1, 1), (2 * p, 2)), ((p, 1), (p + 1, 2)), (1, -1)),
             ]
-        for pa, pb, lab in duos:
-            (ca, da), (cb, db) = entries(pa, lab), entries(pb, lab)
+        # a duo's two pairs reach its label's target and its (1, 1) target,
+        # and no two duos share one: duo i is the i-th 2 x 2 diagonal block
+        rows = interaction_rows(
+            [pair for pa, pb, _ in duos for pair in (pa, pb)],
+            [target_mode(*pa, lb) for pa, _, lab in duos
+             for lb in (lab, (1, 1))], a2, b2)
+        for i, (pa, pb, _) in enumerate(duos):
+            (ca, da), (cb, db) = rows[2 * i:2 * i + 2, 2 * i:2 * i + 2].tolist()
             ok = cb != 0 and db != 0 and ca * db != cb * da
             checks.append({"pair_a": str(pa), "pair_b": str(pb), "ok": ok})
             ratios_ok = ratios_ok and ok
@@ -246,8 +245,8 @@ def verify_step(j: int, a2: Fraction, b2: Fraction,
     required = len(targets)
     witnesses = {}
     if j == 1 and square_mode:
-        rep = interaction_rows(SQUARE_REPAIR_PAIRS, SQUARE_REPAIR_TARGETS,
-                               a2, b2).tolist()
+        # the repair pairs and targets are the matrix's last rows and columns
+        rep = [row[-3:] for row in matrix[-3:]]
         # determinant of the pi^2-scaled entries: divide one factor 4ab out
         d = det3(rep) / (4 * a2) ** 3 if a2 == b2 else det3(rep)
         witnesses["square_repair_det_pi2_scaled"] = d

@@ -225,13 +225,21 @@ def test_criterion_09_relaxed_approximation():
     eps = 0.5
     out = approximate_relaxed(fam, eps)
     assert len({len(s.values) for s in out.schedules}) == 1
+
+    def off_vertex(values):
+        """Rows of values that np.allclose puts on no vertex."""
+        on = np.all(np.isclose(values[:, None], verts), axis=2).any(axis=1)
+        return np.flatnonzero(~on).tolist()
     for sched, rx in zip(out.schedules, out.rx_distances):
         assert np.min(np.diff(sched.breakpoints)) >= out.theta_eps * (1 - 1e-9)
         assert rx < eps
-        for v in sched.values:
-            assert any(np.allclose(v, vert) for vert in verts)
+        assert off_vertex(sched.values) == []
         # the reported rx distance is a genuine rx-metric evaluation
         assert rx >= 0.0
+    # one value moved off its vertex is the one the check flags
+    moved = out.schedules[0].values.copy()
+    moved[len(moved) // 2, 0] += 1e-4
+    assert off_vertex(moved) == [len(moved) // 2]
     # interior push preserves the total mass K exactly and enforces the floor
     for _ in range(30):
         L = int(rng.integers(2, 8))

@@ -468,6 +468,36 @@ def test_mistyped_fields_are_config_errors(tmp_path, capsys, command, cfg):
     assert "config error" in capsys.readouterr().err
 
 
+STEER_GRID_CFG = {
+    "geometry": {"a": 1.0, "b": 2.0}, "nu": 1.0, "level": 3,
+    "controlled_level": 1, "u0": {"1,1": 0.1, "2,2": -0.05},
+    "radius": 0.1, "gamma_infl": 1.5, "horizon": 2.0,
+    "grid_per_dim": 2, "fit_horizons": [0.1, 0.05, 0.025], "seed": 1,
+}
+
+
+@pytest.mark.parametrize("command, cfg, message", [
+    ("steer", dict(STEER_GRID_CFG, tol=NAN), "tol must be positive"),
+    ("steer", dict(STEER_GRID_CFG, residual_tol=NAN),
+     "residual_tol must be positive"),
+    ("steer", dict(STEER_GRID_CFG, radius=NAN), "radius must exceed 0"),
+    ("steer", dict(STEER_GRID_CFG, gamma_infl=NAN),
+     "gamma_infl must exceed 1"),
+    ("steer", dict(STEER_GRID_CFG, horizon=math.inf),
+     "horizon must exceed 0"),
+    ("imitate", dict(IMI_CFG, xi=NAN), "xi must be positive"),
+    ("imitate", dict(IMI_CFG, ws=[NAN]), "w must be at least 3"),
+], ids=["tol", "residual_tol", "radius", "gamma_infl", "horizon", "xi", "w"])
+def test_non_finite_numbers_are_config_errors(tmp_path, capsys, command, cfg,
+                                               message):
+    # every comparison with NaN is false: a NaN residual_tol let every
+    # target pass, and a NaN tol or radius ran into a step underflow
+    path = write_cfg(tmp_path, "c.json", cfg)
+    assert main(["--out", str(tmp_path / "o"), command,
+                 "--config", path]) == 2
+    assert "config error: " + message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("ndim, value", [
     (1, [True, 6.0]), (1, [0.0, False]), (2, [[True, 0.5]]),
     (2, [[0.5, 1.0], [0.0, False]])])

@@ -873,13 +873,15 @@ def linear_map(g, c, sizes):
 
 
 def test_invert_endpoint_exact_gain_two_calls():
+    # the exact Jacobian diag(g) with a wrong F0 (0, not F(0) = c): the
+    # start misses by c, and one chord step lands every row
     rng = np.random.default_rng(0)
     g = np.array([0.5, 2.0, -1.5])
     c = rng.normal(size=3)
     targets = rng.normal(size=(4, 3))
     sizes = []
     p, res, calls = invert_endpoint(linear_map(g, c, sizes), targets,
-                                    np.zeros((4, 3)), g, 1e-12, 60)
+                                    np.zeros(3), np.diag(g), 1e-12, 60)
     assert calls.tolist() == [2, 2, 2, 2]
     assert sizes == [4, 4]
     assert np.all(res < 1e-12)
@@ -887,35 +889,37 @@ def test_invert_endpoint_exact_gain_two_calls():
 
 
 def test_invert_endpoint_jacobian_gain_two_calls():
-    # a (d, d) gain is the Jacobian: on an affine map the chord step from
-    # any start lands, so the second call certifies every row
+    # on an affine map the chord start from the true F(0) and DF(0) lands,
+    # so the first call certifies every row; from a wrong F0 the first
+    # chord step lands and the second call certifies them
     rng = np.random.default_rng(1)
     A = np.eye(3) + 0.3 * rng.normal(size=(3, 3))
     c = rng.normal(size=3)
     targets = rng.normal(size=(4, 3))
-    sizes = []
+    want = np.linalg.solve(A, (targets - c).T).T
+    for F0, n in ((c, 1), (np.zeros(3), 2)):
+        sizes = []
 
-    def F(P):
-        sizes.append(len(P))
-        return P @ A.T + c
-    p, res, calls = invert_endpoint(F, targets, np.zeros((4, 3)), A, 1e-12,
-                                    60)
-    assert calls.tolist() == [2, 2, 2, 2]
-    assert sizes == [4, 4]
-    assert np.all(res < 1e-12)
-    np.testing.assert_allclose(p, np.linalg.solve(A, (targets - c).T).T,
-                               rtol=1e-12)
+        def F(P):
+            sizes.append(len(P))
+            return P @ A.T + c
+        p, res, calls = invert_endpoint(F, targets, F0, A, 1e-12, 60)
+        assert calls.tolist() == [n] * 4
+        assert sizes == [4] * n
+        assert np.all(res < 1e-12)
+        np.testing.assert_allclose(p, want, rtol=1e-12)
 
 
 def test_invert_endpoint_rows_stop_on_their_own():
-    # gain 1 on F(p) = p / 2: the residual halves with every call
+    # the identity as a wrong Jacobian of F(p) = p / 2: the start p = target
+    # leaves half the target, and the residual halves with every call
     g = np.full(2, 0.5)
     targets = np.array([[1e-3, 0.0], [1.0, 0.0], [0.0, 0.0]])
     sizes = []
     p, res, calls = invert_endpoint(linear_map(g, 0.0, sizes), targets,
-                                    np.zeros((3, 2)), 1.0, 1e-6, 60)
-    # residual r0 / 2^(k-1) after k calls; the zero target needs one
-    want = [1 + math.ceil(math.log2(r0 / 1e-6)) for r0 in (1e-3, 1.0)] + [1]
+                                    np.zeros(2), np.eye(2), 1e-6, 60)
+    # residual r0 / 2^k after k calls; the zero target needs one
+    want = [math.ceil(math.log2(r0 / 1e-6)) for r0 in (1e-3, 1.0)] + [1]
     assert calls.tolist() == want
     assert want[0] < want[1]
     assert sizes[0] == 3 and sizes[-1] == 1 and len(sizes) == max(want)
@@ -923,23 +927,23 @@ def test_invert_endpoint_rows_stop_on_their_own():
 
 
 def test_invert_endpoint_returns_unconverged_row():
-    # on F(p) = -p with gain 1 the iteration p <- 2 p + t diverges unless
-    # the first guess already solves it
+    # on F(p) = -p with the identity as Jacobian the iteration p <- 2 p + t
+    # diverges from the start p = t unless the target is zero
     targets = np.array([[0.0], [1.0]])
-    p, res, calls = invert_endpoint(lambda P: -P, targets, np.zeros((2, 1)),
-                                    1.0, 1e-8, 12)
+    p, res, calls = invert_endpoint(lambda P: -P, targets, np.zeros(1),
+                                    np.eye(1), 1e-8, 12)
     assert calls.tolist() == [1, 12]
     assert res[0] == 0.0
-    assert res[1] == 2.0 ** 11
+    assert res[1] == 2.0 ** 12
     # the residual belongs to the returned impulse
     assert res[1] == abs(1.0 + p[1, 0])
 
 
-def indexed_invert_endpoint(F, targets, p0, gain, tol, max_iter):
+def indexed_invert_endpoint(F, targets, F0, DF, tol, max_iter):
     """The inversion loop with every stack read through an index array
     (so copied), also when every row is still active."""
-    inverse = np.linalg.inv(gain).T if np.ndim(gain) == 2 else None
-    p = np.array(p0, dtype=float)
+    inverse = np.linalg.inv(DF).T
+    p = (targets - F0) @ inverse
     residuals = np.zeros(len(p))
     calls = np.zeros(len(p), dtype=int)
     active = np.arange(len(p))
@@ -950,7 +954,7 @@ def indexed_invert_endpoint(F, targets, p0, gain, tol, max_iter):
         calls[active] += 1
         going = (res >= tol) & (calls[active] < max_iter)
         active = active[going]
-        p[active] += r[going] / gain if inverse is None else r[going] @ inverse
+        p[active] += r[going] @ inverse
     return p, residuals, calls
 
 
@@ -958,23 +962,24 @@ def indexed_invert_endpoint(F, targets, p0, gain, tol, max_iter):
 def test_invert_endpoint_matches_indexed_loop_bitwise(jacobian):
     rng = np.random.default_rng(2)
     A = np.eye(3) + 0.2 * rng.normal(size=(3, 3))
-    gain = A if jacobian else 1.0
+    # DF(0) = A, or the identity as a deliberately wrong Jacobian
+    DF = A if jacobian else np.eye(3)
     # rows of growing size take more chord steps on the quadratic part
     targets = rng.normal(size=(6, 3)) * np.logspace(-4, -0.5, 6)[:, None]
-    p0 = np.zeros((6, 3))
-    targets_in, p0_in = targets.copy(), p0.copy()
+    F0 = np.zeros(3)
+    targets_in, DF_in = targets.copy(), DF.copy()
     results = []
 
     def F(P):
         out = P @ A.T + 0.3 * P ** 2
         results.append((out, out.copy()))
         return out
-    got = invert_endpoint(F, targets, p0, gain, 1e-12, 60)
+    got = invert_endpoint(F, targets, F0, DF, 1e-12, 60)
     want = indexed_invert_endpoint(lambda P: P @ A.T + 0.3 * P ** 2,
-                                   targets, p0, gain, 1e-12, 60)
+                                   targets, F0, DF, 1e-12, 60)
     assert len(set(want[2].tolist())) >= 3 and min(want[2]) >= 2
     for g, w in zip(got, want):
         assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
     assert targets.tobytes() == targets_in.tobytes()
-    assert p0.tobytes() == p0_in.tobytes()
+    assert DF.tobytes() == DF_in.tobytes() and not np.any(F0)
     assert all(out.tobytes() == kept.tobytes() for out, kept in results)

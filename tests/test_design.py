@@ -48,3 +48,45 @@ def test_tests_read_only_operator_internals():
                          if r[1] not in OPERATOR_FIELDS]
              for path in sorted(tests.glob("test_*.py"))}
     assert {name: r for name, r in reads.items() if r} == {}
+
+
+# the coefficient kernel's internals: outside nonlinearity, coefficients
+# are read through interaction_rows (or its one-pair wrappers)
+KERNEL_NAMES = {"interaction_kernel", "mode_positions"}
+
+
+def kernel_reads(source: str) -> list:
+    """(line, name) of every import, name or attribute in KERNEL_NAMES;
+    strings and comments, docstrings among them, do not count."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.alias):
+            name = node.name.rsplit(".", 1)[-1]
+        elif isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        else:
+            continue
+        if name in KERNEL_NAMES:
+            found.append((node.lineno, name))
+    return sorted(found)
+
+
+def test_guard_sees_kernel_reads():
+    src = ('"""interaction_kernel in a docstring"""\n'
+           "from .nonlinearity import interaction_kernel as k\n"
+           "t = nonlinearity.mode_positions(m, t)\n"
+           "f = mode_positions\n"
+           "# interaction_kernel in a comment\n"
+           "rows = interaction_rows(p, m, 1, 1)\n")
+    assert kernel_reads(src) == [(2, "interaction_kernel"),
+                                 (3, "mode_positions"), (4, "mode_positions")]
+
+
+def test_only_nonlinearity_reads_the_kernel():
+    package = Path(galns.__file__).parent
+    reads = {path.name: kernel_reads(path.read_text())
+             for path in sorted(package.glob("*.py"))
+             if path.name != "nonlinearity.py"}
+    assert {name: r for name, r in reads.items() if r} == {}

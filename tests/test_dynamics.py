@@ -15,7 +15,9 @@ from galns.dynamics import (POLY_THETA, GalerkinSystem, IntegratorStats,
                             PiecewiseConstant, PiecewisePolynomial,
                             Trajectory, adaptive_lawson, integrate, rhs,
                             run_manifest)
-from galns.nonlinearity import interaction_coeffs, quadratic
+from galns.nonlinearity import (float_params, interaction_coeffs,
+                                interaction_kernel, mode_array,
+                                mode_positions, quadratic)
 from galns.saturation import mode_set_K
 from galns.spectral import RectGeometry, SpectralField, kbar
 
@@ -225,6 +227,41 @@ def test_operator_entries_equal_scalar_coefficients(a, b, modes):
                 cols.append(col)
     assert sys._pi.tolist() == pi and sys._pj.tolist() == pj
     assert np.array_equal(sys._Q, np.array(cols).reshape(-1, sys.dim).T)
+
+
+def scattered_quadratic_table(sys):
+    """(_pi, _pj, _Q) as a hand scatter of the kernel values builds them: a
+    pair's entries go to the rows of its targets in mode_set, in the column
+    of its rank among the pairs with a nonzero entry there."""
+    modes = mode_array(sys.mode_set)
+    ii, jj = np.triu_indices(sys.dim, 1)
+    targets, c = interaction_kernel(modes[:, ii], modes[:, jj],
+                                    *float_params(sys.geom))
+    t = mode_positions(modes, targets)
+    hit = (t >= 0) & (c != 0.0)
+    pair = np.broadcast_to(np.arange(len(ii)), hit.shape)[hit]
+    has = np.zeros(len(ii), dtype=bool)
+    has[pair] = True
+    col = (np.cumsum(has) - 1)[pair]
+    Q = np.zeros((sys.dim, int(has.sum())))
+    Q[t[hit], col] = c[hit]
+    return ii[has], jj[has], Q
+
+
+@pytest.mark.parametrize("a, b", [(1.0, 2.0), (1.0, 1.0), (math.pi, 1.0),
+                                  (0.7, 1.3)])
+@pytest.mark.parametrize("level", [1, 2, 3])
+def test_pair_table_matches_hand_scatter(a, b, level):
+    # the bytes and the C order of the operator: quadratic_vec's and _D's
+    # products give the same bits only on the same layout
+    geom = RectGeometry(a, b)
+    sys = GalerkinSystem(geom, 1.0, SpectralField(geom, {}),
+                         mode_set_K(level), ())
+    for got, want in zip((sys._pi, sys._pj, sys._Q),
+                         scattered_quadratic_table(sys)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
 
 
 @settings(max_examples=25, deadline=None)

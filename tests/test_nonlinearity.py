@@ -186,21 +186,19 @@ def test_energy_conservation_of_quadratic():
 
 def test_vanishing_law():
     # C++ = 0 iff wedge = 0 iff C-- = 0, under m < n and (m1 = n1 or n2 >= m2)
-    from galns.nonlinearity import interaction_coeffs_scaled
     modes = [(i, j) for i in range(1, 5) for j in range(1, 5)]
     for i, m in enumerate(modes):
         for n in modes[i + 1:]:
             if not (m[0] == n[0] or n[1] >= m[1]):
                 continue
-            cs = interaction_coeffs_scaled(m, n, Fraction(1), Fraction(4))
-            cpp = cs.get((1, 1), Fraction(0))
-            cmm = cs.get((-1, -1), Fraction(0))
+            cs = interaction_coeffs_exact(m, n, Fraction(1), Fraction(4))
+            tpp, tmm = target_mode(m, n, (1, 1)), target_mode(m, n, (-1, -1))
             w = wedge(m, n)
             # absent targets can make one of the two undefined; only compare present ones
-            if (1, 1) in cs:
-                assert (cpp == 0) == (w == 0)
-            if (-1, -1) in cs:
-                assert (cmm == 0) == (w == 0)
+            if tpp in cs:
+                assert (cs[tpp] == 0) == (w == 0)
+            if tmm in cs:
+                assert (cs[tmm] == 0) == (w == 0)
 
 
 def test_exact_matches_float():

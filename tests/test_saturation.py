@@ -1,16 +1,19 @@
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from galns.nonlinearity import bilinear, interaction_rows
+from galns import saturation
+from galns.nonlinearity import (bilinear, interaction_coeffs_exact,
+                                interaction_rows, target_mode, vee, wedge)
 from galns.saturation import (SQUARE_REPAIR_PAIRS, SQUARE_REPAIR_TARGETS,
-                              RowEchelon, bareiss_rank, build_chain,
-                              delta_vector, det3, mode_set_K, selection_S,
-                              verify_step)
+                              RowEchelon, _ratio_conditions, bareiss_rank,
+                              build_chain, delta_vector, det3, mode_set_K,
+                              selection_S, verify_step)
 from galns.spectral import RectGeometry, SpectralField
 
 A2, B2 = Fraction(1), Fraction(4)  # a=1, b=2
@@ -282,3 +285,70 @@ def test_exact_rank_invariant_under_swap(a, b, level, data):
     assert bareiss_rank(swapped_rows) == bareiss_rank(rows)
     for r, s in zip(rows, swapped_rows):
         assert s == r or s == [-x for x in r]
+
+
+def pairwise_ratio_conditions(j, a2, b2, square_mode=False):
+    """_ratio_conditions with each duo's coefficients read pair by pair,
+    one interaction_coeffs_exact call per pair and target.  Also returns
+    each duo's entries [[ca, da], [cb, db]]."""
+    conds = {}
+    pairs = selection_S(j, square_mode=square_mode)
+    wedges = {f"{m}x{n}": wedge(m, n) if wedge(m, n) != 0 else vee(m, n)
+              for m, n in pairs}
+    conds["interaction_integers_nonzero"] = all(v != 0 for v in wedges.values())
+    conds["interaction_integers"] = wedges
+
+    def entries(pair, label):
+        coeffs = interaction_coeffs_exact(pair[0], pair[1], a2, b2)
+        return [coeffs.get(target_mode(pair[0], pair[1], lb), Fraction(0))
+                for lb in (label, (1, 1))]
+
+    ratios_ok = True
+    checks = []
+    blocks = []
+    if j >= 2:
+        if (j - 1) % 2 == 0:
+            p = (j + 1) // 2
+            duos = [
+                (((1, 1), (2, 2 * p + 1)), ((1, p + 1), (2, p + 1)), (-1, 1)),
+                (((1, 1), (2 * p + 1, 2)), ((p + 1, 1), (p + 1, 2)), (1, -1)),
+            ]
+        else:
+            p = (j + 2) // 2
+            duos = [
+                (((1, 1), (3, 2 * p)), ((1, p), (3, p + 1)), (-1, 1)),
+                (((1, 1), (2 * p, 3)), ((p, 1), (p + 1, 3)), (1, -1)),
+                (((1, 1), (2, 2 * p)), ((1, p), (2, p + 1)), (-1, 1)),
+                (((1, 1), (2 * p, 2)), ((p, 1), (p + 1, 2)), (1, -1)),
+            ]
+        for pa, pb, lab in duos:
+            (ca, da), (cb, db) = entries(pa, lab), entries(pb, lab)
+            blocks.append([[ca, da], [cb, db]])
+            ok = cb != 0 and db != 0 and ca * db != cb * da
+            checks.append({"pair_a": str(pa), "pair_b": str(pb), "ok": ok})
+            ratios_ok = ratios_ok and ok
+    conds["ratio_inequalities_ok"] = ratios_ok
+    conds["ratio_checks"] = checks
+    return conds, blocks
+
+
+@pytest.mark.parametrize("r", [Fraction(1, 4), Fraction(1), Fraction(2, 3),
+                               Fraction(7, 2)], ids=str)
+def test_ratio_conditions_match_pairwise_reads(r):
+    # each duo is a 2 x 2 diagonal block of one interaction_rows call; the
+    # checks pass everywhere here, so the blocks themselves are compared
+    for j in range(2, 13):
+        for square in (False, True) if r == 1 else (False,):
+            calls = []
+
+            def spy(*args):
+                calls.append(interaction_rows(*args))
+                return calls[-1]
+            with mock.patch.object(saturation, "interaction_rows", spy):
+                got = _ratio_conditions(j, r, Fraction(1), square_mode=square)
+            want, blocks = pairwise_ratio_conditions(j, r, Fraction(1),
+                                                     square_mode=square)
+            assert got == want
+            assert len(calls) == 1 and len(blocks) == (2 if j % 2 else 4)
+            assert [calls[0][2 * i:2 * i + 2, 2 * i:2 * i + 2].tolist()
+                    for i in range(len(blocks))] == blocks
