@@ -331,9 +331,6 @@ class OscillatorProfile:
     def derivative(self, t: float) -> float:
         return self._at(t, 1)
 
-    def sine_mismatch_measure(self) -> float:
-        return float(2 * np.sum(self.rho))
-
 
 def make_phi_w(breakpoints, w: float) -> OscillatorProfile:
     if not 3 <= w < np.inf:
@@ -496,7 +493,7 @@ def approximate_relaxed(family: RelaxedFamily, eps: float) -> ApproxResult:
 
 
 def tracking_control(sys: GalerkinSystem, J, q: Smooth,
-                     Q_init: SpectralField, t0: float = 0.0, t1: float = None,
+                     Q_init: SpectralField, t0: float, t1: float,
                      tol: float = 1e-8) -> PiecewisePolynomial:
     """Feedforward control on the modes J that makes the J-projection of the
     trajectory follow q exactly, by co-integrating the complement dynamics
@@ -508,8 +505,6 @@ def tracking_control(sys: GalerkinSystem, J, q: Smooth,
     J = tuple(sorted(tuple(k) for k in J))
     if not set(J) <= set(sys.mode_set):
         raise ValueError("J must lie in mode_set")
-    if t1 is None:
-        t1 = t0 + 1.0
     idx_j = np.array([sys.index[k] for k in J], dtype=int)
     lam_c = sys.lam.copy()
     lam_c[idx_j] = 0.0
@@ -607,6 +602,9 @@ def imitate(sys: GalerkinSystem, z: VertexSchedule, w: float,
     which self-interacts to the required direction on average.  The reference
     is carried interval by interval; a tracked interval's reference J-path
     is a PiecewisePolynomial fitted from its dense output."""
+    # checked as given: the integrator runs below receive tol / 10
+    if not 0 < tol < np.inf:
+        raise ValueError("tol must be positive and finite, got %r" % (tol,))
     n_level = infer_level(sys.mode_set)
     if J is None:
         J = tuple(sorted(mode_set_K(n_level - 1))) if n_level > 1 \
@@ -725,15 +723,23 @@ def _direction_matrix(sys: GalerkinSystem, level: int):
     return labels, cols
 
 
-def _cover(full_sys, u0, goal, idx, horizon, tol):
-    """First-order covering: the impulse on the modes idx, held constant
-    over [0, horizon], whose end state matches goal on idx, by
-    invert_endpoint from F(0) and DF(0) of one integrate_tangent run.
-    Returns (impulse, l1 residual, end state)."""
+def _cover_tangent(full_sys, u0, idx, horizon, tol):
+    """F(0) and DF(0) of the covering on the modes idx: the end state on
+    idx and its derivative in the impulse held constant over [0, horizon],
+    from one integrate_tangent run."""
     directions = np.zeros((full_sys.dim, len(idx)))
     directions[idx, np.arange(len(idx))] = 1.0 / horizon
     y, Z, _ = integrate_tangent(full_sys, u0, None, horizon, directions,
                                 tol=tol)
+    return y[idx], Z[idx]
+
+
+def _cover(full_sys, u0, goal, idx, horizon, tol, tangent):
+    """First-order covering: the impulse on the modes idx, held constant
+    over [0, horizon], whose end state matches goal on idx, by
+    invert_endpoint from the tangent (F(0), DF(0)) of _cover_tangent.
+    Returns (impulse, l1 residual, end state)."""
+    F0, DF = tangent
     ends = []
 
     def F(P):
@@ -742,8 +748,7 @@ def _cover(full_sys, u0, goal, idx, horizon, tol):
         ends.append(integrate(full_sys, u0, PiecewiseConstant(
             [0.0, horizon], [full]), horizon, tol).states[-1])
         return ends[-1][idx][None]
-    p, res, _ = invert_endpoint(F, goal[idx][None], y[idx], Z[idx],
-                                100 * tol, 60)
+    p, res, _ = invert_endpoint(F, goal[idx][None], F0, DF, 100 * tol, 60)
     return p[0], float(res[0]), ends[-1]
 
 
@@ -833,7 +838,7 @@ def _schedule_jacobian(full_sys, labels, cols, masses, xi, cycle, u0, tol):
 
 
 def _solve_schedule(full_sys, labels, cols, level, y_goal, horizon, u0,
-                    n_cycles, tol, res_target):
+                    n_cycles, tol, res_target, tangent):
     """Coarse vertex schedule over the level's direction family whose literal
     replay ends at y_goal.
 
@@ -849,9 +854,11 @@ def _solve_schedule(full_sys, labels, cols, level, y_goal, horizon, u0,
     idx = np.array([full_sys.index[k] for k in span], dtype=int)
     cycle = horizon / n_cycles
 
-    # initial guess: first-order covering on the K^level components, then an
-    # exact decomposition over the direction family (a square system)
-    p, _, _ = _cover(full_sys, u0, y_goal, idx, horizon, tol)
+    # initial guess: first-order covering on the K^level components, from
+    # the given covering tangent or a new one, then an exact decomposition
+    # over the direction family (a square system)
+    p, _, _ = _cover(full_sys, u0, y_goal, idx, horizon, tol, tangent
+                     or _cover_tangent(full_sys, u0, idx, horizon, tol))
     alpha = np.linalg.solve(cols.T[idx], p / horizon)
 
     masses = np.tile(alpha * cycle, (n_cycles, 1)).ravel()
@@ -965,8 +972,10 @@ def cascade_to_K1(sys: GalerkinSystem, target: SpectralField, eps: float,
         sys.geom, {k: target[k] for k in target.coeffs if k in sys.index}))
     idx_m = np.array([sys.index[k] for k in sorted(mode_set_K(m_level))],
                      dtype=int)
+    # the first level's schedule starts from the same covering tangent
+    tangent = _cover_tangent(full_sys, u0, idx_m, horizon, tol)
     p, covering_residual, y_prev = _cover(full_sys, u0, inside, idx_m,
-                                          horizon, tol)
+                                          horizon, tol, tangent)
 
     full_tail2 = sum(e for k, e in energy.items() if k not in sys.index)
 
@@ -979,7 +988,7 @@ def cascade_to_K1(sys: GalerkinSystem, target: SpectralField, eps: float,
         labels, cols = _direction_matrix(sys, level)
         masses, xi, solver_res = _solve_schedule(
             full_sys, labels, cols, level, y_prev, horizon, u0, n_cycles, tol,
-            res_target=budget / 8)
+            budget / 8, tangent if level == m_level else None)
         cycle = horizon / n_cycles
         bps, labs, _ = _build_schedule(labels, masses, xi, cycle,
                                        width_floor=1e-4 * cycle)

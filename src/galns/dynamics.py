@@ -267,16 +267,10 @@ class GalerkinSystem:
         return t.project(u1 * zx + v1 * wx + u2 * zy + v2 * wy)
 
     def control_vec(self, v) -> np.ndarray:
-        """Embed a control value (array over controlled_set, or mode dict)
+        """Embed a control value (None, or an array over controlled_set)
         into the full state ordering."""
         out = np.zeros(self.dim)
         if v is None:
-            return out
-        if isinstance(v, dict):
-            if not set(v) <= set(self.controlled_set):
-                raise ValueError("control value hits uncontrolled modes")
-            for k, c in v.items():
-                out[self.index[k]] = c
             return out
         v = np.asarray(v, dtype=float)
         if v.shape != (len(self.controlled_set),):
@@ -487,7 +481,15 @@ class Trajectory:
         return self.sys.to_field(self.states[-1])
 
     def h_norms(self) -> np.ndarray:
-        return np.sqrt(np.clip(self.states**2 @ h_weights(self.sys), 0.0, None))
+        """H norm of each state, 64 rows at a time (no states-sized
+        temporary); a lone last row joins the block before it, as numpy
+        sums a one-row product in another order than one BLAS product."""
+        w = h_weights(self.sys)
+        out = np.empty(len(self.states))
+        edges = list(range(0, max(len(out) - 1, 1), 64)) + [len(out)]
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            out[lo:hi] = self.states[lo:hi] ** 2 @ w
+        return np.sqrt(out)
 
     def write_csv(self, path):
         """One row per accepted time, t then the state in mode_set order,

@@ -13,15 +13,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .dynamics import GalerkinSystem, rhs
+from .dynamics import GalerkinSystem
 from .nonlinearity import bilinear, float_params, interaction_rows
 from .saturation import RowEchelon, infer_level, mode_set_K, selection_S
 from .spectral import ModeIndex, SpectralField, kbar
-
-
-def drift_field(sys: GalerkinSystem, u: SpectralField) -> SpectralField:
-    """The uncontrolled vector field: quadratic + viscous + forcing."""
-    return rhs(sys, u, None)
 
 
 def first_bracket(sys: GalerkinSystem, u: SpectralField, i: ModeIndex) -> SpectralField:

@@ -72,11 +72,16 @@ def interaction_kernel(m, n, a2, b2, scale=None):
     mult = np.array([w * s1 * s2, -v * s1, v * s2, -w])
     d1, d2 = n * n - m * m
     t1sq, t2sq = targets * targets
+    # (nbar - mbar) / kbar(t) with the -pi^2/(a^2 b^2) factor cancelled
     if isinstance(a2, Fraction) or isinstance(b2, Fraction):
+        # a^2 and b^2 over one denominator: Python ints, one Fraction each
+        p, q = a2.numerator * b2.denominator, b2.numerator * a2.denominator
         mult, d1, d2, t1sq, t2sq = (x.astype(object)
                                     for x in (mult, d1, d2, t1sq, t2sq))
-    # (nbar - mbar) / kbar(t) with the -pi^2/(a^2 b^2) factor cancelled
-    values = mult * ((d1 * b2 + d2 * a2) / (t1sq * b2 + t2sq * a2))
+        values = np.frompyfunc(Fraction, 2, 1)(mult * (d1 * q + d2 * p),
+                                               t1sq * q + t2sq * p)
+    else:
+        values = mult * ((d1 * b2 + d2 * a2) / (t1sq * b2 + t2sq * a2))
     if scale is not None:
         values = scale * values
     return targets, values

@@ -270,9 +270,6 @@ class SaturationChain:
     def ok(self) -> bool:
         return all(c.verdict for c in self.certificates)
 
-    def final_level(self) -> int:
-        return self.levels[-1] + 1 if self.levels else 1
-
 
 def build_chain(target_modes, a2, b2,
                 use_square_repair: bool = None) -> SaturationChain:

@@ -15,7 +15,6 @@ kbar(k) = -pi^2 (k1^2/a^2 + k2^2/b^2).  The square of its L2 norm is
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -64,9 +63,6 @@ class SpectralField:
     def __getitem__(self, k: ModeIndex) -> float:
         return self.coeffs.get(k, 0.0)
 
-    def modes(self) -> list[ModeIndex]:
-        return sorted(self.coeffs)
-
     def norm(self, kind: str = "H") -> float:
         """sqrt((ab/4) sum (-kbar)^p u_k^2), p = 0, 1, 2, 3 for V', H, V, DA.
 
@@ -86,28 +82,6 @@ class SpectralField:
         pairing (ab/4) sum (-kbar_k) f_k u_k: by Cauchy-Schwarz the p = 0
         norm, attained at u_k = f_k / (-kbar_k)."""
         return self.norm("V'")
-
-    def eval_velocity(self, x1, x2) -> tuple[np.ndarray, np.ndarray]:
-        """Pointwise sum of the basis fields at scalars or arrays that
-        broadcast together."""
-        x1 = np.asarray(x1, dtype=float)
-        x2 = np.asarray(x2, dtype=float)
-        if np.any(x1 < -1e-12) or np.any(x1 > self.geom.a + 1e-12) \
-                or np.any(x2 < -1e-12) or np.any(x2 > self.geom.b + 1e-12):
-            raise ValueError("evaluation point outside the rectangle")
-        return eval_components(self, *np.broadcast_arrays(x1, x2))[0]
-
-    # ---- serialization ----
-
-    def to_json(self) -> str:
-        items = [[k1, k2, self.coeffs[(k1, k2)]] for (k1, k2) in self.modes()]
-        return json.dumps({"a": self.geom.a, "b": self.geom.b, "coeffs": items})
-
-    @classmethod
-    def from_json(cls, text: str) -> "SpectralField":
-        d = json.loads(text)
-        return cls(RectGeometry(d["a"], d["b"]),
-                   {(int(k1), int(k2)): v for k1, k2, v in d["coeffs"]})
 
     # ---- small vector-space helpers ----
 

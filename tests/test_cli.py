@@ -498,6 +498,15 @@ def test_non_finite_numbers_are_config_errors(tmp_path, capsys, command, cfg,
     assert "config error: " + message in capsys.readouterr().err
 
 
+def test_imitate_bad_tol_reported_as_given(tmp_path, capsys):
+    # imitate integrates at tol / 10; the error names the tol of the config
+    path = write_cfg(tmp_path, "c.json", dict(IMI_CFG, tol=-1))
+    assert main(["--out", str(tmp_path / "o"), "imitate",
+                 "--config", path]) == 2
+    assert "tol must be positive and finite, got -1.0" \
+        in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("ndim, value", [
     (1, [True, 6.0]), (1, [0.0, False]), (2, [[True, 0.5]]),
     (2, [[0.5, 1.0], [0.0, False]])])

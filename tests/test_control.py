@@ -264,12 +264,13 @@ def test_phi_mismatch_measure_bound():
     T = bps[-1]
     for w in (3.0, 9.0, 33.0):
         phi = make_phi_w(bps, w)
-        assert phi.sine_mismatch_measure() <= 2 * T / w + 1e-14
-        # the reported measure is exactly where phi differs from sin(wt)
+        # phi differs from sin(wt) on its ramps, two of length rho each
+        mismatch = 2 * np.sum(phi.rho)
+        assert mismatch <= 2 * T / w + 1e-14
         ts = np.linspace(0, T, 20001)
         frac_diff = np.mean([abs(phi.value(t) - math.sin(w * t)) > 1e-12
                              for t in ts])
-        assert frac_diff * T <= phi.sine_mismatch_measure() + 1e-3
+        assert frac_diff * T <= mismatch + 1e-3
 
 
 def test_phi_single_interval_midpoint():
@@ -592,7 +593,7 @@ def test_tracking_zero_target_is_equilibrium():
     sys = make_sys()
     q = Smooth(value=lambda t: np.zeros(8),
                derivative=lambda t: np.zeros(8), max_step=0.1)
-    v = tracking_control(sys, K1, q, SpectralField(G, {}), t1=0.3)
+    v = tracking_control(sys, K1, q, SpectralField(G, {}), 0.0, 0.3)
     for t in (0.0, 0.1, 0.25):
         assert np.max(np.abs(v.value(t))) < 1e-12
 
@@ -610,7 +611,7 @@ def test_tracking_rejects_modes_outside_system():
     q = Smooth(value=lambda t: np.zeros(1), derivative=lambda t: np.zeros(1),
                max_step=0.1)
     with pytest.raises(ValueError):
-        tracking_control(sys, [(9, 9)], q, SpectralField(G, {}))
+        tracking_control(sys, [(9, 9)], q, SpectralField(G, {}), 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -857,6 +858,27 @@ def test_solve_schedule_replays_only_for_residuals(monkeypatch):
     assert out["M"] == 2
     assert out["verdict"] == "pass"
     assert 1 <= len(calls) <= 5
+
+
+def test_cascade_covers_level_m_with_one_tangent_run(monkeypatch):
+    # the level-M covering and the first schedule's initial guess share one
+    # integrate_tangent run; every other run is a Gauss-Newton Jacobian
+    tangents, jacobians = [], []
+
+    def counted(calls, f):
+        def run(*args, **kwargs):
+            calls.append(1)
+            return f(*args, **kwargs)
+        return run
+    monkeypatch.setattr(control, "integrate_tangent",
+                        counted(tangents, control.integrate_tangent))
+    monkeypatch.setattr(control, "_schedule_jacobian",
+                        counted(jacobians, control._schedule_jacobian))
+    tgt = SpectralField(G, {(1, 1): 0.05, (2, 2): 0.02, (1, 4): 0.01})
+    out = cascade_to_K1(cascade_sys(), tgt, 0.05)
+    assert out["M"] == 2
+    assert len(jacobians) >= 1
+    assert len(tangents) == len(jacobians) + 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Design guards: properties of the source tree rather than of results."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import galns
@@ -90,3 +91,47 @@ def test_only_nonlinearity_reads_the_kernel():
              for path in sorted(package.glob("*.py"))
              if path.name != "nonlinearity.py"}
     assert {name: r for name, r in reads.items() if r} == {}
+
+
+# the benchmark's tracer (perfbench/tracer.py) replaces these attributes
+TRACER = Path(__file__).parents[1] / "perfbench" / "tracer.py"
+
+
+def tracer_hooks(source: str) -> list:
+    """(module, attribute path) of every wrap_function(module, "name") and
+    wrap_method(module.Class, "name") call in the source."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("wrap_function", "wrap_method")):
+            continue
+        owner, name = node.args[0], node.args[1].value
+        path = [name]
+        while isinstance(owner, ast.Attribute):
+            path.insert(0, owner.attr)
+            owner = owner.value
+        found.append((owner.id, ".".join(path)))
+    return found
+
+
+def test_guard_sees_tracer_hooks():
+    src = ("t.wrap_function(dynamics, \"integrate\", \"dynamics.integrate\")\n"
+           "t.wrap_method(dynamics.Trajectory, \"write_csv\", \"w\",\n"
+           "              after=csv_bytes)\n"
+           "t.wrap(\"x\", f)\n")
+    assert tracer_hooks(src) == [("dynamics", "integrate"),
+                                 ("dynamics", "Trajectory.write_csv")]
+
+
+def test_tracer_hooks_exist_in_galns():
+    hooks = tracer_hooks(TRACER.read_text())
+    assert ("cli", "main") in hooks
+    missing = []
+    for module, path in hooks:
+        obj = importlib.import_module("galns." + module)
+        for attr in path.split("."):
+            obj = getattr(obj, attr, None)
+        if obj is None:
+            missing.append("%s.%s" % (module, path))
+    assert missing == []

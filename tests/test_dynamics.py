@@ -321,7 +321,8 @@ def test_rhs_matches_quadratic_plus_linear():
     rng = np.random.default_rng(0)
     sys = make_sys(nu=0.3, forcing=SpectralField(G, {(1, 1): 0.2}))
     u = random_field(rng, K1)
-    v = {(1, 2): 0.5}
+    v = np.zeros(len(sys.controlled_set))
+    v[sys.controlled_set.index((1, 2))] = 0.5
     out = rhs(sys, u, v)
     q = quadratic(u, mode_set=K3)
     for k in K3:
@@ -334,8 +335,6 @@ def test_rhs_control_dimension_error():
     sys = make_sys()
     with pytest.raises(ValueError):
         rhs(sys, SpectralField(G, {}), np.zeros(3))
-    with pytest.raises(ValueError):
-        rhs(sys, SpectralField(G, {}), {(5, 4): 1.0})
 
 
 def test_rhs_matches_finite_difference_of_flow():
@@ -374,6 +373,18 @@ def test_h_norm_nonincreasing_unforced():
         tr = integrate(sys, u0, None, 0.3, tol=1e-10)
         hn = tr.h_norms()
         assert np.all(np.diff(hn) <= 1e-8)
+
+
+def test_h_norms_in_blocks_match_one_product():
+    # blocks of 64 rows, a lone last row joined to the block before it
+    rng = np.random.default_rng(5)
+    sys = make_sys()
+    w = dynamics.h_weights(sys)
+    for n in (1, 2, 63, 64, 65, 128, 129, 200):
+        states = rng.normal(size=(n, sys.dim)) * 10.0 ** rng.uniform(-3, 3)
+        tr = Trajectory(sys, np.arange(n, dtype=float), states,
+                        IntegratorStats())
+        assert np.array_equal(tr.h_norms(), np.sqrt(states ** 2 @ w)), n
 
 
 def test_energy_estimate_forced_runs():

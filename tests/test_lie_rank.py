@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from galns.dynamics import GalerkinSystem, rhs
-from galns.lie_rank import (drift_field, first_bracket, full_rank_check,
-                            gamma_vector, rank_verdict)
-from galns.nonlinearity import interaction_coeffs
+from galns.lie_rank import (first_bracket, full_rank_check, gamma_vector,
+                            rank_verdict)
+from galns.nonlinearity import interaction_coeffs, quadratic
 from galns.saturation import mode_set_K, selection_S
 from galns.spectral import RectGeometry, SpectralField, kbar
 
@@ -27,9 +27,12 @@ def test_drift_is_uncontrolled_rhs():
     rng = np.random.default_rng(0)
     sys = make_sys(2)
     u = random_field(rng, sys)
-    d = drift_field(sys, u)
-    r = rhs(sys, u, None)
-    assert d.coeffs == pytest.approx(r.coeffs)
+    d = rhs(sys, u, None)
+    assert d.coeffs == rhs(sys, u, np.zeros(len(sys.controlled_set))).coeffs
+    q = quadratic(u, mode_set=sys.mode_set)
+    for k in sys.mode_set:
+        assert d[k] == pytest.approx(q[k] + sys.nu * kbar(k, G) * u[k],
+                                     rel=1e-12, abs=1e-12)
 
 
 def test_first_bracket_at_origin():
@@ -49,15 +52,15 @@ def test_first_bracket_printed_pair():
 
 
 def test_first_bracket_matches_finite_difference():
-    # oracle: central differences of drift_field along e_i
+    # oracle: central differences of the drift rhs(sys, ., None) along e_i
     rng = np.random.default_rng(1)
     sys = make_sys(2)
     u = random_field(rng, sys, scale=0.5)
     eps = 1e-6
     for i in [(1, 1), (2, 2), (3, 4)]:
         e_i = SpectralField(G, {i: eps})
-        fp = drift_field(sys, u.plus(e_i))
-        fm = drift_field(sys, u.plus(e_i.scaled(-1)))
+        fp = rhs(sys, u.plus(e_i), None)
+        fm = rhs(sys, u.plus(e_i.scaled(-1)), None)
         br = first_bracket(sys, u, i)
         for k in sys.mode_set:
             fd = (fp[k] - fm[k]) / (2 * eps)
