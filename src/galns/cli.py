@@ -22,14 +22,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .control import (EndpointExperiment, VertexSchedule, covering_check,
-                      imitate, loglog_slope)
-from .dynamics import (GalerkinSystem, PiecewiseConstant, StiffnessError,
-                       integrate, run_manifest)
-from .lie_rank import rank_verdict
-from .nonlinearity import oracle_sweep
-from .saturation import build_chain, mode_set_K
-from .spectral import RectGeometry, SpectralField, leray_project
+# Each command imports the other galns modules it runs in its own body, so
+# a run loads (and, without bytecode, compiles) only those; the import
+# reads the module attribute at call time and, for --jobs, runs before
+# _pmap forks its workers.
+from .spectral import (RectGeometry, SpectralField, leray_project,
+                       mode_set_K)
 
 VERSION = "0.1.0"
 
@@ -117,6 +115,7 @@ def _field(cfg, name, geom):
 
 
 def _system(cfg):
+    from .dynamics import GalerkinSystem
     geom = _geom(cfg)
     nu = float(_require(cfg, "nu", (int, float)))
     level = int(_require(cfg, "level", int))
@@ -215,6 +214,7 @@ def _plot_series(outdir, name, xs, ys, xlabel, ylabel, loglog=False):
 
 
 def cmd_simulate(cfg, outdir, jobs, plot):
+    from .dynamics import PiecewiseConstant, integrate, run_manifest
     sys = _system(cfg)
     geom = sys.geom
     u0 = _field(cfg, "u0", geom)
@@ -248,6 +248,7 @@ def cmd_simulate(cfg, outdir, jobs, plot):
 
 
 def cmd_saturate(args, outdir, jobs, plot):
+    from .saturation import build_chain
     try:
         a2 = Fraction(args.a) ** 2
         b2 = Fraction(args.b) ** 2
@@ -271,6 +272,7 @@ def cmd_saturate(args, outdir, jobs, plot):
 
 
 def _steer_worker(exp_cfg):
+    from .control import EndpointExperiment, covering_check
     if not isinstance(exp_cfg, dict):
         raise ConfigError("each experiment must be a JSON object")
     sys = _system(exp_cfg)
@@ -293,6 +295,7 @@ def _steer_worker(exp_cfg):
 
 
 def cmd_steer(cfg, outdir, jobs, plot):
+    from . import control  # noqa: F401  (loaded once, before _pmap forks)
     exps = _optional(cfg, "experiments", list, [cfg])
     reports = _pmap(_steer_worker, exps, jobs)
     d = max(rep["observed_dim"] for rep in reports)
@@ -326,6 +329,7 @@ def _parse_label(lab):
 
 
 def _imitate_worker(arg):
+    from .control import VertexSchedule, imitate
     cfg, w = arg
     sys = _system(cfg)
     z = VertexSchedule(_floats(cfg, "breakpoints", 1),
@@ -339,6 +343,7 @@ def _imitate_worker(arg):
 
 
 def cmd_imitate(cfg, outdir, jobs, plot):
+    from .control import loglog_slope
     ws = _floats(cfg, "ws", 1).tolist()
     if not ws:
         raise ConfigError("field 'ws' must list at least one frequency")
@@ -367,6 +372,7 @@ def cmd_imitate(cfg, outdir, jobs, plot):
 
 
 def cmd_lierank(cfg, outdir, jobs, plot):
+    from .lie_rank import rank_verdict
     sys = _system(cfg)
     rng = np.random.default_rng(_optional(cfg, "seed", int, 0))
     n_points = _optional(cfg, "n_points", int, 5)
@@ -388,6 +394,7 @@ def cmd_lierank(cfg, outdir, jobs, plot):
 
 
 def _oracle_worker(arg):
+    from .nonlinearity import oracle_sweep
     cfg, ab = arg
     if not (isinstance(ab, list) and len(ab) == 2):
         raise ConfigError("each geometry must be a list [a, b], got %r" % (ab,))
@@ -401,6 +408,7 @@ def _oracle_worker(arg):
 
 
 def cmd_oracle(cfg, outdir, jobs, plot):
+    from . import nonlinearity  # noqa: F401  (loaded once, before _pmap forks)
     geoms = _optional(cfg, "geometries", list, [[1.0, 1.0]])
     results = _pmap(_oracle_worker, [(cfg, ab) for ab in geoms], jobs)
     rows = []
@@ -498,17 +506,18 @@ def main(argv=None) -> int:
     except ValueError as e:
         print("config error: %s" % e, file=_sys.stderr)
         return 2
-    except StiffnessError as e:
+    except Exception as e:
+        # imported here: no run that succeeds needs them
+        from .dynamics import StiffnessError
+        if not isinstance(e, StiffnessError):
+            import traceback
+            traceback.print_exc()
+            print("internal error: %s: %s" % (type(e).__name__, e),
+                  file=_sys.stderr)
+            return 4
         print("numerical failure: %s" % e, file=_sys.stderr)
         report = {"verdict": "numerical_failure", "error": str(e)}
         outputs = []
-    except Exception as e:
-        # imported here: no run that succeeds needs it
-        import traceback
-        traceback.print_exc()
-        print("internal error: %s: %s" % (type(e).__name__, e),
-              file=_sys.stderr)
-        return 4
 
     if "report.json" not in outputs:
         outputs += _write_json(args.out, report, "report.json")

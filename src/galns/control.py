@@ -15,8 +15,8 @@ from .dynamics import (GalerkinSystem, IntegratorStats, PiecewiseConstant,
                        adaptive_lawson, h_weights, integrate,
                        integrate_tangent)
 from .nonlinearity import float_params, interaction_rows
-from .saturation import infer_level, mode_set_K, selection_S
-from .spectral import SpectralField
+from .saturation import selection_S
+from .spectral import SpectralField, infer_level, mode_set_K
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,8 @@ import numpy as np
 
 from .dynamics import GalerkinSystem
 from .nonlinearity import bilinear, float_params, interaction_rows
-from .saturation import RowEchelon, infer_level, mode_set_K, selection_S
-from .spectral import ModeIndex, SpectralField, kbar
+from .saturation import RowEchelon, selection_S
+from .spectral import ModeIndex, SpectralField, infer_level, kbar, mode_set_K
 
 
 def first_bracket(sys: GalerkinSystem, u: SpectralField, i: ModeIndex) -> SpectralField:

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .nonlinearity import (interaction_coeffs_exact, interaction_rows,
                            target_mode, vee, wedge)
-from .spectral import ModeIndex
+from .spectral import ModeIndex, mode_set_K
 
 Pair = tuple[ModeIndex, ModeIndex]
 
@@ -23,24 +23,6 @@ Pair = tuple[ModeIndex, ModeIndex]
 SQUARE_DROPPED_PAIR: Pair = ((1, 2), (2, 1))
 SQUARE_REPAIR_PAIRS: list[Pair] = [((1, 1), (2, 4)), ((1, 2), (2, 3)), ((1, 4), (2, 1))]
 SQUARE_REPAIR_TARGETS: list[ModeIndex] = [(1, 5), (3, 3), (3, 5)]
-
-
-def mode_set_K(level: int) -> list[ModeIndex]:
-    """K^j = {(n1,n2): 1 <= n1,n2 <= j+2} minus the far corner; |K^j| = (j+2)^2 - 1."""
-    if level < 1:
-        raise ValueError("level must be >= 1")
-    top = level + 2
-    return [(i, j) for i in range(1, top + 1) for j in range(1, top + 1)
-            if (i, j) != (top, top)]
-
-
-def infer_level(mode_set) -> int:
-    """The level N with mode_set == K^N (in any order); ValueError when
-    there is none."""
-    n = int(round(math.sqrt(len(mode_set) + 1))) - 2
-    if n < 1 or sorted(mode_set_K(n)) != sorted(tuple(k) for k in mode_set):
-        raise ValueError("mode_set is not of the form K^N")
-    return n
 
 
 def selection_S(j: int, square_mode: bool = False) -> list[Pair]:

@@ -44,6 +44,24 @@ def check_mode(k: ModeIndex) -> ModeIndex:
     return (int(k1), int(k2))
 
 
+def mode_set_K(level: int) -> list[ModeIndex]:
+    """K^j = {(n1,n2): 1 <= n1,n2 <= j+2} minus the far corner; |K^j| = (j+2)^2 - 1."""
+    if level < 1:
+        raise ValueError("level must be >= 1")
+    top = level + 2
+    return [(i, j) for i in range(1, top + 1) for j in range(1, top + 1)
+            if (i, j) != (top, top)]
+
+
+def infer_level(mode_set) -> int:
+    """The level N with mode_set == K^N (in any order); ValueError when
+    there is none."""
+    n = int(round(math.sqrt(len(mode_set) + 1))) - 2
+    if n < 1 or sorted(mode_set_K(n)) != sorted(tuple(k) for k in mode_set):
+        raise ValueError("mode_set is not of the form K^N")
+    return n
+
+
 def kbar(k: ModeIndex, geom: RectGeometry) -> float:
     """-pi^2 (k1^2/a^2 + k2^2/b^2); strictly negative."""
     k1, k2 = k

@@ -17,9 +17,8 @@ from galns.dynamics import (GalerkinSystem, PiecewiseConstant, Smooth,
 from galns.lie_rank import full_rank_check, gamma_vector
 from galns.nonlinearity import oracle_sweep, quadratic, trilinear_b
 from galns.saturation import (SQUARE_REPAIR_PAIRS, SQUARE_REPAIR_TARGETS,
-                              delta_vector, det3, mode_set_K, selection_S,
-                              verify_step)
-from galns.spectral import RectGeometry, SpectralField, kbar
+                              delta_vector, det3, selection_S, verify_step)
+from galns.spectral import RectGeometry, SpectralField, kbar, mode_set_K
 
 G = RectGeometry(1.0, 2.0)
 K1 = tuple(sorted(mode_set_K(1)))

@@ -92,8 +92,7 @@ LOADED = ("import sys\n{}\nprint('loaded:', *(m for m in ("
           ") if m in sys.modules))")
 K3_RUN = """
 from galns.dynamics import GalerkinSystem, integrate
-from galns.saturation import mode_set_K
-from galns.spectral import RectGeometry, SpectralField
+from galns.spectral import RectGeometry, SpectralField, mode_set_K
 g = RectGeometry(1.0, 2.0)
 s = GalerkinSystem(g, 1.0, SpectralField(g, {}), mode_set_K(3), mode_set_K(1))
 integrate(s, SpectralField(g, {(1, 1): 0.5}), None, 0.1)

@@ -24,8 +24,7 @@ from galns.control import (_build_schedule, _direction_matrix,
                            invert_endpoint, loglog_slope)
 from galns.dynamics import (GalerkinSystem, PiecewiseConstant,
                             PiecewisePolynomial, Smooth, integrate)
-from galns.saturation import mode_set_K
-from galns.spectral import RectGeometry, SpectralField, kbar
+from galns.spectral import RectGeometry, SpectralField, kbar, mode_set_K
 
 G = RectGeometry(1.0, 2.0)
 K1 = tuple(sorted(mode_set_K(1)))

@@ -2,7 +2,13 @@
 
 import ast
 import importlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import galns
 
@@ -135,3 +141,41 @@ def test_tracer_hooks_exist_in_galns():
         if obj is None:
             missing.append("%s.%s" % (module, path))
     assert missing == []
+
+
+# the galns modules each command loads in a fresh interpreter; None runs
+# only "import galns.cli"
+COMMAND_MODULES = {
+    "import": (None, {"cli", "spectral"}),
+    "saturate": (["saturate", "--a", "1", "--b", "2", "--target-modes", "3,3"],
+                 {"cli", "spectral", "nonlinearity", "saturation"}),
+    "simulate": (["simulate", "--config", "simulate.json"],
+                 {"cli", "spectral", "nonlinearity", "dynamics"}),
+    "oracle": (["oracle", "--config", "oracle.json"],
+               {"cli", "spectral", "nonlinearity"}),
+}
+LOADS = """
+import sys
+import galns.cli
+if {argv!r} is not None:
+    assert galns.cli.main(["--out", "out"] + {argv!r}) == 0
+print(sorted(m[6:] for m in sys.modules if m.startswith("galns.")))
+print([m for m in ("scipy", "multiprocessing") if m in sys.modules])
+"""
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_MODULES))
+def test_command_loads_only_its_modules(tmp_path, command):
+    (tmp_path / "simulate.json").write_text(json.dumps(
+        {"geometry": {"a": 1.0, "b": 2.0}, "nu": 1.0, "level": 2,
+         "controlled_level": 1, "u0": {"1,1": 0.5}, "T": 0.01}))
+    (tmp_path / "oracle.json").write_text(json.dumps(
+        {"max_index": 2, "geometries": [[1.0, 2.0]]}))
+    argv, modules = COMMAND_MODULES[command]
+    src = str(Path(galns.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", LOADS.format(argv=argv)],
+                         capture_output=True, text=True, check=True,
+                         cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src))
+    loaded, unwanted = out.stdout.splitlines()[-2:]
+    assert loaded == str(sorted(modules))
+    assert unwanted == "[]"

@@ -1,7 +1,10 @@
 import csv
 import json
 import math
+import os
 import pickle
+import subprocess
+import sys as _sys
 import warnings
 from unittest import mock
 
@@ -18,8 +21,7 @@ from galns.dynamics import (POLY_THETA, GalerkinSystem, IntegratorStats,
 from galns.nonlinearity import (float_params, interaction_coeffs,
                                 interaction_kernel, mode_array,
                                 mode_positions, quadratic)
-from galns.saturation import mode_set_K
-from galns.spectral import RectGeometry, SpectralField, kbar
+from galns.spectral import RectGeometry, SpectralField, kbar, mode_set_K
 
 G = RectGeometry(1.0, 2.0)
 K1 = tuple((i, j) for i in range(1, 4) for j in range(1, 4) if (i, j) != (3, 3))
@@ -385,6 +387,31 @@ def test_h_norms_in_blocks_match_one_product():
         tr = Trajectory(sys, np.arange(n, dtype=float), states,
                         IntegratorStats())
         assert np.array_equal(tr.h_norms(), np.sqrt(states ** 2 @ w)), n
+
+
+# the H norms of 4,097 random K^20 states, as the hex of their bytes
+H_NORMS_K20 = """
+import numpy as np
+from galns.dynamics import GalerkinSystem, IntegratorStats, Trajectory
+from galns.spectral import RectGeometry, SpectralField, mode_set_K
+g = RectGeometry(1.0, 2.0)
+s = GalerkinSystem(g, 1.0, SpectralField(g, {}), mode_set_K(20), ())
+states = np.random.default_rng(3).normal(size=(4097, s.dim))
+print(Trajectory(s, np.arange(4097.0), states, IntegratorStats())
+      .h_norms().tobytes().hex())
+"""
+
+
+def test_h_norms_independent_of_blas_threads():
+    # one states**2 @ w product over these rows differs in the last bit
+    # between one and two OpenBLAS threads; the 64-row blocks do not
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dynamics.__file__)))
+    norms = [subprocess.run([_sys.executable, "-c", H_NORMS_K20],
+                            capture_output=True, text=True, check=True,
+                            env=dict(os.environ, PYTHONPATH=src,
+                                     OPENBLAS_NUM_THREADS=n)).stdout
+             for n in ("1", "2")]
+    assert norms[0] and norms[0] == norms[1]
 
 
 def test_energy_estimate_forced_runs():

@@ -7,8 +7,8 @@ from galns.dynamics import GalerkinSystem, rhs
 from galns.lie_rank import (first_bracket, full_rank_check, gamma_vector,
                             rank_verdict)
 from galns.nonlinearity import interaction_coeffs, quadratic
-from galns.saturation import mode_set_K, selection_S
-from galns.spectral import RectGeometry, SpectralField, kbar
+from galns.saturation import selection_S
+from galns.spectral import RectGeometry, SpectralField, kbar, mode_set_K
 
 G = RectGeometry(1.0, 2.0)
 

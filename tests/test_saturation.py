@@ -12,9 +12,9 @@ from galns.nonlinearity import (bilinear, interaction_coeffs_exact,
                                 interaction_rows, target_mode, vee, wedge)
 from galns.saturation import (SQUARE_REPAIR_PAIRS, SQUARE_REPAIR_TARGETS,
                               RowEchelon, _ratio_conditions, bareiss_rank,
-                              build_chain, delta_vector, det3, mode_set_K,
-                              selection_S, verify_step)
-from galns.spectral import RectGeometry, SpectralField
+                              build_chain, delta_vector, det3, selection_S,
+                              verify_step)
+from galns.spectral import RectGeometry, SpectralField, mode_set_K
 
 A2, B2 = Fraction(1), Fraction(4)  # a=1, b=2
 
