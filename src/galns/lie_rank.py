@@ -11,10 +11,8 @@ import hashlib
 import json
 from fractions import Fraction
 
-import numpy as np
-
 from .dynamics import GalerkinSystem
-from .nonlinearity import bilinear, float_params, interaction_rows
+from .nonlinearity import bilinear, interaction_rows
 from .saturation import RowEchelon, selection_S
 from .spectral import ModeIndex, SpectralField, infer_level, kbar, mode_set_K
 
@@ -38,21 +36,15 @@ def gamma_vector(sys: GalerkinSystem, m: ModeIndex, n: ModeIndex) -> SpectralFie
 
 
 def _exact_geometry(geom):
-    """Exact squared side lengths when each side's shortest decimal form
-    is a short rational (0.1 is 1/10, as galns saturate reads it), None
-    otherwise (falls back to floating rank)."""
-    fa, fb = (Fraction(str(float(side))) for side in (geom.a, geom.b))
-    if fa.denominator <= 1 << 16 and fb.denominator <= 1 << 16:
-        return fa * fa, fb * fb
-    return None
-
-
-def _float_rank(rows) -> int:
-    m = np.array(rows, dtype=float)
-    if m.size == 0:
-        return 0
-    s = np.linalg.svd(m, compute_uv=False)
-    return int(np.sum(s > 1e-10 * np.max(np.abs(m))))
+    """Exact squared side lengths (a^2, b^2).  A side whose shortest decimal
+    form is a short rational is read as that rational (0.1 is 1/10, as
+    galns saturate reads it); any other side is read as the exact binary
+    value of its float."""
+    sides = []
+    for side in (float(geom.a), float(geom.b)):
+        short = Fraction(str(side))
+        sides.append(short if short.denominator <= 1 << 16 else Fraction(side))
+    return tuple(side * side for side in sides)
 
 
 def full_rank_check(sys: GalerkinSystem, u: SpectralField,
@@ -63,32 +55,25 @@ def full_rank_check(sys: GalerkinSystem, u: SpectralField,
     Returns (rank, generation log).  The generated family is {e_k: k in K^1}
     plus the gamma_{m,n} of each selection level, so the rank does not depend
     on the evaluation point: u is not read here, and rank_verdict records
-    only its hash.  Exact ranks grow one RowEchelon generation by
-    generation, so no row is eliminated twice."""
+    only its hash.  The rank is exact: one RowEchelon over the exact squares
+    of _exact_geometry grows generation by generation, so no row is
+    eliminated twice."""
     n_level = infer_level(sys.mode_set)
     if tuple(sorted(mode_set_K(1))) != sys.controlled_set:
         raise ValueError("controlled_set must be K^1")
-    exact = _exact_geometry(sys.geom)
-    square = sys.geom.a == sys.geom.b
+    a2, b2 = _exact_geometry(sys.geom)
+    square = a2 == b2
     modes = sys.mode_set
 
-    if exact:
-        add_rows = RowEchelon().extend
-    else:
-        rows = []
-
-        def add_rows(block):
-            rows.extend(block)
-            return _float_rank(rows)
-    rank = add_rows([[int(mode == k) for mode in modes]
-                     for k in sys.controlled_set])
+    echelon = RowEchelon()
+    rank = echelon.extend([[int(mode == k) for mode in modes]
+                           for k in sys.controlled_set])
     generations = [{"generation": 0, "pairs": [],
                     "added": [list(k) for k in sys.controlled_set],
                     "rank": rank}]
     for j in range(1, n_level):
         pairs = selection_S(j, square_mode=square and use_square_repair)
-        rank = add_rows(interaction_rows(
-            pairs, modes, *(exact or float_params(sys.geom))).tolist())
+        rank = echelon.extend(interaction_rows(pairs, modes, a2, b2).tolist())
         generations.append({"generation": j,
                             "pairs": [[list(m), list(n)] for m, n in pairs],
                             "rank": rank})
@@ -104,12 +89,12 @@ def point_hash(u: SpectralField) -> str:
 
 def rank_verdict(sys: GalerkinSystem, u: SpectralField,
                  use_square_repair: bool = True) -> dict:
-    """JSON-ready verdict for one evaluation point; "exact" says whether the
-    rank came from exact elimination or the floating-point SVD."""
+    """JSON-ready verdict for one evaluation point; "exact" is always true:
+    every rank comes from exact elimination."""
     rank, generations = full_rank_check(sys, u, use_square_repair=use_square_repair)
     return {
         "N": infer_level(sys.mode_set),
-        "exact": _exact_geometry(sys.geom) is not None,
+        "exact": True,
         "point_hash": point_hash(u),
         "rank": rank,
         "kappa_N": len(sys.mode_set),

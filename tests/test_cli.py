@@ -316,6 +316,19 @@ def test_lierank_level1(tmp_path):
     assert all(p["rank"] == 8 for p in rep["points"])
 
 
+def test_lierank_pi_rectangle_level10(tmp_path):
+    """(pi, 1) at level 10 is ranked exactly at the binary value of pi and
+    passes; the floating-point SVD that ran before read rank 142."""
+    cfg = write_cfg(tmp_path, "l.json",
+                    {"geometry": {"a": "pi", "b": 1}, "nu": 1.0,
+                     "level": 10, "controlled_level": 1, "n_points": 2})
+    out = str(tmp_path / "o")
+    assert main(["--out", out, "lierank", "--config", cfg]) == 0
+    rep = read_json(out, "lierank_report.json")
+    assert rep["verdict"] == "pass" and rep["kappa_N"] == 143
+    assert all(p["rank"] == 143 and p["exact"] for p in rep["points"])
+
+
 IMI_CFG = {
     "geometry": {"a": 1.0, "b": 2.0}, "nu": 0.03, "level": 2,
     "controlled_level": 1, "u0": {"1,1": 0.05, "2,2": -0.025},

@@ -1,13 +1,16 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from galns.dynamics import GalerkinSystem, rhs
 from galns.lie_rank import (first_bracket, full_rank_check, gamma_vector,
                             rank_verdict)
-from galns.nonlinearity import interaction_coeffs, quadratic
-from galns.saturation import selection_S
+from galns.nonlinearity import interaction_coeffs, interaction_rows, quadratic
+from galns.saturation import RowEchelon, selection_S
 from galns.spectral import RectGeometry, SpectralField, kbar, mode_set_K
 
 G = RectGeometry(1.0, 2.0)
@@ -146,14 +149,61 @@ def test_mode_set_shape_errors():
 
 
 def test_verdict_records_rank_path():
+    """Every rank is exact: a side with no short decimal form (pi) is
+    ranked at the exact binary value of its float, not by an SVD."""
     exact = rank_verdict(make_sys(2), SpectralField(G, {}))
     assert exact["exact"] is True and exact["full_rank"] is True
-    # pi has no short decimal form: the SVD rank runs instead
     g = RectGeometry(math.pi, 2.0)
-    sys = make_sys(2, geom=g)
-    fallback = rank_verdict(sys, SpectralField(g, {}))
-    assert fallback["exact"] is False
-    assert fallback["rank"] == 15
+    binary = rank_verdict(make_sys(2, geom=g), SpectralField(g, {}))
+    assert binary["exact"] is True
+    assert binary["rank"] == 15 and binary["full_rank"] is True
+
+
+ONE_ULP_ABOVE_1 = float(np.nextafter(1.0, 2.0))
+
+
+@pytest.mark.parametrize("a, b, level, kappa", [
+    (math.pi, 1.0, 11, 168), (math.pi, 1.0, 12, 195),
+    (1.0, ONE_ULP_ABOVE_1, 2, 15), (1.0, ONE_ULP_ABOVE_1, 3, 24),
+    (1.0, ONE_ULP_ABOVE_1, 4, 35)],
+    ids=["pi_11", "pi_12", "ulp_2", "ulp_3", "ulp_4"])
+def test_float_sides_reach_full_rank(a, b, level, kappa):
+    """Neither rectangle is square over the exact squares, and the plain
+    selections reach full rank (the SVD read 165 and 192 on (pi, 1), and
+    14, 22 and 33 one ulp from square)."""
+    g = RectGeometry(a, b)
+    rank, gens = full_rank_check(make_sys(level, geom=g), SpectralField(g, {}))
+    assert rank == kappa == gens[-1]["rank"]
+    assert gens[1]["pairs"] == [[list(m), list(n)] for m, n in selection_S(1)]
+
+
+def _long_binary(x):
+    """True when x has no short decimal form, so it is ranked at its
+    exact binary value."""
+    return Fraction(str(x)).denominator > 1 << 16
+
+
+@settings(max_examples=25, deadline=None)
+@given(a=st.floats(0.25, 4.0).filter(_long_binary),
+       b=st.floats(0.25, 4.0).filter(_long_binary),
+       level=st.integers(2, 6))
+def test_float_sides_rank_exactly_at_binary_values(a, b, level):
+    """Float sides with no short decimal form reach kappa_N, and the rank
+    after each generation is the RowEchelon rank of that generation's
+    interaction_rows at Fraction(a)**2 and Fraction(b)**2."""
+    g = RectGeometry(a, b)
+    sys = make_sys(level, geom=g)
+    rank, gens = full_rank_check(sys, SpectralField(g, {}))
+    assert rank == len(sys.mode_set)
+    echelon = RowEchelon()
+    assert gens[0]["rank"] == echelon.extend(
+        [[int(mode == k) for mode in sys.mode_set] for k in mode_set_K(1)])
+    a2, b2 = Fraction(a) ** 2, Fraction(b) ** 2
+    for gen in gens[1:]:
+        pairs = [tuple(map(tuple, pair)) for pair in gen["pairs"]]
+        assert pairs == selection_S(gen["generation"], square_mode=a == b)
+        rows = interaction_rows(pairs, sys.mode_set, a2, b2).tolist()
+        assert gen["rank"] == echelon.extend(rows)
 
 
 def test_decimal_side_ranks_exactly():
