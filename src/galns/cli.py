@@ -250,15 +250,16 @@ def cmd_simulate(cfg, outdir, jobs, plot):
 def cmd_saturate(args, outdir, jobs, plot):
     from .saturation import build_chain
     try:
-        a2 = Fraction(args.a) ** 2
-        b2 = Fraction(args.b) ** 2
+        a, b = Fraction(args.a), Fraction(args.b)
     except (ValueError, ZeroDivisionError) as e:
         raise ConfigError("--a/--b: %s" % e)
+    if not (a > 0 and b > 0):
+        raise ConfigError("--a/--b: side lengths must be positive")
+    a2, b2 = a ** 2, b ** 2
     targets = []
     for part in args.target_modes.split(";"):
         targets.append(_mode_key(part))
-    chain = build_chain(targets, a2, b2,
-                        use_square_repair=args.square if a2 == b2 else None)
+    chain = build_chain(targets, a2, b2)
     report = {
         "a2": str(a2), "b2": str(b2),
         "square": bool(chain.square_mode),
@@ -372,7 +373,7 @@ def cmd_imitate(cfg, outdir, jobs, plot):
 
 
 def cmd_lierank(cfg, outdir, jobs, plot):
-    from .lie_rank import rank_verdict
+    from .lie_rank import point_hash, rank_verdict
     sys = _system(cfg)
     rng = np.random.default_rng(_optional(cfg, "seed", int, 0))
     n_points = _optional(cfg, "n_points", int, 5)
@@ -380,13 +381,14 @@ def cmd_lierank(cfg, outdir, jobs, plot):
         raise ConfigError("field 'n_points' must be positive, got %d"
                           % n_points)
     scale = float(_optional(cfg, "scale", (int, float), 1.0))
-    repair = _optional(cfg, "square_repair", bool, True)
+    # the rank reads no point: each sampled point labels a copy of one verdict
+    verdict = rank_verdict(sys)
     verdicts = []
     for _ in range(n_points):
         u = SpectralField(sys.geom, {k: scale * rng.normal()
                                      for k in sys.mode_set})
-        verdicts.append(rank_verdict(sys, u, use_square_repair=repair))
-    ok = all(v["full_rank"] for v in verdicts)
+        verdicts.append(dict(verdict, point_hash=point_hash(u)))
+    ok = verdict["full_rank"]
     report = {"points": verdicts, "kappa_N": len(sys.mode_set),
               "verdict": "pass" if ok else "fail"}
     return report, _write_json(outdir, report, "lierank_report.json",
@@ -479,8 +481,6 @@ def main(argv=None) -> int:
     p_sat.add_argument("--b", required=True)
     p_sat.add_argument("--target-modes", required=True,
                        help="semicolon-separated k1,k2 pairs")
-    p_sat.add_argument("--square", action="store_true",
-                       help="use the square-domain repair selections")
 
     args = parser.parse_args(argv)
 
@@ -494,8 +494,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "saturate":
             blob = json.dumps({"a": args.a, "b": args.b,
-                               "target_modes": args.target_modes,
-                               "square": args.square},
+                               "target_modes": args.target_modes},
                               sort_keys=True).encode()
             report, outputs = cmd_saturate(args, args.out, args.jobs,
                                            args.plot)

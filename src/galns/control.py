@@ -15,7 +15,7 @@ from .dynamics import (GalerkinSystem, IntegratorStats, PiecewiseConstant,
                        adaptive_lawson, h_weights, integrate,
                        integrate_tangent)
 from .nonlinearity import float_params, interaction_rows
-from .saturation import selection_S
+from .saturation import exact_squares, selection_S
 from .spectral import SpectralField, infer_level, mode_set_K
 
 
@@ -150,19 +150,20 @@ def horizon_ceiling(exp: EndpointExperiment, C: float) -> float:
     return T
 
 
-def endpoint_tangent(exp: EndpointExperiment, T: float):
-    """F(0) and the d x d Jacobian DF(0) of the endpoint map at horizon T,
-    from one integrate_tangent run: parameter j is the impulse on observed
-    mode j, which moves the control value by 1/T there.  Also returns the
+def endpoint_tangent(sys: GalerkinSystem, u0: SpectralField, modes,
+                     T: float, tol: float):
+    """F(0) and the d x d Jacobian DF(0) of the endpoint map on the d
+    controlled modes, from u0 at horizon T, from one integrate_tangent
+    run: parameter j is the impulse on modes[j], held constant over
+    [0, T], which moves the control value by 1/T there.  Also returns the
     run's IntegratorStats."""
-    sys = exp.sys
-    d = len(exp.observed_set)
+    d = len(modes)
     directions = np.zeros((len(sys.controlled_set), d))
-    directions[[sys.controlled_set.index(k) for k in exp.observed_set],
+    directions[[sys.controlled_set.index(k) for k in modes],
                np.arange(d)] = 1.0 / T
-    y, Z, stats = integrate_tangent(sys, exp.u0, None, T, directions,
-                                    tol=exp.tol)
-    return exp.observed(y), exp.observed(Z), stats
+    y, Z, stats = integrate_tangent(sys, u0, None, T, directions, tol=tol)
+    idx = [sys.index[k] for k in modes]
+    return y[idx], Z[idx], stats
 
 
 def invert_endpoint(F, targets, F0, DF, tol: float, max_iter: int):
@@ -249,7 +250,8 @@ def covering_check(exp: EndpointExperiment, grid_per_dim: int = 3,
 
     targets = _ball_grid(exp.radius, d, grid_per_dim)
     targets += exp.observed(exp.sys.to_vector(exp.u0))
-    F0, DF, tangent_stats = endpoint_tangent(exp, T)
+    F0, DF, tangent_stats = endpoint_tangent(exp.sys, exp.u0,
+                                             exp.observed_set, T, exp.tol)
     # the impulses are not reported, so their stack is not kept
     residuals, iterations = invert_endpoint(
         lambda P: endpoint_map(exp, P, T), targets, F0, DF, residual_tol,
@@ -715,31 +717,20 @@ def imitate(sys: GalerkinSystem, z: VertexSchedule, w: float,
 def _direction_matrix(sys: GalerkinSystem, level: int):
     """Columns: e_k for k in K^(level-1) plus the interaction directions of
     the selection at level-1, as vectors over sys.mode_set."""
-    square = sys.geom.a == sys.geom.b
+    a2, b2 = exact_squares(sys.geom)
     e_modes = [k for k in mode_set_K(level - 1)]
-    pairs = selection_S(level - 1, square_mode=square)
+    pairs = selection_S(level - 1, square_mode=a2 == b2)
     labels = [("e", k, 1) for k in e_modes] + [("delta", p, 1) for p in pairs]
     cols = np.stack([_label_vector(sys, lab, 1.0) for lab in labels])
     return labels, cols
 
 
-def _cover_tangent(full_sys, u0, idx, horizon, tol):
-    """F(0) and DF(0) of the covering on the modes idx: the end state on
-    idx and its derivative in the impulse held constant over [0, horizon],
-    from one integrate_tangent run."""
-    directions = np.zeros((full_sys.dim, len(idx)))
-    directions[idx, np.arange(len(idx))] = 1.0 / horizon
-    y, Z, _ = integrate_tangent(full_sys, u0, None, horizon, directions,
-                                tol=tol)
-    return y[idx], Z[idx]
-
-
 def _cover(full_sys, u0, goal, idx, horizon, tol, tangent):
     """First-order covering: the impulse on the modes idx, held constant
     over [0, horizon], whose end state matches goal on idx, by
-    invert_endpoint from the tangent (F(0), DF(0)) of _cover_tangent.
-    Returns (impulse, l1 residual, end state)."""
-    F0, DF = tangent
+    invert_endpoint from the tangent (F(0), DF(0), stats) of
+    endpoint_tangent.  Returns (impulse, l1 residual, end state)."""
+    F0, DF, _ = tangent
     ends = []
 
     def F(P):
@@ -858,7 +849,7 @@ def _solve_schedule(full_sys, labels, cols, level, y_goal, horizon, u0,
     # the given covering tangent or a new one, then an exact decomposition
     # over the direction family (a square system)
     p, _, _ = _cover(full_sys, u0, y_goal, idx, horizon, tol, tangent
-                     or _cover_tangent(full_sys, u0, idx, horizon, tol))
+                     or endpoint_tangent(full_sys, u0, span, horizon, tol))
     alpha = np.linalg.solve(cols.T[idx], p / horizon)
 
     masses = np.tile(alpha * cycle, (n_cycles, 1)).ravel()
@@ -970,10 +961,10 @@ def cascade_to_K1(sys: GalerkinSystem, target: SpectralField, eps: float,
     # the target on mode_set: _cover reads its K^M part
     inside = sys.to_vector(SpectralField(
         sys.geom, {k: target[k] for k in target.coeffs if k in sys.index}))
-    idx_m = np.array([sys.index[k] for k in sorted(mode_set_K(m_level))],
-                     dtype=int)
+    span_m = sorted(mode_set_K(m_level))
+    idx_m = np.array([sys.index[k] for k in span_m], dtype=int)
     # the first level's schedule starts from the same covering tangent
-    tangent = _cover_tangent(full_sys, u0, idx_m, horizon, tol)
+    tangent = endpoint_tangent(full_sys, u0, span_m, horizon, tol)
     p, covering_residual, y_prev = _cover(full_sys, u0, inside, idx_m,
                                           horizon, tol, tangent)
 

@@ -9,11 +9,10 @@ state dimension kappa_N = |K^N|.
 
 import hashlib
 import json
-from fractions import Fraction
 
 from .dynamics import GalerkinSystem
 from .nonlinearity import bilinear, interaction_rows
-from .saturation import RowEchelon, selection_S
+from .saturation import RowEchelon, exact_squares, selection_S
 from .spectral import ModeIndex, SpectralField, infer_level, kbar, mode_set_K
 
 
@@ -35,33 +34,19 @@ def gamma_vector(sys: GalerkinSystem, m: ModeIndex, n: ModeIndex) -> SpectralFie
     return bilinear(em, en, mode_set=sys.mode_set)
 
 
-def _exact_geometry(geom):
-    """Exact squared side lengths (a^2, b^2).  A side whose shortest decimal
-    form is a short rational is read as that rational (0.1 is 1/10, as
-    galns saturate reads it); any other side is read as the exact binary
-    value of its float."""
-    sides = []
-    for side in (float(geom.a), float(geom.b)):
-        short = Fraction(str(side))
-        sides.append(short if short.denominator <= 1 << 16 else Fraction(side))
-    return tuple(side * side for side in sides)
-
-
-def full_rank_check(sys: GalerkinSystem, u: SpectralField,
-                    use_square_repair: bool = True):
+def full_rank_check(sys: GalerkinSystem):
     """Generate constant bracket directions by the saturation selections and
     report the reached span dimension.
 
     Returns (rank, generation log).  The generated family is {e_k: k in K^1}
     plus the gamma_{m,n} of each selection level, so the rank does not depend
-    on the evaluation point: u is not read here, and rank_verdict records
-    only its hash.  The rank is exact: one RowEchelon over the exact squares
-    of _exact_geometry grows generation by generation, so no row is
-    eliminated twice."""
+    on an evaluation point.  The rank is exact: one RowEchelon over the
+    exact squares of the sides grows generation by generation, so no row
+    is eliminated twice."""
     n_level = infer_level(sys.mode_set)
     if tuple(sorted(mode_set_K(1))) != sys.controlled_set:
         raise ValueError("controlled_set must be K^1")
-    a2, b2 = _exact_geometry(sys.geom)
+    a2, b2 = exact_squares(sys.geom)
     square = a2 == b2
     modes = sys.mode_set
 
@@ -72,7 +57,7 @@ def full_rank_check(sys: GalerkinSystem, u: SpectralField,
                     "added": [list(k) for k in sys.controlled_set],
                     "rank": rank}]
     for j in range(1, n_level):
-        pairs = selection_S(j, square_mode=square and use_square_repair)
+        pairs = selection_S(j, square_mode=square)
         rank = echelon.extend(interaction_rows(pairs, modes, a2, b2).tolist())
         generations.append({"generation": j,
                             "pairs": [[list(m), list(n)] for m, n in pairs],
@@ -87,15 +72,13 @@ def point_hash(u: SpectralField) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def rank_verdict(sys: GalerkinSystem, u: SpectralField,
-                 use_square_repair: bool = True) -> dict:
-    """JSON-ready verdict for one evaluation point; "exact" is always true:
-    every rank comes from exact elimination."""
-    rank, generations = full_rank_check(sys, u, use_square_repair=use_square_repair)
+def rank_verdict(sys: GalerkinSystem) -> dict:
+    """JSON-ready rank verdict, the same at every evaluation point; "exact"
+    is always true: every rank comes from exact elimination."""
+    rank, generations = full_rank_check(sys)
     return {
         "N": infer_level(sys.mode_set),
         "exact": True,
-        "point_hash": point_hash(u),
         "rank": rank,
         "kappa_N": len(sys.mode_set),
         "full_rank": rank == len(sys.mode_set),

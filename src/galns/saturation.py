@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .nonlinearity import (interaction_coeffs_exact, interaction_rows,
                            target_mode, vee, wedge)
-from .spectral import ModeIndex, mode_set_K
+from .spectral import ModeIndex, check_mode, mode_set_K
 
 Pair = tuple[ModeIndex, ModeIndex]
 
@@ -253,16 +253,26 @@ class SaturationChain:
         return all(c.verdict for c in self.certificates)
 
 
-def build_chain(target_modes, a2, b2,
-                use_square_repair: bool = None) -> SaturationChain:
+def exact_squares(geom) -> tuple[Fraction, Fraction]:
+    """The exact squared side lengths (a^2, b^2) of a RectGeometry.  A side
+    whose shortest decimal form is a short rational is read as that
+    rational (0.1 is 1/10, as galns saturate reads it); any other side is
+    read as the exact binary value of its float.  The rectangle is square
+    exactly when a^2 == b^2."""
+    sides = []
+    for side in (float(geom.a), float(geom.b)):
+        short = Fraction(str(side))
+        sides.append(short if short.denominator <= 1 << 16 else Fraction(side))
+    return tuple(side * side for side in sides)
+
+
+def build_chain(target_modes, a2, b2) -> SaturationChain:
     """Minimal chain K^1 subset ... subset K^{p+1} covering target_modes,
-    with all step certificates.  use_square_repair=False forces the plain
-    selections even on a square domain (the step-1 certificate then honestly
-    fails there)."""
+    with all step certificates; the square (a2 == b2) takes the repaired
+    selections."""
     a2, b2 = Fraction(a2), Fraction(b2)
-    square = (a2 == b2) if use_square_repair is None else \
-        (a2 == b2 and use_square_repair)
-    target_modes = [tuple(k) for k in target_modes]
+    square = a2 == b2
+    target_modes = [check_mode(tuple(k)) for k in target_modes]
     need = 1
     while not set(target_modes) <= set(mode_set_K(need)):
         need += 1

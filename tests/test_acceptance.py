@@ -253,14 +253,12 @@ def test_criterion_09_relaxed_approximation():
 
 @criterion(10, "Lie rank kappa_N at random points; brackets match algebra")
 def test_criterion_10_lie_rank():
-    rng = np.random.default_rng(7)
+    # the rank reads no point, so one check covers every random point
     for n, kappa in ((1, 8), (2, 15)):
         ms = tuple(sorted(mode_set_K(n)))
         sys = GalerkinSystem(G, 1.0, SpectralField(G, {}), ms, K1)
-        for _ in range(10):
-            u = SpectralField(G, {k: rng.normal() for k in ms})
-            rank, _ = full_rank_check(sys, u)
-            assert rank == kappa
+        rank, _ = full_rank_check(sys)
+        assert rank == kappa
     # second-order bracket directions agree entrywise with the exact algebra
     sys3 = make_sys()
     scale = math.pi ** 2 / (4 * G.a * G.b)

@@ -249,14 +249,33 @@ def test_saturate_certificate_bytes_are_pinned(tmp_path):
 
 
 def test_saturate_square_needs_repair(tmp_path):
-    out_fail = str(tmp_path / "f")
-    assert main(["--out", out_fail, "saturate", "--a", "1", "--b", "1",
-                 "--target-modes", "4,4"]) == 1
-    rep = read_json(out_fail, "certificate.json")
-    assert rep["verdict"] == "fail"
-    out_ok = str(tmp_path / "k")
-    assert main(["--out", out_ok, "saturate", "--a", "1", "--b", "1",
-                 "--target-modes", "4,4", "--square"]) == 0
+    """The square is detected from the exact squares and takes the
+    repaired selections; the plain family, which fails there, is only
+    reachable through verify_step(..., square_mode=False)."""
+    out = str(tmp_path / "k")
+    assert main(["--out", out, "saturate", "--a", "1", "--b", "1",
+                 "--target-modes", "4,4"]) == 0
+    rep = read_json(out, "certificate.json")
+    assert rep["square"] is True and rep["verdict"] == "pass"
+    # sha256 of the certificate the square run wrote when it still took a
+    # flag to choose the repaired selections
+    with open(os.path.join(out, "certificate.json"), "rb") as fh:
+        assert hashlib.sha256(fh.read()).hexdigest() == (
+            "52f6f014c28a01806af51ca76c32033d324866b214039919405609c66233abe5")
+
+
+def test_saturate_target_below_one_exit_2(tmp_path, capsys):
+    # no K^j holds a mode with a component below 1
+    assert main(["--out", str(tmp_path / "o"), "saturate", "--a", "1",
+                 "--b", "2", "--target-modes", "0,1"]) == 2
+    assert "components must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("side", ["0", "-1", "-3/2"])
+def test_saturate_nonpositive_side_exit_2(tmp_path, capsys, side):
+    assert main(["--out", str(tmp_path / "o"), "saturate", "--a=" + side,
+                 "--b", "2", "--target-modes", "3,3"]) == 2
+    assert "must be positive" in capsys.readouterr().err
 
 
 def test_saturate_target_in_K1_empty_chain(tmp_path):
@@ -327,6 +346,39 @@ def test_lierank_pi_rectangle_level10(tmp_path):
     rep = read_json(out, "lierank_report.json")
     assert rep["verdict"] == "pass" and rep["kappa_N"] == 143
     assert all(p["rank"] == 143 and p["exact"] for p in rep["points"])
+
+
+def test_lierank_ranks_once_per_run(tmp_path, monkeypatch):
+    """The rank reads no point: five sampled points share one
+    full_rank_check and differ only in their hashes."""
+    from galns import lie_rank
+    rank, calls = lie_rank.full_rank_check, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return rank(*args, **kwargs)
+    monkeypatch.setattr(lie_rank, "full_rank_check", counted)
+    cfg = write_cfg(tmp_path, "l.json", dict(LIERANK_CFG, n_points=5))
+    out = str(tmp_path / "o")
+    assert main(["--out", out, "lierank", "--config", cfg]) == 0
+    assert len(calls) == 1
+    points = read_json(out, "lierank_report.json")["points"]
+    assert len({p["point_hash"] for p in points}) == 5
+    assert all(dict(p, point_hash=None) == dict(points[0], point_hash=None)
+               for p in points)
+
+
+def test_lierank_report_bytes_are_pinned(tmp_path):
+    # sha256 of the report written when each point was ranked on its own
+    cfg = write_cfg(tmp_path, "l.json",
+                    {"geometry": {"a": 1.0, "b": 2.0}, "nu": 1.0,
+                     "level": 6, "controlled_level": 1, "n_points": 2,
+                     "seed": 1})
+    out = str(tmp_path / "o")
+    assert main(["--out", out, "lierank", "--config", cfg]) == 0
+    with open(os.path.join(out, "lierank_report.json"), "rb") as fh:
+        assert hashlib.sha256(fh.read()).hexdigest() == (
+            "11f1fc75a20f779a2067d756955d94747937087f8757352791eb10a2b2f4b178")
 
 
 IMI_CFG = {
@@ -452,7 +504,6 @@ STEER_CFG = {"geometry": {"a": 1.0, "b": 2.0}, "nu": 1.0, "level": 1,
     ("simulate", dict(SIM_CFG, nu=True)),
     ("lierank", dict(LIERANK_CFG, n_points=True)),
     ("lierank", dict(LIERANK_CFG, seed=False)),
-    ("lierank", dict(LIERANK_CFG, square_repair=1)),
     ("simulate", dict(SIM_CFG, geometry={"a": True, "b": 2.0})),
     ("simulate", dict(SIM_CFG, u0={"1,1": True})),
     ("steer", dict(STEER_CFG, grid_per_dim=1)),
@@ -469,7 +520,7 @@ STEER_CFG = {"geometry": {"a": 1.0, "b": 2.0}, "nu": 1.0, "level": 1,
         "control_values_flat", "label", "label_outside_J", "label_outside",
         "ws", "experiment", "fit_horizons", "seed", "n_points",
         "level_bool", "nu_bool", "n_points_bool", "seed_bool",
-        "square_repair_int", "side_bool", "u0_value_bool", "grid_per_dim_1",
+        "side_bool", "u0_value_bool", "grid_per_dim_1",
         "n_points_0", "ws_empty", "ws_bool_entry", "breakpoints_bool_entry",
         "values_bool_entry",
         "geometries", "v1"])

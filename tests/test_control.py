@@ -24,6 +24,7 @@ from galns.control import (_build_schedule, _direction_matrix,
                            invert_endpoint, loglog_slope)
 from galns.dynamics import (GalerkinSystem, PiecewiseConstant,
                             PiecewisePolynomial, Smooth, integrate)
+from galns.lie_rank import full_rank_check
 from galns.spectral import RectGeometry, SpectralField, kbar, mode_set_K
 
 G = RectGeometry(1.0, 2.0)
@@ -129,7 +130,8 @@ def criterion_6_horizon(exp):
 def test_endpoint_tangent_matches_central_differences(T):
     exp = make_exp()
     T = criterion_6_horizon(exp) if T is None else T
-    F0, DF, stats = endpoint_tangent(exp, T)
+    F0, DF, stats = endpoint_tangent(exp.sys, exp.u0, exp.observed_set, T,
+                                     exp.tol)
     assert DF.shape == (8, 8) and stats.accepted_steps >= 1
     assert np.max(np.abs(F0 - endpoint_map(exp, np.zeros(8), T))) <= exp.tol
     # the 16 shifted impulses share one block, so one step sequence
@@ -169,7 +171,8 @@ def test_covering_matches_sequential_reference():
     exp = make_exp()
     rep = covering_check(exp, grid_per_dim=2,
                          fit_horizons=[0.1, 0.05, 0.025], seed=1)
-    F0, DF, _ = endpoint_tangent(exp, rep["T_used"])
+    F0, DF, _ = endpoint_tangent(exp.sys, exp.u0, exp.observed_set,
+                                 rep["T_used"], exp.tol)
     for row in rep["per_target"]:
         target = np.array(row["target"])
         p = np.linalg.solve(DF, target - F0)
@@ -776,6 +779,23 @@ def test_cascade_tail_beyond_levels_rejected():
     tgt = SpectralField(G, {(9, 9): 10.0})
     with pytest.raises(ValueError):
         cascade_to_K1(sys, tgt, 0.05)
+
+
+@pytest.mark.parametrize("a, b", [
+    (1.0, 1.0), (math.pi, math.pi), (1.0, float(np.nextafter(1.0, 2.0))),
+    (1.0, 2.0)], ids=["square", "pi_square", "ulp", "rectangle"])
+def test_direction_matrix_pairs_match_rank_generations(a, b):
+    """The cascade's direction family at level j + 1 takes the interaction
+    pairs of generation j of the Lie rank check: both decide the square
+    from the exact squares of the sides."""
+    g = RectGeometry(a, b)
+    sys = GalerkinSystem(g, 0.2, SpectralField(g, {}), K3, K1)
+    _, generations = full_rank_check(sys)
+    assert len(generations) == 3
+    for gen in generations[1:]:
+        labels, _ = _direction_matrix(sys, gen["generation"] + 1)
+        assert [[list(m), list(n)] for kind, (m, n), _ in labels
+                if kind == "delta"] == gen["pairs"]
 
 
 def schedule_case(level, seed=0):
