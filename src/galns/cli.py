@@ -2,12 +2,14 @@
 
 Every experiment is a subcommand driven by a JSON config file; all outputs
 land in a --out directory together with a run manifest (command, config
-hash, tool version, wall time, produced files).  The process exits 0
-exactly when every verdict in the emitted report is "pass", 1 on a failing
-verdict, 2 on a config error (any ValueError: a missing, mistyped or invalid
-field), 3 on a numerical failure (the integrator gave up; report.json then
-has verdict "numerical_failure" and the message) and 4 on an internal error
-(any other exception; its traceback goes to stderr).
+hash, tool version, wall time, produced files).  A command runs in one
+process and takes its experiments, frequencies or geometries in config
+order.  The process exits 0 exactly when every verdict in the emitted
+report is "pass", 1 on a failing verdict, 2 on a config error (any
+ValueError: a missing, mistyped, invalid or unknown field), 3 on a
+numerical failure (the integrator gave up; report.json then has verdict
+"numerical_failure" and the message) and 4 on an internal error (any
+other exception; its traceback goes to stderr).
 """
 
 import argparse
@@ -24,8 +26,7 @@ import numpy as np
 
 # Each command imports the other galns modules it runs in its own body, so
 # a run loads (and, without bytecode, compiles) only those; the import
-# reads the module attribute at call time and, for --jobs, runs before
-# _pmap forks its workers.
+# reads the module attribute at call time.
 from .spectral import (RectGeometry, SpectralField, leray_project,
                        mode_set_K)
 
@@ -69,6 +70,17 @@ def _optional(cfg, field, types, default, where=""):
     return _require(cfg, field, types, where) if field in cfg else default
 
 
+def _known(cfg, fields, where=""):
+    """Reject the fields of cfg that no reader takes: a misspelt or stale
+    setting is an error, not a default."""
+    unknown = sorted(set(cfg) - set(fields))
+    if unknown:
+        raise ConfigError("unknown field%s %s%s; known: %s"
+                          % ("s" * (len(unknown) > 1),
+                             ", ".join(map(repr, unknown)), where,
+                             ", ".join(sorted(fields))))
+
+
 def _floats(cfg, field, ndim, where=""):
     """A required list (ndim 1) or list of lists (ndim 2) of numbers, as a
     float array."""
@@ -89,6 +101,7 @@ def _floats(cfg, field, ndim, where=""):
 
 def _geom(cfg):
     g = _require(cfg, "geometry", dict)
+    _known(g, ("a", "b"), " in geometry")
     return RectGeometry(_num(_require(g, "a", None, " in geometry"), "a"),
                         _num(_require(g, "b", None, " in geometry"), "b"))
 
@@ -112,6 +125,10 @@ def _coeffs(cfg, name):
 
 def _field(cfg, name, geom):
     return SpectralField(geom, _coeffs(cfg, name))
+
+
+# the fields _system reads
+_SYSTEM = ("geometry", "nu", "level", "controlled_level", "forcing")
 
 
 def _system(cfg):
@@ -139,15 +156,6 @@ def _load_config(path):
     if not isinstance(cfg, dict):
         raise ConfigError("top-level config must be a JSON object")
     return blob, cfg
-
-
-def _pmap(worker, items, jobs):
-    if jobs <= 1 or len(items) <= 1:
-        return [worker(it) for it in items]
-    # imported here, so that a serial run does not load it
-    from multiprocessing import get_context
-    with get_context("fork").Pool(min(jobs, len(items))) as pool:
-        return pool.map(worker, items)
 
 
 def _write_json(outdir, obj, *names):
@@ -189,32 +197,14 @@ def _write_csv(outdir, name, header, rows):
     return name
 
 
-def _plot_series(outdir, name, xs, ys, xlabel, ylabel, loglog=False):
-    """Optional plotting; quietly skipped when matplotlib is unavailable."""
-    try:
-        import matplotlib
-        matplotlib.use("Agg")
-        import matplotlib.pyplot as plt
-    except ImportError:
-        print("warning: --plot requested but matplotlib is not installed",
-              file=_sys.stderr)
-        return None
-    fig, ax = plt.subplots()
-    (ax.loglog if loglog else ax.plot)(xs, ys, marker="o")
-    ax.set_xlabel(xlabel)
-    ax.set_ylabel(ylabel)
-    fig.savefig(os.path.join(outdir, name), dpi=120)
-    plt.close(fig)
-    return name
-
-
 # ---------------------------------------------------------------------------
 # Subcommands; each returns (report dict with "verdict", list of outputs)
 # and writes a report it names also as report.json, from the same text
 
 
-def cmd_simulate(cfg, outdir, jobs, plot):
+def cmd_simulate(cfg, outdir):
     from .dynamics import PiecewiseConstant, integrate, run_manifest
+    _known(cfg, _SYSTEM + ("u0", "T", "tol", "control"))
     sys = _system(cfg)
     geom = sys.geom
     u0 = _field(cfg, "u0", geom)
@@ -223,12 +213,11 @@ def cmd_simulate(cfg, outdir, jobs, plot):
     control = None
     if "control" in cfg:
         c = _require(cfg, "control", dict)
+        _known(c, ("breakpoints", "values"), " in control")
         control = PiecewiseConstant(_floats(c, "breakpoints", 1, " in control"),
                                     _floats(c, "values", 2, " in control"))
     tr = integrate(sys, u0, control, T, tol)
-    outputs = []
     tr.write_csv(os.path.join(outdir, "trajectory.csv"))
-    outputs.append("trajectory.csv")
     hn = tr.h_norms()
     report = {
         "verdict": "pass",
@@ -240,14 +229,10 @@ def cmd_simulate(cfg, outdir, jobs, plot):
         "h_norm_final": float(hn[-1]),
         "h_norm_monotone": bool(np.all(np.diff(hn) <= 1e-12 * max(1, hn[0]))),
     }
-    if plot:
-        p = _plot_series(outdir, "h_norm.png", tr.times, hn, "t", "|u(t)|_H")
-        if p:
-            outputs.append(p)
-    return report, outputs
+    return report, ["trajectory.csv"]
 
 
-def cmd_saturate(args, outdir, jobs, plot):
+def cmd_saturate(args, outdir):
     from .saturation import build_chain
     try:
         a, b = Fraction(args.a), Fraction(args.b)
@@ -272,10 +257,18 @@ def cmd_saturate(args, outdir, jobs, plot):
                                "report.json")
 
 
-def _steer_worker(exp_cfg):
+# the fields of one steer experiment
+_STEER = _SYSTEM + ("observed_level", "u0", "radius", "gamma_infl",
+                    "horizon", "tol", "grid_per_dim", "fit_horizons",
+                    "residual_tol", "seed")
+
+
+def _covering(exp_cfg):
+    """covering_check's report on one steer experiment."""
     from .control import EndpointExperiment, covering_check
     if not isinstance(exp_cfg, dict):
         raise ConfigError("each experiment must be a JSON object")
+    _known(exp_cfg, _STEER, " in experiment")
     sys = _system(exp_cfg)
     obs = tuple(sorted(mode_set_K(_optional(exp_cfg, "observed_level", int,
                                             1))))
@@ -295,10 +288,11 @@ def _steer_worker(exp_cfg):
         seed=_optional(exp_cfg, "seed", int, 0))
 
 
-def cmd_steer(cfg, outdir, jobs, plot):
-    from . import control  # noqa: F401  (loaded once, before _pmap forks)
-    exps = _optional(cfg, "experiments", list, [cfg])
-    reports = _pmap(_steer_worker, exps, jobs)
+def cmd_steer(cfg, outdir):
+    if "experiments" in cfg:
+        _known(cfg, ("experiments",))
+    reports = [_covering(exp_cfg)
+               for exp_cfg in _optional(cfg, "experiments", list, [cfg])]
     d = max(rep["observed_dim"] for rep in reports)
     tables = [rep.pop("per_target") for rep in reports]
     # each row is made from the arrays as it is written
@@ -329,27 +323,24 @@ def _parse_label(lab):
     raise ConfigError("unknown schedule label kind %r" % (kind,))
 
 
-def _imitate_worker(arg):
-    from .control import VertexSchedule, imitate
-    cfg, w = arg
-    sys = _system(cfg)
-    z = VertexSchedule(_floats(cfg, "breakpoints", 1),
-                       [_parse_label(l) for l in _require(cfg, "labels", list)],
-                       float(_require(cfg, "xi", (int, float))))
-    res = imitate(sys, z, float(w),
-                  tol=float(_optional(cfg, "tol", (int, float), 1e-8)),
-                  u0=_field(cfg, "u0", sys.geom))
-    return {"w": float(w), "gap": res.gap,
-            "max_pinning": float(max(res.pinning))}
-
-
-def cmd_imitate(cfg, outdir, jobs, plot):
-    from .control import loglog_slope
+def cmd_imitate(cfg, outdir):
+    from .control import VertexSchedule, imitate, loglog_slope
+    _known(cfg, _SYSTEM + ("u0", "breakpoints", "labels", "xi", "ws", "tol",
+                           "slope_threshold"))
     ws = _floats(cfg, "ws", 1).tolist()
     if not ws:
         raise ConfigError("field 'ws' must list at least one frequency")
     tol = float(_optional(cfg, "tol", (int, float), 1e-8))
-    rows = _pmap(_imitate_worker, [(cfg, w) for w in ws], jobs)
+    sys = _system(cfg)
+    z = VertexSchedule(_floats(cfg, "breakpoints", 1),
+                       [_parse_label(l) for l in _require(cfg, "labels", list)],
+                       float(_require(cfg, "xi", (int, float))))
+    u0 = _field(cfg, "u0", sys.geom)
+    rows = []
+    for w in ws:
+        res = imitate(sys, z, w, tol=tol, u0=u0)
+        rows.append({"w": w, "gap": res.gap,
+                     "max_pinning": float(max(res.pinning))})
     gaps = [r["gap"] for r in rows]
     slope = loglog_slope(ws, gaps)
     threshold = float(_optional(cfg, "slope_threshold", (int, float), -0.8))
@@ -364,16 +355,12 @@ def cmd_imitate(cfg, outdir, jobs, plot):
               "verdict": verdict}
     outputs += _write_json(outdir, report, "imitation_report.json",
                            "report.json")
-    if plot:
-        p = _plot_series(outdir, "imitation_gaps.png", ws, gaps, "w",
-                         "end-state gap", loglog=True)
-        if p:
-            outputs.append(p)
     return report, outputs
 
 
-def cmd_lierank(cfg, outdir, jobs, plot):
+def cmd_lierank(cfg, outdir):
     from .lie_rank import point_hash, rank_verdict
+    _known(cfg, _SYSTEM + ("seed", "n_points", "scale"))
     sys = _system(cfg)
     rng = np.random.default_rng(_optional(cfg, "seed", int, 0))
     n_points = _optional(cfg, "n_points", int, 5)
@@ -395,28 +382,22 @@ def cmd_lierank(cfg, outdir, jobs, plot):
                                "report.json")
 
 
-def _oracle_worker(arg):
+def cmd_oracle(cfg, outdir):
     from .nonlinearity import oracle_sweep
-    cfg, ab = arg
-    if not (isinstance(ab, list) and len(ab) == 2):
-        raise ConfigError("each geometry must be a list [a, b], got %r" % (ab,))
-    geom = RectGeometry(_num(ab[0], "a"), _num(ab[1], "b"))
-    recs = oracle_sweep(_optional(cfg, "max_index", int, 5), geom,
-                        rel_tol=float(_optional(cfg, "rel_tol", (int, float),
-                                                1e-8)),
-                        abs_floor=float(_optional(cfg, "abs_floor",
-                                                  (int, float), 1e-12)))
-    return (ab, recs)
-
-
-def cmd_oracle(cfg, outdir, jobs, plot):
-    from . import nonlinearity  # noqa: F401  (loaded once, before _pmap forks)
+    _known(cfg, ("geometries", "max_index", "rel_tol", "abs_floor"))
     geoms = _optional(cfg, "geometries", list, [[1.0, 1.0]])
-    results = _pmap(_oracle_worker, [(cfg, ab) for ab in geoms], jobs)
+    max_index = _optional(cfg, "max_index", int, 5)
+    rel_tol = float(_optional(cfg, "rel_tol", (int, float), 1e-8))
+    abs_floor = float(_optional(cfg, "abs_floor", (int, float), 1e-12))
     rows = []
     n_fail = 0
-    for ab, recs in results:
-        for r in recs:
+    for ab in geoms:
+        if not (isinstance(ab, list) and len(ab) == 2):
+            raise ConfigError("each geometry must be a list [a, b], got %r"
+                              % (ab,))
+        geom = RectGeometry(_num(ab[0], "a"), _num(ab[1], "b"))
+        for r in oracle_sweep(max_index, geom, rel_tol=rel_tol,
+                              abs_floor=abs_floor):
             rows.append([ab[0], ab[1], "%d,%d" % r["m"], "%d,%d" % r["n"],
                          "%d,%d" % r["target"], repr(r["closed_form"]),
                          repr(r["quadrature"]), r["rel_err"], r["ok"]])
@@ -430,7 +411,8 @@ def cmd_oracle(cfg, outdir, jobs, plot):
     return report, outputs
 
 
-def cmd_project(cfg, outdir, jobs, plot):
+def cmd_project(cfg, outdir):
+    _known(cfg, ("geometry", "v1", "v2"))
     geom = _geom(cfg)
     u, grad = leray_project(_coeffs(cfg, "v1"), _coeffs(cfg, "v2"), geom)
     report = {
@@ -447,7 +429,8 @@ def cmd_project(cfg, outdir, jobs, plot):
     return report, _write_json(outdir, report, "projection.json", "report.json")
 
 
-def cmd_norms(cfg, outdir, jobs, plot):
+def cmd_norms(cfg, outdir):
+    _known(cfg, ("geometry", "coeffs"))
     geom = _geom(cfg)
     u = _field(cfg, "coeffs", geom)
     report = {"H": u.norm("H"), "V": u.norm("V"), "DA": u.norm("DA"),
@@ -466,9 +449,7 @@ def main(argv=None) -> int:
         description="Spectral-Galerkin Navier-Stokes experiments")
     parser.add_argument("--out", required=True, help="output directory")
     parser.add_argument("--jobs", type=int, default=1,
-                        help="parallel jobs")
-    parser.add_argument("--plot", action="store_true",
-                        help="also write PNG plots (requires matplotlib)")
+                        help="accepted for old command lines; only 1")
     sub = parser.add_subparsers(dest="command", required=True)
 
     for name in ("simulate", "steer", "imitate", "lierank", "oracle",
@@ -483,6 +464,9 @@ def main(argv=None) -> int:
                        help="semicolon-separated k1,k2 pairs")
 
     args = parser.parse_args(argv)
+    if args.jobs != 1:
+        parser.error("--jobs %d: parallel runs were removed; every command "
+                     "runs in one process (--jobs 1)" % args.jobs)
 
     os.makedirs(args.out, exist_ok=True)
     handlers = {
@@ -496,12 +480,10 @@ def main(argv=None) -> int:
             blob = json.dumps({"a": args.a, "b": args.b,
                                "target_modes": args.target_modes},
                               sort_keys=True).encode()
-            report, outputs = cmd_saturate(args, args.out, args.jobs,
-                                           args.plot)
+            report, outputs = cmd_saturate(args, args.out)
         else:
             blob, cfg = _load_config(args.config)
-            report, outputs = handlers[args.command](cfg, args.out,
-                                                     args.jobs, args.plot)
+            report, outputs = handlers[args.command](cfg, args.out)
     except ValueError as e:
         print("config error: %s" % e, file=_sys.stderr)
         return 2

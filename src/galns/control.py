@@ -320,19 +320,6 @@ class OscillatorProfile:
                       else (math.sin(w * lo) / (-r), hi))
         return slope * (t - end) if nu == 0 else slope
 
-    def _at(self, t: float, nu: int) -> float:
-        i = int(np.searchsorted(self.breakpoints, t, side="right")) - 1
-        i = min(max(i, 0), len(self.rho) - 1)
-        (_, up), _, (down, _) = self.pieces(i)
-        return self.piece_value(i, 0 if t <= up else 2 if t >= down else 1,
-                                t, nu)
-
-    def value(self, t: float) -> float:
-        return self._at(t, 0)
-
-    def derivative(self, t: float) -> float:
-        return self._at(t, 1)
-
 
 def make_phi_w(breakpoints, w: float) -> OscillatorProfile:
     if not 3 <= w < np.inf:

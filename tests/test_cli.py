@@ -188,7 +188,7 @@ def test_simulate_control_short_of_horizon_exit_2(tmp_path, capsys):
 
 
 def test_numerical_failure_exit_3_with_report(tmp_path, monkeypatch, capsys):
-    def stiff(cfg, outdir, jobs, plot):
+    def stiff(cfg, outdir):
         raise StiffnessError("step underflow at t=0.25")
     monkeypatch.setattr(cli, "cmd_simulate", stiff)
     cfg = write_cfg(tmp_path, "sim.json", SIM_CFG)
@@ -204,7 +204,7 @@ def test_numerical_failure_exit_3_with_report(tmp_path, monkeypatch, capsys):
 
 def test_internal_error_exit_4_with_traceback(tmp_path, monkeypatch, capsys):
     # a bug inside a command is neither a config error nor a verdict
-    def broken(cfg, outdir, jobs, plot):
+    def broken(cfg, outdir):
         return {}["missing"]
     monkeypatch.setattr(cli, "cmd_simulate", broken)
     cfg = write_cfg(tmp_path, "sim.json", SIM_CFG)
@@ -390,11 +390,10 @@ IMI_CFG = {
 }
 
 
-def test_imitate_sweep_and_jobs_env(tmp_path):
+def test_imitate_sweep(tmp_path):
     cfg = write_cfg(tmp_path, "i.json", IMI_CFG)
     out = str(tmp_path / "o")
-    assert main(["--out", out, "--jobs", "2", "imitate",
-                 "--config", cfg]) == 0
+    assert main(["--out", out, "imitate", "--config", cfg]) == 0
     rep = read_json(out, "imitation_report.json")
     assert rep["slope"] <= -0.6
     assert rep["gaps"][2] < rep["gaps"][0]
@@ -447,34 +446,44 @@ def test_steer_small_grid(tmp_path):
     assert len(rows) == 2 ** 8 + 1
 
 
-def test_steer_parallel_experiments_write_serial_bytes(tmp_path):
-    # the per-target arrays come back from the worker processes pickled
+def test_steer_experiments_rows_in_config_order(tmp_path):
     exp = {"geometry": {"a": 1.0, "b": 2.0}, "nu": 1.0, "level": 3,
            "controlled_level": 1, "u0": {"1,1": 0.1, "2,2": -0.05},
            "radius": 0.1, "gamma_infl": 1.5, "horizon": 2.0,
            "grid_per_dim": 2, "fit_horizons": [0.1, 0.05, 0.025]}
     cfg = write_cfg(tmp_path, "s.json", {"experiments": [
         dict(exp, seed=1), dict(exp, seed=2, radius=0.05)]})
-    outs = [str(tmp_path / name) for name in ("serial", "parallel")]
-    for out, jobs in zip(outs, ("1", "2")):
-        assert main(["--out", out, "--jobs", jobs, "steer",
-                     "--config", cfg]) == 0
-    for name in ("steer_residuals.csv", "steer_report.json"):
-        with open(os.path.join(outs[0], name), "rb") as a, \
-                open(os.path.join(outs[1], name), "rb") as b:
-            assert a.read() == b.read()
-    with open(os.path.join(outs[0], "steer_residuals.csv")) as fh:
+    out = str(tmp_path / "o")
+    assert main(["--out", out, "steer", "--config", cfg]) == 0
+    assert len(read_json(out, "steer_report.json")["experiments"]) == 2
+    with open(os.path.join(out, "steer_residuals.csv")) as fh:
         rows = list(csv.reader(fh))
     assert len(rows) == 2 * 2 ** 8 + 1
     assert [r[0] for r in rows[1:]] == ["0"] * 2 ** 8 + ["1"] * 2 ** 8
 
 
-def test_plot_flag_writes_png_when_matplotlib_present(tmp_path):
-    pytest.importorskip("matplotlib")
+@pytest.mark.parametrize("jobs", ["0", "2"])
+def test_jobs_other_than_1_exit_2(tmp_path, capsys, jobs):
+    # every command runs in one process; --jobs stays only as "1"
+    with pytest.raises(SystemExit) as exc:
+        main(["--out", str(tmp_path / "o"), "--jobs", jobs, "saturate",
+              "--a", "1", "--b", "2", "--target-modes", "3,3"])
+    assert exc.value.code == 2
+    assert "parallel runs were removed" in capsys.readouterr().err
+
+
+def test_jobs_1_runs(tmp_path):
+    assert main(["--out", str(tmp_path / "o"), "--jobs", "1", "saturate",
+                 "--a", "1", "--b", "2", "--target-modes", "3,3"]) == 0
+
+
+def test_plot_option_is_rejected(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "sim.json", SIM_CFG)
-    out = str(tmp_path / "o")
-    assert main(["--out", out, "--plot", "simulate", "--config", cfg]) == 0
-    assert os.path.exists(os.path.join(out, "h_norm.png"))
+    with pytest.raises(SystemExit) as exc:
+        main(["--out", str(tmp_path / "o"), "--plot", "simulate",
+              "--config", cfg])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --plot" in capsys.readouterr().err
 
 
 LIERANK_CFG = {"geometry": {"a": 1.0, "b": 2.0}, "nu": 1.0, "level": 1,
@@ -559,6 +568,43 @@ def test_non_finite_numbers_are_config_errors(tmp_path, capsys, command, cfg,
     assert main(["--out", str(tmp_path / "o"), command,
                  "--config", path]) == 2
     assert "config error: " + message in capsys.readouterr().err
+
+
+ORACLE_CFG = {"max_index": 2, "geometries": [[1.0, 2.0]]}
+
+
+@pytest.mark.parametrize("command, cfg, unknown", [
+    ("lierank", dict(LIERANK_CFG, n_point=1, square_repair=1),
+     "unknown fields 'n_point', 'square_repair'"),
+    ("oracle", SIM_CFG, "unknown fields 'T', 'controlled_level', 'geometry'"),
+    ("oracle", dict(ORACLE_CFG, geometry={"a": 1.0, "b": 2.0}),
+     "unknown field 'geometry'"),
+    ("simulate", dict(SIM_CFG, horizon=0.3), "unknown field 'horizon'"),
+    ("simulate", dict(SIM_CFG, control={"breakpoints": [0.0, 0.3],
+                                        "values": [[0.0] * 8], "kind": 0}),
+     "unknown field 'kind' in control"),
+    ("simulate", dict(SIM_CFG, geometry={"a": 1.0, "b": 2.0, "c": 3.0}),
+     "unknown field 'c' in geometry"),
+    ("steer", dict(STEER_GRID_CFG, grid=3), "unknown field 'grid' in experiment"),
+    ("steer", {"experiments": [dict(STEER_GRID_CFG, n_points=2)]},
+     "unknown field 'n_points' in experiment"),
+    ("steer", {"experiments": [STEER_GRID_CFG], "seed": 3},
+     "unknown field 'seed'"),
+    ("imitate", dict(IMI_CFG, w=[3]), "unknown field 'w'"),
+    ("project", {"geometry": {"a": 1.0, "b": 1.0}, "v1": {"1,1": 1.0},
+                 "coeffs": {}}, "unknown field 'coeffs'"),
+    ("norms", {"geometry": {"a": 1.0, "b": 2.0}, "coeffs": {"1,1": 1.0},
+               "v1": {}}, "unknown field 'v1'"),
+], ids=["lierank", "oracle_given_simulate", "oracle_geometry", "simulate",
+        "control", "geometry", "steer", "steer_experiment", "steer_top_level",
+        "imitate", "project", "norms"])
+def test_unknown_fields_are_config_errors(tmp_path, capsys, command, cfg,
+                                          unknown):
+    # a field that the command does not read is named, not ignored
+    path = write_cfg(tmp_path, "c.json", cfg)
+    assert main(["--out", str(tmp_path / "o"), command,
+                 "--config", path]) == 2
+    assert "config error: " + unknown in capsys.readouterr().err
 
 
 def test_imitate_bad_tol_reported_as_given(tmp_path, capsys):

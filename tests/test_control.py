@@ -242,23 +242,37 @@ def test_phi_w_requires_w_at_least_3():
         make_phi_w([0.0, math.nan, 1.0], 5.0)
 
 
+def phi_samples(phi, n):
+    """(i, k, lo, hi, ts) for each piece k of each interval i, with n
+    evenly spaced times from lo to hi."""
+    return [(i, k, lo, hi, np.linspace(lo, hi, n))
+            for i in range(len(phi.rho))
+            for k, (lo, hi) in enumerate(phi.pieces(i))]
+
+
 def test_phi_vanishes_at_breakpoints():
     bps = [0.0, 0.3, 0.45, 1.2]
     for w in (3.0, 7.0, 40.0):
         phi = make_phi_w(bps, w)
-        for t in bps:
-            assert abs(phi.value(t)) < 1e-14
+        for i in range(len(bps) - 1):
+            # the ramp up starts and the ramp down ends at a breakpoint
+            assert phi.pieces(i)[0][0] == bps[i]
+            assert phi.pieces(i)[2][1] == bps[i + 1]
+            assert abs(phi.piece_value(i, 0, bps[i])) < 1e-14
+            assert abs(phi.piece_value(i, 2, bps[i + 1])) < 1e-14
 
 
 def test_phi_bounded_and_equals_sine_in_interior():
     bps = [0.0, 0.5, 1.0]
     phi = make_phi_w(bps, 12.0)
-    ts = np.linspace(0, 1, 2001)
-    vals = np.array([phi.value(t) for t in ts])
-    assert np.max(np.abs(vals)) <= 1.0 + 1e-12
+    for i, k, lo, hi, ts in phi_samples(phi, 1001):
+        assert np.max(np.abs(phi.piece_value(i, k, ts))) <= 1.0 + 1e-12
     # midpoint of each interval lies beyond both ramps
-    for mid in (0.25, 0.75):
-        assert phi.value(mid) == pytest.approx(math.sin(12.0 * mid), abs=1e-14)
+    for i, mid in enumerate((0.25, 0.75)):
+        lo, hi = phi.pieces(i)[1]
+        assert lo < mid < hi
+        assert phi.piece_value(i, 1, mid) == pytest.approx(
+            math.sin(12.0 * mid), abs=1e-14)
 
 
 def test_phi_mismatch_measure_bound():
@@ -269,24 +283,41 @@ def test_phi_mismatch_measure_bound():
         # phi differs from sin(wt) on its ramps, two of length rho each
         mismatch = 2 * np.sum(phi.rho)
         assert mismatch <= 2 * T / w + 1e-14
-        ts = np.linspace(0, T, 20001)
-        frac_diff = np.mean([abs(phi.value(t) - math.sin(w * t)) > 1e-12
-                             for t in ts])
-        assert frac_diff * T <= mismatch + 1e-3
+        measure = 0.0
+        for i, k, lo, hi, ts in phi_samples(phi, 2001):
+            differs = np.abs(phi.piece_value(i, k, ts) - np.sin(w * ts)) \
+                > 1e-12
+            if k == 1:
+                assert not np.any(differs)
+            measure += (hi - lo) * np.mean(differs)
+        assert measure <= mismatch + 1e-3
 
 
 def test_phi_single_interval_midpoint():
     T = 1.0
     phi = make_phi_w([0.0, T], 3.0)
-    assert phi.value(T / 2) == pytest.approx(math.sin(3 * T / 2), abs=1e-14)
+    lo, hi = phi.pieces(0)[1]
+    assert lo < T / 2 < hi
+    assert phi.piece_value(0, 1, T / 2) == pytest.approx(math.sin(3 * T / 2),
+                                                         abs=1e-14)
 
 
 def test_phi_derivative_is_consistent():
     phi = make_phi_w([0.0, 0.4, 1.0], 11.0)
-    for t in (0.01, 0.2, 0.39, 0.6, 0.95):
-        h = 1e-7
-        fd = (phi.value(t + h) - phi.value(t - h)) / (2 * h)
-        assert phi.derivative(t) == pytest.approx(fd, rel=1e-5, abs=1e-5)
+    h = 1e-7
+    checked = []
+    for i, k, lo, hi in ((i, k, lo, hi) for i in range(2)
+                         for k, (lo, hi) in enumerate(phi.pieces(i))):
+        for t in (0.01, 0.2, 0.39, 0.6, 0.95):
+            if lo + h < t < hi - h:
+                fd = (phi.piece_value(i, k, t + h)
+                      - phi.piece_value(i, k, t - h)) / (2 * h)
+                assert phi.piece_value(i, k, t, 1) == pytest.approx(
+                    fd, rel=1e-5, abs=1e-5)
+                checked.append((t, k))
+    # every time lies inside one piece; ramps and sines are both checked
+    assert sorted(t for t, _ in checked) == [0.01, 0.2, 0.39, 0.6, 0.95]
+    assert {k for _, k in checked} == {0, 1, 2}
 
 
 @pytest.mark.parametrize("nu", [0, 1])

@@ -179,3 +179,12 @@ def test_command_loads_only_its_modules(tmp_path, command):
     loaded, unwanted = out.stdout.splitlines()[-2:]
     assert loaded == str(sorted(modules))
     assert unwanted == "[]"
+
+
+def test_no_module_names_process_pools_or_plotting():
+    # every command runs in one process and writes no figures
+    package = Path(galns.__file__).parent
+    named = [path.name for path in sorted(package.glob("*.py"))
+             if any(word in path.read_text()
+                    for word in ("multiprocessing", "matplotlib"))]
+    assert named == []
