@@ -389,6 +389,12 @@ def cmd_oracle(cfg, outdir):
     max_index = _optional(cfg, "max_index", int, 5)
     rel_tol = float(_optional(cfg, "rel_tol", (int, float), 1e-8))
     abs_floor = float(_optional(cfg, "abs_floor", (int, float), 1e-12))
+    if max_index < 2 or not geoms:
+        raise ConfigError("field 'max_index' must be at least 2 and field "
+                          "'geometries' non-empty: nothing is compared")
+    if not (0 < rel_tol < math.inf and 0 < abs_floor < math.inf):
+        raise ConfigError("fields 'rel_tol' and 'abs_floor' must be positive"
+                          " and finite, got %r and %r" % (rel_tol, abs_floor))
     rows = []
     n_fail = 0
     for ab in geoms:

@@ -41,7 +41,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .nonlinearity import float_params, interaction_rows, mode_array
-from .spectral import ModeIndex, RectGeometry, SpectralField, check_mode, kbar
+from .spectral import RectGeometry, SpectralField, check_mode, kbar
 
 
 class StiffnessError(RuntimeError):
@@ -284,13 +284,6 @@ def h_weights(sys: GalerkinSystem, modes=None) -> np.ndarray:
     """H weights (ab/4)(-kbar_k), |u|_H^2 = sum w_k u_k^2, on mode_set or modes."""
     return (sys.geom.a * sys.geom.b / 4) * np.array(
         [-kbar(k, sys.geom) for k in (sys.mode_set if modes is None else modes)])
-
-
-def rhs(sys: GalerkinSystem, u: SpectralField, v) -> SpectralField:
-    """Full right-hand side at state u and control value v."""
-    y = sys.to_vector(u)
-    dy = sys.quadratic_vec(y) + sys.lam * y + sys.forcing_vec + sys.control_vec(v)
-    return sys.to_field(dy)
 
 
 # ---------------------------------------------------------------------------

@@ -2,36 +2,19 @@
 
 The drift is the uncontrolled right-hand side; brackets with the constant
 controlled directions produce affine fields whose constant parts are the
-interaction directions gamma_{m,n}.  Iterating the saturation selections
-generates constant vector fields whose span is checked against the full
-state dimension kappa_N = |K^N|.
+interaction directions gamma_{m,n}, the rows of
+nonlinearity.interaction_rows.  Iterating the saturation selections
+generates constant vector fields whose span is checked, in exact
+arithmetic, against the full state dimension kappa_N = |K^N|.
 """
 
 import hashlib
 import json
 
 from .dynamics import GalerkinSystem
-from .nonlinearity import bilinear, interaction_rows
+from .nonlinearity import interaction_rows
 from .saturation import RowEchelon, exact_squares, selection_S
-from .spectral import ModeIndex, SpectralField, infer_level, kbar, mode_set_K
-
-
-def first_bracket(sys: GalerkinSystem, u: SpectralField, i: ModeIndex) -> SpectralField:
-    """Directional derivative of the drift along e_i: affine in u."""
-    i = tuple(i)
-    if i not in sys.index:
-        raise ValueError("bracket direction %s not in mode_set" % (i,))
-    e_i = SpectralField(sys.geom, {i: 1.0})
-    lin = bilinear(e_i, u, mode_set=sys.mode_set)
-    return lin.plus(SpectralField(sys.geom, {i: sys.nu * kbar(i, sys.geom)}))
-
-
-def gamma_vector(sys: GalerkinSystem, m: ModeIndex, n: ModeIndex) -> SpectralField:
-    """The constant second bracket direction for the pair m < n, restricted
-    to the system's mode set."""
-    em = SpectralField(sys.geom, {tuple(m): 1.0})
-    en = SpectralField(sys.geom, {tuple(n): 1.0})
-    return bilinear(em, en, mode_set=sys.mode_set)
+from .spectral import SpectralField, infer_level, mode_set_K
 
 
 def full_rank_check(sys: GalerkinSystem):

@@ -1,15 +1,16 @@
-"""Closed-form coefficients of the projected convective term, the quadratic
-drift map, its bilinear polarization, and the independent quadrature oracle.
+"""Closed-form coefficients of the projected convective term and the
+independent quadrature oracle.
 
 Conventions.  Pairs are enumerated in strict lexicographic order m < n; each
 unordered pair contributes once.  The four coefficients C[(pm1,pm2)] multiply
 u_m u_n on the target mode (n (pm1 pm2) m)^+ in the *drift* (the sign
-convention of the ODE system u'_k = quadratic(u)_k + nu*kbar*u_k + ...,
-i.e. quadratic(u) = -P[(u.grad)u] with P the Leray projection).  Targets
-with a zero component are dropped: their basis factor vanishes identically.
+convention of the ODE system u'_k = Q(u)_k + nu*kbar*u_k + ..., i.e.
+Q(u) = -P[(u.grad)u] with P the Leray projection; the Galerkin system
+evaluates Q as GalerkinSystem.quadratic_vec).  Targets with a zero
+component are dropped: their basis factor vanishes identically.
 Every coefficient comes from one array kernel, interaction_kernel, over
 many pairs and all four labels at once; other modules read it only through
-interaction_rows and the one-pair functions.
+interaction_rows, and interaction_coeffs reads the one pair (m, n).
 
 The quadrature oracle never calls that kernel.  Each term of the trilinear
 form b(W_m, W_n, W_k) on basis fields is an x1 product times an x2 product
@@ -111,54 +112,15 @@ def interaction_rows(pairs, modes, a2, b2, scale=None) -> np.ndarray:
     return rows[:, :-1]
 
 
-def _pair_coeffs(m: ModeIndex, n: ModeIndex, a2, b2) -> dict:
-    """The kernel values of the one pair (m, n) as {target: value}, over
-    the targets with no zero component."""
+def interaction_coeffs(m: ModeIndex, n: ModeIndex, geom: RectGeometry) -> dict:
+    """Floating coefficients {target mode: C} of the one pair (m, n),
+    including the pi^2/(4ab) factor, over the targets with no zero
+    component."""
+    a2, b2, scale = float_params(geom)
     targets, values = interaction_kernel(mode_array([check_mode(m)]),
                                          mode_array([check_mode(n)]), a2, b2)
-    return {tuple(t): v for t, v in zip(targets[:, :, 0].T.tolist(), values[:, 0])
-            if all(t)}
-
-
-def interaction_coeffs(m: ModeIndex, n: ModeIndex, geom: RectGeometry) -> dict:
-    """Floating coefficients {target mode: C} including the pi^2/(4ab) factor."""
-    a2, b2, scale = float_params(geom)
-    return {k: scale * float(v) for k, v in _pair_coeffs(m, n, a2, b2).items()}
-
-
-def interaction_coeffs_exact(m: ModeIndex, n: ModeIndex,
-                             a2: Fraction, b2: Fraction) -> dict[ModeIndex, Fraction]:
-    """Exact coefficients {target: r} with C = (pi^2/4ab) * r, r in Q(a2, b2)."""
-    return _pair_coeffs(m, n, Fraction(a2), Fraction(b2))
-
-
-def quadratic(u: SpectralField, mode_set=None) -> SpectralField:
-    """Drift quadratic term: coefficients of -P[(u.grad)u], optionally
-    truncated to mode_set.  Diagonal terms are pure gradients and drop out."""
-    # bilinear(u, u) sums 2 u_m u_n C term by term, so halving is exact
-    return bilinear(u, u, mode_set).scaled(0.5)
-
-
-def bilinear(u: SpectralField, w: SpectralField, mode_set=None) -> SpectralField:
-    """Symmetric bilinear polarization: quadratic(u+w) - quadratic(u) - quadratic(w)."""
-    union = sorted(set(u.coeffs) | set(w.coeffs))
-    uu = np.array([u[k] for k in union])
-    ww = np.array([w[k] for k in union])
-    i, j = np.triu_indices(len(union), 1)
-    amp = uu[i] * ww[j] + ww[i] * uu[j]
-    i, j, amp = i[amp != 0.0], j[amp != 0.0], amp[amp != 0.0]
-    modes = mode_array(union)
-    targets, c = interaction_kernel(modes[:, i], modes[:, j],
-                                    *float_params(u.geom))
-    keep = targets.min(axis=0) > 0
-    if mode_set is not None:
-        keep &= mode_positions(mode_array(mode_set), targets) >= 0
-    size = 1 + int(targets.max(initial=0))
-    keys, inv = np.unique((targets[0] * size + targets[1])[keep],
-                          return_inverse=True)
-    sums = np.bincount(inv, weights=(amp * c)[keep], minlength=len(keys))
-    return SpectralField(u.geom, {(int(k // size), int(k % size)): s
-                                  for k, s in zip(keys, sums.tolist())})
+    return {tuple(t): scale * float(v)
+            for t, v in zip(targets[:, :, 0].T.tolist(), values[:, 0]) if all(t)}
 
 
 # ---------------------------------------------------------------------------

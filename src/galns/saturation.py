@@ -1,9 +1,10 @@
 """Construction and certification of the saturating chain K^1 -> K^2 -> ...
 in exact rational arithmetic, including the square-geometry repair.
 
-All delta-vector entries are stored with the common factor pi^2/(4ab)
-divided out; that factor never affects a rank, so certificates are exact
-statements over Q once a^2 and b^2 are rational.
+Every direction is a row of nonlinearity.interaction_rows at the exact
+squares a^2 and b^2, with the common factor pi^2/(4ab) divided out; that
+factor never affects a rank, so certificates are exact statements over Q
+once a^2 and b^2 are rational.
 """
 
 from __future__ import annotations
@@ -12,8 +13,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .nonlinearity import (interaction_coeffs_exact, interaction_rows,
-                           target_mode, vee, wedge)
+from .nonlinearity import interaction_rows, target_mode, vee, wedge
 from .spectral import ModeIndex, check_mode, mode_set_K
 
 Pair = tuple[ModeIndex, ModeIndex]
@@ -64,25 +64,6 @@ def selection_S(j: int, square_mode: bool = False) -> list[Pair]:
         pairs += [((s, 1), (s, 2 * p + 1)) for s in range(1, p + 1)]
         pairs += [((1, s), (2 * p + 1, s)) for s in range(1, p + 1)]
     return pairs
-
-
-@dataclass
-class DeltaVector:
-    """Constant direction extracted from the interaction of modes m and n.
-
-    entries map target modes to exact rationals; the true coefficient is
-    entry * pi^2/(4ab)."""
-
-    pair: Pair
-    entries: dict[ModeIndex, Fraction]
-
-    def projected(self, targets: list[ModeIndex]) -> list[Fraction]:
-        return [self.entries.get(t, Fraction(0)) for t in targets]
-
-
-def delta_vector(m: ModeIndex, n: ModeIndex, a2: Fraction, b2: Fraction) -> DeltaVector:
-    ent = interaction_coeffs_exact(m, n, a2, b2)
-    return DeltaVector((tuple(m), tuple(n)), {k: v for k, v in ent.items() if v != 0})
 
 
 # ---------------------------------------------------------------------------

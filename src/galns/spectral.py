@@ -101,17 +101,6 @@ class SpectralField:
         norm, attained at u_k = f_k / (-kbar_k)."""
         return self.norm("V'")
 
-    # ---- small vector-space helpers ----
-
-    def scaled(self, s: float) -> "SpectralField":
-        return SpectralField(self.geom, {k: s * v for k, v in self.coeffs.items()})
-
-    def plus(self, other: "SpectralField") -> "SpectralField":
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, 0.0) + v
-        return SpectralField(self.geom, out)
-
 
 def eval_components(u: SpectralField, X1, X2):
     """Velocity components and their first derivatives at the points

@@ -13,12 +13,14 @@ from galns.control import (EndpointExperiment, RelaxedFamily, VertexSchedule,
                            deviation_sweep, fit_deviation_slope, imitate,
                            push_to_interior, rx_norm, tracking_control)
 from galns.dynamics import (GalerkinSystem, PiecewiseConstant, Smooth,
-                            integrate)
-from galns.lie_rank import full_rank_check, gamma_vector
-from galns.nonlinearity import oracle_sweep, quadratic, trilinear_b
+                            h_weights, integrate)
+from galns.lie_rank import full_rank_check
+from galns.nonlinearity import interaction_rows, oracle_sweep, trilinear_b
 from galns.saturation import (SQUARE_REPAIR_PAIRS, SQUARE_REPAIR_TARGETS,
-                              delta_vector, det3, selection_S, verify_step)
-from galns.spectral import RectGeometry, SpectralField, kbar, mode_set_K
+                              det3, selection_S, verify_step)
+from galns.spectral import RectGeometry, SpectralField, mode_set_K
+from test_dynamics import both_paths
+from test_saturation import direction
 
 G = RectGeometry(1.0, 2.0)
 K1 = tuple(sorted(mode_set_K(1)))
@@ -66,23 +68,23 @@ def test_criterion_01_coefficient_oracle():
 @criterion(2, "exact printed direction vectors and square determinant")
 def test_criterion_02_exact_algebra():
     a2, b2 = Fraction(1), Fraction(4)   # a = 1, b = 2
-    assert delta_vector((1, 2), (2, 1), a2, b2).entries == {
+    assert direction((1, 2), (2, 1), a2, b2) == {
         (1, 1): 9 * (b2 - a2) / (a2 + b2),
         (1, 3): 15 * (a2 - b2) / (9 * a2 + b2),
         (3, 1): 15 * (a2 - b2) / (a2 + 9 * b2),
         (3, 3): (b2 - a2) / (a2 + b2),
     }
-    assert delta_vector((1, 1), (1, 3), a2, b2).entries == {
+    assert direction((1, 1), (1, 3), a2, b2) == {
         (2, 2): 8 * a2 / (a2 + b2), (2, 4): -4 * a2 / (b2 + 4 * a2)}
-    assert delta_vector((1, 1), (3, 1), a2, b2).entries == {
+    assert direction((1, 1), (3, 1), a2, b2) == {
         (2, 2): -8 * b2 / (a2 + b2), (4, 2): 4 * b2 / (a2 + 4 * b2)}
-    assert delta_vector((1, 2), (2, 2), a2, b2).entries == {
+    assert direction((1, 2), (2, 2), a2, b2) == {
         (1, 4): -18 * b2 / (16 * a2 + b2), (3, 4): 6 * b2 / (16 * a2 + 9 * b2)}
     # square-domain 3x3 determinant, exact: -45/442 once a = 1 and the
     # common pi^2/(4ab) factor is pulled out of every row
     one = Fraction(1)
-    rows = [delta_vector(m, n, one, one).projected(SQUARE_REPAIR_TARGETS)
-            for m, n in SQUARE_REPAIR_PAIRS]
+    rows = interaction_rows(SQUARE_REPAIR_PAIRS, SQUARE_REPAIR_TARGETS,
+                            one, one).tolist()
     assert det3(rows) / 4 ** 3 == Fraction(-45, 442)
     cert = verify_step(1, one, one, square_mode=True)
     assert cert.determinant_witnesses["square_repair_det_pi2_scaled"] \
@@ -107,13 +109,17 @@ def test_criterion_03_saturation_chain():
 @criterion(4, "energy conservation, skew symmetry, dissipation, bound")
 def test_criterion_04_energy_and_skew():
     rng = np.random.default_rng(0)
+    # the pair path at K^3, the transform at K^5, and each level's system
+    # with the transform forced
+    systems = [s for level in (3, 5) for s in both_paths(G.a, G.b, level)]
+    assert [s.quadratic_path for s in systems] == ["pair"] + ["transform"] * 3
     for _ in range(100):
         u = SpectralField(G, {k: rng.normal() for k in K2})
         v = SpectralField(G, {k: rng.normal() for k in K2})
-        q = quadratic(u)
-        h_inner = sum(-kbar(k, G) * G.a * G.b / 4 * q[k] * u[k]
-                      for k in set(q.coeffs) | set(u.coeffs))
-        assert abs(h_inner) <= 1e-10 * max(1.0, u.norm("H") ** 3)
+        for s in systems:
+            y = s.to_vector(u)
+            h_inner = np.sum(h_weights(s) * s.quadratic_vec(y) * y)
+            assert abs(h_inner) <= 1e-10 * max(1.0, u.norm("H") ** 3)
         assert abs(trilinear_b(u, v, v)) <= \
             1e-10 * max(1.0, u.norm("V") * v.norm("V") ** 2)
     # unforced, uncontrolled trajectories dissipate the H norm
@@ -131,7 +137,8 @@ def test_criterion_04_energy_and_skew():
         bps = np.array([0.0, 0.1, 0.25, 0.4])
         vals = rng.normal(size=(3, len(K1)))
         tr = integrate(sysF, u0, PiecewiseConstant(bps, vals), 0.4, tol=1e-10)
-        fv2 = [F.plus(SpectralField(G, dict(zip(K1, vals[i])))).dual_norm() ** 2
+        fv2 = [sysF.to_field(sysF.forcing_vec
+                             + sysF.control_vec(vals[i])).dual_norm() ** 2
                for i in range(3)]
         hn = tr.h_norms()
         for i, s in enumerate(tr.times):
@@ -259,15 +266,17 @@ def test_criterion_10_lie_rank():
         sys = GalerkinSystem(G, 1.0, SpectralField(G, {}), ms, K1)
         rank, _ = full_rank_check(sys)
         assert rank == kappa
-    # second-order bracket directions agree entrywise with the exact algebra
+    # second-order bracket directions, bilinear_vec(e_m, e_n), agree
+    # entrywise with the exact algebra, the pair's interaction_rows row
     sys3 = make_sys()
     scale = math.pi ** 2 / (4 * G.a * G.b)
     for m, n in selection_S(1) + selection_S(2):
-        g = gamma_vector(sys3, m, n)
-        d = delta_vector(m, n, Fraction(1), Fraction(4))
-        for k, c in d.entries.items():
-            if k in sys3.index:
-                assert g[k] == pytest.approx(scale * float(c), rel=1e-12)
+        e_m, e_n = (sys3.to_vector(SpectralField(G, {k: 1.0})) for k in (m, n))
+        g = sys3.bilinear_vec(e_m, e_n)
+        d = interaction_rows([(m, n)], sys3.mode_set, Fraction(1), Fraction(4))
+        for gk, c in zip(g, d[0].tolist()):
+            if c != 0:
+                assert gk == pytest.approx(scale * float(c), rel=1e-12)
 
 
 @criterion(11, "cascade steers to a third-level target with low modes only")

@@ -477,6 +477,32 @@ def test_jobs_1_runs(tmp_path):
                  "--a", "1", "--b", "2", "--target-modes", "3,3"]) == 0
 
 
+NOTHING_COMPARED = ("field 'max_index' must be at least 2 and field "
+                    "'geometries' non-empty: nothing is compared")
+TOLERANCES = "fields 'rel_tol' and 'abs_floor' must be positive and finite"
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("rel_tol", 0, TOLERANCES + ", got 0.0 and 1e-12"),
+    ("abs_floor", 0, TOLERANCES + ", got 1e-08 and 0.0"),
+    ("rel_tol", math.inf, TOLERANCES + ", got inf and 1e-12"),
+    ("rel_tol", math.nan, TOLERANCES + ", got nan and 1e-12"),
+    ("max_index", 1, NOTHING_COMPARED),
+    ("max_index", 0, NOTHING_COMPARED),
+    ("geometries", [], NOTHING_COMPARED),
+], ids=["rel_tol_0", "abs_floor_0", "rel_tol_inf", "rel_tol_nan",
+        "max_index_1", "max_index_0", "geometries_empty"])
+def test_oracle_rejects_configs_that_compare_nothing(tmp_path, capsys, field,
+                                                     value, message):
+    # a zero or infinite tolerance would divide by zero in oracle_sweep,
+    # and a sweep with no pair or no geometry would pass on no comparison
+    cfg = write_cfg(tmp_path, "o.json",
+                    {"max_index": 2, "geometries": [[1.0, 2.0]],
+                     field: value})
+    assert main(["--out", str(tmp_path / "o"), "oracle", "--config", cfg]) == 2
+    assert "config error: " + message in capsys.readouterr().err
+
+
 def test_plot_option_is_rejected(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "sim.json", SIM_CFG)
     with pytest.raises(SystemExit) as exc:

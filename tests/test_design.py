@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -58,7 +59,7 @@ def test_tests_read_only_operator_internals():
 
 
 # the coefficient kernel's internals: outside nonlinearity, coefficients
-# are read through interaction_rows (or its one-pair wrappers)
+# are read through interaction_rows
 KERNEL_NAMES = {"interaction_kernel", "mode_positions"}
 
 
@@ -141,6 +142,94 @@ def test_tracer_hooks_exist_in_galns():
         if obj is None:
             missing.append("%s.%s" % (module, path))
     assert missing == []
+
+
+def loaded_names(node) -> Counter:
+    """How often each name is read (loaded, attribute or imported) in the
+    tree under node."""
+    found = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            found[sub.id] += 1
+        elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+            found[sub.attr] += 1
+        elif isinstance(sub, ast.alias):
+            found[sub.name.rsplit(".", 1)[-1]] += 1
+    return found
+
+
+def public_definitions(tree):
+    """(qualified name, node) of every public top-level function, class and
+    assignment, and of every public method of a top-level class."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign):
+            names = [node.target.id]
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        else:
+            continue
+        for name in names:
+            if not name.startswith("_"):
+                yield name, node
+        if isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, ast.FunctionDef) \
+                        and not sub.name.startswith("_"):
+                    yield node.name + "." + sub.name, sub
+
+
+def uncalled_names(sources: dict, hooks) -> list:
+    """module.name of every public definition in sources (module -> source
+    text) that no code outside its own definition reads and that no hook
+    (module, attribute path) names."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    reads = sum((loaded_names(tree) for tree in trees.values()), Counter())
+    found = []
+    for module, tree in trees.items():
+        for name, node in public_definitions(tree):
+            attr = name.rsplit(".", 1)[-1]
+            if reads[attr] - loaded_names(node)[attr] <= 0 \
+                    and (module, name) not in hooks:
+                found.append("%s.%s" % (module, name))
+    return found
+
+
+def test_guard_sees_uncalled_names():
+    sources = {
+        "a": "LIMIT = 3\n"
+             "def used(x):\n    return used(x - 1) if x else LIMIT\n"
+             "def hooked():\n    pass\n"
+             "class Box:\n"
+             "    def open(self):\n        return self.open\n"
+             "    def shut(self):\n        pass\n"
+             "    def _inner(self):\n        pass\n",
+        "b": "from .a import used\n"
+             "def caller():\n    return Box().shut()\n",
+    }
+    assert uncalled_names(sources, [("a", "hooked")]) == [
+        "a.Box.open", "b.caller"]
+
+
+# public names that no galns code calls, each kept for its reason
+UNCALLED_KEPT = {
+    # oracles the tests compare against
+    "nonlinearity.trilinear_b", "spectral.field_tables",
+    "spectral.GradientPart.eval_gradient",
+    # criterion 9's relaxed-control API (ROADMAP item 8)
+    "control.approximate_relaxed", "control.delta_metric",
+}
+
+
+def test_every_public_name_has_a_program_caller():
+    # code that only tests call is a second copy of what the program runs
+    package = Path(galns.__file__).parent
+    sources = {path.stem: path.read_text()
+               for path in sorted(package.glob("*.py"))}
+    found = uncalled_names(sources, tracer_hooks(TRACER.read_text()))
+    assert sorted(set(found) - UNCALLED_KEPT) == []
+    assert UNCALLED_KEPT <= set(found)
 
 
 # the galns modules each command loads in a fresh interpreter; None runs

@@ -16,11 +16,11 @@ from hypothesis import strategies as st
 from galns import dynamics
 from galns.dynamics import (POLY_THETA, GalerkinSystem, IntegratorStats,
                             PiecewiseConstant, PiecewisePolynomial,
-                            Trajectory, adaptive_lawson, integrate, rhs,
+                            Trajectory, adaptive_lawson, integrate,
                             run_manifest)
 from galns.nonlinearity import (float_params, interaction_coeffs,
                                 interaction_kernel, mode_array,
-                                mode_positions, quadratic)
+                                mode_positions)
 from galns.spectral import RectGeometry, SpectralField, kbar, mode_set_K
 
 G = RectGeometry(1.0, 2.0)
@@ -35,6 +35,13 @@ def make_sys(nu=1.0, forcing=None, mode_set=K3, controlled=K1):
 
 def random_field(rng, modes, scale=1.0):
     return SpectralField(G, {k: scale * rng.normal() for k in modes})
+
+
+def rhs(sys, y, v):
+    """The right-hand side of the Galerkin ODE at the state y (mode_set
+    order) and the control value v."""
+    return sys.quadratic_vec(y) + sys.lam * y + sys.forcing_vec \
+        + sys.control_vec(v)
 
 
 def test_system_invariants():
@@ -308,35 +315,38 @@ def test_unbuilt_system_pickles_and_evaluates():
 
 def test_rhs_zero_state():
     sys = make_sys()
-    out = rhs(sys, SpectralField(G, {}), None)
-    assert out.coeffs == {}
+    out = rhs(sys, np.zeros(sys.dim), None)
+    assert not np.any(out)
 
 
 def test_rhs_single_mode_pure_decay():
     sys = make_sys(nu=0.7)
-    out = rhs(sys, SpectralField(G, {(2, 1): 1.5}), None)
-    assert set(out.coeffs) == {(2, 1)}
-    assert out[(2, 1)] == pytest.approx(0.7 * kbar((2, 1), G) * 1.5, rel=1e-14)
+    out = rhs(sys, sys.to_vector(SpectralField(G, {(2, 1): 1.5})), None)
+    assert np.flatnonzero(out).tolist() == [sys.index[(2, 1)]]
+    assert out[sys.index[(2, 1)]] == pytest.approx(0.7 * kbar((2, 1), G) * 1.5,
+                                                   rel=1e-14)
 
 
 def test_rhs_matches_quadratic_plus_linear():
     rng = np.random.default_rng(0)
     sys = make_sys(nu=0.3, forcing=SpectralField(G, {(1, 1): 0.2}))
     u = random_field(rng, K1)
+    y = sys.to_vector(u)
     v = np.zeros(len(sys.controlled_set))
     v[sys.controlled_set.index((1, 2))] = 0.5
-    out = rhs(sys, u, v)
-    q = quadratic(u, mode_set=K3)
-    for k in K3:
-        expect = q[k] + 0.3 * kbar(k, G) * u[k] + (0.2 if k == (1, 1) else 0.0) \
-            + (0.5 if k == (1, 2) else 0.0)
-        assert out[k] == pytest.approx(expect, rel=1e-12, abs=1e-14)
+    out = rhs(sys, y, v)
+    # the quadratic term summed term by term from the scalar coefficients
+    q, _, _ = scalar_sums(sys, y)
+    for k, i in sys.index.items():
+        expect = q[i] + 0.3 * kbar(k, G) * u[k] \
+            + (0.2 if k == (1, 1) else 0.0) + (0.5 if k == (1, 2) else 0.0)
+        assert out[i] == pytest.approx(expect, rel=1e-12, abs=1e-14)
 
 
 def test_rhs_control_dimension_error():
     sys = make_sys()
     with pytest.raises(ValueError):
-        rhs(sys, SpectralField(G, {}), np.zeros(3))
+        rhs(sys, np.zeros(sys.dim), np.zeros(3))
 
 
 def test_rhs_matches_finite_difference_of_flow():
@@ -345,7 +355,7 @@ def test_rhs_matches_finite_difference_of_flow():
     sys = make_sys(nu=0.5)
     u0 = random_field(rng, K1, scale=0.4)
     y0 = sys.to_vector(u0)
-    want = sys.to_vector(rhs(sys, u0, None))
+    want = rhs(sys, y0, None)
 
     def one_step(h):
         tr = integrate(sys, u0, None, h, tol=1e-13)
@@ -430,7 +440,7 @@ def test_energy_estimate_forced_runs():
         # the integrand is piecewise constant in time: accumulate exactly
         fv2 = []
         for i in range(3):
-            fv = F.plus(SpectralField(G, dict(zip(K1, vals[i]))))
+            fv = sys.to_field(sys.forcing_vec + sys.control_vec(vals[i]))
             fv2.append(fv.dual_norm() ** 2)
         for i, s in enumerate(tr.times):
             acc = 0.0

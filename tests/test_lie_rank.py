@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from galns.dynamics import GalerkinSystem, rhs
-from galns.lie_rank import (first_bracket, full_rank_check, gamma_vector,
-                            point_hash, rank_verdict)
-from galns.nonlinearity import interaction_coeffs, interaction_rows, quadratic
+from galns.dynamics import GalerkinSystem
+from galns.lie_rank import full_rank_check, point_hash, rank_verdict
+from galns.nonlinearity import interaction_coeffs, interaction_rows
 from galns.saturation import RowEchelon, selection_S
 from galns.spectral import RectGeometry, SpectralField, kbar, mode_set_K
+from test_dynamics import rhs
 
 G = RectGeometry(1.0, 2.0)
 
@@ -26,67 +26,73 @@ def random_field(rng, sys, scale=1.0):
                          {k: scale * rng.normal() for k in sys.mode_set})
 
 
+def unit(sys, i):
+    e = np.zeros(sys.dim)
+    e[sys.index[i]] = 1.0
+    return e
+
+
+def first_bracket(sys, y, i):
+    """The derivative of the drift at the state y along e_i, affine in y:
+    bilinear_vec(y, e_i) + lam_i e_i."""
+    e_i = unit(sys, i)
+    return sys.bilinear_vec(y, e_i) + sys.lam * e_i
+
+
 def test_drift_is_uncontrolled_rhs():
     rng = np.random.default_rng(0)
     sys = make_sys(2)
-    u = random_field(rng, sys)
-    d = rhs(sys, u, None)
-    assert d.coeffs == rhs(sys, u, np.zeros(len(sys.controlled_set))).coeffs
-    q = quadratic(u, mode_set=sys.mode_set)
-    for k in sys.mode_set:
-        assert d[k] == pytest.approx(q[k] + sys.nu * kbar(k, G) * u[k],
+    y = sys.to_vector(random_field(rng, sys))
+    d = rhs(sys, y, None)
+    assert np.array_equal(d, rhs(sys, y, np.zeros(len(sys.controlled_set))))
+    q = sys.quadratic_vec(y)
+    for k, i in sys.index.items():
+        assert d[i] == pytest.approx(q[i] + sys.nu * kbar(k, G) * y[i],
                                      rel=1e-12, abs=1e-12)
 
 
 def test_first_bracket_at_origin():
     sys = make_sys(2, nu=0.5)
-    out = first_bracket(sys, SpectralField(G, {}), (2, 1))
-    assert set(out.coeffs) == {(2, 1)}
-    assert out[(2, 1)] == pytest.approx(0.5 * kbar((2, 1), G), rel=1e-14)
+    out = first_bracket(sys, np.zeros(sys.dim), (2, 1))
+    assert np.flatnonzero(out).tolist() == [sys.index[(2, 1)]]
+    assert out[sys.index[(2, 1)]] == pytest.approx(0.5 * kbar((2, 1), G),
+                                                   rel=1e-14)
 
 
 def test_first_bracket_printed_pair():
     sys = make_sys(2)
-    out = first_bracket(sys, SpectralField(G, {(1, 3): 1.0}), (1, 1))
+    out = first_bracket(sys, unit(sys, (1, 3)), (1, 1))
     expect = interaction_coeffs((1, 1), (1, 3), G)
-    assert out[(1, 1)] == pytest.approx(kbar((1, 1), G), rel=1e-14)
+    assert out[sys.index[(1, 1)]] == pytest.approx(kbar((1, 1), G), rel=1e-14)
     for k, c in expect.items():
-        assert out[k] == pytest.approx(c, rel=1e-12)
+        assert out[sys.index[k]] == pytest.approx(c, rel=1e-12)
 
 
 def test_first_bracket_matches_finite_difference():
     # oracle: central differences of the drift rhs(sys, ., None) along e_i
     rng = np.random.default_rng(1)
     sys = make_sys(2)
-    u = random_field(rng, sys, scale=0.5)
+    y = sys.to_vector(random_field(rng, sys, scale=0.5))
     eps = 1e-6
     for i in [(1, 1), (2, 2), (3, 4)]:
-        e_i = SpectralField(G, {i: eps})
-        fp = rhs(sys, u.plus(e_i), None)
-        fm = rhs(sys, u.plus(e_i.scaled(-1)), None)
-        br = first_bracket(sys, u, i)
-        for k in sys.mode_set:
-            fd = (fp[k] - fm[k]) / (2 * eps)
-            assert br[k] == pytest.approx(fd, abs=2e-6 * max(1.0, abs(fd)))
-
-
-def test_first_bracket_direction_error():
-    sys = make_sys(1)
-    with pytest.raises(ValueError):
-        first_bracket(sys, SpectralField(G, {}), (5, 5))
+        e_i = eps * unit(sys, i)
+        fd = (rhs(sys, y + e_i, None) - rhs(sys, y - e_i, None)) / (2 * eps)
+        br = first_bracket(sys, y, i)
+        for b, f in zip(br, fd):
+            assert b == pytest.approx(f, abs=2e-6 * max(1.0, abs(f)))
 
 
 def test_gamma_equals_saturation_delta():
-    from fractions import Fraction
-    from galns.saturation import delta_vector
+    # the second bracket direction of the pair m < n is bilinear_vec(e_m, e_n);
+    # its exact entries are the pair's interaction_rows row
     sys = make_sys(3)
     scale = math.pi**2 / (4 * G.a * G.b)
     for m, n in selection_S(1) + selection_S(2):
-        g = gamma_vector(sys, m, n)
-        d = delta_vector(m, n, Fraction(1), Fraction(4))
-        for k, c in d.entries.items():
-            if k in sys.index:
-                assert g[k] == pytest.approx(scale * float(c), rel=1e-12)
+        g = sys.bilinear_vec(unit(sys, m), unit(sys, n))
+        d = interaction_rows([(m, n)], sys.mode_set, Fraction(1), Fraction(4))
+        for gk, c in zip(g, d[0].tolist()):
+            if c != 0:
+                assert gk == pytest.approx(scale * float(c), rel=1e-12)
 
 
 def test_rank_level1():

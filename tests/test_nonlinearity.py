@@ -8,15 +8,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from galns import nonlinearity
-from galns.nonlinearity import (LABELS, bilinear, interaction_coeffs,
-                                interaction_coeffs_exact, interaction_kernel,
-                                mode_array, oracle_sweep, quadratic,
-                                quadrature_B, target_mode, trilinear_b, vee,
-                                wedge)
-from galns.spectral import RectGeometry, SpectralField, kbar
+from galns.dynamics import GalerkinSystem, h_weights
+from galns.nonlinearity import (LABELS, interaction_coeffs,
+                                interaction_kernel, interaction_rows,
+                                mode_array, oracle_sweep, quadrature_B,
+                                target_mode, trilinear_b, vee, wedge)
+from galns.spectral import RectGeometry, SpectralField, kbar, mode_set_K
+from test_dynamics import both_paths
 
 
 G12 = RectGeometry(1.0, 2.0)
+
+
+def system(geom, modes):
+    """The uncontrolled, unforced Galerkin system of geom on modes."""
+    return GalerkinSystem(geom, 1.0, SpectralField(geom, {}), modes, ())
+
+
+def unit(sys, k):
+    return sys.to_vector(SpectralField(sys.geom, {k: 1.0}))
 
 
 def test_wedge_vee_basics():
@@ -72,62 +82,68 @@ def test_oracle_sweep_evaluates_no_field_on_a_grid():
         assert r["quadrature"] == q
 
 
+# The quadratic term is GalerkinSystem.quadratic_vec and its bilinear form
+# bilinear_vec.  K^1 and K^2 take the pair path.
+
+
 def test_quadratic_single_mode_vanishes():
+    sys = system(G12, mode_set_K(1))
     for m in [(1, 1), (2, 3), (3, 1)]:
-        u = SpectralField(G12, {m: 1.3})
-        assert quadratic(u).coeffs == {}
+        assert not np.any(sys.quadratic_vec(1.3 * unit(sys, m)))
 
 
 def test_quadratic_pair_is_delta():
-    u = SpectralField(G12, {(1, 1): 1.0, (1, 3): 1.0})
-    out = quadratic(u)
+    sys = system(G12, mode_set_K(2))
+    out = sys.quadratic_vec(unit(sys, (1, 1)) + unit(sys, (1, 3)))
     expect = interaction_coeffs((1, 1), (1, 3), G12)
-    assert set(out.coeffs) == set(expect)
+    assert {sys.mode_set[i] for i in np.flatnonzero(out)} == set(expect)
     for k in expect:
-        assert out[k] == pytest.approx(expect[k], rel=1e-14)
+        assert out[sys.index[k]] == pytest.approx(expect[k], rel=1e-14)
 
 
 def test_quadratic_matches_quadrature_on_random_field():
+    # K^3 keeps the dense pair operator, K^5 takes the transform; each is
+    # also checked with the transform forced
     rng = np.random.default_rng(3)
     g = RectGeometry(2.0, 1.0)
-    K1 = [(i, j) for i in range(1, 4) for j in range(1, 4) if (i, j) != (3, 3)]
-    u = SpectralField(g, {k: rng.normal() for k in K1})
-    q = quadratic(u)
-    K3 = [(i, j) for i in range(1, 6) for j in range(1, 6) if (i, j) != (5, 5)]
-    wk_cache = {}
-    for k in K3:
-        wk = SpectralField(g, {k: 1.0})
-        ref = -trilinear_b(u, u, wk) / (-kbar(k, g) * g.a * g.b / 4)
-        assert q[k] == pytest.approx(ref, rel=1e-8, abs=1e-10)
+    for level, path in [(3, "pair"), (5, "transform")]:
+        modes = mode_set_K(level)
+        u = SpectralField(g, {k: rng.normal() for k in modes})
+        ref = [-trilinear_b(u, u, SpectralField(g, {k: 1.0}))
+               / (-kbar(k, g) * g.a * g.b / 4) for k in sorted(modes)]
+        selected, forced = both_paths(g.a, g.b, level)
+        assert selected.quadratic_path == path
+        for sys in (selected, forced):
+            q = sys.quadratic_vec(sys.to_vector(u))
+            assert q == pytest.approx(ref, rel=1e-8, abs=1e-10)
 
 
 def test_bilinear_diagonal_zero():
+    sys = system(G12, mode_set_K(1))
     for m in [(1, 1), (2, 2)]:
-        em = SpectralField(G12, {m: 1.0})
-        assert bilinear(em, em).coeffs == {}
+        em = unit(sys, m)
+        assert not np.any(sys.bilinear_vec(em, em))
 
 
 def test_bilinear_pair_is_delta():
-    em = SpectralField(G12, {(1, 1): 1.0})
-    en = SpectralField(G12, {(1, 3): 1.0})
-    out = bilinear(em, en)
+    sys = system(G12, mode_set_K(2))
+    out = sys.bilinear_vec(unit(sys, (1, 1)), unit(sys, (1, 3)))
     expect = interaction_coeffs((1, 1), (1, 3), G12)
     for k in expect:
-        assert out[k] == pytest.approx(expect[k], rel=1e-14)
+        assert out[sys.index[k]] == pytest.approx(expect[k], rel=1e-14)
 
 
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=15, deadline=None)
 def test_polarization_identity(seed):
     rng = np.random.default_rng(seed)
-    g = G12
-    K2 = [(i, j) for i in range(1, 5) for j in range(1, 5) if (i, j) != (4, 4)]
-    u = SpectralField(g, {k: rng.normal() for k in K2})
-    w = SpectralField(g, {k: rng.normal() for k in K2})
-    lhs = bilinear(u, w)
-    rhs = quadratic(u.plus(w)).plus(quadratic(u).scaled(-1)).plus(quadratic(w).scaled(-1))
-    for k in set(lhs.coeffs) | set(rhs.coeffs):
-        assert lhs[k] == pytest.approx(rhs[k], abs=1e-12 * max(1, abs(rhs[k])))
+    sys = system(G12, mode_set_K(2))
+    u, w = rng.normal(size=(2, sys.dim))
+    lhs = sys.bilinear_vec(u, w)
+    rhs = sys.quadratic_vec(u + w) - sys.quadratic_vec(u) \
+        - sys.quadratic_vec(w)
+    for left, right in zip(lhs, rhs):
+        assert left == pytest.approx(right, abs=1e-12 * max(1, abs(right)))
 
 
 def test_quadrature_diagonal_zero():
@@ -176,11 +192,11 @@ def test_quadrature_B_matches_tensor_trilinear_b(a, b):
 def test_energy_conservation_of_quadratic():
     rng = np.random.default_rng(5)
     modes = [(i, j) for i in range(1, 4) for j in range(1, 4)]
+    sys = system(G12, modes)
     for _ in range(10):
         u = SpectralField(G12, {k: rng.normal() for k in modes})
-        q = quadratic(u)
-        h_inner = sum(-kbar(k, G12) * G12.a * G12.b / 4 * q[k] * u[k]
-                      for k in set(q.coeffs) | set(u.coeffs))
+        y = sys.to_vector(u)
+        h_inner = np.sum(h_weights(sys) * sys.quadratic_vec(y) * y)
         assert abs(h_inner) < 1e-10 * max(1.0, u.norm("H") ** 3)
 
 
@@ -191,19 +207,20 @@ def test_vanishing_law():
         for n in modes[i + 1:]:
             if not (m[0] == n[0] or n[1] >= m[1]):
                 continue
-            cs = interaction_coeffs_exact(m, n, Fraction(1), Fraction(4))
             tpp, tmm = target_mode(m, n, (1, 1)), target_mode(m, n, (-1, -1))
+            # a target with a zero component is absent: compare present ones
+            present = [t for t in (tpp, tmm) if min(t) > 0]
+            row = interaction_rows([(m, n)], present, Fraction(1), Fraction(4))
             w = wedge(m, n)
-            # absent targets can make one of the two undefined; only compare present ones
-            if tpp in cs:
-                assert (cs[tpp] == 0) == (w == 0)
-            if tmm in cs:
-                assert (cs[tmm] == 0) == (w == 0)
+            for c in row[0].tolist():
+                assert (c == 0) == (w == 0)
 
 
 def test_exact_matches_float():
-    ex = interaction_coeffs_exact((1, 2), (2, 1), Fraction(1), Fraction(4))
     fl = interaction_coeffs((1, 2), (2, 1), G12)
+    modes = mode_set_K(2)
+    row = interaction_rows([((1, 2), (2, 1))], modes, Fraction(1), Fraction(4))
+    ex = {k: v for k, v in zip(modes, row[0].tolist()) if v != 0}
     scale = math.pi**2 / (4 * G12.a * G12.b)
     assert set(ex) == set(fl)
     for k in ex:
@@ -263,8 +280,9 @@ def test_exact_kernel_equals_exact_coefficients(a2, b2, pairs):
                                          mode_array([n for _, n in pairs]),
                                          a2, b2)
     for p, (m, n) in enumerate(pairs):
-        exact = interaction_coeffs_exact(m, n, a2, b2)
-        assert exact == reference_scaled(m, n, a2, b2)
+        exact = reference_scaled(m, n, a2, b2)
+        row = interaction_rows([(m, n)], list(exact), a2, b2)[0].tolist()
+        assert dict(zip(exact, row)) == exact
         got = {(int(t1), int(t2)): v for t1, t2, v
                in zip(targets[0, :, p], targets[1, :, p], values[:, p])
                if t1 and t2}
@@ -286,15 +304,12 @@ def test_pair_order_enforced_in_kernel(m, n):
 @given(a=st.floats(0.25, 4.0), b=st.floats(0.25, 4.0),
        level=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
 def test_polarization_random_geometry(a, b, level, seed):
-    g = RectGeometry(a, b)
-    modes = [(i, j) for i in range(1, level + 3) for j in range(1, level + 3)
-             if (i, j) != (level + 2, level + 2)]
+    # K^1 to K^3 take the pair path, K^4 to K^6 the transform
+    sys = system(RectGeometry(a, b), mode_set_K(level))
     rng = np.random.default_rng(seed)
-    u = SpectralField(g, {k: rng.normal() for k in modes})
-    w = SpectralField(g, {k: rng.normal() for k in modes})
-    qs = [quadratic(u.plus(w)), quadratic(u), quadratic(w)]
-    lhs = bilinear(u, w)
-    rhs = qs[0].plus(qs[1].scaled(-1)).plus(qs[2].scaled(-1))
-    size = max(abs(c) for q in qs for c in q.coeffs.values())
-    for k in set(lhs.coeffs) | set(rhs.coeffs):
-        assert abs(lhs[k] - rhs[k]) <= 1e-12 * size
+    u, w = rng.normal(size=(2, sys.dim))
+    qs = [sys.quadratic_vec(u + w), sys.quadratic_vec(u), sys.quadratic_vec(w)]
+    lhs = sys.bilinear_vec(u, w)
+    rhs = qs[0] - qs[1] - qs[2]
+    size = max(np.max(np.abs(q)) for q in qs)
+    assert np.all(np.abs(lhs - rhs) <= 1e-12 * size)

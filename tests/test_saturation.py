@@ -8,21 +8,26 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from galns import saturation
-from galns.nonlinearity import (bilinear, interaction_coeffs_exact,
-                                interaction_rows, target_mode, vee, wedge)
+from galns.dynamics import GalerkinSystem
+from galns.nonlinearity import interaction_rows, target_mode, vee, wedge
 from galns.saturation import (SQUARE_REPAIR_PAIRS, SQUARE_REPAIR_TARGETS,
                               RowEchelon, _ratio_conditions, bareiss_rank,
-                              build_chain, delta_vector, det3, selection_S,
-                              verify_step)
+                              build_chain, det3, selection_S, verify_step)
 from galns.spectral import RectGeometry, SpectralField, mode_set_K
 
 A2, B2 = Fraction(1), Fraction(4)  # a=1, b=2
 
+# every target of a pair with components at most 4 lies in K^6
+# (8 x 8 less (8, 8), which no pair reaches)
+WIDE = mode_set_K(6)
 
-def scaled(geom, entries):
-    """Multiply exact entries by pi^2/(4ab) for float comparison."""
-    s = math.pi**2 / (4 * geom.a * geom.b)
-    return {k: s * float(v) for k, v in entries.items()}
+
+def direction(m, n, a2, b2):
+    """The exact direction of the pair m < n as {target: entry} over its
+    nonzero entries: its interaction_rows row on a mode set holding every
+    target, with the factor pi^2/(4ab) taken out."""
+    row = interaction_rows([(m, n)], WIDE, a2, b2)[0]
+    return {k: v for k, v in zip(WIDE, row.tolist()) if v != 0}
 
 
 def test_mode_set_counts():
@@ -50,7 +55,7 @@ def test_selection_level_errors():
 
 
 def test_delta_12_21_printed():
-    d = delta_vector((1, 2), (2, 1), A2, B2)
+    d = direction((1, 2), (2, 1), A2, B2)
     a2, b2 = A2, B2
     # printed formulas with pi^2/(4ab) factored out
     expect = {
@@ -59,41 +64,47 @@ def test_delta_12_21_printed():
         (3, 1): 15 * (a2 - b2) / (a2 + 9 * b2),
         (3, 3): (b2 - a2) / (a2 + b2),
     }
-    assert d.entries == expect
+    assert d == expect
 
 
 def test_delta_12_21_square_vanishes():
-    d = delta_vector((1, 2), (2, 1), Fraction(1), Fraction(1))
-    assert d.entries == {}
+    d = direction((1, 2), (2, 1), Fraction(1), Fraction(1))
+    assert d == {}
 
 
 def test_delta_11_31_printed():
-    d = delta_vector((1, 1), (3, 1), A2, B2)
+    d = direction((1, 1), (3, 1), A2, B2)
     # -2b pi^2/(a(b^2+a^2)) on (2,2) and b pi^2/(a(a^2+4b^2)) on (4,2);
     # after factoring pi^2/(4ab): -8 b^2/(a^2+b^2) and 4 b^2/(a^2+4 b^2)
-    assert d.entries == {(2, 2): -8 * B2 / (A2 + B2), (4, 2): 4 * B2 / (A2 + 4 * B2)}
+    assert d == {(2, 2): -8 * B2 / (A2 + B2), (4, 2): 4 * B2 / (A2 + 4 * B2)}
 
 
 def test_delta_11_13_printed():
-    d = delta_vector((1, 1), (1, 3), A2, B2)
-    assert d.entries == {(2, 2): 8 * A2 / (A2 + B2), (2, 4): -4 * A2 / (B2 + 4 * A2)}
+    d = direction((1, 1), (1, 3), A2, B2)
+    assert d == {(2, 2): 8 * A2 / (A2 + B2), (2, 4): -4 * A2 / (B2 + 4 * A2)}
 
 
 def test_delta_12_22_printed():
-    d = delta_vector((1, 2), (2, 2), A2, B2)
+    d = direction((1, 2), (2, 2), A2, B2)
     # -9b pi^2/(2a(16a^2+b^2)) and 3b pi^2/(2a(16a^2+9b^2)) after factoring
-    assert d.entries == {(1, 4): -18 * B2 / (16 * A2 + B2),
-                         (3, 4): 6 * B2 / (16 * A2 + 9 * B2)}
+    assert d == {(1, 4): -18 * B2 / (16 * A2 + B2),
+                 (3, 4): 6 * B2 / (16 * A2 + 9 * B2)}
 
 
 def test_delta_cross_validates_bilinear():
+    # every target of these pairs lies in K^3, whose system takes the pair
+    # path: bilinear_vec(e_m, e_n) is the float direction
     g = RectGeometry(1.0, 2.0)
+    modes = mode_set_K(3)
+    sys = GalerkinSystem(g, 1.0, SpectralField(g, {}), modes, ())
+    scale = math.pi**2 / (4 * g.a * g.b)
     for m, n in selection_S(1) + selection_S(2):
-        d = delta_vector(m, n, A2, B2)
-        fl = bilinear(SpectralField(g, {m: 1.0}), SpectralField(g, {n: 1.0}))
-        sc = scaled(g, d.entries)
-        for k in set(sc) | set(fl.coeffs):
-            assert fl[k] == pytest.approx(sc.get(k, 0.0), rel=1e-10, abs=1e-13)
+        assert set(direction(m, n, A2, B2)) <= set(modes)
+        exact = interaction_rows([(m, n)], sys.mode_set, A2, B2)[0]
+        e_m, e_n = (sys.to_vector(SpectralField(g, {k: 1.0})) for k in (m, n))
+        fl = sys.bilinear_vec(e_m, e_n)
+        for f, c in zip(fl, exact.tolist()):
+            assert f == pytest.approx(scale * float(c), rel=1e-10, abs=1e-13)
 
 
 def test_bareiss_rank_basics():
@@ -122,7 +133,7 @@ def test_square_without_repair_fails():
     c = verify_step(1, Fraction(1), Fraction(1), square_mode=False)
     assert not c.verdict
     # the dropped direction really is the degenerate one
-    assert delta_vector((1, 2), (2, 1), Fraction(1), Fraction(1)).entries == {}
+    assert direction((1, 2), (2, 1), Fraction(1), Fraction(1)) == {}
 
 
 def test_square_repair_passes_and_determinant():
@@ -132,8 +143,8 @@ def test_square_repair_passes_and_determinant():
 
 
 def test_square_repair_det_exact_recomputation():
-    rows = [delta_vector(m, n, Fraction(1), Fraction(1)).projected(SQUARE_REPAIR_TARGETS)
-            for m, n in SQUARE_REPAIR_PAIRS]
+    rows = interaction_rows(SQUARE_REPAIR_PAIRS, SQUARE_REPAIR_TARGETS,
+                            Fraction(1), Fraction(1)).tolist()
     assert det3(rows) / 4**3 == Fraction(-45, 442)
 
 
@@ -172,7 +183,7 @@ def test_build_chain_square_deeper():
     ch = build_chain([(6, 6)], one, one)
     assert ch.levels == [1, 2, 3, 4] and ch.ok
     # the substituted corner direction at level 2 actually reaches (4,4)
-    assert (4, 4) in delta_vector((1, 2), (3, 2), one, one).entries
+    assert (4, 4) in direction((1, 2), (3, 2), one, one)
 
 
 def test_certificates_reproducible():
@@ -290,7 +301,7 @@ def test_exact_rank_invariant_under_swap(a, b, level, data):
 
 def pairwise_ratio_conditions(j, a2, b2, square_mode=False):
     """_ratio_conditions with each duo's coefficients read pair by pair,
-    one interaction_coeffs_exact call per pair and target.  Also returns
+    one interaction_rows call per pair on its two targets.  Also returns
     each duo's entries [[ca, da], [cb, db]]."""
     conds = {}
     pairs = selection_S(j, square_mode=square_mode)
@@ -300,9 +311,8 @@ def pairwise_ratio_conditions(j, a2, b2, square_mode=False):
     conds["interaction_integers"] = wedges
 
     def entries(pair, label):
-        coeffs = interaction_coeffs_exact(pair[0], pair[1], a2, b2)
-        return [coeffs.get(target_mode(pair[0], pair[1], lb), Fraction(0))
-                for lb in (label, (1, 1))]
+        targets = [target_mode(pair[0], pair[1], lb) for lb in (label, (1, 1))]
+        return interaction_rows([pair], targets, a2, b2)[0].tolist()
 
     ratios_ok = True
     checks = []
