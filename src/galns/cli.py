@@ -27,8 +27,7 @@ import numpy as np
 # Each command imports the other galns modules it runs in its own body, so
 # a run loads (and, without bytecode, compiles) only those; the import
 # reads the module attribute at call time.
-from .spectral import (RectGeometry, SpectralField, leray_project,
-                       mode_set_K)
+from .spectral import RectGeometry, SpectralField, mode_set_K
 
 VERSION = "0.1.0"
 
@@ -114,17 +113,14 @@ def _mode_key(s):
     return (k1, k2)
 
 
-def _coeffs(cfg, name):
-    """An optional object of "k1,k2": number entries, as a mode dict."""
+def _field(cfg, name, geom):
+    """An optional object of "k1,k2": number entries, as a SpectralField."""
     table = _optional(cfg, name, dict, {})
     for v in table.values():
         if not _is_a(v, (int, float)):
             raise ConfigError("field %r: value %r is not a number" % (name, v))
-    return {_mode_key(k): float(v) for k, v in table.items()}
-
-
-def _field(cfg, name, geom):
-    return SpectralField(geom, _coeffs(cfg, name))
+    return SpectralField(geom, {_mode_key(k): float(v)
+                                for k, v in table.items()})
 
 
 # the fields _system reads
@@ -314,10 +310,15 @@ def _parse_label(lab):
         kind = lab[0]
         if kind == "zero":
             return ("zero",)
-        if kind == "e":
-            return ("e", tuple(lab[1]), int(lab[2]))
-        if kind == "delta":
-            return ("delta", (tuple(lab[1][0]), tuple(lab[1][1])), int(lab[2]))
+        if kind in ("e", "delta"):
+            sign = lab[2]
+            # true == 1 and 1.0 == 1: only the JSON integers 1, -1 are signs
+            if type(sign) is not int or sign not in (1, -1):
+                raise ConfigError("schedule label %r: the sign must be 1 or -1"
+                                  % (lab,))
+            if kind == "e":
+                return ("e", tuple(lab[1]), sign)
+            return ("delta", (tuple(lab[1][0]), tuple(lab[1][1])), sign)
     except (IndexError, KeyError, TypeError):
         raise ConfigError("schedule label %r is malformed" % (lab,))
     raise ConfigError("unknown schedule label kind %r" % (kind,))
@@ -360,20 +361,18 @@ def cmd_imitate(cfg, outdir):
 
 def cmd_lierank(cfg, outdir):
     from .lie_rank import point_hash, rank_verdict
-    _known(cfg, _SYSTEM + ("seed", "n_points", "scale"))
+    _known(cfg, _SYSTEM + ("seed", "n_points"))
     sys = _system(cfg)
     rng = np.random.default_rng(_optional(cfg, "seed", int, 0))
     n_points = _optional(cfg, "n_points", int, 5)
     if n_points < 1:
         raise ConfigError("field 'n_points' must be positive, got %d"
                           % n_points)
-    scale = float(_optional(cfg, "scale", (int, float), 1.0))
     # the rank reads no point: each sampled point labels a copy of one verdict
     verdict = rank_verdict(sys)
     verdicts = []
     for _ in range(n_points):
-        u = SpectralField(sys.geom, {k: scale * rng.normal()
-                                     for k in sys.mode_set})
+        u = SpectralField(sys.geom, {k: rng.normal() for k in sys.mode_set})
         verdicts.append(dict(verdict, point_hash=point_hash(u)))
     ok = verdict["full_rank"]
     report = {"points": verdicts, "kappa_N": len(sys.mode_set),
@@ -417,34 +416,6 @@ def cmd_oracle(cfg, outdir):
     return report, outputs
 
 
-def cmd_project(cfg, outdir):
-    _known(cfg, ("geometry", "v1", "v2"))
-    geom = _geom(cfg)
-    u, grad = leray_project(_coeffs(cfg, "v1"), _coeffs(cfg, "v2"), geom)
-    report = {
-        "solenoidal": {"%d,%d" % k: c for k, c in sorted(u.coeffs.items())},
-        "gradient_axis_x1": {str(k): c
-                             for k, c in sorted(grad.axis_coeffs_x1.items())},
-        "gradient_axis_x2": {str(k): c
-                             for k, c in sorted(grad.axis_coeffs_x2.items())},
-        "gradient_interior": {"%d,%d" % k: c
-                              for k, c in sorted(grad.interior_coeffs.items())},
-        "solenoidal_H_norm": u.norm("H"),
-        "verdict": "pass",
-    }
-    return report, _write_json(outdir, report, "projection.json", "report.json")
-
-
-def cmd_norms(cfg, outdir):
-    _known(cfg, ("geometry", "coeffs"))
-    geom = _geom(cfg)
-    u = _field(cfg, "coeffs", geom)
-    report = {"H": u.norm("H"), "V": u.norm("V"), "DA": u.norm("DA"),
-              "dual": u.dual_norm(), "n_modes": len(u.coeffs),
-              "verdict": "pass"}
-    return report, _write_json(outdir, report, "norms.json", "report.json")
-
-
 # ---------------------------------------------------------------------------
 # Entry point
 
@@ -458,8 +429,7 @@ def main(argv=None) -> int:
                         help="accepted for old command lines; only 1")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name in ("simulate", "steer", "imitate", "lierank", "oracle",
-                 "project", "norms"):
+    for name in ("simulate", "steer", "imitate", "lierank", "oracle"):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON config file")
 
@@ -477,8 +447,7 @@ def main(argv=None) -> int:
     os.makedirs(args.out, exist_ok=True)
     handlers = {
         "simulate": cmd_simulate, "steer": cmd_steer, "imitate": cmd_imitate,
-        "lierank": cmd_lierank, "oracle": cmd_oracle, "project": cmd_project,
-        "norms": cmd_norms,
+        "lierank": cmd_lierank, "oracle": cmd_oracle,
     }
     t0 = time.time()
     try:

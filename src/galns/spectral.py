@@ -1,5 +1,5 @@
 """Rectangle geometry, solenoidal eigenbasis bookkeeping, Fourier norms,
-field evaluation and the Leray (divergence-free) projection.
+field evaluation and Gauss-Legendre quadrature grids.
 
 The basis field indexed by k = (k1, k2), k1, k2 >= 1, on [0,a]x[0,b] is
 
@@ -82,7 +82,8 @@ class SpectralField:
         return self.coeffs.get(k, 0.0)
 
     def norm(self, kind: str = "H") -> float:
-        """sqrt((ab/4) sum (-kbar)^p u_k^2), p = 0, 1, 2, 3 for V', H, V, DA.
+        """sqrt((ab/4) sum (-kbar)^p u_k^2), p = 0, 1, 2, 3 for V', H, V, DA;
+        V' is the dual of V under the H pairing (ab/4) sum (-kbar_k) f_k u_k.
 
         The coefficients are divided by the largest |u_k| before squaring, so
         u_k^2 neither underflows nor overflows: the result keeps full
@@ -94,12 +95,6 @@ class SpectralField:
         s = sum((-kbar(k, self.geom)) ** p * (v / m) ** 2
                 for k, v in self.coeffs.items())
         return m * math.sqrt(self.geom.a * self.geom.b / 4 * s)
-
-    def dual_norm(self) -> float:
-        """V'-norm, dual to |u|_V^2 = (ab/4) sum kbar_k^2 u_k^2 under the H
-        pairing (ab/4) sum (-kbar_k) f_k u_k: by Cauchy-Schwarz the p = 0
-        norm, attained at u_k = f_k / (-kbar_k)."""
-        return self.norm("V'")
 
 
 def eval_components(u: SpectralField, X1, X2):
@@ -124,85 +119,6 @@ def eval_components(u: SpectralField, X1, X2):
         d1v2 += c * (-a1 * a1) * s1 * s2
         d2v2 += c * (a1 * a2) * c1 * c2
     return (v1, v2), ((d1v1, d2v1), (d1v2, d2v2))
-
-
-@dataclass
-class GradientPart:
-    """Scalar potential q of the gradient part of a vector field, stored as
-    cosine-in-both-axes coefficients: two pure-axis tables plus the interior
-    table (the paper-style split of the potential)."""
-
-    geom: RectGeometry
-    axis_coeffs_x1: dict[int, float] = field(default_factory=dict)
-    axis_coeffs_x2: dict[int, float] = field(default_factory=dict)
-    interior_coeffs: dict[ModeIndex, float] = field(default_factory=dict)
-
-    def eval_gradient(self, x1, x2) -> tuple[np.ndarray, np.ndarray]:
-        x1 = np.asarray(x1, dtype=float)
-        x2 = np.asarray(x2, dtype=float)
-        g1 = np.zeros(np.broadcast(x1, x2).shape)
-        g2 = np.zeros_like(g1)
-        a, b = self.geom.a, self.geom.b
-        for k1, c in self.axis_coeffs_x1.items():
-            g1 += -c * (k1 * np.pi / a) * np.sin(k1 * np.pi * x1 / a)
-        for k2, c in self.axis_coeffs_x2.items():
-            g2 += -c * (k2 * np.pi / b) * np.sin(k2 * np.pi * x2 / b)
-        for (k1, k2), c in self.interior_coeffs.items():
-            g1 += -c * (k1 * np.pi / a) * np.sin(k1 * np.pi * x1 / a) * np.cos(k2 * np.pi * x2 / b)
-            g2 += -c * (k2 * np.pi / b) * np.cos(k1 * np.pi * x1 / a) * np.sin(k2 * np.pi * x2 / b)
-        return g1, g2
-
-
-def leray_project(v1: dict[ModeIndex, float], v2: dict[ModeIndex, float],
-                  geom: RectGeometry) -> tuple[SpectralField, GradientPart]:
-    """Split v = u + grad(q).
-
-    Input tables: v1 maps (k1,k2) with k1>=1, k2>=0 to the coefficient of
-    sin(k1 pi x1/a) cos(k2 pi x2/b) in the first component; v2 maps (k1,k2)
-    with k1>=0, k2>=1 to the coefficient of cos(k1 pi x1/a) sin(k2 pi x2/b)
-    in the second.  Indices with a zero component are pure gradients and
-    route entirely to the gradient part.
-    """
-    a, b = geom.a, geom.b
-    u: dict[ModeIndex, float] = {}
-    q_int: dict[ModeIndex, float] = {}
-    q_ax1: dict[int, float] = {}
-    q_ax2: dict[int, float] = {}
-
-    for (k1, k2), c in v1.items():
-        if k1 < 1 or k2 < 0:
-            raise ValueError(f"v1 index out of range: {(k1, k2)}")
-        if k2 == 0:
-            q_ax1[k1] = q_ax1.get(k1, 0.0) - a / (k1 * math.pi) * c
-        else:
-            kb = kbar((k1, k2), geom)
-            u[(k1, k2)] = u.get((k1, k2), 0.0) + (k2 * math.pi / b) * c / kb
-            q_int[(k1, k2)] = q_int.get((k1, k2), 0.0) + (k1 * math.pi / a) * c / kb
-    for (k1, k2), c in v2.items():
-        if k2 < 1 or k1 < 0:
-            raise ValueError(f"v2 index out of range: {(k1, k2)}")
-        if k1 == 0:
-            q_ax2[k2] = q_ax2.get(k2, 0.0) - b / (k2 * math.pi) * c
-        else:
-            kb = kbar((k1, k2), geom)
-            u[(k1, k2)] = u.get((k1, k2), 0.0) - (k1 * math.pi / a) * c / kb
-            q_int[(k1, k2)] = q_int.get((k1, k2), 0.0) + (k2 * math.pi / b) * c / kb
-
-    u = {k: v for k, v in u.items() if v != 0.0}
-    return (SpectralField(geom, u),
-            GradientPart(geom, q_ax1, q_ax2, q_int))
-
-
-def field_tables(u: SpectralField) -> tuple[dict[ModeIndex, float], dict[ModeIndex, float]]:
-    """Coefficient tables (v1, v2) of a solenoidal field, inverse of the
-    reconstruction used by leray_project."""
-    a, b = u.geom.a, u.geom.b
-    v1 = {}
-    v2 = {}
-    for (k1, k2), c in u.coeffs.items():
-        v1[(k1, k2)] = -(k2 * math.pi / b) * c
-        v2[(k1, k2)] = (k1 * math.pi / a) * c
-    return v1, v2
 
 
 @functools.lru_cache(maxsize=None)

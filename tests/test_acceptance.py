@@ -11,7 +11,7 @@ import pytest
 from galns.control import (EndpointExperiment, RelaxedFamily, VertexSchedule,
                            approximate_relaxed, cascade_to_K1, covering_check,
                            deviation_sweep, fit_deviation_slope, imitate,
-                           push_to_interior, rx_norm, tracking_control)
+                           push_to_interior, tracking_control)
 from galns.dynamics import (GalerkinSystem, PiecewiseConstant, Smooth,
                             h_weights, integrate)
 from galns.lie_rank import full_rank_check
@@ -138,7 +138,7 @@ def test_criterion_04_energy_and_skew():
         vals = rng.normal(size=(3, len(K1)))
         tr = integrate(sysF, u0, PiecewiseConstant(bps, vals), 0.4, tol=1e-10)
         fv2 = [sysF.to_field(sysF.forcing_vec
-                             + sysF.control_vec(vals[i])).dual_norm() ** 2
+                             + sysF.control_vec(vals[i])).norm("V'") ** 2
                for i in range(3)]
         hn = tr.h_norms()
         for i, s in enumerate(tr.times):

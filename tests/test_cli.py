@@ -13,7 +13,6 @@ import galns
 from galns import cli
 from galns.cli import main
 from galns.dynamics import StiffnessError
-from galns.spectral import RectGeometry, SpectralField
 
 
 def write_cfg(tmp_path, name, obj):
@@ -298,31 +297,6 @@ def test_oracle_no_failures(tmp_path):
     assert len(rows) == rep["comparisons"] + 1
 
 
-def test_norms_match_library(tmp_path):
-    coeffs = {"1,1": 1.0, "2,1": 0.5}
-    cfg = write_cfg(tmp_path, "n.json",
-                    {"geometry": {"a": 1.0, "b": 2.0}, "coeffs": coeffs})
-    out = str(tmp_path / "o")
-    assert main(["--out", out, "norms", "--config", cfg]) == 0
-    rep = read_json(out, "norms.json")
-    u = SpectralField(RectGeometry(1.0, 2.0),
-                      {(1, 1): 1.0, (2, 1): 0.5})
-    for kind in ("H", "V", "DA"):
-        assert rep[kind] == pytest.approx(u.norm(kind), rel=1e-12)
-    assert rep["dual"] == pytest.approx(u.dual_norm(), rel=1e-12)
-
-
-def test_project_solenoidal_output(tmp_path):
-    cfg = write_cfg(tmp_path, "p.json",
-                    {"geometry": {"a": 1.0, "b": 2.0},
-                     "v1": {"1,1": 1.0}, "v2": {"1,1": 0.4}})
-    out = str(tmp_path / "o")
-    assert main(["--out", out, "project", "--config", cfg]) == 0
-    rep = read_json(out, "projection.json")
-    assert "1,1" in rep["solenoidal"]
-    assert rep["verdict"] == "pass"
-
-
 def test_lierank_level1(tmp_path):
     cfg = write_cfg(tmp_path, "l.json",
                     {"geometry": {"a": 1.0, "b": 2.0}, "nu": 1.0,
@@ -530,6 +504,9 @@ STEER_CFG = {"geometry": {"a": 1.0, "b": 2.0}, "nu": 1.0, "level": 1,
     ("imitate", dict(IMI_CFG, labels=[["delta", 5, 1]])),
     ("imitate", dict(IMI_CFG, labels=[["delta", [[1, 1], [3, 3]], 1]])),
     ("imitate", dict(IMI_CFG, labels=[["e", [6, 6], 1]])),
+    ("imitate", dict(IMI_CFG, labels=[["e", [1, 1], 0.5]])),
+    ("imitate", dict(IMI_CFG, labels=[["delta", [[1, 1], [1, 3]], 2]])),
+    ("imitate", dict(IMI_CFG, labels=[["e", [1, 1], True]])),
     ("imitate", dict(IMI_CFG, ws=[[3.0]])),
     ("steer", {"experiments": [3]}),
     ("steer", dict(STEER_CFG, fit_horizons=[[0.1]])),
@@ -550,15 +527,15 @@ STEER_CFG = {"geometry": {"a": 1.0, "b": 2.0}, "nu": 1.0, "level": 1,
     ("simulate", dict(SIM_CFG, control={"breakpoints": [0.0, 0.3],
                                         "values": [[True] + [0.0] * 7]})),
     ("oracle", {"geometries": [1.0]}),
-    ("project", {"geometry": {"a": 1.0, "b": 1.0}, "v1": [1.0]}),
 ], ids=["tol", "u0_value", "controlled_level", "control", "control_values",
         "control_values_flat", "label", "label_outside_J", "label_outside",
+        "label_sign_half", "label_sign_2", "label_sign_bool",
         "ws", "experiment", "fit_horizons", "seed", "n_points",
         "level_bool", "nu_bool", "n_points_bool", "seed_bool",
         "side_bool", "u0_value_bool", "grid_per_dim_1",
         "n_points_0", "ws_empty", "ws_bool_entry", "breakpoints_bool_entry",
         "values_bool_entry",
-        "geometries", "v1"])
+        "geometries"])
 def test_mistyped_fields_are_config_errors(tmp_path, capsys, command, cfg):
     path = write_cfg(tmp_path, "c.json", cfg)
     assert main(["--out", str(tmp_path / "o"), command,
@@ -617,13 +594,10 @@ ORACLE_CFG = {"max_index": 2, "geometries": [[1.0, 2.0]]}
     ("steer", {"experiments": [STEER_GRID_CFG], "seed": 3},
      "unknown field 'seed'"),
     ("imitate", dict(IMI_CFG, w=[3]), "unknown field 'w'"),
-    ("project", {"geometry": {"a": 1.0, "b": 1.0}, "v1": {"1,1": 1.0},
-                 "coeffs": {}}, "unknown field 'coeffs'"),
-    ("norms", {"geometry": {"a": 1.0, "b": 2.0}, "coeffs": {"1,1": 1.0},
-               "v1": {}}, "unknown field 'v1'"),
+    ("lierank", dict(LIERANK_CFG, scale=2.0), "unknown field 'scale'"),
 ], ids=["lierank", "oracle_given_simulate", "oracle_geometry", "simulate",
         "control", "geometry", "steer", "steer_experiment", "steer_top_level",
-        "imitate", "project", "norms"])
+        "imitate", "lierank_scale"])
 def test_unknown_fields_are_config_errors(tmp_path, capsys, command, cfg,
                                           unknown):
     # a field that the command does not read is named, not ignored

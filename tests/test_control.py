@@ -11,13 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from galns.control import (ApproxResult, EndpointExperiment, RelaxedFamily,
-                           VertexSchedule, approximate_relaxed, cascade_to_K1,
-                           covering_check, delta_metric, deviation_sweep,
-                           endpoint_map, endpoint_tangent,
-                           fit_deviation_slope, horizon_ceiling, imitate,
-                           make_phi_w, push_to_interior, reference_map,
-                           rx_norm, tracking_control)
+from galns.control import (EndpointExperiment, RelaxedFamily, VertexSchedule,
+                           approximate_relaxed, cascade_to_K1, covering_check,
+                           delta_metric, deviation_sweep, endpoint_map,
+                           endpoint_tangent, fit_deviation_slope,
+                           horizon_ceiling, imitate, make_phi_w,
+                           push_to_interior, reference_map, rx_norm,
+                           tracking_control)
 from galns import control
 from galns.control import (_build_schedule, _direction_matrix,
                            _schedule_endpoint, _schedule_jacobian,
@@ -25,7 +25,7 @@ from galns.control import (_build_schedule, _direction_matrix,
 from galns.dynamics import (GalerkinSystem, PiecewiseConstant,
                             PiecewisePolynomial, Smooth, integrate)
 from galns.lie_rank import full_rank_check
-from galns.spectral import RectGeometry, SpectralField, kbar, mode_set_K
+from galns.spectral import RectGeometry, SpectralField, mode_set_K
 
 G = RectGeometry(1.0, 2.0)
 K1 = tuple(sorted(mode_set_K(1)))

@@ -212,11 +212,44 @@ def test_guard_sees_uncalled_names():
         "a.Box.open", "b.caller"]
 
 
+def unread_imports(source: str) -> list:
+    """(line, name) of every name an import binds that the module never
+    reads; the import statements themselves are no reads."""
+    tree = ast.parse(source)
+    aliases = [(node.lineno, alias) for node in ast.walk(tree)
+               if isinstance(node, (ast.Import, ast.ImportFrom))
+               for alias in node.names]
+    reads = loaded_names(tree) - Counter(alias.name.rsplit(".", 1)[-1]
+                                         for _, alias in aliases)
+    bound = [(line, alias.asname or alias.name.split(".")[0])
+             for line, alias in aliases]
+    return [(line, name) for line, name in bound if reads[name] <= 0]
+
+
+def test_guard_sees_unread_imports():
+    src = ("import os, json\n"
+           "import numpy as np\n"
+           "import galns.cli\n"
+           "from galns.spectral import (RectGeometry, kbar,\n"
+           "                            mode_set_K as K)\n"
+           "from hypothesis import strategies as st\n"
+           "x = np.zeros(K(1))\n"
+           "y = galns.cli.main\n"
+           "def f(g: RectGeometry):\n    return os.path\n")
+    assert unread_imports(src) == [(1, "json"), (4, "kbar"), (6, "st")]
+
+
+def test_tests_read_every_import():
+    tests = Path(__file__).parent
+    found = {path.name: unread_imports(path.read_text())
+             for path in sorted(tests.glob("*.py"))}
+    assert {name: f for name, f in found.items() if f} == {}
+
+
 # public names that no galns code calls, each kept for its reason
 UNCALLED_KEPT = {
     # oracles the tests compare against
-    "nonlinearity.trilinear_b", "spectral.field_tables",
-    "spectral.GradientPart.eval_gradient",
+    "nonlinearity.trilinear_b",
     # criterion 9's relaxed-control API (ROADMAP item 8)
     "control.approximate_relaxed", "control.delta_metric",
 }
@@ -242,6 +275,9 @@ COMMAND_MODULES = {
                  {"cli", "spectral", "nonlinearity", "dynamics"}),
     "oracle": (["oracle", "--config", "oracle.json"],
                {"cli", "spectral", "nonlinearity"}),
+    "lierank": (["lierank", "--config", "lierank.json"],
+                {"cli", "spectral", "nonlinearity", "saturation", "dynamics",
+                 "lie_rank"}),
 }
 LOADS = """
 import sys
@@ -260,6 +296,9 @@ def test_command_loads_only_its_modules(tmp_path, command):
          "controlled_level": 1, "u0": {"1,1": 0.5}, "T": 0.01}))
     (tmp_path / "oracle.json").write_text(json.dumps(
         {"max_index": 2, "geometries": [[1.0, 2.0]]}))
+    (tmp_path / "lierank.json").write_text(json.dumps(
+        {"geometry": {"a": 1.0, "b": 2.0}, "nu": 1.0, "level": 2,
+         "controlled_level": 1, "n_points": 1}))
     argv, modules = COMMAND_MODULES[command]
     src = str(Path(galns.__file__).parents[1])
     out = subprocess.run([sys.executable, "-c", LOADS.format(argv=argv)],

@@ -441,7 +441,7 @@ def test_energy_estimate_forced_runs():
         fv2 = []
         for i in range(3):
             fv = sys.to_field(sys.forcing_vec + sys.control_vec(vals[i]))
-            fv2.append(fv.dual_norm() ** 2)
+            fv2.append(fv.norm("V'") ** 2)
         for i, s in enumerate(tr.times):
             acc = 0.0
             for seg in range(3):
@@ -460,7 +460,7 @@ def test_energy_estimate_single_forced_mode():
     sys = GalerkinSystem(G, nu, F, [(1, 1)], [])
     tr = integrate(sys, SpectralField(G, {}), None, 0.2, tol=1e-10)
     h2 = tr.h_norms() ** 2
-    assert np.all(h2 <= tr.times / nu * F.dual_norm() ** 2 + 1e-12)
+    assert np.all(h2 <= tr.times / nu * F.norm("V'") ** 2 + 1e-12)
     too_small = G.a * G.b / 4 * f**2 / -kbar((1, 1), G)
     assert np.any(h2 > tr.times / nu * too_small)
 
