@@ -274,11 +274,14 @@ def _covering(exp_cfg):
         gamma_infl=float(_require(exp_cfg, "gamma_infl", (int, float))),
         horizon=float(_require(exp_cfg, "horizon", (int, float))),
         tol=float(_optional(exp_cfg, "tol", (int, float), 1e-8)))
+    fit_horizons = (_floats(exp_cfg, "fit_horizons", 1).tolist()
+                    if "fit_horizons" in exp_cfg else None)
+    if fit_horizons == []:
+        raise ConfigError("field 'fit_horizons' must not be empty")
     return covering_check(
         exp,
         grid_per_dim=_optional(exp_cfg, "grid_per_dim", int, 3),
-        fit_horizons=(_floats(exp_cfg, "fit_horizons", 1).tolist()
-                      if "fit_horizons" in exp_cfg else None),
+        fit_horizons=fit_horizons,
         residual_tol=float(_optional(exp_cfg, "residual_tol", (int, float),
                                      1e-6)),
         seed=_optional(exp_cfg, "seed", int, 0))
@@ -287,8 +290,10 @@ def _covering(exp_cfg):
 def cmd_steer(cfg, outdir):
     if "experiments" in cfg:
         _known(cfg, ("experiments",))
-    reports = [_covering(exp_cfg)
-               for exp_cfg in _optional(cfg, "experiments", list, [cfg])]
+    experiments = _optional(cfg, "experiments", list, [cfg])
+    if not experiments:
+        raise ConfigError("field 'experiments' must not be empty")
+    reports = [_covering(exp_cfg) for exp_cfg in experiments]
     d = max(rep["observed_dim"] for rep in reports)
     tables = [rep.pop("per_target") for rep in reports]
     # each row is made from the arrays as it is written
@@ -332,6 +337,11 @@ def cmd_imitate(cfg, outdir):
     if not ws:
         raise ConfigError("field 'ws' must list at least one frequency")
     tol = float(_optional(cfg, "tol", (int, float), 1e-8))
+    threshold = float(_optional(cfg, "slope_threshold", (int, float), -0.8))
+    # a NaN threshold fails every slope, an infinite one passes every slope
+    if not math.isfinite(threshold):
+        raise ConfigError("field 'slope_threshold' must be finite, got %r"
+                          % threshold)
     sys = _system(cfg)
     z = VertexSchedule(_floats(cfg, "breakpoints", 1),
                        [_parse_label(l) for l in _require(cfg, "labels", list)],
@@ -344,7 +354,6 @@ def cmd_imitate(cfg, outdir):
                      "max_pinning": float(max(res.pinning))})
     gaps = [r["gap"] for r in rows]
     slope = loglog_slope(ws, gaps)
-    threshold = float(_optional(cfg, "slope_threshold", (int, float), -0.8))
     pin_ok = all(r["max_pinning"] <= 10 * tol for r in rows)
     verdict = "pass" if (len(ws) < 2 or slope <= threshold) and pin_ok \
         else "fail"

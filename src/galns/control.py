@@ -336,28 +336,15 @@ def make_phi_w(breakpoints, w: float) -> OscillatorProfile:
 # Relaxation metric and delta metric
 
 
-def _as_pwc(g):
-    bp, vals = g
-    return np.asarray(bp, dtype=float), np.atleast_2d(np.asarray(vals, dtype=float))
-
-
-def _at(bp: np.ndarray, vals: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Rows of the piecewise-constant signal (bp, vals) at the times t, read
-    as PiecewiseConstant.value reads one time."""
-    i = np.searchsorted(bp, t, side="right") - 1
-    return vals[np.clip(i, 0, len(vals) - 1)]
-
-
-def rx_norm(g) -> float:
+def rx_norm(g: PiecewiseConstant) -> float:
     """max over t1 < t2 of the l1 norm of the integral of g over [t1, t2].
 
     The l1 norm of a difference is its largest signed sum over sign vectors
     sigma, and sigma and -sigma spread the prefix integrals alike, so the
     2^(d-1) sign vectors with last entry -1 suffice."""
-    bp, vals = _as_pwc(g)
-    d = vals.shape[1]
-    prefix = np.vstack([np.zeros(d),
-                        np.cumsum(vals * np.diff(bp)[:, None], axis=0)])
+    d = g.values.shape[1]
+    prefix = np.vstack([np.zeros(d), np.cumsum(
+        g.values * np.diff(g.breakpoints)[:, None], axis=0)])
     bits = np.arange(1 << (d - 1))[:, None] >> np.arange(d) & 1
     signs = np.where(bits == 1, 1.0, -1.0)
     return max(float(np.ptp(prefix @ sigma)) for sigma in signs)
@@ -370,13 +357,11 @@ def _sorted_unique(x: np.ndarray) -> np.ndarray:
     return x[np.concatenate([[True], x[1:] != x[:-1]])]
 
 
-def delta_metric(g, h) -> float:
+def delta_metric(g: PiecewiseConstant, h: PiecewiseConstant) -> float:
     """Measure of the time set where the two signals differ."""
-    bp_g, vg = _as_pwc(g)
-    bp_h, vh = _as_pwc(h)
-    knots = _sorted_unique(np.concatenate([bp_g, bp_h]))
+    knots = _sorted_unique(np.concatenate([g.breakpoints, h.breakpoints]))
     mid = 0.5 * (knots[:-1] + knots[1:])
-    differ = np.any(_at(bp_g, vg, mid) != _at(bp_h, vh, mid), axis=1)
+    differ = np.any(g.value(mid) != h.value(mid), axis=1)
     return float(np.sum(np.diff(knots)[differ]))
 
 
@@ -467,13 +452,11 @@ def approximate_relaxed(family: RelaxedFamily, eps: float) -> ApproxResult:
         bps[-1] = bp[-1]
         sched = PiecewiseConstant(bps, chatter)
         scheds.append(sched)
-        # the relaxed control, whose construction checks the family's
-        # breakpoints and values
         orig = PiecewiseConstant(bp, pw @ verts)
         knots = _sorted_unique(np.concatenate([bps, bp]))
         mid = 0.5 * (knots[:-1] + knots[1:])
-        diff = _at(bps, chatter, mid) - _at(bp, orig.values, mid)
-        rxs.append(rx_norm((knots, diff)))
+        rxs.append(rx_norm(PiecewiseConstant(
+            knots, sched.value(mid) - orig.value(mid))))
     return ApproxResult(scheds, n, cell * theta, rxs)
 
 

@@ -311,10 +311,12 @@ class PiecewiseConstant:
         if not np.all(np.isfinite(self.values)):
             raise ValueError("control values must be finite")
 
-    def value(self, t: float) -> np.ndarray:
-        i = int(np.searchsorted(self.breakpoints, t, side="right")) - 1
-        i = min(max(i, 0), self.values.shape[0] - 1)
-        return self.values[i]
+    def value(self, t) -> np.ndarray:
+        """The row at time t, or one row per time of an array t; times
+        outside the breakpoints read the end rows."""
+        # the row index is the count of interior breakpoints up to t
+        return self.values[np.searchsorted(self.breakpoints[1:-1], t,
+                                           side="right")]
 
     def describe(self) -> dict:
         return {"kind": "piecewise_constant",
@@ -468,10 +470,6 @@ class Trajectory:
     times: np.ndarray
     states: np.ndarray  # shape (len(times), sys.dim)
     stats: IntegratorStats
-
-    @property
-    def end_state(self) -> SpectralField:
-        return self.sys.to_field(self.states[-1])
 
     def h_norms(self) -> np.ndarray:
         """H norm of each state, 64 rows at a time (no states-sized

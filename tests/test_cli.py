@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -50,8 +51,8 @@ def test_simulate_decay_monotone_and_deterministic(tmp_path):
     assert rep["h_norm_monotone"] is True
     assert rep["h_norm_final"] < rep["h_norm_initial"]
     # identical config -> identical CSV bytes
-    b1 = open(os.path.join(out1, "trajectory.csv"), "rb").read()
-    b2 = open(os.path.join(out2, "trajectory.csv"), "rb").read()
+    b1 = Path(out1, "trajectory.csv").read_bytes()
+    b2 = Path(out2, "trajectory.csv").read_bytes()
     assert b1 == b2
     man = read_json(out1, "manifest.json")
     assert man["command"] == "simulate"
@@ -562,7 +563,12 @@ STEER_GRID_CFG = {
      "horizon must exceed 0"),
     ("imitate", dict(IMI_CFG, xi=NAN), "xi must be positive"),
     ("imitate", dict(IMI_CFG, ws=[NAN]), "w must be at least 3"),
-], ids=["tol", "residual_tol", "radius", "gamma_infl", "horizon", "xi", "w"])
+    ("imitate", dict(IMI_CFG, slope_threshold=NAN),
+     "field 'slope_threshold' must be finite"),
+    ("imitate", dict(IMI_CFG, ws=[6, 3], slope_threshold=1e999),
+     "field 'slope_threshold' must be finite"),
+], ids=["tol", "residual_tol", "radius", "gamma_infl", "horizon", "xi", "w",
+        "slope_threshold_nan", "slope_threshold_inf"])
 def test_non_finite_numbers_are_config_errors(tmp_path, capsys, command, cfg,
                                                message):
     # every comparison with NaN is false: a NaN residual_tol let every
@@ -571,6 +577,17 @@ def test_non_finite_numbers_are_config_errors(tmp_path, capsys, command, cfg,
     assert main(["--out", str(tmp_path / "o"), command,
                  "--config", path]) == 2
     assert "config error: " + message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cfg, field", [
+    (dict(STEER_GRID_CFG, fit_horizons=[]), "fit_horizons"),
+    ({"experiments": []}, "experiments")], ids=["fit_horizons", "experiments"])
+def test_steer_empty_lists_are_config_errors(tmp_path, capsys, cfg, field):
+    # each once met max() of an empty sequence, whose message names no field
+    path = write_cfg(tmp_path, "c.json", cfg)
+    assert main(["--out", str(tmp_path / "o"), "steer", "--config", path]) == 2
+    assert "config error: field %r must not be empty" % field \
+        in capsys.readouterr().err
 
 
 ORACLE_CFG = {"max_index": 2, "geometries": [[1.0, 2.0]]}

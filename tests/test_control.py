@@ -348,7 +348,7 @@ def test_phi_piece_value_scalar_equals_array(nu):
 def test_rx_norm_constant():
     T = 1.7
     c = np.array([0.3, -1.1])
-    assert rx_norm(([0.0, T], [c])) == pytest.approx(
+    assert rx_norm(PiecewiseConstant([0.0, T], [c])) == pytest.approx(
         T * np.sum(np.abs(c)), rel=1e-12)
 
 
@@ -357,12 +357,14 @@ def test_rx_norm_alternating_scalar():
     T = 2.0
     bp = [0.0, T / 2, T]
     vals = [[1.0], [-1.0]]
-    assert rx_norm((bp, vals)) == pytest.approx(T / 2, rel=1e-12)
+    assert rx_norm(PiecewiseConstant(bp, vals)) == pytest.approx(T / 2,
+                                                              rel=1e-12)
     ts = np.linspace(0, T, 401)
     pre = np.where(ts <= T / 2, ts, T - ts)
     brute = max(abs(pre[i] - pre[j]) for i in range(0, 401, 8)
                 for j in range(0, 401, 8))
-    assert rx_norm((bp, vals)) == pytest.approx(brute, rel=1e-9)
+    assert rx_norm(PiecewiseConstant(bp, vals)) == pytest.approx(brute,
+                                                              rel=1e-9)
 
 
 def random_pwc(rng, d=3, m=4):
@@ -376,10 +378,12 @@ def test_rx_norm_triangle_and_homogeneity():
         bp, v1 = random_pwc(rng)
         _, v2 = random_pwc(rng)
         # share breakpoints so the sum is piecewise constant on them
-        assert rx_norm((bp, v1 + v2)) <= rx_norm((bp, v1)) + rx_norm((bp, v2)) + 1e-12
+        assert rx_norm(PiecewiseConstant(bp, v1 + v2)) \
+            <= rx_norm(PiecewiseConstant(bp, v1)) \
+            + rx_norm(PiecewiseConstant(bp, v2)) + 1e-12
         c = rng.normal()
-        assert rx_norm((bp, c * v1)) == pytest.approx(abs(c) * rx_norm((bp, v1)),
-                                                      rel=1e-12, abs=1e-15)
+        assert rx_norm(PiecewiseConstant(bp, c * v1)) == pytest.approx(
+            abs(c) * rx_norm(PiecewiseConstant(bp, v1)), rel=1e-12, abs=1e-15)
 
 
 def rx_norm_by_knot_pairs(bp, vals):
@@ -399,7 +403,7 @@ def test_rx_norm_matches_knot_pair_maximum(d):
     rng = np.random.default_rng(d)
     for m in (1, 2, 7, 30):
         bp, vals = random_pwc(rng, d=d, m=m)
-        assert rx_norm((bp, vals)) == pytest.approx(
+        assert rx_norm(PiecewiseConstant(bp, vals)) == pytest.approx(
             rx_norm_by_knot_pairs(bp, vals), rel=1e-12)
 
 
@@ -408,7 +412,7 @@ def test_rx_norm_matches_knot_pair_maximum(d):
 def test_rx_norm_nonnegative_and_zero_iff_zero_signal(vals):
     bp = np.linspace(0.0, 1.0, len(vals) + 1)
     v = np.array(vals)[:, None]
-    n = rx_norm((bp, v))
+    n = rx_norm(PiecewiseConstant(bp, v))
     assert n >= 0.0
     if np.all(v == 0.0):
         assert n == 0.0
@@ -417,9 +421,9 @@ def test_rx_norm_nonnegative_and_zero_iff_zero_signal(vals):
 def test_delta_metric_identity_and_overlap():
     bp = [0.0, 0.5, 1.0]
     vals = np.array([[1.0], [2.0]])
-    g = (bp, vals)
+    g = PiecewiseConstant(bp, vals)
     assert delta_metric(g, g) == 0.0
-    h = ([0.0, 0.25, 1.0], np.array([[1.0], [2.0]]))
+    h = PiecewiseConstant([0.0, 0.25, 1.0], np.array([[1.0], [2.0]]))
     # signals differ exactly on [0.25, 0.5]
     assert delta_metric(g, h) == pytest.approx(0.25, abs=1e-12)
 
@@ -431,8 +435,9 @@ def test_knot_merges_leave_numpy_ma_unloaded():
     code = ("import sys, numpy as np\n"
             "from galns.control import (RelaxedFamily, approximate_relaxed,\n"
             "                           delta_metric)\n"
-            "g = ([0.0, 0.5, 1.0], [[1.0], [2.0]])\n"
-            "h = ([0.0, 0.25, 0.5, 1.0], [[1.0], [3.0], [2.0]])\n"
+            "from galns.dynamics import PiecewiseConstant as P\n"
+            "g = P([0.0, 0.5, 1.0], [[1.0], [2.0]])\n"
+            "h = P([0.0, 0.25, 0.5, 1.0], [[1.0], [3.0], [2.0]])\n"
             "assert abs(delta_metric(g, h) - 0.25) < 1e-12\n"
             "fam = RelaxedFamily([[1.0], [-1.0]], [0.0, 1.0],\n"
             "                    np.full((1, 1, 2), 0.5))\n"
@@ -491,8 +496,8 @@ def test_approximate_barycenter_two_vertices():
     # oracle: direct rx computation of the difference signal
     knots = sched.breakpoints
     diff = sched.values - np.zeros_like(sched.values)
-    assert out.rx_distances[0] == pytest.approx(rx_norm((knots, diff)),
-                                                rel=1e-9)
+    assert out.rx_distances[0] == pytest.approx(
+        rx_norm(PiecewiseConstant(knots, diff)), rel=1e-9)
 
 
 def hull_family():
@@ -570,7 +575,7 @@ def looped_approximate_relaxed(family, eps):
         knots = np.unique(np.concatenate([bps, orig.breakpoints]))
         diff = np.array([sched.value(0.5 * (a + b)) - orig.value(0.5 * (a + b))
                          for a, b in zip(knots[:-1], knots[1:])])
-        out.append((bps, rx_norm((knots, diff))))
+        out.append((bps, rx_norm(PiecewiseConstant(knots, diff))))
     return out
 
 

@@ -374,7 +374,7 @@ def test_linearized_decay_bound():
     tr = integrate(sys, u0, None, 0.05, tol=tol)
     kbar_max = max(kbar(k, G) for k in u0.coeffs)
     bound = u0.norm("H") * math.exp(5.0 * kbar_max * 0.05) * (1 + 1e-6)
-    assert tr.end_state.norm("H") <= bound
+    assert sys.to_field(tr.states[-1]).norm("H") <= bound
 
 
 def test_h_norm_nonincreasing_unforced():
@@ -492,6 +492,18 @@ def test_piecewise_constant_validation():
         PiecewiseConstant([0.0, 0.0, 1.0], np.zeros((2, 3)))
     with pytest.raises(ValueError):
         PiecewiseConstant([0.0, 1.0], np.zeros((2, 3)))
+
+
+def test_piecewise_constant_reads_an_array_of_times():
+    # one row per time, each the row of the one-time read: at breakpoints
+    # the interval starting there, outside the span the end rows
+    ctl = PiecewiseConstant([0.0, 0.1, 0.3, 0.5],
+                            np.arange(12.0).reshape(3, 4))
+    ts = np.array([-1.0, 0.0, 0.05, 0.1, 0.2, 0.3, 0.5, 0.7])
+    rows = ctl.value(ts)
+    assert rows.shape == (len(ts), 4)
+    assert np.array_equal(rows, [ctl.value(t) for t in ts.tolist()])
+    assert np.array_equal(rows[:, 0], [0.0, 0.0, 0.0, 4.0, 4.0, 8.0, 8.0, 8.0])
 
 
 @pytest.mark.parametrize("T", [math.nan, math.inf, -math.inf])
