@@ -64,9 +64,14 @@ def _require(cfg, field, types, where=""):
     return cfg[field]
 
 
-def _optional(cfg, field, types, default, where=""):
-    """A field that may be absent (default), else checked as _require does."""
-    return _require(cfg, field, types, where) if field in cfg else default
+def _optional(cfg, field, types, default, where="", low=None):
+    """A field that may be absent (default), else checked as _require does
+    and, given low, to be at least low."""
+    value = _require(cfg, field, types, where) if field in cfg else default
+    if low is not None and value < low:
+        raise ConfigError("field %r must be at least %r, got %r"
+                          % (field, low, value))
+    return value
 
 
 def _known(cfg, fields, where=""):
@@ -284,7 +289,7 @@ def _covering(exp_cfg):
         fit_horizons=fit_horizons,
         residual_tol=float(_optional(exp_cfg, "residual_tol", (int, float),
                                      1e-6)),
-        seed=_optional(exp_cfg, "seed", int, 0))
+        seed=_optional(exp_cfg, "seed", int, 0, low=0))
 
 
 def cmd_steer(cfg, outdir):
@@ -372,11 +377,8 @@ def cmd_lierank(cfg, outdir):
     from .lie_rank import point_hash, rank_verdict
     _known(cfg, _SYSTEM + ("seed", "n_points"))
     sys = _system(cfg)
-    rng = np.random.default_rng(_optional(cfg, "seed", int, 0))
-    n_points = _optional(cfg, "n_points", int, 5)
-    if n_points < 1:
-        raise ConfigError("field 'n_points' must be positive, got %d"
-                          % n_points)
+    rng = np.random.default_rng(_optional(cfg, "seed", int, 0, low=0))
+    n_points = _optional(cfg, "n_points", int, 5, low=1)
     # the rank reads no point: each sampled point labels a copy of one verdict
     verdict = rank_verdict(sys)
     verdicts = []

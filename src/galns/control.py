@@ -531,23 +531,22 @@ class VertexSchedule:
             raise ValueError("xi must be positive and finite, got %r"
                              % (self.xi,))
 
-    def full_values(self, sys: GalerkinSystem) -> np.ndarray:
-        """The literal control vectors over sys.mode_set."""
-        out = np.zeros((len(self.labels), sys.dim))
-        for i, lab in enumerate(self.labels):
-            out[i] = _label_vector(sys, lab, self.xi)
-        return out
 
-
-def _label_vector(sys: GalerkinSystem, lab, xi: float) -> np.ndarray:
-    out = np.zeros(sys.dim)
-    if lab[0] == "zero":
-        return out
-    if lab[0] == "e":
-        out[sys.index[tuple(lab[1])]] = lab[2] * xi
-        return out
-    row = interaction_rows([lab[1]], sys.mode_set, *float_params(sys.geom))[0]
-    return lab[2] * xi * row
+def _label_rows(sys: GalerkinSystem, labels, xi: float) -> np.ndarray:
+    """The literal control vector over sys.mode_set of each label, one row
+    per label: sign * xi times e_k or the interaction direction
+    delta_(m,n), zeros for ("zero",)."""
+    rows = np.zeros((len(labels), sys.dim))
+    deltas = [i for i, lab in enumerate(labels) if lab[0] == "delta"]
+    if deltas:
+        rows[deltas] = interaction_rows([labels[i][1] for i in deltas],
+                                        sys.mode_set, *float_params(sys.geom))
+    for row, lab in zip(rows, labels):
+        if lab[0] == "e":
+            row[sys.index[tuple(lab[1])]] = lab[2] * xi
+        elif lab[0] == "delta":
+            row *= lab[2] * xi
+    return rows
 
 
 @dataclass
@@ -568,12 +567,13 @@ class ImitationResult:
 def imitate(sys: GalerkinSystem, z: VertexSchedule, w: float,
             tol: float = 1e-8, J=None, u0: SpectralField = None) -> ImitationResult:
     """Synthesize a control on the modes J = K^(N-1) whose trajectory imitates
-    the schedule z: direct values are copied while the trajectories still
-    coincide; interaction-direction intervals are replaced by tracking the
-    reference low-mode path plus the oscillation sqrt(2 xi) phi_w (e_m +- e_n),
-    which self-interacts to the required direction on average.  The reference
-    is carried interval by interval; a tracked interval's reference J-path
-    is a PiecewisePolynomial fitted from its dense output."""
+    the schedule z: direct values are copied, and replayed by the reference
+    run, while the trajectories still coincide; interaction-direction
+    intervals are replaced by tracking the reference low-mode path plus the
+    oscillation sqrt(2 xi) phi_w (e_m +- e_n), which self-interacts to the
+    required direction on average.  The reference is carried interval by
+    interval; a tracked interval's reference J-path is a PiecewisePolynomial
+    fitted from its dense output."""
     # checked as given: the integrator runs below receive tol / 10
     if not 0 < tol < np.inf:
         raise ValueError("tol must be positive and finite, got %r" % (tol,))
@@ -584,18 +584,16 @@ def imitate(sys: GalerkinSystem, z: VertexSchedule, w: float,
     else:
         J = tuple(sorted(tuple(k) for k in J))
     idx_j = np.array([sys.index[k] for k in J], dtype=int)
-    off_j = np.ones(sys.dim, dtype=bool)
-    off_j[idx_j] = False
     j_pos = {k: i for i, k in enumerate(J)}
+    # the J control applies e_k, or oscillates e_m and e_n, on modes of J:
+    # check (k,) of an e, (m, n) of a delta and () of a zero label
     for lab in z.labels:
-        if lab[0] == "e" and tuple(lab[1]) not in sys.index:
-            raise ValueError("schedule label %r names a mode outside mode_set"
-                             % (lab,))
-        if lab[0] == "delta" and not {tuple(m) for m in lab[1]} <= set(J):
+        modes = lab[1] if lab[0] == "delta" else lab[1:2]
+        if not {tuple(m) for m in modes} <= set(J):
             raise ValueError("schedule label %r names a mode outside J"
                              % (lab,))
 
-    values = z.full_values(sys)
+    values = _label_rows(sys, z.labels, z.xi)
     T = float(z.breakpoints[-1])
     if u0 is None:
         u0 = SpectralField(sys.geom, {})
@@ -622,15 +620,11 @@ def imitate(sys: GalerkinSystem, z: VertexSchedule, w: float,
                                                  + sys.forcing_vec + _v),
             ref, t_lo, t_hi, tol_in, h_min=1e-13 * T, dense=switched)
         if not switched:
-            vec = values[i]
-            if np.any(vec[off_j] != 0.0):
-                raise ValueError("direct interval value leaves span(J)")
-            ctl = PiecewiseConstant([0.0, t_hi - t_lo], [vec[idx_j]])
-            tr = integrate(ctl_sys, sys.to_field(state), ctl, t_hi - t_lo,
-                           tol_in)
-            state = tr.states[-1]
-            stats.add(tr.stats)
-            controls.append((t_lo, t_hi, vec[idx_j]))
+            # the J control applies the value itself (it lies in span(J)),
+            # so the reference run is the controlled run and its replay
+            state = run.states[-1]
+            stats.add(run.stats)
+            controls.append((t_lo, t_hi, values[i][idx_j]))
         else:
             # the dense output is taken mode by mode: read the J modes only
             ref_knots, steps, theta, _ = run.fit_nodes(t_hi)
@@ -684,6 +678,12 @@ def imitate(sys: GalerkinSystem, z: VertexSchedule, w: float,
 # Cascade to K^1
 
 
+# The cascade's horizon, the cycles each level's vertex schedule is split
+# into, and the first and largest oscillation frequency of its imitation.
+CASCADE_HORIZON, CASCADE_CYCLES, CASCADE_W0, CASCADE_W_CAP = \
+    0.5, 3, 4000.0, 64000.0
+
+
 def _direction_matrix(sys: GalerkinSystem, level: int):
     """Columns: e_k for k in K^(level-1) plus the interaction directions of
     the selection at level-1, as vectors over sys.mode_set."""
@@ -691,15 +691,16 @@ def _direction_matrix(sys: GalerkinSystem, level: int):
     e_modes = [k for k in mode_set_K(level - 1)]
     pairs = selection_S(level - 1, square_mode=a2 == b2)
     labels = [("e", k, 1) for k in e_modes] + [("delta", p, 1) for p in pairs]
-    cols = np.stack([_label_vector(sys, lab, 1.0) for lab in labels])
-    return labels, cols
+    return labels, _label_rows(sys, labels, 1.0)
 
 
-def _cover(full_sys, u0, goal, idx, horizon, tol, tangent):
-    """First-order covering: the impulse on the modes idx, held constant
-    over [0, horizon], whose end state matches goal on idx, by
-    invert_endpoint from the tangent (F(0), DF(0), stats) of
+def _cover(full_sys, u0, goal, level, tol, tangent):
+    """First-order covering: the impulse on the modes of K^level, held
+    constant over [0, CASCADE_HORIZON], whose end state matches goal on
+    them, by invert_endpoint from the tangent (F(0), DF(0), stats) of
     endpoint_tangent.  Returns (impulse, l1 residual, end state)."""
+    horizon = CASCADE_HORIZON
+    idx = [full_sys.index[k] for k in sorted(mode_set_K(level))]
     F0, DF, _ = tangent
     ends = []
 
@@ -713,8 +714,9 @@ def _cover(full_sys, u0, goal, idx, horizon, tol, tangent):
     return p[0], float(res[0]), ends[-1]
 
 
-def _build_schedule(labels, masses, xi, cycle, width_floor=0.0):
-    """Vertex schedule from per-cycle signed impulse masses.
+def _build_schedule(labels, masses, xi, width_floor=0.0):
+    """Vertex schedule from per-cycle signed impulse masses, each cycle
+    CASCADE_HORIZON / CASCADE_CYCLES long.
 
     Cycle c applies each direction j for |masses[c, j]| / xi at value
     sign * xi * direction, then idles at zero for the rest of the cycle;
@@ -732,6 +734,7 @@ def _build_schedule(labels, masses, xi, cycle, width_floor=0.0):
     sign +, the one-sided derivative."""
     masses = np.atleast_2d(masses)
     ncyc, nd = masses.shape
+    cycle = CASCADE_HORIZON / CASCADE_CYCLES
     bps = [0.0]
     labs = []
     jumps = [np.zeros((nd, masses.size))]
@@ -763,34 +766,31 @@ def _build_schedule(labels, masses, xi, cycle, width_floor=0.0):
         labs.append(("zero",))
         bps.append((c + 1) * cycle)
         jumps.append(np.zeros((nd, masses.size)))
-    return np.array(bps), labs, np.array(jumps)
+    return VertexSchedule(np.array(bps), labs, xi), np.array(jumps)
 
 
-def _schedule_control(full_sys, labels, cols, masses, xi, cycle):
+def _schedule_control(full_sys, labels, masses, xi):
     """The schedule of the masses as a control on full_sys, with the
     breakpoint jumps of _build_schedule."""
-    bps, labs, jumps = _build_schedule(labels, masses, xi, cycle)
-    # each interval applies sign * xi times the column of its direction
-    col = {lab[:2]: c for lab, c in zip(labels, cols)}
-    vals = np.array([lab[2] * xi * col[lab[:2]] if lab[0] != "zero"
-                     else np.zeros(full_sys.dim) for lab in labs])
-    return PiecewiseConstant(bps, vals), jumps
+    z, jumps = _build_schedule(labels, masses, xi)
+    return PiecewiseConstant(z.breakpoints,
+                             _label_rows(full_sys, z.labels, xi)), jumps
 
 
-def _schedule_endpoint(full_sys, labels, cols, masses, xi, cycle, u0, tol):
-    ctl, _ = _schedule_control(full_sys, labels, cols, masses, xi, cycle)
+def _schedule_endpoint(full_sys, labels, masses, xi, u0, tol):
+    ctl, _ = _schedule_control(full_sys, labels, masses, xi)
     T = float(ctl.breakpoints[-1])
     return integrate(full_sys, u0, ctl, T, tol).states[-1]
 
 
-def _schedule_jacobian(full_sys, labels, cols, masses, xi, cycle, u0, tol):
+def _schedule_jacobian(full_sys, labels, cols, masses, xi, u0, tol):
     """Derivative of the schedule's end state in the flattened masses,
     shape (dim, masses.size), from one integrate_tangent run: the masses
     move no control value, only breakpoints, so the tangent starts at zero
     and jumps at each breakpoint by the control jump times the
     breakpoint's shift per unit mass.  Raises ValueError where
     _build_schedule does."""
-    ctl, jumps = _schedule_control(full_sys, labels, cols, masses, xi, cycle)
+    ctl, jumps = _schedule_control(full_sys, labels, masses, xi)
     _, Z, _ = integrate_tangent(
         full_sys, u0, ctl, float(ctl.breakpoints[-1]),
         np.zeros((len(full_sys.controlled_set), jumps.shape[2])),
@@ -798,10 +798,10 @@ def _schedule_jacobian(full_sys, labels, cols, masses, xi, cycle, u0, tol):
     return Z
 
 
-def _solve_schedule(full_sys, labels, cols, level, y_goal, horizon, u0,
-                    n_cycles, tol, res_target, tangent):
+def _solve_schedule(full_sys, level, y_goal, u0, tol, res_target, tangent):
     """Coarse vertex schedule over the level's direction family whose literal
-    replay ends at y_goal.
+    replay ends at y_goal, and its residual; the schedule drops intervals
+    at or under 1e-4 of a cycle, for the imitation.
 
     The family spans exactly the modes of K^level, so the K^level components
     respond at first order; the remaining components respond through the
@@ -813,12 +813,14 @@ def _solve_schedule(full_sys, labels, cols, level, y_goal, horizon, u0,
     masses are invariant under that rescaling."""
     span = tuple(sorted(mode_set_K(level)))
     idx = np.array([full_sys.index[k] for k in span], dtype=int)
+    horizon, n_cycles = CASCADE_HORIZON, CASCADE_CYCLES
     cycle = horizon / n_cycles
+    labels, cols = _direction_matrix(full_sys, level)
 
     # initial guess: first-order covering on the K^level components, from
     # the given covering tangent or a new one, then an exact decomposition
     # over the direction family (a square system)
-    p, _, _ = _cover(full_sys, u0, y_goal, idx, horizon, tol, tangent
+    p, _, _ = _cover(full_sys, u0, y_goal, level, tol, tangent
                      or endpoint_tangent(full_sys, u0, span, horizon, tol))
     alpha = np.linalg.solve(cols.T[idx], p / horizon)
 
@@ -833,8 +835,8 @@ def _solve_schedule(full_sys, labels, cols, level, y_goal, horizon, u0,
     sw = np.sqrt(h_weights(full_sys))
 
     def endpoint(m, x):
-        return _schedule_endpoint(full_sys, labels, cols,
-                                  m.reshape(n_cycles, -1), x, cycle, u0, tol)
+        return _schedule_endpoint(full_sys, labels, m.reshape(n_cycles, -1),
+                                  x, u0, tol)
 
     ep = endpoint(masses, xi)
     r = sw * (ep - y_goal)
@@ -843,8 +845,7 @@ def _solve_schedule(full_sys, labels, cols, level, y_goal, horizon, u0,
         if np.linalg.norm(r) < res_target:
             break
         J = sw[:, None] * _schedule_jacobian(
-            full_sys, labels, cols, masses.reshape(n_cycles, -1), xi, cycle,
-            u0, tol)
+            full_sys, labels, cols, masses.reshape(n_cycles, -1), xi, u0, tol)
         improved = False
         for _ in range(25):
             step = np.linalg.solve(J.T @ J + mu * np.eye(len(masses)),
@@ -868,7 +869,9 @@ def _solve_schedule(full_sys, labels, cols, level, y_goal, horizon, u0,
             mu *= 4
         if not improved:
             break
-    return masses.reshape(n_cycles, -1), xi, float(np.linalg.norm(r))
+    z, _ = _build_schedule(labels, masses.reshape(n_cycles, -1), xi,
+                           width_floor=1e-4 * cycle)
+    return z, float(np.linalg.norm(r))
 
 
 @dataclass
@@ -883,12 +886,6 @@ class CascadeStep:
     intervals: int
 
 
-# The cascade's horizon, the cycles each level's vertex schedule is split
-# into, and the first and largest oscillation frequency of its imitation.
-CASCADE_HORIZON, CASCADE_CYCLES, CASCADE_W0, CASCADE_W_CAP = \
-    0.5, 3, 4000.0, 64000.0
-
-
 def cascade_to_K1(sys: GalerkinSystem, target: SpectralField, eps: float,
                   u0: SpectralField = None, tol: float = 1e-8) -> dict:
     """Reach the target approximately with a control on K^1 only.
@@ -900,7 +897,6 @@ def cascade_to_K1(sys: GalerkinSystem, target: SpectralField, eps: float,
     imitated by fast oscillation of the lower modes; each level's end-state
     drift must stay within eps/(2M), doubling the oscillation frequency from
     CASCADE_W0 up to CASCADE_W_CAP before reporting failure."""
-    horizon, n_cycles = CASCADE_HORIZON, CASCADE_CYCLES
     if u0 is None:
         u0 = SpectralField(sys.geom, {})
     n_level = infer_level(sys.mode_set)
@@ -931,12 +927,11 @@ def cascade_to_K1(sys: GalerkinSystem, target: SpectralField, eps: float,
     # the target on mode_set: _cover reads its K^M part
     inside = sys.to_vector(SpectralField(
         sys.geom, {k: target[k] for k in target.coeffs if k in sys.index}))
-    span_m = sorted(mode_set_K(m_level))
-    idx_m = np.array([sys.index[k] for k in span_m], dtype=int)
     # the first level's schedule starts from the same covering tangent
-    tangent = endpoint_tangent(full_sys, u0, span_m, horizon, tol)
-    p, covering_residual, y_prev = _cover(full_sys, u0, inside, idx_m,
-                                          horizon, tol, tangent)
+    tangent = endpoint_tangent(full_sys, u0, sorted(mode_set_K(m_level)),
+                               CASCADE_HORIZON, tol)
+    p, covering_residual, y_prev = _cover(full_sys, u0, inside, m_level, tol,
+                                          tangent)
 
     full_tail2 = sum(e for k, e in energy.items() if k not in sys.index)
 
@@ -946,14 +941,9 @@ def cascade_to_K1(sys: GalerkinSystem, target: SpectralField, eps: float,
     steps = []
     final_control = None
     for level in range(m_level, 1, -1):
-        labels, cols = _direction_matrix(sys, level)
-        masses, xi, solver_res = _solve_schedule(
-            full_sys, labels, cols, level, y_prev, horizon, u0, n_cycles, tol,
-            budget / 8, tangent if level == m_level else None)
-        cycle = horizon / n_cycles
-        bps, labs, _ = _build_schedule(labels, masses, xi, cycle,
-                                       width_floor=1e-4 * cycle)
-        z = VertexSchedule(bps, labs, xi)
+        z, solver_res = _solve_schedule(
+            full_sys, level, y_prev, u0, tol, budget / 8,
+            tangent if level == m_level else None)
         J = tuple(sorted(mode_set_K(level - 1)))
         w = CASCADE_W0
         while True:
@@ -963,8 +953,8 @@ def cascade_to_K1(sys: GalerkinSystem, target: SpectralField, eps: float,
                 break
             w *= 2
         step_index = m_level - level + 1
-        steps.append(CascadeStep(level, xi, n_cycles, w, solver_res, dev,
-                                 budget, len(labs)))
+        steps.append(CascadeStep(level, z.xi, CASCADE_CYCLES, w, solver_res,
+                                 dev, budget, len(z.labels)))
         if dev > budget:
             raise RuntimeError(
                 "cascade step %d (level %d -> %d) exceeded its budget at the "
@@ -975,7 +965,7 @@ def cascade_to_K1(sys: GalerkinSystem, target: SpectralField, eps: float,
 
     if final_control is None:
         # target already supported in K^1 = K^M: the covering control suffices
-        final_control = [(0.0, horizon, p / horizon)]
+        final_control = [(0.0, CASCADE_HORIZON, p / CASCADE_HORIZON)]
 
     distance = distance_to_target(y_prev)
     return {

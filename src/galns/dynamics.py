@@ -429,15 +429,6 @@ class PiecewisePolynomial:
                 "max_step": self.max_step}
 
 
-def _segments(control, T: float):
-    """Breakpoint-delimited integration segments covering [0, T]."""
-    if isinstance(control, PiecewiseConstant):
-        ts = [t for t in control.breakpoints if 0.0 < t < T]
-        knots = [0.0] + ts + [T]
-        return [(knots[i], knots[i + 1]) for i in range(len(knots) - 1)]
-    return [(0.0, T)]
-
-
 # ---------------------------------------------------------------------------
 # Integration
 
@@ -688,45 +679,12 @@ def adaptive_lawson(lam, nonlin, y0, t0, t1, tol, max_step=np.inf,
     return LawsonRun(times, states, stats, np.array(kept) if dense else None)
 
 
-def integrate(sys: GalerkinSystem, u0: SpectralField, control, T: float,
-              tol: float = 1e-8) -> Trajectory:
-    """Integrate the controlled system over [0, T] with adaptive_lawson at
-    absolute local error tol on the coefficients, under no control (None),
-    a PiecewiseConstant or a PiecewisePolynomial one.  Control breakpoints
-    are exact knots: each starts a new segment.  The Trajectory keeps the
-    accepted times and states, no stages, and its stats sum the work of
-    all segments."""
-    y = _start_vector(sys, u0, control, T)
-    times = [0.0]
-    states = [y.copy()]
-    max_step = getattr(control, "max_step", np.inf)
-    stats = IntegratorStats()
-    for t0, t1 in _segments(control, T):
-        if isinstance(control, PiecewisePolynomial):
-            # the value is added at the controlled modes only: the same sum
-            # as adding its control_vec, without building that each call
-            def nonlin(z, t, _idx=sys.ctrl_idx):
-                out = sys.quadratic_vec(z) + sys.forcing_vec
-                out[_idx] += control.value(t)
-                return out
-        else:
-            vfull = _segment_control(sys, control, t0, t1)
-            def nonlin(z, t, _v=vfull):
-                return sys.quadratic_vec(z) + sys.forcing_vec + _v
-        run = adaptive_lawson(sys.lam, nonlin, y, t0, t1, tol,
-                              max_step=max_step, h_min=1e-13 * T)
-        times.extend(run.times[1:])
-        states.extend(run.states[1:])
-        stats.add(run.stats)
-        y = run.states[-1]
-    return Trajectory(sys, np.array(times), np.array(states), stats)
-
-
-def _start_vector(sys: GalerkinSystem, u0: SpectralField, control,
-                  T: float) -> np.ndarray:
-    """u0 as a vector, once the horizon, u0 and the control are checked:
-    the control must be None or a piecewise one of width
-    len(controlled_set) whose breakpoints cover [0, T]."""
+def _walk(sys: GalerkinSystem, u0: SpectralField, control, T: float):
+    """u0 as a vector and the segments (t0, t1, v) of [0, T], split at the
+    control's breakpoints, once the horizon, u0 and the control are checked:
+    None or a piecewise one of width len(controlled_set) covering [0, T].
+    v is the segment's constant control as a full-state vector (zeros for
+    no control), or None for a PiecewisePolynomial, read at each time."""
     if not 0 < T < np.inf:
         raise ValueError("horizon must be positive and finite, got %r" % (T,))
     y = sys.to_vector(u0)
@@ -737,7 +695,7 @@ def _start_vector(sys: GalerkinSystem, u0: SpectralField, control,
     elif isinstance(control, PiecewisePolynomial):
         span, width = control.knots, control.coefficients.shape[2]
     elif control is None:
-        return y
+        return y, [(0.0, T, np.zeros(sys.dim))]
     else:
         raise TypeError("unsupported control signal")
     if width != len(sys.controlled_set):
@@ -745,15 +703,44 @@ def _start_vector(sys: GalerkinSystem, u0: SpectralField, control,
     if span[0] > 0 or span[-1] < T:
         raise ValueError("control breakpoints span [%r, %r], which does not "
                          "cover [0, %r]" % (float(span[0]), float(span[-1]), T))
-    return y
+    if isinstance(control, PiecewisePolynomial):
+        return y, [(0.0, T, None)]
+    knots = [0.0] + [t for t in control.breakpoints if 0.0 < t < T] + [T]
+    return y, [(t0, t1, sys.control_vec(control.value(0.5 * (t0 + t1))))
+               for t0, t1 in zip(knots[:-1], knots[1:])]
 
 
-def _segment_control(sys: GalerkinSystem, control, t0: float,
-                     t1: float) -> np.ndarray:
-    """The full-state vector of a constant control (or None) on [t0, t1]."""
-    if control is None:
-        return np.zeros(sys.dim)
-    return sys.control_vec(control.value(0.5 * (t0 + t1)))
+def integrate(sys: GalerkinSystem, u0: SpectralField, control, T: float,
+              tol: float = 1e-8) -> Trajectory:
+    """Integrate the controlled system over [0, T] with adaptive_lawson at
+    absolute local error tol on the coefficients, under no control (None),
+    a PiecewiseConstant or a PiecewisePolynomial one.  Control breakpoints
+    are exact knots: each starts a new segment.  The Trajectory keeps the
+    accepted times and states, no stages, and its stats sum the work of
+    all segments."""
+    y, segments = _walk(sys, u0, control, T)
+    times = [0.0]
+    states = [y.copy()]
+    max_step = getattr(control, "max_step", np.inf)
+    stats = IntegratorStats()
+
+    def nonlin(z, t):
+        # v is the current segment's; a polynomial adds its value at the
+        # controlled modes, the same sum as adding its control_vec
+        out = sys.quadratic_vec(z) + sys.forcing_vec
+        if v is None:
+            out[sys.ctrl_idx] += control.value(t)
+        else:
+            out += v
+        return out
+    for t0, t1, v in segments:
+        run = adaptive_lawson(sys.lam, nonlin, y, t0, t1, tol,
+                              max_step=max_step, h_min=1e-13 * T)
+        times.extend(run.times[1:])
+        states.extend(run.states[1:])
+        stats.add(run.stats)
+        y = run.states[-1]
+    return Trajectory(sys, np.array(times), np.array(states), stats)
 
 
 def integrate_tangent(sys: GalerkinSystem, u0: SpectralField, control,
@@ -776,24 +763,24 @@ def integrate_tangent(sys: GalerkinSystem, u0: SpectralField, control,
     if isinstance(control, PiecewisePolynomial):
         raise TypeError("integrate_tangent takes a piecewise-constant control")
     Y = np.zeros((sys.dim, 1 + np.shape(directions)[1]))
-    Y[:, 0] = _start_vector(sys, u0, control, T)
+    Y[:, 0], segments = _walk(sys, u0, control, T)
     forced = np.zeros_like(Y)
     forced[sys.ctrl_idx, 1:] = directions
     knots = control.breakpoints if jumps is not None else ()
     k = 0
     stats = IntegratorStats()
-    for t0, t1 in _segments(control, T):
+
+    def nonlin(Z, t):
+        # B(y, y) = 2 Q(y): one product serves the state and its tangents
+        out = sys.bilinear_vec(Z[:, 0], Z)
+        out[:, 0] *= 0.5
+        out += forced
+        return out
+    for t0, t1, v in segments:
         while k < len(knots) and knots[k] <= t0:
             Y[:, 1:] += jumps[k]
             k += 1
-        forced[:, 0] = sys.forcing_vec + _segment_control(sys, control, t0, t1)
-
-        def nonlin(Z, t, _f=forced.copy()):
-            # B(y, y) = 2 Q(y): one product serves the state and its tangents
-            out = sys.bilinear_vec(Z[:, 0], Z)
-            out[:, 0] *= 0.5
-            out += _f
-            return out
+        forced[:, 0] = sys.forcing_vec + v
         run = adaptive_lawson(sys.lam[:, None], nonlin, Y, t0, t1, tol,
                               h_min=1e-13 * T)
         stats.add(run.stats)

@@ -133,7 +133,7 @@ def test_serial_runs_load_no_sparse_or_multiprocessing(tmp_path, run):
         "labels": [["delta", [[1, 1], [1, 3]], 1]], "ws": [12],
         "tol": 1e-8}
     imi = write_cfg(tmp_path, "i.json", imi_cfg)
-    # the same after a direct interval, whose value is checked against span(J)
+    # the same after a direct interval, whose reference run is its replay
     imd = write_cfg(tmp_path, "d.json", dict(
         imi_cfg, breakpoints=[0.0, 0.1, 0.3],
         labels=[["e", [1, 1], 1], ["delta", [[1, 1], [1, 3]], 1]]))
@@ -567,12 +567,18 @@ STEER_GRID_CFG = {
      "field 'slope_threshold' must be finite"),
     ("imitate", dict(IMI_CFG, ws=[6, 3], slope_threshold=1e999),
      "field 'slope_threshold' must be finite"),
+    ("steer", dict(STEER_GRID_CFG, seed=-1),
+     "field 'seed' must be at least 0, got -1"),
+    ("lierank", dict(LIERANK_CFG, seed=-1),
+     "field 'seed' must be at least 0, got -1"),
 ], ids=["tol", "residual_tol", "radius", "gamma_infl", "horizon", "xi", "w",
-        "slope_threshold_nan", "slope_threshold_inf"])
+        "slope_threshold_nan", "slope_threshold_inf", "seed_steer",
+        "seed_lierank"])
 def test_non_finite_numbers_are_config_errors(tmp_path, capsys, command, cfg,
                                                message):
     # every comparison with NaN is false: a NaN residual_tol let every
-    # target pass, and a NaN tol or radius ran into a step underflow
+    # target pass, and a NaN tol or radius ran into a step underflow; a
+    # negative seed once reached numpy, whose message names no field
     path = write_cfg(tmp_path, "c.json", cfg)
     assert main(["--out", str(tmp_path / "o"), command,
                  "--config", path]) == 2
@@ -622,6 +628,18 @@ def test_unknown_fields_are_config_errors(tmp_path, capsys, command, cfg,
     assert main(["--out", str(tmp_path / "o"), command,
                  "--config", path]) == 2
     assert "config error: " + unknown in capsys.readouterr().err
+
+
+def test_imitate_e_label_outside_J_exit_2(tmp_path, capsys):
+    # the J control cannot apply e_(3,3) of K^2; after an interaction
+    # interval it was once tracked anyway, with no error
+    path = write_cfg(tmp_path, "c.json", dict(
+        IMI_CFG, breakpoints=[0.0, 0.3, 0.6], ws=[12],
+        labels=[["delta", [[1, 1], [1, 3]], 1], ["e", [3, 3], 1]]))
+    assert main(["--out", str(tmp_path / "o"), "imitate",
+                 "--config", path]) == 2
+    assert "config error: schedule label ('e', (3, 3), 1) names a mode " \
+        "outside J" in capsys.readouterr().err
 
 
 def test_imitate_bad_tol_reported_as_given(tmp_path, capsys):

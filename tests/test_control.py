@@ -670,6 +670,24 @@ def test_imitate_first_kind_only_gap_zero():
     assert max(res.pinning) < 1e-6
 
 
+@pytest.mark.parametrize("level, nu", [(2, 0.03), (3, 1.0)],
+                         ids=["K2", "K3"])
+def test_imitate_direct_intervals_take_the_reference_run(level, nu):
+    # before any interaction interval the J control applies the schedule's
+    # value itself, so the controlled run is the reference run, not a
+    # second integration of the same ODE that ends a few ulps away
+    sys = GalerkinSystem(G, nu, SpectralField(G, {(1, 1): 0.3}),
+                         tuple(sorted(mode_set_K(level))), K1)
+    z = VertexSchedule(np.array([0.0, 0.3, 0.7, 1.1, 1.9]),
+                       [("e", (1, 1), 1), ("e", (2, 1), -1), ("zero",),
+                        ("e", (1, 2), 1)], 0.4)
+    res = imitate(sys, z, 16.0, 1e-8, J=K1,
+                  u0=SpectralField(G, {(2, 2): 0.05}))
+    assert res.gap == 0.0
+    assert res.pinning == [0.0] * 4
+    assert res.stats.accepted_steps > 0
+
+
 def imitation_case():
     sys = make_sys(nu=0.03, mode_set=tuple(sorted(mode_set_K(2))))
     u0 = SpectralField(G, {(1, 1): 0.05, (2, 2): -0.025})
@@ -850,8 +868,8 @@ def shifted_endpoint(case, p, h, tol):
     sys, labels, cols, masses, xi, cycle = case
     m = masses.ravel().copy()
     m[p] += h
-    return _schedule_endpoint(sys, labels, cols, m.reshape(masses.shape), xi,
-                              cycle, SpectralField(G, {}), tol)
+    return _schedule_endpoint(sys, labels, m.reshape(masses.shape), xi,
+                              SpectralField(G, {}), tol)
 
 
 @pytest.mark.parametrize("level", [3, 2])
@@ -860,7 +878,7 @@ def test_schedule_jacobian_matches_central_differences(level):
     sys, labels, cols, masses, xi, cycle = case
     assert np.any(masses < 0) and np.any(masses > 0)
     tol, h = 1e-11, 1e-5
-    jac = _schedule_jacobian(sys, labels, cols, masses, xi, cycle,
+    jac = _schedule_jacobian(sys, labels, cols, masses, xi,
                              SpectralField(G, {}), tol)
     nd = len(labels)
     assert jac.shape == (sys.dim, masses.size)
@@ -881,7 +899,7 @@ def test_schedule_jacobian_floored_mass_is_one_sided():
     masses[1, 2] = 0.0       # between two intervals of cycle 1
     masses[1, nd - 1] = 0.0  # first in cycle 1, which runs in reverse
     tol, h = 1e-11, 1e-5
-    jac = _schedule_jacobian(sys, labels, cols, masses, xi, cycle,
+    jac = _schedule_jacobian(sys, labels, cols, masses, xi,
                              SpectralField(G, {}), tol)
     base = shifted_endpoint(case, 0, 0.0, tol)
     for p in (nd + 2, 2 * nd - 1):
@@ -892,9 +910,9 @@ def test_schedule_jacobian_floored_mass_is_one_sided():
 def test_schedule_jacobian_rejects_overfull_cycle():
     sys, labels, cols, masses, xi, cycle = schedule_case(2)
     with pytest.raises(ValueError, match="overfull"):
-        _build_schedule(labels, masses, xi / 4, cycle)
+        _build_schedule(labels, masses, xi / 4)
     with pytest.raises(ValueError, match="overfull"):
-        _schedule_jacobian(sys, labels, cols, masses, xi / 4, cycle,
+        _schedule_jacobian(sys, labels, cols, masses, xi / 4,
                            SpectralField(G, {}), 1e-8)
 
 
