@@ -341,6 +341,8 @@ def cmd_imitate(cfg, outdir):
     ws = _floats(cfg, "ws", 1).tolist()
     if not ws:
         raise ConfigError("field 'ws' must list at least one frequency")
+    if len(set(ws)) < len(ws):
+        raise ConfigError("field 'ws' lists a frequency twice: %r" % ws)
     tol = float(_optional(cfg, "tol", (int, float), 1e-8))
     threshold = float(_optional(cfg, "slope_threshold", (int, float), -0.8))
     # a NaN threshold fails every slope, an infinite one passes every slope

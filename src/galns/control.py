@@ -118,9 +118,9 @@ def deviation_sweep(exp: EndpointExperiment, horizons, n_samples: int = 8,
 
 
 def loglog_slope(x, y) -> float:
-    """Least-squares slope of log y against log x; NaN for fewer than two
-    points, through which no line is determined."""
-    if len(x) < 2:
+    """Least-squares slope of log y against log x; NaN unless x holds two
+    distinct values, for otherwise no line is determined."""
+    if len(set(x)) < 2:
         return float("nan")
     return float(np.polyfit(np.log(x), np.log(y), 1)[0])
 
@@ -561,7 +561,7 @@ class ImitationResult:
     pinning: list          # l1 gap of the J projection at each breakpoint
     end_state: np.ndarray
     J: tuple
-    stats: IntegratorStats  # summed over every tracking run and replay
+    stats: IntegratorStats  # every reference, tracking and replay run
 
 
 def imitate(sys: GalerkinSystem, z: VertexSchedule, w: float,
@@ -619,11 +619,11 @@ def imitate(sys: GalerkinSystem, z: VertexSchedule, w: float,
             sys.lam, lambda y, t, _v=values[i]: (sys.quadratic_vec(y)
                                                  + sys.forcing_vec + _v),
             ref, t_lo, t_hi, tol_in, h_min=1e-13 * T, dense=switched)
+        stats.add(run.stats)
         if not switched:
             # the J control applies the value itself (it lies in span(J)),
             # so the reference run is the controlled run and its replay
             state = run.states[-1]
-            stats.add(run.stats)
             controls.append((t_lo, t_hi, values[i][idx_j]))
         else:
             # the dense output is taken mode by mode: read the J modes only
@@ -694,14 +694,15 @@ def _direction_matrix(sys: GalerkinSystem, level: int):
     return labels, _label_rows(sys, labels, 1.0)
 
 
-def _cover(full_sys, u0, goal, level, tol, tangent):
+def _cover(full_sys, u0, goal, level, tol):
     """First-order covering: the impulse on the modes of K^level, held
     constant over [0, CASCADE_HORIZON], whose end state matches goal on
-    them, by invert_endpoint from the tangent (F(0), DF(0), stats) of
-    endpoint_tangent.  Returns (impulse, l1 residual, end state)."""
+    them, by invert_endpoint from F(0) and DF(0) of one endpoint_tangent
+    run.  Returns (impulse, l1 residual, end state)."""
     horizon = CASCADE_HORIZON
-    idx = [full_sys.index[k] for k in sorted(mode_set_K(level))]
-    F0, DF, _ = tangent
+    modes = sorted(mode_set_K(level))
+    idx = [full_sys.index[k] for k in modes]
+    F0, DF, _ = endpoint_tangent(full_sys, u0, modes, horizon, tol)
     ends = []
 
     def F(P):
@@ -714,17 +715,20 @@ def _cover(full_sys, u0, goal, level, tol, tangent):
     return p[0], float(res[0]), ends[-1]
 
 
-def _build_schedule(labels, masses, xi, width_floor=0.0):
+def _build_schedule(labels, cols, masses, xi, width_floor=0.0):
     """Vertex schedule from per-cycle signed impulse masses, each cycle
-    CASCADE_HORIZON / CASCADE_CYCLES long.
+    CASCADE_HORIZON / CASCADE_CYCLES long, over the directions cols[j] of
+    labels[j].
 
     Cycle c applies each direction j for |masses[c, j]| / xi at value
-    sign * xi * direction, then idles at zero for the rest of the cycle;
+    sign * xi * cols[j], then idles at zero for the rest of the cycle;
     the direction order alternates between cycles so the leading-order
     splitting error cancels in pairs.  Raises ValueError when a cycle
-    cannot hold its requested durations.
+    cannot hold its requested durations.  Returns the VertexSchedule, the
+    same schedule as a PiecewiseConstant control over the modes of cols,
+    and its jumps.
 
-    Also returns jumps, shape (len(bps), directions, masses.size): the
+    jumps, shape (len(bps), directions, masses.size), holds the
     derivative in each flattened mass of the state's jump at each
     breakpoint, as coefficients of the direction vectors.  Mass (c, j)
     moves the end of its interval and every later breakpoint of cycle c,
@@ -736,7 +740,7 @@ def _build_schedule(labels, masses, xi, width_floor=0.0):
     ncyc, nd = masses.shape
     cycle = CASCADE_HORIZON / CASCADE_CYCLES
     bps = [0.0]
-    labs = []
+    labs, values = [], []
     jumps = [np.zeros((nd, masses.size))]
     for c in range(ncyc):
         order = range(nd) if c % 2 == 0 else range(nd - 1, -1, -1)
@@ -757,6 +761,7 @@ def _build_schedule(labels, masses, xi, width_floor=0.0):
                 continue
             kind, key, _ = labels[j]
             labs.append((kind, key, sign))
+            values.append(sign * xi * cols[j])
             used += width
             bps.append(c * cycle + used)
             jumps.append(np.zeros((nd, masses.size)))
@@ -764,21 +769,16 @@ def _build_schedule(labels, masses, xi, width_floor=0.0):
             raise ValueError("overfull cycle: %g > %g" % (used, cycle))
         jumps[-1] += np.outer(u, movers)
         labs.append(("zero",))
+        values.append(np.zeros(cols.shape[1]))
         bps.append((c + 1) * cycle)
         jumps.append(np.zeros((nd, masses.size)))
-    return VertexSchedule(np.array(bps), labs, xi), np.array(jumps)
+    bps = np.array(bps)
+    return (VertexSchedule(bps, labs, xi), PiecewiseConstant(bps, values),
+            np.array(jumps))
 
 
-def _schedule_control(full_sys, labels, masses, xi):
-    """The schedule of the masses as a control on full_sys, with the
-    breakpoint jumps of _build_schedule."""
-    z, jumps = _build_schedule(labels, masses, xi)
-    return PiecewiseConstant(z.breakpoints,
-                             _label_rows(full_sys, z.labels, xi)), jumps
-
-
-def _schedule_endpoint(full_sys, labels, masses, xi, u0, tol):
-    ctl, _ = _schedule_control(full_sys, labels, masses, xi)
+def _schedule_endpoint(full_sys, labels, cols, masses, xi, u0, tol):
+    _, ctl, _ = _build_schedule(labels, cols, masses, xi)
     T = float(ctl.breakpoints[-1])
     return integrate(full_sys, u0, ctl, T, tol).states[-1]
 
@@ -790,7 +790,7 @@ def _schedule_jacobian(full_sys, labels, cols, masses, xi, u0, tol):
     and jumps at each breakpoint by the control jump times the
     breakpoint's shift per unit mass.  Raises ValueError where
     _build_schedule does."""
-    ctl, jumps = _schedule_control(full_sys, labels, masses, xi)
+    _, ctl, jumps = _build_schedule(labels, cols, masses, xi)
     _, Z, _ = integrate_tangent(
         full_sys, u0, ctl, float(ctl.breakpoints[-1]),
         np.zeros((len(full_sys.controlled_set), jumps.shape[2])),
@@ -798,10 +798,11 @@ def _schedule_jacobian(full_sys, labels, cols, masses, xi, u0, tol):
     return Z
 
 
-def _solve_schedule(full_sys, level, y_goal, u0, tol, res_target, tangent):
+def _solve_schedule(full_sys, level, y_goal, u0, tol, res_target, p):
     """Coarse vertex schedule over the level's direction family whose literal
-    replay ends at y_goal, and its residual; the schedule drops intervals
-    at or under 1e-4 of a cycle, for the imitation.
+    replay ends at y_goal, and its residual, from the impulse p of a
+    first-order covering of y_goal on K^level (_cover); the schedule drops
+    intervals at or under 1e-4 of a cycle, for the imitation.
 
     The family spans exactly the modes of K^level, so the K^level components
     respond at first order; the remaining components respond through the
@@ -817,11 +818,8 @@ def _solve_schedule(full_sys, level, y_goal, u0, tol, res_target, tangent):
     cycle = horizon / n_cycles
     labels, cols = _direction_matrix(full_sys, level)
 
-    # initial guess: first-order covering on the K^level components, from
-    # the given covering tangent or a new one, then an exact decomposition
-    # over the direction family (a square system)
-    p, _, _ = _cover(full_sys, u0, y_goal, level, tol, tangent
-                     or endpoint_tangent(full_sys, u0, span, horizon, tol))
+    # initial guess: the covering impulse decomposed exactly over the
+    # direction family (a square system)
     alpha = np.linalg.solve(cols.T[idx], p / horizon)
 
     masses = np.tile(alpha * cycle, (n_cycles, 1)).ravel()
@@ -835,8 +833,8 @@ def _solve_schedule(full_sys, level, y_goal, u0, tol, res_target, tangent):
     sw = np.sqrt(h_weights(full_sys))
 
     def endpoint(m, x):
-        return _schedule_endpoint(full_sys, labels, m.reshape(n_cycles, -1),
-                                  x, u0, tol)
+        return _schedule_endpoint(full_sys, labels, cols,
+                                  m.reshape(n_cycles, -1), x, u0, tol)
 
     ep = endpoint(masses, xi)
     r = sw * (ep - y_goal)
@@ -869,8 +867,8 @@ def _solve_schedule(full_sys, level, y_goal, u0, tol, res_target, tangent):
             mu *= 4
         if not improved:
             break
-    z, _ = _build_schedule(labels, masses.reshape(n_cycles, -1), xi,
-                           width_floor=1e-4 * cycle)
+    z = _build_schedule(labels, cols, masses.reshape(n_cycles, -1), xi,
+                        width_floor=1e-4 * cycle)[0]
     return z, float(np.linalg.norm(r))
 
 
@@ -900,16 +898,14 @@ def cascade_to_K1(sys: GalerkinSystem, target: SpectralField, eps: float,
     if u0 is None:
         u0 = SpectralField(sys.geom, {})
     n_level = infer_level(sys.mode_set)
-    # target energy per mode, |target|_H^2 = sum of the values
-    energy = dict(zip(target.coeffs, h_weights(sys, list(target.coeffs))
-                      * np.array(list(target.coeffs.values())) ** 2))
 
-    def tail_norm(m):
-        inside = set(mode_set_K(m))
-        return math.sqrt(sum(e for k, e in energy.items() if k not in inside))
+    def tail_norm(modes):
+        """H norm of the target outside modes."""
+        return SpectralField(sys.geom, {k: v for k, v in target.coeffs.items()
+                                        if k not in modes}).norm("H")
 
     m_level = 1
-    while tail_norm(m_level) >= eps / 2:
+    while tail_norm(set(mode_set_K(m_level))) >= eps / 2:
         m_level += 1
         if m_level > n_level:
             raise ValueError("target tail beyond the system's levels "
@@ -927,23 +923,16 @@ def cascade_to_K1(sys: GalerkinSystem, target: SpectralField, eps: float,
     # the target on mode_set: _cover reads its K^M part
     inside = sys.to_vector(SpectralField(
         sys.geom, {k: target[k] for k in target.coeffs if k in sys.index}))
-    # the first level's schedule starts from the same covering tangent
-    tangent = endpoint_tangent(full_sys, u0, sorted(mode_set_K(m_level)),
-                               CASCADE_HORIZON, tol)
-    p, covering_residual, y_prev = _cover(full_sys, u0, inside, m_level, tol,
-                                          tangent)
-
-    full_tail2 = sum(e for k, e in energy.items() if k not in sys.index)
-
-    def distance_to_target(y):
-        return math.sqrt(h_dist(y, inside) ** 2 + full_tail2)
+    p, covering_residual, y_prev = _cover(full_sys, u0, inside, m_level, tol)
 
     steps = []
     final_control = None
     for level in range(m_level, 1, -1):
+        # level M's covering already ends at y_prev: start from its impulse
         z, solver_res = _solve_schedule(
             full_sys, level, y_prev, u0, tol, budget / 8,
-            tangent if level == m_level else None)
+            p if level == m_level else _cover(full_sys, u0, y_prev, level,
+                                              tol)[0])
         J = tuple(sorted(mode_set_K(level - 1)))
         w = CASCADE_W0
         while True:
@@ -967,7 +956,8 @@ def cascade_to_K1(sys: GalerkinSystem, target: SpectralField, eps: float,
         # target already supported in K^1 = K^M: the covering control suffices
         final_control = [(0.0, CASCADE_HORIZON, p / CASCADE_HORIZON)]
 
-    distance = distance_to_target(y_prev)
+    distance = math.sqrt(h_dist(y_prev, inside) ** 2
+                         + tail_norm(sys.index) ** 2)
     return {
         "M": m_level,
         "budget_per_step": budget,

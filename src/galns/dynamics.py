@@ -280,10 +280,10 @@ class GalerkinSystem:
         return out
 
 
-def h_weights(sys: GalerkinSystem, modes=None) -> np.ndarray:
-    """H weights (ab/4)(-kbar_k), |u|_H^2 = sum w_k u_k^2, on mode_set or modes."""
+def h_weights(sys: GalerkinSystem) -> np.ndarray:
+    """H weights (ab/4)(-kbar_k), |u|_H^2 = sum w_k u_k^2, on mode_set."""
     return (sys.geom.a * sys.geom.b / 4) * np.array(
-        [-kbar(k, sys.geom) for k in (sys.mode_set if modes is None else modes)])
+        [-kbar(k, sys.geom) for k in sys.mode_set])
 
 
 # ---------------------------------------------------------------------------

@@ -567,12 +567,15 @@ STEER_GRID_CFG = {
      "field 'slope_threshold' must be finite"),
     ("imitate", dict(IMI_CFG, ws=[6, 3], slope_threshold=1e999),
      "field 'slope_threshold' must be finite"),
+    ("imitate", dict(IMI_CFG, ws=[12, 12], slope_threshold=-0.5),
+     "field 'ws' lists a frequency twice: [12.0, 12.0]"),
     ("steer", dict(STEER_GRID_CFG, seed=-1),
      "field 'seed' must be at least 0, got -1"),
     ("lierank", dict(LIERANK_CFG, seed=-1),
      "field 'seed' must be at least 0, got -1"),
 ], ids=["tol", "residual_tol", "radius", "gamma_infl", "horizon", "xi", "w",
-        "slope_threshold_nan", "slope_threshold_inf", "seed_steer",
+        "slope_threshold_nan", "slope_threshold_inf", "ws_repeated",
+        "seed_steer",
         "seed_lierank"])
 def test_non_finite_numbers_are_config_errors(tmp_path, capsys, command, cfg,
                                                message):

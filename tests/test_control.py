@@ -18,7 +18,7 @@ from galns.control import (EndpointExperiment, RelaxedFamily, VertexSchedule,
                            horizon_ceiling, imitate, make_phi_w,
                            push_to_interior, reference_map, rx_norm,
                            tracking_control)
-from galns import control
+from galns import control, dynamics
 from galns.control import (_build_schedule, _direction_matrix,
                            _schedule_endpoint, _schedule_jacobian,
                            invert_endpoint, loglog_slope)
@@ -771,6 +771,29 @@ def test_imitate_tracked_intervals_are_polynomial_artifacts():
         assert np.min(np.abs(knots - corner)) <= 1e-15
 
 
+@pytest.mark.parametrize("labels, breakpoints", [
+    ([("delta", ((1, 1), (1, 3)), 1)], [0.0, math.pi / 3]),
+    ([("e", (1, 1), 1), ("delta", ((1, 1), (1, 3)), 1), ("e", (1, 3), -1),
+      ("zero",)], [0.0, 0.1, 0.3, 0.4, 0.5])], ids=["tracked", "mixed"])
+def test_imitation_stats_count_every_run(monkeypatch, labels, breakpoints):
+    # the reference runs of tracked intervals and of the direct intervals
+    # after them were once left out of the stats
+    calls = []
+    run = dynamics.adaptive_lawson
+
+    def counted(lam, nonlin, *args, **kwargs):
+        def rhs(z, t):
+            calls.append(1)
+            return nonlin(z, t)
+        return run(lam, rhs, *args, **kwargs)
+    monkeypatch.setattr(control, "adaptive_lawson", counted)
+    monkeypatch.setattr(dynamics, "adaptive_lawson", counted)
+    sys, z, u0 = imitation_case()
+    z = VertexSchedule(np.array(breakpoints), labels, z.xi)
+    res = imitate(sys, z, 12.0, 1e-8, u0=u0)
+    assert res.stats.rhs_calls == len(calls)
+
+
 def test_imitation_sweep_slope():
     sys, z, u0 = imitation_case()
     ws = [3.0, 6.0, 12.0, 24.0, 48.0]
@@ -794,6 +817,8 @@ def test_loglog_slope_of_power_laws():
         pytest.approx(-1.5, abs=1e-12)
     assert math.isnan(loglog_slope([2.0], [5.0]))
     assert math.isnan(loglog_slope([], []))
+    # two points at one x determine no line either; polyfit only warned
+    assert math.isnan(loglog_slope([12.0, 12.0], [0.3, 0.2]))
 
 
 # ---------------------------------------------------------------------------
@@ -868,7 +893,7 @@ def shifted_endpoint(case, p, h, tol):
     sys, labels, cols, masses, xi, cycle = case
     m = masses.ravel().copy()
     m[p] += h
-    return _schedule_endpoint(sys, labels, m.reshape(masses.shape), xi,
+    return _schedule_endpoint(sys, labels, cols, m.reshape(masses.shape), xi,
                               SpectralField(G, {}), tol)
 
 
@@ -910,7 +935,7 @@ def test_schedule_jacobian_floored_mass_is_one_sided():
 def test_schedule_jacobian_rejects_overfull_cycle():
     sys, labels, cols, masses, xi, cycle = schedule_case(2)
     with pytest.raises(ValueError, match="overfull"):
-        _build_schedule(labels, masses, xi / 4)
+        _build_schedule(labels, cols, masses, xi / 4)
     with pytest.raises(ValueError, match="overfull"):
         _schedule_jacobian(sys, labels, cols, masses, xi / 4,
                            SpectralField(G, {}), 1e-8)
@@ -934,9 +959,10 @@ def test_solve_schedule_replays_only_for_residuals(monkeypatch):
 
 
 def test_cascade_covers_level_m_with_one_tangent_run(monkeypatch):
-    # the level-M covering and the first schedule's initial guess share one
-    # integrate_tangent run; every other run is a Gauss-Newton Jacobian
-    tangents, jacobians = [], []
+    # the level-M covering makes the one integrate_tangent run and the one
+    # endpoint inversion of a covering (the first schedule starts from its
+    # impulse); every other tangent run is a Gauss-Newton Jacobian
+    tangents, jacobians, inversions = [], [], []
 
     def counted(calls, f):
         def run(*args, **kwargs):
@@ -947,11 +973,14 @@ def test_cascade_covers_level_m_with_one_tangent_run(monkeypatch):
                         counted(tangents, control.integrate_tangent))
     monkeypatch.setattr(control, "_schedule_jacobian",
                         counted(jacobians, control._schedule_jacobian))
+    monkeypatch.setattr(control, "invert_endpoint",
+                        counted(inversions, control.invert_endpoint))
     tgt = SpectralField(G, {(1, 1): 0.05, (2, 2): 0.02, (1, 4): 0.01})
     out = cascade_to_K1(cascade_sys(), tgt, 0.05)
     assert out["M"] == 2
     assert len(jacobians) >= 1
     assert len(tangents) == len(jacobians) + 1
+    assert len(inversions) == 1
 
 
 # ---------------------------------------------------------------------------

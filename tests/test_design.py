@@ -273,8 +273,6 @@ def test_tests_read_every_import():
 UNCALLED_KEPT = {
     # oracles the tests compare against
     "nonlinearity.trilinear_b",
-    # the norms criterion 4 and test_spectral.py check
-    "spectral.SpectralField.norm",
     # criterion 9's relaxed-control API (ROADMAP item 8)
     "control.approximate_relaxed", "control.delta_metric",
 }
