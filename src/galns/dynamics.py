@@ -15,8 +15,7 @@ by small sine and cosine matrix transforms and projects their product back
 by the trapezoid rule (the transform method: Orszag, J. Atmos. Sci. 28,
 1971; Canuto, Hussaini, Quarteroni & Zang, Spectral Methods in Fluid
 Dynamics, section 7.2), which is exact for this product.  Either is built the first time it is used, so
-a system that is only inspected, as the Lie-rank check does, builds
-neither.  The integrator is the
+a system that is only inspected builds neither.  The integrator is the
 integrating-factor (Lawson) form of the embedded Dormand-Prince 5(4)
 pair, which treats the viscous term exactly;
 it reuses its last stage as the next step's first (FSAL), sizes steps
@@ -41,7 +40,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .nonlinearity import float_params, interaction_rows, mode_array
-from .spectral import RectGeometry, SpectralField, check_mode, kbar
+from .spectral import RectGeometry, SpectralField, check_system, kbar
 
 
 class StiffnessError(RuntimeError):
@@ -144,22 +143,11 @@ class GalerkinSystem:
     controlled_set: tuple
 
     def __post_init__(self):
-        if not 0 < self.nu < np.inf:
-            raise ValueError("viscosity must be positive and finite, got %r"
-                             % (self.nu,))
-        self.mode_set = tuple(sorted(tuple(k) for k in self.mode_set))
-        self.controlled_set = tuple(sorted(tuple(k) for k in self.controlled_set))
-        for k in self.mode_set:
-            check_mode(k)
-        if not set(self.controlled_set) <= set(self.mode_set):
-            raise ValueError("controlled_set must be a subset of mode_set")
-        if not set(self.forcing.coeffs) <= set(self.mode_set):
-            raise ValueError("forcing must be supported in mode_set")
+        self.mode_set, self.controlled_set = check_system(
+            self.nu, self.forcing, self.mode_set, self.controlled_set)
         self.index = {k: i for i, k in enumerate(self.mode_set)}
         self.lam = np.array([self.nu * kbar(k, self.geom) for k in self.mode_set])
         self.forcing_vec = np.array([self.forcing[k] for k in self.mode_set])
-        if not np.all(np.isfinite(self.forcing_vec)):
-            raise ValueError("forcing must be finite")
         self.ctrl_idx = np.array([self.index[k] for k in self.controlled_set],
                                  dtype=int)
 

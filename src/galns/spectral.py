@@ -44,6 +44,28 @@ def check_mode(k: ModeIndex) -> ModeIndex:
     return (int(k1), int(k2))
 
 
+def check_system(nu, forcing, mode_set, controlled_set):
+    """The checks of a controlled system's inputs: nu positive and finite,
+    valid modes, controlled_set inside mode_set and the forcing (a
+    SpectralField) finite and supported in mode_set.  GalerkinSystem and
+    the lierank command, which builds none, both read them.  Returns
+    mode_set and controlled_set as sorted tuples."""
+    if not 0 < nu < math.inf:
+        raise ValueError("viscosity must be positive and finite, got %r"
+                         % (nu,))
+    mode_set = tuple(sorted(tuple(k) for k in mode_set))
+    controlled_set = tuple(sorted(tuple(k) for k in controlled_set))
+    for k in mode_set:
+        check_mode(k)
+    if not set(controlled_set) <= set(mode_set):
+        raise ValueError("controlled_set must be a subset of mode_set")
+    if not set(forcing.coeffs) <= set(mode_set):
+        raise ValueError("forcing must be supported in mode_set")
+    if not all(map(math.isfinite, forcing.coeffs.values())):
+        raise ValueError("forcing must be finite")
+    return mode_set, controlled_set
+
+
 def mode_set_K(level: int) -> list[ModeIndex]:
     """K^j = {(n1,n2): 1 <= n1,n2 <= j+2} minus the far corner; |K^j| = (j+2)^2 - 1."""
     if level < 1:

@@ -384,6 +384,51 @@ def test_imitate_failing_threshold_exit_1(tmp_path):
                  write_cfg(tmp_path, "i.json", cfg)]) == 1
 
 
+# the CI imitate system with two direct intervals: the K^1 control applies
+# both labels exactly, so the imitation has no gap at any frequency
+EXACT_IMI_CFG = {
+    "geometry": {"a": 1, "b": 2}, "nu": 0.03, "level": 2,
+    "controlled_level": 1, "u0": {"1,1": 0.05}, "xi": 0.2,
+    "breakpoints": [0, 0.1, 0.3],
+    "labels": [["e", [1, 1], 1], ["e", [1, 3], -1]], "ws": [6, 12]}
+
+
+def test_exact_imitation_passes_with_null_slope(tmp_path, recwarn):
+    # zero gaps have no logarithm: the slope was NaN (not JSON), numpy
+    # warned of a log of zero, and the exact imitation failed
+    out = str(tmp_path / "o")
+    assert main(["--out", out, "imitate", "--config",
+                 write_cfg(tmp_path, "i.json", EXACT_IMI_CFG)]) == 0
+    with open(os.path.join(out, "imitation_report.json")) as fh:
+        rep = json.loads(fh.read(), parse_constant=pytest.fail)
+    assert rep["gaps"] == [0.0, 0.0] and rep["slope"] is None
+    assert rep["verdict"] == "pass"
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def test_zero_gap_beside_nonzero_gap_fails_without_nan(tmp_path, monkeypatch,
+                                                       recwarn):
+    # a zero gap beside a nonzero one fits no power law: the run fails, and
+    # its report holds no NaN
+    from dataclasses import replace
+
+    from galns import control
+    imitate = control.imitate
+
+    def one_exact(sys, z, w, **kwargs):
+        res = imitate(sys, z, w, **kwargs)
+        return replace(res, gap=0.0) if w == 6 else res
+    monkeypatch.setattr(control, "imitate", one_exact)
+    out = str(tmp_path / "o")
+    assert main(["--out", out, "imitate", "--config",
+                 write_cfg(tmp_path, "i.json", dict(IMI_CFG, ws=[6, 12]))]) == 1
+    with open(os.path.join(out, "imitation_report.json")) as fh:
+        rep = json.loads(fh.read(), parse_constant=pytest.fail)
+    assert rep["gaps"][0] == 0.0 < rep["gaps"][1] and rep["slope"] is None
+    assert rep["verdict"] == "fail"
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 def test_write_csv_matches_csv_writer(tmp_path):
     # zeros of every kind, bools, numpy scalars, extreme exponents and
     # seventeen digits, strings that need quoting and repeated floats; a
@@ -586,6 +631,39 @@ def test_non_finite_numbers_are_config_errors(tmp_path, capsys, command, cfg,
     assert main(["--out", str(tmp_path / "o"), command,
                  "--config", path]) == 2
     assert "config error: " + message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cfg, message", [
+    (dict(LIERANK_CFG, nu=0), "viscosity must be positive and finite"),
+    (dict(LIERANK_CFG, nu=-1), "viscosity must be positive and finite"),
+    (dict(LIERANK_CFG, nu=NAN), "viscosity must be positive and finite"),
+    (dict(LIERANK_CFG, forcing={"1,1": NAN}), "forcing must be finite"),
+    (dict(LIERANK_CFG, forcing={"3,4": 1.0}),
+     "forcing must be supported in mode_set"),
+    (dict(LIERANK_CFG, controlled_level=2),
+     "controlled_set must be a subset of mode_set"),
+], ids=["nu_0", "nu_negative", "nu_nan", "forcing_nan", "forcing_outside",
+        "controlled_above_level"])
+def test_lierank_system_checks_are_config_errors(tmp_path, capsys, cfg,
+                                                 message):
+    # nu and forcing do not enter the rank, but a config that names no
+    # valid system is an error, as for every command that integrates one
+    path = write_cfg(tmp_path, "c.json", cfg)
+    assert main(["--out", str(tmp_path / "o"), "lierank",
+                 "--config", path]) == 2
+    assert "config error: " + message in capsys.readouterr().err
+
+
+def test_lierank_controlled_level_other_than_1_names_the_field(tmp_path,
+                                                               capsys):
+    # the rank brackets from the K^1 modes; the message once named only the
+    # library's controlled_set
+    path = write_cfg(tmp_path, "c.json", dict(LIERANK_CFG, level=2,
+                                              controlled_level=2))
+    assert main(["--out", str(tmp_path / "o"), "lierank",
+                 "--config", path]) == 2
+    assert "config error: field 'controlled_level' must be 1" \
+        in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("cfg, field", [

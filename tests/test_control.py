@@ -869,7 +869,7 @@ def test_direction_matrix_pairs_match_rank_generations(a, b):
     from the exact squares of the sides."""
     g = RectGeometry(a, b)
     sys = GalerkinSystem(g, 0.2, SpectralField(g, {}), K3, K1)
-    _, generations = full_rank_check(sys)
+    _, generations = full_rank_check(g, K3, K1)
     assert len(generations) == 3
     for gen in generations[1:]:
         labels, _ = _direction_matrix(sys, gen["generation"] + 1)

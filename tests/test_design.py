@@ -299,8 +299,7 @@ COMMAND_MODULES = {
     "oracle": (["oracle", "--config", "oracle.json"],
                {"cli", "spectral", "nonlinearity"}),
     "lierank": (["lierank", "--config", "lierank.json"],
-                {"cli", "spectral", "nonlinearity", "saturation", "dynamics",
-                 "lie_rank"}),
+                {"cli", "spectral", "nonlinearity", "saturation", "lie_rank"}),
 }
 LOADS = """
 import sys

@@ -21,6 +21,11 @@ def make_sys(n, geom=G, nu=1.0):
     return GalerkinSystem(geom, nu, SpectralField(geom, {}), ms, mode_set_K(1))
 
 
+def rank_inputs(n, geom=G):
+    """full_rank_check's inputs for K^n controlled from K^1."""
+    return geom, mode_set_K(n), mode_set_K(1)
+
+
 def random_field(rng, sys, scale=1.0):
     return SpectralField(sys.geom,
                          {k: scale * rng.normal() for k in sys.mode_set})
@@ -96,28 +101,25 @@ def test_gamma_equals_saturation_delta():
 
 
 def test_rank_level1():
-    rank, gens = full_rank_check(make_sys(1))
+    rank, gens = full_rank_check(*rank_inputs(1))
     assert rank == 8
     assert gens[-1]["rank"] == 8
 
 
 def test_rank_level2_rectangle():
-    sys = make_sys(2)
-    rank, gens = full_rank_check(sys)
-    assert rank == 15 == len(sys.mode_set)
+    rank, gens = full_rank_check(*rank_inputs(2))
+    assert rank == 15 == len(mode_set_K(2))
 
 
 def test_float_geometry_path():
     g = RectGeometry(math.pi, math.pi)
-    ms = tuple(sorted(mode_set_K(2)))
-    sys = GalerkinSystem(g, 1.0, SpectralField(g, {}), ms, mode_set_K(1))
-    rank, _ = full_rank_check(sys)
+    rank, _ = full_rank_check(*rank_inputs(2, geom=g))
     assert rank == 15  # square handled through the repair selections
 
 
 def test_verdict_json():
     import json
-    v = rank_verdict(make_sys(2))
+    v = rank_verdict(*rank_inputs(2))
     assert v["N"] == 2 and v["kappa_N"] == 15 and v["rank"] == 15
     assert v["full_rank"] is True
     json.dumps(v)
@@ -127,19 +129,17 @@ def test_verdict_json():
 
 
 def test_mode_set_shape_errors():
-    with pytest.raises(ValueError):
-        sys = GalerkinSystem(G, 1.0, SpectralField(G, {}),
-                             [(1, 1), (1, 2)], [(1, 1)])
-        full_rank_check(sys)
+    with pytest.raises(ValueError, match="not of the form K"):
+        full_rank_check(G, [(1, 1), (1, 2)], [(1, 1)])
 
 
 def test_verdict_records_rank_path():
     """Every rank is exact: a side with no short decimal form (pi) is
     ranked at the exact binary value of its float, not by an SVD."""
-    exact = rank_verdict(make_sys(2))
+    exact = rank_verdict(*rank_inputs(2))
     assert exact["exact"] is True and exact["full_rank"] is True
     g = RectGeometry(math.pi, 2.0)
-    binary = rank_verdict(make_sys(2, geom=g))
+    binary = rank_verdict(*rank_inputs(2, geom=g))
     assert binary["exact"] is True
     assert binary["rank"] == 15 and binary["full_rank"] is True
 
@@ -157,7 +157,7 @@ def test_float_sides_reach_full_rank(a, b, level, kappa):
     selections reach full rank (the SVD read 165 and 192 on (pi, 1), and
     14, 22 and 33 one ulp from square)."""
     g = RectGeometry(a, b)
-    rank, gens = full_rank_check(make_sys(level, geom=g))
+    rank, gens = full_rank_check(*rank_inputs(level, geom=g))
     assert rank == kappa == gens[-1]["rank"]
     assert gens[1]["pairs"] == [[list(m), list(n)] for m, n in selection_S(1)]
 
@@ -176,18 +176,17 @@ def test_float_sides_rank_exactly_at_binary_values(a, b, level):
     """Float sides with no short decimal form reach kappa_N, and the rank
     after each generation is the RowEchelon rank of that generation's
     interaction_rows at Fraction(a)**2 and Fraction(b)**2."""
-    g = RectGeometry(a, b)
-    sys = make_sys(level, geom=g)
-    rank, gens = full_rank_check(sys)
-    assert rank == len(sys.mode_set)
+    g, modes, controlled = rank_inputs(level, geom=RectGeometry(a, b))
+    rank, gens = full_rank_check(g, modes, controlled)
+    assert rank == len(modes)
     echelon = RowEchelon()
     assert gens[0]["rank"] == echelon.extend(
-        [[int(mode == k) for mode in sys.mode_set] for k in mode_set_K(1)])
+        [[int(mode == k) for mode in modes] for k in controlled])
     a2, b2 = Fraction(a) ** 2, Fraction(b) ** 2
     for gen in gens[1:]:
         pairs = [tuple(map(tuple, pair)) for pair in gen["pairs"]]
         assert pairs == selection_S(gen["generation"], square_mode=a == b)
-        rows = interaction_rows(pairs, sys.mode_set, a2, b2).tolist()
+        rows = interaction_rows(pairs, modes, a2, b2).tolist()
         assert gen["rank"] == echelon.extend(rows)
 
 
@@ -195,6 +194,6 @@ def test_decimal_side_ranks_exactly():
     """A side of 0.1 is read as 1/10, its shortest decimal, as galns
     saturate reads it: the exact Bareiss rank runs."""
     g = RectGeometry(0.1, 2.0)
-    verdict = rank_verdict(make_sys(2, geom=g))
+    verdict = rank_verdict(*rank_inputs(2, geom=g))
     assert verdict["exact"] is True
     assert verdict["rank"] == 15 and verdict["full_rank"] is True
