@@ -360,6 +360,10 @@ def cmd_imitate(cfg, outdir):
     if not math.isfinite(threshold):
         raise ConfigError("field 'slope_threshold' must be finite, got %r"
                           % threshold)
+    level = _require(cfg, "level", int)
+    if _optional(cfg, "controlled_level", int, level) >= level:
+        raise ConfigError("field 'controlled_level' must be below 'level' "
+                          "(%d): the imitation acts on its modes" % level)
     sys = _system(cfg)
     z = VertexSchedule(_floats(cfg, "breakpoints", 1),
                        [_parse_label(l) for l in _require(cfg, "labels", list)],
@@ -371,9 +375,9 @@ def cmd_imitate(cfg, outdir):
         rows.append({"w": w, "gap": res.gap,
                      "max_pinning": float(max(res.pinning))})
     gaps = [r["gap"] for r in rows]
-    # a zero gap has no logarithm: gaps that are all zero are an exact
-    # imitation, which passes; a zero beside a nonzero gap fits no power law
-    slope = None if 0.0 in gaps else loglog_slope(ws, gaps)
+    # one frequency has no slope and a zero gap no logarithm: all-zero gaps
+    # are an exact imitation, which passes; a zero beside a nonzero fails
+    slope = None if len(ws) < 2 or 0.0 in gaps else loglog_slope(ws, gaps)
     slope_ok = not any(gaps) if slope is None else slope <= threshold
     pin_ok = all(r["max_pinning"] <= 10 * tol for r in rows)
     verdict = "pass" if (len(ws) < 2 or slope_ok) and pin_ok else "fail"

@@ -554,36 +554,30 @@ class ImitationResult:
     """imitate's controls and end state, compared with the reference: the
     literal schedule on every mode from the same u0."""
 
-    # per interval: (t_lo, t_hi, control over J at the time since t_lo), a
-    # PiecewisePolynomial where tracked, a constant vector where direct
+    # per replayed piece: (t_lo, t_hi, the control over sys.controlled_set
+    # that integrate replays over [0, t_hi - t_lo] as it is)
     controls: list
     gap: float             # H distance of the end state from the reference's
     pinning: list          # l1 gap of the J projection at each breakpoint
     end_state: np.ndarray
-    J: tuple
     stats: IntegratorStats  # every reference, tracking and replay run
 
 
 def imitate(sys: GalerkinSystem, z: VertexSchedule, w: float,
-            tol: float = 1e-8, J=None, u0: SpectralField = None) -> ImitationResult:
-    """Synthesize a control on the modes J = K^(N-1) whose trajectory imitates
-    the schedule z: direct values are copied, and replayed by the reference
-    run, while the trajectories still coincide; interaction-direction
-    intervals are replaced by tracking the reference low-mode path plus the
-    oscillation sqrt(2 xi) phi_w (e_m +- e_n), which self-interacts to the
-    required direction on average.  The reference is carried interval by
+            tol: float = 1e-8, u0: SpectralField = None) -> ImitationResult:
+    """Synthesize a control on the modes J = sys.controlled_set whose
+    trajectory imitates the schedule z: direct values are copied, and
+    replayed by the reference run, while the trajectories still coincide;
+    interaction-direction intervals are replaced by tracking the reference
+    low-mode path plus the oscillation sqrt(2 xi) phi_w (e_m +- e_n), which
+    self-interacts to the required direction on average, and each tracked
+    piece is replayed once on sys.  The reference is carried interval by
     interval; a tracked interval's reference J-path is a PiecewisePolynomial
     fitted from its dense output."""
     # checked as given: the integrator runs below receive tol / 10
     if not 0 < tol < np.inf:
         raise ValueError("tol must be positive and finite, got %r" % (tol,))
-    n_level = infer_level(sys.mode_set)
-    if J is None:
-        J = tuple(sorted(mode_set_K(n_level - 1))) if n_level > 1 \
-            else sys.controlled_set
-    else:
-        J = tuple(sorted(tuple(k) for k in J))
-    idx_j = np.array([sys.index[k] for k in J], dtype=int)
+    J, idx_j = sys.controlled_set, sys.ctrl_idx
     j_pos = {k: i for i, k in enumerate(J)}
     # the J control applies e_k, or oscillates e_m and e_n, on modes of J:
     # check (k,) of an e, (m, n) of a delta and () of a zero label
@@ -600,7 +594,6 @@ def imitate(sys: GalerkinSystem, z: VertexSchedule, w: float,
     # integrate a notch tighter than the stated tolerance so the breakpoint
     # pinning bound has headroom over the accumulated replay error
     tol_in = tol / 10
-    ctl_sys = GalerkinSystem(sys.geom, sys.nu, sys.forcing, sys.mode_set, J)
 
     phi = make_phi_w(z.breakpoints, w)
     sqrt2xi = math.sqrt(2 * z.xi)
@@ -624,7 +617,8 @@ def imitate(sys: GalerkinSystem, z: VertexSchedule, w: float,
             # the J control applies the value itself (it lies in span(J)),
             # so the reference run is the controlled run and its replay
             state = run.states[-1]
-            controls.append((t_lo, t_hi, values[i][idx_j]))
+            controls.append((t_lo, t_hi, PiecewiseConstant(
+                [0.0, t_hi - t_lo], values[i][None, idx_j])))
         else:
             # the dense output is taken mode by mode: read the J modes only
             ref_knots, steps, theta, _ = run.fit_nodes(t_hi)
@@ -648,30 +642,26 @@ def imitate(sys: GalerkinSystem, z: VertexSchedule, w: float,
             else:
                 max_step = (t_hi - t_lo) / 8
                 pieces = [(t_lo, t_hi, lambda t, nu: 0.0)]
-            knots, coefficients = [np.array([t_lo])], []
             for a, b, wave in pieces:
                 q = Smooth(lambda t, _w=wave: window.value(t) + _w(t, 0),
                            lambda t, _w=wave: slope.value(t) + _w(t, 1),
                            max_step)
                 v = tracking_control(sys, J, q, sys.to_field(state), t0=a,
                                      t1=b, tol=tol_in)
-                # each piece is replayed on its own, in its own time
-                tr = integrate(ctl_sys, sys.to_field(state),
-                               PiecewisePolynomial(v.knots - a, v.coefficients,
-                                                   max_step), b - a, tol_in)
+                # each piece is replayed on its own, in its own time, and
+                # delivered as it was replayed
+                piece = PiecewisePolynomial(v.knots - a, v.coefficients,
+                                            max_step)
+                tr = integrate(sys, sys.to_field(state), piece, b - a, tol_in)
                 state = tr.states[-1]
                 stats.add(v.stats)
                 stats.add(tr.stats)
-                knots.append(v.knots[1:])
-                coefficients.append(v.coefficients)
-            controls.append((t_lo, t_hi, PiecewisePolynomial(
-                np.concatenate(knots) - t_lo, np.concatenate(coefficients),
-                max_step)))
+                controls.append((float(a), float(b), piece))
         ref = run.states[-1]
         pinning.append(float(np.sum(np.abs(state[idx_j] - ref[idx_j]))))
 
     gap = float(np.sqrt(np.sum(h_weights(sys) * (state - ref) ** 2)))
-    return ImitationResult(controls, gap, pinning, state, J, stats)
+    return ImitationResult(controls, gap, pinning, state, stats)
 
 
 # ---------------------------------------------------------------------------
@@ -933,10 +923,11 @@ def cascade_to_K1(sys: GalerkinSystem, target: SpectralField, eps: float,
             full_sys, level, y_prev, u0, tol, budget / 8,
             p if level == m_level else _cover(full_sys, u0, y_prev, level,
                                               tol)[0])
-        J = tuple(sorted(mode_set_K(level - 1)))
+        level_sys = GalerkinSystem(sys.geom, sys.nu, sys.forcing,
+                                   sys.mode_set, mode_set_K(level - 1))
         w = CASCADE_W0
         while True:
-            res = imitate(sys, z, w, tol, J=J, u0=u0)
+            res = imitate(level_sys, z, w, tol, u0=u0)
             dev = h_dist(res.end_state, y_prev)
             if dev <= budget or w >= CASCADE_W_CAP:
                 break
@@ -954,7 +945,8 @@ def cascade_to_K1(sys: GalerkinSystem, target: SpectralField, eps: float,
 
     if final_control is None:
         # target already supported in K^1 = K^M: the covering control suffices
-        final_control = [(0.0, CASCADE_HORIZON, p / CASCADE_HORIZON)]
+        final_control = [(0.0, CASCADE_HORIZON, PiecewiseConstant(
+            [0.0, CASCADE_HORIZON], [p / CASCADE_HORIZON]))]
 
     distance = math.sqrt(h_dist(y_prev, inside) ** 2
                          + tail_norm(sys.index) ** 2)

@@ -429,6 +429,62 @@ def test_zero_gap_beside_nonzero_gap_fails_without_nan(tmp_path, monkeypatch,
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
+def test_single_frequency_slope_is_null(tmp_path):
+    # one frequency determines no slope: it was written as NaN, not JSON
+    out = str(tmp_path / "o")
+    assert main(["--out", out, "imitate", "--config",
+                 write_cfg(tmp_path, "i.json", dict(IMI_CFG, ws=[12]))]) == 0
+    for name in ("imitation_report.json", "report.json"):
+        with open(os.path.join(out, name)) as fh:
+            rep = json.loads(fh.read(), parse_constant=pytest.fail)
+        assert rep["slope"] is None and rep["verdict"] == "pass"
+
+
+def test_pinning_measures_the_delivered_control(tmp_path, monkeypatch):
+    # the pinning gap is read after the replay of each tracked piece's
+    # control: a control 1e-6 off its tracking fit shows, and fails the run
+    from dataclasses import replace
+
+    from galns import control
+    track = control.tracking_control
+
+    def perturbed(*args, **kwargs):
+        v = track(*args, **kwargs)
+        coefficients = v.coefficients.copy()
+        coefficients[:, 0] += 1e-6
+        return replace(v, coefficients=coefficients)
+    monkeypatch.setattr(control, "tracking_control", perturbed)
+    out = str(tmp_path / "o")
+    assert main(["--out", out, "imitate", "--config",
+                 write_cfg(tmp_path, "i.json", dict(IMI_CFG, ws=[12]))]) == 1
+    rep = read_json(out, "imitation_report.json")
+    assert rep["pinning_ok"] is False and rep["verdict"] == "fail"
+    with open(os.path.join(out, "imitation_gaps.csv")) as fh:
+        (row,) = list(csv.DictReader(fh))
+    assert float(row["max_pinning"]) > 10 * IMI_CFG["tol"]
+
+
+BELOW_LEVEL = "field 'controlled_level' must be below 'level'"
+
+
+@pytest.mark.parametrize("cfg, message", [
+    (dict(IMI_CFG, controlled_level=2), BELOW_LEVEL),
+    (dict(IMI_CFG, controlled_level=3), BELOW_LEVEL),
+    ({k: v for k, v in IMI_CFG.items() if k != "controlled_level"},
+     BELOW_LEVEL),
+    (dict(IMI_CFG, level=3, ws=[12], labels=[["e", [1, 4], 1]]),
+     "schedule label ('e', (1, 4), 1) names a mode outside J")],
+    ids=["equal", "above", "absent", "label_outside_K1"])
+def test_imitate_acts_on_controlled_level(tmp_path, capsys, cfg, message):
+    # J is K^controlled_level, below the level: e_(1,4) lies in K^2 but not
+    # in K^1, and at level 3 with controlled_level 1 it was once applied by
+    # a K^2 control, with no error
+    path = write_cfg(tmp_path, "c.json", cfg)
+    assert main(["--out", str(tmp_path / "o"), "imitate",
+                 "--config", path]) == 2
+    assert "config error: " + message in capsys.readouterr().err
+
+
 def test_write_csv_matches_csv_writer(tmp_path):
     # zeros of every kind, bools, numpy scalars, extreme exponents and
     # seventeen digits, strings that need quoting and repeated floats; a

@@ -681,8 +681,7 @@ def test_imitate_direct_intervals_take_the_reference_run(level, nu):
     z = VertexSchedule(np.array([0.0, 0.3, 0.7, 1.1, 1.9]),
                        [("e", (1, 1), 1), ("e", (2, 1), -1), ("zero",),
                         ("e", (1, 2), 1)], 0.4)
-    res = imitate(sys, z, 16.0, 1e-8, J=K1,
-                  u0=SpectralField(G, {(2, 2): 0.05}))
+    res = imitate(sys, z, 16.0, 1e-8, u0=SpectralField(G, {(2, 2): 0.05}))
     assert res.gap == 0.0
     assert res.pinning == [0.0] * 4
     assert res.stats.accepted_steps > 0
@@ -717,12 +716,16 @@ def test_imitate_reference_derivative_is_one_sided():
               ("e", (2, 1), -1)]
     bps = np.array([0.0, math.pi / 3, math.pi / 2, 2 * math.pi / 3])
     res = imitate(sys, VertexSchedule(bps, labels, xi), 12.0, 1e-8, u0=u0)
+    J = sys.controlled_set
+    controls = {t_lo: (t_hi, v) for t_lo, t_hi, v in res.controls}
     for i in (1, 2):
-        t_lo, t_hi, v = res.controls[i]
-        want = np.zeros(len(res.J))
-        want[res.J.index(labels[i][1])] = labels[i][2] * xi
-        # a control's time starts at its interval's start
-        for t in (0.0, t_hi - t_lo):
+        # the interval after the interaction interval is tracked as one piece
+        t_hi, v = controls[bps[i]]
+        assert t_hi == bps[i + 1]
+        want = np.zeros(len(J))
+        want[J.index(labels[i][1])] = labels[i][2] * xi
+        # a control's time starts at its piece's start
+        for t in (0.0, t_hi - bps[i]):
             assert np.max(np.abs(v.value(t) - want)) < 0.1 * xi
 
 
@@ -737,13 +740,15 @@ def test_imitate_short_delta_interval_replays_without_hunting():
     res = imitate(sys, z, 4000.0, 1e-8, u0=u0)
     assert res.stats.rejected_steps <= 5
     assert res.stats.accepted_steps > 0
-    # the interval keeps one control, which reads each piece in turn: one
-    # replay of it across the corners ends where the piecewise replays did
-    (t_lo, t_hi, v), = res.controls
-    assert (t_lo, t_hi) == (0.0, 3e-4)
-    ctl_sys = make_sys(nu=0.03, mode_set=sys.mode_set, controlled=res.J)
-    tr = integrate(ctl_sys, u0, v, 3e-4, 1e-10)
-    assert np.max(np.abs(tr.states[-1] - res.end_state)) < 1e-8
+    # the interval delivers its ramp, sine and ramp pieces, each the control
+    # of its replay: replayed in turn at tol / 10, they end at the end state
+    rho = 3e-4 / 4000.0
+    assert [(a, b) for a, b, _ in res.controls] == [
+        (0.0, rho), (rho, 3e-4 - rho), (3e-4 - rho, 3e-4)]
+    y = u0
+    for t_lo, t_hi, v in res.controls:
+        y = sys.to_field(integrate(sys, y, v, t_hi - t_lo, 1e-9).states[-1])
+    assert np.array_equal(sys.to_vector(y), res.end_state)
 
 
 def test_imitate_tracked_intervals_are_polynomial_artifacts():
@@ -753,22 +758,24 @@ def test_imitate_tracked_intervals_are_polynomial_artifacts():
     bps = np.array([0.0, 0.2, 0.2 + math.pi / 3, 1.3, 1.5])
     res = imitate(sys, VertexSchedule(bps, labels, 0.2), 12.0, 1e-8, u0=u0)
     (_, _, direct), *tracked = res.controls
-    assert isinstance(direct, np.ndarray)
+    assert isinstance(direct, PiecewiseConstant)
+    assert direct.breakpoints.tolist() == [0.0, 0.2]
     rng = np.random.default_rng(8)
     for t_lo, t_hi, v in tracked:
         assert isinstance(v, PiecewisePolynomial)
         assert v.knots[0] == 0.0 and v.knots[-1] == t_hi - t_lo
-        assert v.coefficients.shape[2] == len(res.J)
+        assert v.coefficients.shape[2] == len(sys.controlled_set)
         desc = json.loads(json.dumps(v.describe()))
         del desc["kind"]
         again = PiecewisePolynomial(**desc)
         for t in rng.uniform(0.0, t_hi - t_lo, 100):
             assert np.array_equal(again.value(t), v.value(t))
-    # the interaction interval joins its ramp, sine and ramp pieces
-    knots = tracked[0][2].knots
+    # the interaction interval delivers its ramp, sine and ramp pieces, and
+    # the intervals after it one piece each
     rho = (math.pi / 3) / 12.0
-    for corner in (rho, math.pi / 3 - rho):
-        assert np.min(np.abs(knots - corner)) <= 1e-15
+    ends = [0.2, 0.2 + rho, 0.2 + math.pi / 3 - rho] + bps[2:].tolist()
+    assert np.max(np.abs(np.array([(a, b) for a, b, _ in tracked])
+                         - np.column_stack([ends[:-1], ends[1:]]))) <= 1e-15
 
 
 @pytest.mark.parametrize("labels, breakpoints", [
@@ -848,9 +855,10 @@ def test_cascade_target_in_K1_single_covering():
     assert out["achieved_distance"] < 0.05
     assert out["covering_residual"] < 1e-5
     # the single covering control lives on the eight lowest modes
-    (t_lo, t_hi, vec), = out["final_control"]
+    (t_lo, t_hi, v), = out["final_control"]
     assert (t_lo, t_hi) == (0.0, 0.5)
-    assert vec.shape == (8,)
+    assert isinstance(v, PiecewiseConstant)
+    assert v.breakpoints.tolist() == [0.0, 0.5] and v.values.shape == (1, 8)
 
 
 def test_cascade_tail_beyond_levels_rejected():
@@ -981,6 +989,23 @@ def test_cascade_covers_level_m_with_one_tangent_run(monkeypatch):
     assert len(jacobians) >= 1
     assert len(tangents) == len(jacobians) + 1
     assert len(inversions) == 1
+
+
+def test_cascade_final_control_replays_to_the_reported_distance():
+    # each final_control entry is the control that its piece was replayed
+    # under, so plain integrate runs of them in turn from u0 end where the
+    # cascade did; a replay of whole intervals, each piece's control joined
+    # into one, missed the distance by 3.2e-9
+    sys = cascade_sys()
+    tgt = SpectralField(G, {(1, 1): 0.05, (2, 2): 0.02, (1, 4): 0.01})
+    tol = 1e-8
+    out = cascade_to_K1(sys, tgt, 0.05, tol=tol)
+    assert out["M"] == 2
+    y = SpectralField(G, {})
+    for t_lo, t_hi, v in out["final_control"]:
+        y = sys.to_field(integrate(sys, y, v, t_hi - t_lo, tol / 10).states[-1])
+    assert abs(h_dist(sys, sys.to_vector(y), sys.to_vector(tgt))
+               - out["achieved_distance"]) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

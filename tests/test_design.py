@@ -14,7 +14,7 @@ import pytest
 import galns
 
 # names under which modules hold a GalerkinSystem
-SYSTEM_NAMES = {"sys", "full_sys", "ref_sys", "ctl_sys"}
+SYSTEM_NAMES = {"sys", "full_sys", "ref_sys", "level_sys"}
 
 
 def private_system_reads(source: str) -> list:
