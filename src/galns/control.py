@@ -117,11 +117,11 @@ def deviation_sweep(exp: EndpointExperiment, horizons, n_samples: int = 8,
     return rows
 
 
-def loglog_slope(x, y) -> float:
-    """Least-squares slope of log y against log x; NaN unless x holds two
-    distinct values, for otherwise no line is determined."""
-    if len(set(x)) < 2:
-        return float("nan")
+def loglog_slope(x, y):
+    """Least-squares slope of log y against log x; None unless x holds two
+    distinct values and no y is zero, for otherwise no line is determined."""
+    if len(set(x)) < 2 or 0.0 in y:
+        return None
     return float(np.polyfit(np.log(x), np.log(y), 1)[0])
 
 
@@ -464,20 +464,18 @@ def approximate_relaxed(family: RelaxedFamily, eps: float) -> ApproxResult:
 # Tracking control
 
 
-def tracking_control(sys: GalerkinSystem, J, q: Smooth,
-                     Q_init: SpectralField, t0: float, t1: float,
-                     tol: float = 1e-8) -> PiecewisePolynomial:
-    """Feedforward control on the modes J that makes the J-projection of the
-    trajectory follow q exactly, by co-integrating the complement dynamics
-    and cancelling the J-projected drift.  The control is one polynomial
-    per step of that integration on [t0, t1], fitted at its nodes, where
-    the complement comes from the integrator's dense output and q is read
-    at a column of node times, one block of sys.block_rows nodes at a time
-    as the dense output is."""
-    J = tuple(sorted(tuple(k) for k in J))
-    if not set(J) <= set(sys.mode_set):
-        raise ValueError("J must lie in mode_set")
-    idx_j = np.array([sys.index[k] for k in J], dtype=int)
+def tracking_control(sys: GalerkinSystem, q: Smooth, Q_init: SpectralField,
+                     t0: float, t1: float, tol: float = 1e-8):
+    """Feedforward control on the modes J = sys.controlled_set that makes
+    the J-projection of the trajectory follow q exactly, by co-integrating
+    the complement dynamics and cancelling the J-projected drift.  The
+    control is one polynomial per step of that integration on [t0, t1],
+    fitted at its nodes, where the complement comes from the integrator's
+    dense output and q is read at a column of node times, one block of
+    sys.block_rows nodes at a time as the dense output is.  Returns the
+    control on [0, t1 - t0], which integrate replays from Q_init as it is,
+    and the run's IntegratorStats."""
+    idx_j = sys.ctrl_idx
     lam_c = sys.lam.copy()
     lam_c[idx_j] = 0.0
 
@@ -495,18 +493,18 @@ def tracking_control(sys: GalerkinSystem, J, q: Smooth,
     run = adaptive_lawson(lam_c, nonlin, y0, t0, t1, tol / 100,
                           max_step=q.max_step, dense=True)
     knots, steps, theta, nodes = run.fit_nodes(t1)
-    values = np.empty((len(nodes), len(J)))
+    values = np.empty((len(nodes), len(idx_j)))
     for lo in range(0, len(nodes), sys.block_rows):
         cols = slice(lo, lo + sys.block_rows)
         at = nodes[cols, None]
         full = run.dense(lam_c, steps[cols], theta[cols]).T
-        full[idx_j] = np.broadcast_to(q.value(at), (len(at), len(J))).T
+        full[idx_j] = np.broadcast_to(q.value(at), (len(at), len(idx_j))).T
         drift = (sys.quadratic_vec(full) + sys.lam[:, None] * full
                  + sys.forcing_vec[:, None])
         values[cols] = q.derivative(at) - drift[idx_j].T
     return PiecewisePolynomial.fit(
-        knots, values.reshape(len(knots) - 1, len(POLY_THETA), len(J)),
-        max_step=q.max_step, stats=run.stats)
+        knots - t0, values.reshape(len(knots) - 1, len(POLY_THETA), -1),
+        max_step=q.max_step), run.stats
 
 
 # ---------------------------------------------------------------------------
@@ -646,17 +644,15 @@ def imitate(sys: GalerkinSystem, z: VertexSchedule, w: float,
                 q = Smooth(lambda t, _w=wave: window.value(t) + _w(t, 0),
                            lambda t, _w=wave: slope.value(t) + _w(t, 1),
                            max_step)
-                v = tracking_control(sys, J, q, sys.to_field(state), t0=a,
-                                     t1=b, tol=tol_in)
+                v, track_stats = tracking_control(
+                    sys, q, sys.to_field(state), t0=a, t1=b, tol=tol_in)
                 # each piece is replayed on its own, in its own time, and
                 # delivered as it was replayed
-                piece = PiecewisePolynomial(v.knots - a, v.coefficients,
-                                            max_step)
-                tr = integrate(sys, sys.to_field(state), piece, b - a, tol_in)
+                tr = integrate(sys, sys.to_field(state), v, b - a, tol_in)
                 state = tr.states[-1]
-                stats.add(v.stats)
+                stats.add(track_stats)
                 stats.add(tr.stats)
-                controls.append((float(a), float(b), piece))
+                controls.append((float(a), float(b), v))
         ref = run.states[-1]
         pinning.append(float(np.sum(np.abs(state[idx_j] - ref[idx_j]))))
 
@@ -876,7 +872,8 @@ class CascadeStep:
 
 def cascade_to_K1(sys: GalerkinSystem, target: SpectralField, eps: float,
                   u0: SpectralField = None, tol: float = 1e-8) -> dict:
-    """Reach the target approximately with a control on K^1 only.
+    """Reach the target approximately with a control on K^1 only, which
+    must be sys.controlled_set.
 
     A fully actuated covering step matches the projection of the target onto
     the smallest K^M carrying all but eps/2 of it.  Then, level by level,
@@ -885,6 +882,11 @@ def cascade_to_K1(sys: GalerkinSystem, target: SpectralField, eps: float,
     imitated by fast oscillation of the lower modes; each level's end-state
     drift must stay within eps/(2M), doubling the oscillation frequency from
     CASCADE_W0 up to CASCADE_W_CAP before reporting failure."""
+    if set(sys.controlled_set) != set(mode_set_K(1)):
+        raise ValueError("controlled_set must be K^1: the cascade acts on it")
+    # NaN compares false, so this test rejects it too
+    if not 0 < eps < np.inf:
+        raise ValueError("eps must be positive and finite, got %r" % (eps,))
     if u0 is None:
         u0 = SpectralField(sys.geom, {})
     n_level = infer_level(sys.mode_set)
@@ -923,8 +925,9 @@ def cascade_to_K1(sys: GalerkinSystem, target: SpectralField, eps: float,
             full_sys, level, y_prev, u0, tol, budget / 8,
             p if level == m_level else _cover(full_sys, u0, y_prev, level,
                                               tol)[0])
-        level_sys = GalerkinSystem(sys.geom, sys.nu, sys.forcing,
-                                   sys.mode_set, mode_set_K(level - 1))
+        # the last level imitates on sys itself, whose controlled set is K^1
+        level_sys = sys if level == 2 else GalerkinSystem(
+            sys.geom, sys.nu, sys.forcing, sys.mode_set, mode_set_K(level - 1))
         w = CASCADE_W0
         while True:
             res = imitate(level_sys, z, w, tol, u0=u0)

@@ -354,15 +354,12 @@ class PiecewisePolynomial:
     the value is sum_k coefficients[i, k] T_k(x), with T_k the Chebyshev
     polynomials and x = (2 t - knots[i] - knots[i+1]) / (knots[i+1] -
     knots[i]); outside the knots it holds the end values.  describe()
-    holds its kind and every field but stats, and PiecewisePolynomial of
-    those fields rebuilds the same control.  A control computed by an
-    integration (a tracking control) carries that integration's work in
-    stats."""
+    holds its kind and every field, and PiecewisePolynomial of those
+    fields rebuilds the same control."""
 
     knots: np.ndarray         # (n + 1,)
     coefficients: np.ndarray  # (n, POLY_DEGREE + 1, controlled modes)
     max_step: float = np.inf
-    stats: "IntegratorStats" = None
 
     def __post_init__(self):
         self.knots = np.asarray(self.knots, dtype=float)

@@ -449,10 +449,10 @@ def test_pinning_measures_the_delivered_control(tmp_path, monkeypatch):
     track = control.tracking_control
 
     def perturbed(*args, **kwargs):
-        v = track(*args, **kwargs)
+        v, stats = track(*args, **kwargs)
         coefficients = v.coefficients.copy()
         coefficients[:, 0] += 1e-6
-        return replace(v, coefficients=coefficients)
+        return replace(v, coefficients=coefficients), stats
     monkeypatch.setattr(control, "tracking_control", perturbed)
     out = str(tmp_path / "o")
     assert main(["--out", out, "imitate", "--config",
@@ -536,6 +536,20 @@ def test_steer_experiments_rows_in_config_order(tmp_path):
         rows = list(csv.reader(fh))
     assert len(rows) == 2 * 2 ** 8 + 1
     assert [r[0] for r in rows[1:]] == ["0"] * 2 ** 8 + ["1"] * 2 ** 8
+
+
+@pytest.mark.parametrize("fit_horizons", [[0.1], [0.1, 0.1]],
+                         ids=["one", "repeated"])
+def test_steer_single_fit_horizon_slope_is_null(tmp_path, fit_horizons):
+    # one fit horizon determines no slope: it was written as NaN, not JSON
+    out = str(tmp_path / "o")
+    cfg = write_cfg(tmp_path, "s.json",
+                    dict(STEER_GRID_CFG, fit_horizons=fit_horizons))
+    assert main(["--out", out, "steer", "--config", cfg]) == 0
+    for name in ("steer_report.json", "report.json"):
+        with open(os.path.join(out, name)) as fh:
+            rep = json.loads(fh.read(), parse_constant=pytest.fail)
+        assert rep["experiments"][0]["deviation_slope"] is None
 
 
 @pytest.mark.parametrize("jobs", ["0", "2"])

@@ -619,7 +619,7 @@ def test_tracking_reproduces_random_targets():
                    amp * freq * np.cos(freq * t),
                    max_step=0.05)
         u0 = SpectralField(G, dict(zip(K1, c0)))
-        v = tracking_control(sys, K1, q, u0, t0=0.0, t1=0.4, tol=tol)
+        v, _ = tracking_control(sys, q, u0, t0=0.0, t1=0.4, tol=tol)
         tr = integrate(sys, u0, v, 0.4, tol)
         idx = [sys.index[k] for k in K1]
         errs = [np.max(np.abs(y[idx] - q.value(t)))
@@ -631,7 +631,7 @@ def test_tracking_zero_target_is_equilibrium():
     sys = make_sys()
     q = Smooth(value=lambda t: np.zeros(8),
                derivative=lambda t: np.zeros(8), max_step=0.1)
-    v = tracking_control(sys, K1, q, SpectralField(G, {}), 0.0, 0.3)
+    v, _ = tracking_control(sys, q, SpectralField(G, {}), 0.0, 0.3)
     for t in (0.0, 0.1, 0.25):
         assert np.max(np.abs(v.value(t))) < 1e-12
 
@@ -641,15 +641,28 @@ def test_tracking_rejects_empty_interval():
     q = Smooth(value=lambda t: np.zeros(8), derivative=lambda t: np.zeros(8),
                max_step=0.1)
     with pytest.raises(ValueError, match="t1 > t0"):
-        tracking_control(sys, K1, q, SpectralField(G, {}), t0=0.5, t1=0.5)
+        tracking_control(sys, q, SpectralField(G, {}), t0=0.5, t1=0.5)
 
 
-def test_tracking_rejects_modes_outside_system():
+def test_tracking_control_replays_in_its_own_time():
+    # tracked on [0.3, 0.7], the control runs on [0, 0.7 - 0.3] (0.4 less
+    # an ulp): integrate replays it as returned from the state at 0.3, and
+    # the J modes follow q(0.3 + s)
     sys = make_sys()
-    q = Smooth(value=lambda t: np.zeros(1), derivative=lambda t: np.zeros(1),
-               max_step=0.1)
-    with pytest.raises(ValueError):
-        tracking_control(sys, [(9, 9)], q, SpectralField(G, {}), 0.0, 1.0)
+    tol = 1e-8
+    c0 = np.linspace(-0.2, 0.2, 8)
+    q = Smooth(value=lambda t: c0 * np.cos(2 * t),
+               derivative=lambda t: -2 * c0 * np.sin(2 * t), max_step=0.05)
+    u_start = SpectralField(G, {**dict(zip(K1, q.value(0.3))),
+                                (3, 3): 0.03, (1, 4): -0.02})
+    v, stats = tracking_control(sys, q, u_start, t0=0.3, t1=0.7, tol=tol)
+    T = 0.7 - 0.3
+    assert v.knots[0] == 0.0 and v.knots[-1] == T
+    assert stats.accepted_steps == len(v.knots) - 1
+    tr = integrate(sys, u_start, v, T, tol)
+    errs = [np.max(np.abs(y[sys.ctrl_idx] - q.value(0.3 + s)))
+            for s, y in zip(tr.times, tr.states)]
+    assert max(errs) <= 10 * tol
 
 
 # ---------------------------------------------------------------------------
@@ -810,22 +823,24 @@ def test_imitation_sweep_slope():
 
 
 def test_imitation_sweep_single_frequency_has_no_slope():
-    """One point determines no line: the slope is NaN, which fails any
-    slope criterion, rather than a least-squares value through one point."""
+    """One point determines no line: the slope is None, not a
+    least-squares value through one point."""
     sys, z, u0 = imitation_case()
     gaps = [imitate(sys, z, 6.0, 1e-8, u0=u0).gap]
     assert len(gaps) == 1
-    assert math.isnan(loglog_slope([6.0], gaps))
+    assert loglog_slope([6.0], gaps) is None
 
 
 def test_loglog_slope_of_power_laws():
     x = [1.0, 2.0, 4.0, 8.0]
     assert loglog_slope(x, [3 * t ** -1.5 for t in x]) == \
         pytest.approx(-1.5, abs=1e-12)
-    assert math.isnan(loglog_slope([2.0], [5.0]))
-    assert math.isnan(loglog_slope([], []))
+    assert loglog_slope([2.0], [5.0]) is None
+    assert loglog_slope([], []) is None
     # two points at one x determine no line either; polyfit only warned
-    assert math.isnan(loglog_slope([12.0, 12.0], [0.3, 0.2]))
+    assert loglog_slope([12.0, 12.0], [0.3, 0.2]) is None
+    # nor does a zero y, which has no logarithm
+    assert loglog_slope([6.0, 12.0], [0.0, 0.2]) is None
 
 
 # ---------------------------------------------------------------------------
@@ -859,12 +874,35 @@ def test_cascade_target_in_K1_single_covering():
     assert (t_lo, t_hi) == (0.0, 0.5)
     assert isinstance(v, PiecewiseConstant)
     assert v.breakpoints.tolist() == [0.0, 0.5] and v.values.shape == (1, 8)
+    # replayed on sys from u0, it ends where the covering did
+    y = integrate(sys, SpectralField(G, {}), v, t_hi - t_lo).states[-1]
+    assert abs(h_dist(sys, y, sys.to_vector(tgt))
+               - out["achieved_distance"]) <= 1e-12
 
 
 def test_cascade_tail_beyond_levels_rejected():
     sys = cascade_sys()
     tgt = SpectralField(G, {(9, 9): 10.0})
     with pytest.raises(ValueError):
+        cascade_to_K1(sys, tgt, 0.05)
+
+
+@pytest.mark.parametrize("eps", [float("nan"), 0.0, -1.0, float("inf")],
+                         ids=["nan", "zero", "negative", "inf"])
+def test_cascade_rejects_eps_outside_positive_finite(eps):
+    # NaN ran to a NaN budget, 0 and -1 blamed the target's tail, and inf
+    # passed vacuously
+    tgt = SpectralField(G, {(1, 2): 0.06, (3, 1): 0.03})
+    with pytest.raises(ValueError, match="eps must be positive and finite"):
+        cascade_to_K1(cascade_sys(), tgt, eps)
+
+
+def test_cascade_needs_a_system_controlled_on_K1():
+    # its control acts on K^1: on a system controlled on K^3 no entry of
+    # final_control could be replayed by integrate
+    sys = GalerkinSystem(G, 0.2, SpectralField(G, {}), K3, K3)
+    tgt = SpectralField(G, {(1, 1): 0.05, (2, 2): 0.02, (1, 5): 0.01})
+    with pytest.raises(ValueError, match="controlled_set"):
         cascade_to_K1(sys, tgt, 0.05)
 
 
