@@ -196,15 +196,21 @@ def _csv_field(x, floats):
     return s
 
 
+# rows per float-text cache of _write_csv: repeated values within a block
+# are formatted once, and the cache never outgrows the block
+_CSV_CACHE_ROWS = 1024
+
+
 def _write_csv(outdir, name, header, rows):
     """Write the table as csv.writer does, byte for byte, for fields that
     are not None and rows that are not one empty string, with CRLF line
     ends; rows are written one at a time, and each distinct nonzero float
-    is formatted once per table."""
-    floats = {}
+    is formatted once per block of _CSV_CACHE_ROWS rows."""
     with open(os.path.join(outdir, name), "w", newline="") as fh:
-        fh.write(",".join([_csv_field(x, floats) for x in header]) + "\r\n")
-        for row in rows:
+        fh.write(",".join([_csv_field(x, {}) for x in header]) + "\r\n")
+        for i, row in enumerate(rows):
+            if i % _CSV_CACHE_ROWS == 0:
+                floats = {}
             fh.write(",".join([_csv_field(x, floats) for x in row]) + "\r\n")
     return name
 

@@ -233,8 +233,12 @@ def covering_check(exp: EndpointExperiment, grid_per_dim: int = 3,
     every grid target is solved for by invert_endpoint's chord Newton step
     with the Jacobian DF(0) of one tangent run (endpoint_tangent), from the
     chord prediction p0 = DF(0)^-1 (target - F(0)), and the residuals are
-    certified directly.  rows_mapped counts the endpoint-map rows of the
-    inversion plus the tangent run's 1 + d columns."""
+    certified directly.  The targets are inverted one block of
+    sys.block_rows at a time, the blocks endpoint_map integrates as one
+    stack, so a target that needs a second map shares its step sequence
+    only with targets of its own block.  rows_mapped counts the
+    endpoint-map rows of the inversion plus the tangent run's 1 + d
+    columns."""
     if grid_per_dim < 2:
         raise ValueError("grid_per_dim must be at least 2, got %r"
                          % (grid_per_dim,))
@@ -252,10 +256,15 @@ def covering_check(exp: EndpointExperiment, grid_per_dim: int = 3,
     targets += exp.observed(exp.sys.to_vector(exp.u0))
     F0, DF, tangent_stats = endpoint_tangent(exp.sys, exp.u0,
                                              exp.observed_set, T, exp.tol)
-    # the impulses are not reported, so their stack is not kept
-    residuals, iterations = invert_endpoint(
-        lambda P: endpoint_map(exp, P, T), targets, F0, DF, residual_tol,
-        60)[1:]
+    # one endpoint_map block at a time, so the inversion's stacks are
+    # block-sized; the impulses are not reported, so they are not kept
+    residuals = np.empty(len(targets))
+    iterations = np.empty(len(targets), dtype=int)
+    for lo in range(0, len(targets), exp.sys.block_rows):
+        rows = slice(lo, lo + exp.sys.block_rows)
+        residuals[rows], iterations[rows] = invert_endpoint(
+            lambda P: endpoint_map(exp, P, T), targets[rows], F0, DF,
+            residual_tol, 60)[1:]
 
     failures = [{"target": targets[i].tolist(),
                  "residual": float(residuals[i])}

@@ -533,6 +533,10 @@ ERR_FRACTION = 0.1
 # the smallest and largest factor by which one step may change h.
 _SAFETY, _EXP_ERR, _EXP_PREV = 0.9, 0.17, 0.04
 _SHRINK_MIN, _GROW_MAX = 0.2, 10.0
+# A time within this fraction of the span short of a run's end is its end:
+# the sum of the steps, or a difference such as 0.7 - 0.3, can fall a few
+# ulps short of it.
+_END_ROUNDOFF = 1e-15
 
 
 class LawsonRun(NamedTuple):
@@ -619,9 +623,9 @@ def adaptive_lawson(lam, nonlin, y0, t0, t1, tol, max_step=np.inf,
             (ERR_FRACTION * tol / fmax) ** 0.2 if fmax > 0 else np.inf)
     prev_ratio = 1e-4
     grow_max = _GROW_MAX
-    # the run ends once t is within roundoff of t1; the sum of the steps can
-    # fall a few ulps of t1 short of it, which must not cost one more step
-    t_end = t1 - 1e-15 * max(span, abs(t1))
+    # the run ends once t is within roundoff of t1, which must not cost one
+    # more step
+    t_end = t1 - _END_ROUNDOFF * max(span, abs(t1))
     with np.errstate(over="ignore", invalid="ignore"):
         while t < t_end:
             h = min(h, t1 - t)
@@ -667,9 +671,10 @@ def adaptive_lawson(lam, nonlin, y0, t0, t1, tol, max_step=np.inf,
 def _walk(sys: GalerkinSystem, u0: SpectralField, control, T: float):
     """u0 as a vector and the segments (t0, t1, v) of [0, T], split at the
     control's breakpoints, once the horizon, u0 and the control are checked:
-    None or a piecewise one of width len(controlled_set) covering [0, T].
-    v is the segment's constant control as a full-state vector (zeros for
-    no control), or None for a PiecewisePolynomial, read at each time."""
+    None or a piecewise one of width len(controlled_set) covering [0, T],
+    where a breakpoint within _END_ROUNDOFF of T counts as T.  v is the
+    segment's constant control as a full-state vector (zeros for no
+    control), or None for a PiecewisePolynomial, read at each time."""
     if not 0 < T < np.inf:
         raise ValueError("horizon must be positive and finite, got %r" % (T,))
     y = sys.to_vector(u0)
@@ -685,12 +690,13 @@ def _walk(sys: GalerkinSystem, u0: SpectralField, control, T: float):
         raise TypeError("unsupported control signal")
     if width != len(sys.controlled_set):
         raise ValueError("control dimension != |controlled_set|")
-    if span[0] > 0 or span[-1] < T:
+    t_end = T - _END_ROUNDOFF * T
+    if span[0] > 0 or span[-1] < t_end:
         raise ValueError("control breakpoints span [%r, %r], which does not "
                          "cover [0, %r]" % (float(span[0]), float(span[-1]), T))
     if isinstance(control, PiecewisePolynomial):
         return y, [(0.0, T, None)]
-    knots = [0.0] + [t for t in control.breakpoints if 0.0 < t < T] + [T]
+    knots = [0.0] + [t for t in control.breakpoints if 0.0 < t < t_end] + [T]
     return y, [(t0, t1, sys.control_vec(control.value(0.5 * (t0 + t1))))
                for t0, t1 in zip(knots[:-1], knots[1:])]
 
@@ -700,9 +706,9 @@ def integrate(sys: GalerkinSystem, u0: SpectralField, control, T: float,
     """Integrate the controlled system over [0, T] with adaptive_lawson at
     absolute local error tol on the coefficients, under no control (None),
     a PiecewiseConstant or a PiecewisePolynomial one.  Control breakpoints
-    are exact knots: each starts a new segment.  The Trajectory keeps the
-    accepted times and states, no stages, and its stats sum the work of
-    all segments."""
+    are exact knots: each starts a new segment, but one within roundoff of
+    T counts as T.  The Trajectory keeps the accepted times and states, no
+    stages, and its stats sum the work of all segments."""
     y, segments = _walk(sys, u0, control, T)
     times = [0.0]
     states = [y.copy()]

@@ -495,14 +495,19 @@ def test_write_csv_matches_csv_writer(tmp_path):
             ["a,b", 'say "hi"', "line\nend", "", "plain", 1.0, 1, 0.0],
             [1e-300, 1e16, 0.1, -0.0, 0.0, 0, True, "0.1"]]
     header = ["x%d" % i for i in range(8)]
-    cli._write_csv(str(tmp_path), "new.csv", header, rows)
-    with open(tmp_path / "old.csv", "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(header)
-        wr.writerows(rows)
-    new = (tmp_path / "new.csv").read_bytes()
-    assert new == (tmp_path / "old.csv").read_bytes()
-    assert b"\r\n0,0.0,-0.0,False,1,1.0,True,0.1\r\n" in new
+    # the table once, then repeated past the float-text cache's block of
+    # rows, so its restarts are checked too
+    long_rows = rows * (2500 // len(rows))
+    assert len(long_rows) > 2 * cli._CSV_CACHE_ROWS
+    for name, table in (("short", rows), ("long", long_rows)):
+        cli._write_csv(str(tmp_path), name + ".csv", header, table)
+        with open(tmp_path / (name + "_old.csv"), "w", newline="") as fh:
+            wr = csv.writer(fh)
+            wr.writerow(header)
+            wr.writerows(table)
+        new = (tmp_path / (name + ".csv")).read_bytes()
+        assert new == (tmp_path / (name + "_old.csv")).read_bytes()
+        assert b"\r\n0,0.0,-0.0,False,1,1.0,True,0.1\r\n" in new
 
 
 def test_steer_small_grid(tmp_path):

@@ -545,6 +545,29 @@ def test_integrate_rejects_control_not_covering_horizon(bps):
     assert integrate(sys, u0, wide, 0.3).times[-1] == 0.3
 
 
+def test_integrate_accepts_control_ending_within_roundoff_of_horizon():
+    """A control made on [0.3, 0.7] and replayed in its own time ends at
+    0.7 - 0.3, an ulp short of 0.4; that covers the horizon 0.4, as it
+    would in adaptive_lawson, and the run matches the control that ends at
+    0.4 itself.  A control 1e-12 short is still refused."""
+    sys = make_sys()
+    u0 = SpectralField(G, {(1, 1): 1.0})
+    T = 0.4
+    assert 0.7 - 0.3 < T
+    values = np.linspace(-1.0, 1.0, len(K1))[None, :]
+    coefficients = np.zeros((1, 8, len(K1)))
+    coefficients[0, 0] = values[0]
+    for make, args in ((PiecewiseConstant, values),
+                       (PiecewisePolynomial, coefficients)):
+        exact = integrate(sys, u0, make([0.0, T], args), T)
+        short = integrate(sys, u0, make([0.0, 0.7 - 0.3], args), T)
+        assert short.times[-1] == T
+        np.testing.assert_allclose(short.states[-1], exact.states[-1],
+                                   rtol=0, atol=1e-14)
+        with pytest.raises(ValueError, match="does not cover"):
+            integrate(sys, u0, make([0.0, T - 1e-12], args), T)
+
+
 def test_smooth_control_sine_forcing():
     # single controlled mode with sinusoidal input at tiny amplitude:
     # compare against the exact linear response
