@@ -125,6 +125,8 @@ def _field(cfg, name, geom):
     for v in table.values():
         if not _is_a(v, (int, float)):
             raise ConfigError("field %r: value %r is not a number" % (name, v))
+        if not math.isfinite(v):
+            raise ConfigError("%s must be finite" % name)
     return SpectralField(geom, {_mode_key(k): float(v)
                                 for k, v in table.items()})
 
@@ -318,8 +320,8 @@ def cmd_steer(cfg, outdir):
     reports = [_covering(exp_cfg) for exp_cfg in experiments]
     d = max(rep["observed_dim"] for rep in reports)
     tables = [rep.pop("per_target") for rep in reports]
-    # each row is made from the arrays as it is written
-    rows = ([i] + target.tolist() + [res, its]
+    # each row is made from the arrays as it is written, padded to d targets
+    rows = ([i] + target.tolist() + [""] * (d - len(target)) + [res, its]
             for i, t in enumerate(tables)
             for target, res, its in zip(t.targets, t.residuals.tolist(),
                                         t.iterations.tolist()))

@@ -45,9 +45,21 @@ class EndpointExperiment:
                 raise ValueError("%s must exceed %d and be finite, got %r"
                                  % (name, low, getattr(self, name)))
         self._obs_idx = [self.sys.index[k] for k in self.observed_set]
+        self._y0 = self.sys.to_vector(self.u0)  # every map starts here
 
     def observed(self, y: np.ndarray) -> np.ndarray:
         return y[self._obs_idx]
+
+
+def _end_states(sys: GalerkinSystem, y0, idx, P, T: float, tol: float):
+    """End states, shape (dim, B), of the runs from the vector y0 under the
+    constant controls P / T on the modes idx, one per row of P, as one
+    stack on one step sequence whose error control holds for every row."""
+    drift = np.repeat(sys.forcing_vec[:, None], len(P), axis=1)
+    drift[idx] += P.T / T
+    return adaptive_lawson(
+        sys.lam[:, None], lambda z, t: sys.quadratic_vec(z) + drift,
+        np.repeat(y0[:, None], len(P), axis=1), 0.0, T, tol).states[-1]
 
 
 def endpoint_map(exp: EndpointExperiment, p: np.ndarray,
@@ -56,9 +68,8 @@ def endpoint_map(exp: EndpointExperiment, p: np.ndarray,
     modes.
 
     p is one impulse of shape (d,) or a stack of impulses of shape (B, d),
-    giving one observation per row.  A stack is integrated in blocks of
-    sys.block_rows rows; each block shares one step sequence whose error
-    control holds for every row."""
+    giving one observation per row; the stack is integrated as one
+    (_end_states)."""
     p = np.asarray(p, dtype=float)
     T = exp.horizon if T is None else T
     if not 0 < T < np.inf:
@@ -66,28 +77,14 @@ def endpoint_map(exp: EndpointExperiment, p: np.ndarray,
     if np.any(np.sum(np.abs(p), axis=-1)
               >= exp.gamma_infl * exp.radius * (1 + 1e-12)):
         raise ValueError("control impulse leaves the inflated ball")
-    sys = exp.sys
-    stack = np.atleast_2d(p)
-    y0 = sys.to_vector(exp.u0)
-    out = np.empty_like(stack)
-    for lo in range(0, len(stack), sys.block_rows):
-        block = stack[lo:lo + sys.block_rows]
-        drift = np.repeat(sys.forcing_vec[:, None], len(block), axis=1)
-        drift[exp._obs_idx] += block.T / T
-
-        def nonlin(z, t):
-            return sys.quadratic_vec(z) + drift
-        end = adaptive_lawson(
-            sys.lam[:, None], nonlin,
-            np.repeat(y0[:, None], len(block), axis=1), 0.0, T,
-            exp.tol).states[-1]
-        out[lo:lo + len(block)] = exp.observed(end).T
+    out = exp.observed(_end_states(exp.sys, exp._y0, exp._obs_idx,
+                                   np.atleast_2d(p), T, exp.tol)).T
     return out if p.ndim == 2 else out[0]
 
 
 def reference_map(exp: EndpointExperiment, p: np.ndarray) -> np.ndarray:
     """Zero-horizon idealization: observed initial state plus the impulse."""
-    return exp.observed(exp.sys.to_vector(exp.u0)) + np.asarray(p, dtype=float)
+    return exp.observed(exp._y0) + np.asarray(p, dtype=float)
 
 
 def _ball_samples(rng, dim, radius, count):
@@ -166,17 +163,19 @@ def endpoint_tangent(sys: GalerkinSystem, u0: SpectralField, modes,
     return y[idx], Z[idx], stats
 
 
-def invert_endpoint(F, targets, F0, DF, tol: float, max_iter: int):
+INVERT_MAX_ITER = 60  # the map calls after which a row is given up
+
+
+def invert_endpoint(F, targets, F0, inverse, tol: float):
     """Solve F(p) = target for each row of a (B, d) stack by the chord
-    Newton step from F0 = F(0) and the (d, d) Jacobian DF = DF(0): p
-    starts at DF^-1 (target - F0) and moves by DF^-1 (target - F(p)),
-    with DF inverted once.  The rows still iterating are mapped together
-    as one stack (a view of the impulses while every row iterates, so F
-    must not write into it); each stops once its l1 residual is below tol
-    or after max_iter map calls.  Returns the impulses, each row's last
-    residual and each row's number of map calls."""
-    inverse = np.linalg.inv(DF).T
-    p = (targets - F0) @ inverse
+    Newton step from F0 = F(0) and the inverse of the Jacobian DF(0): p
+    starts at DF^-1 (target - F0) and moves by DF^-1 (target - F(p)).  The
+    rows still iterating are mapped together as one stack (a view of the
+    impulses while every row iterates, so F must not write into it); each
+    stops once its l1 residual is below tol or after INVERT_MAX_ITER map
+    calls.  Returns the impulses, each row's last residual and each row's
+    number of map calls."""
+    p = (targets - F0) @ inverse.T
     residuals = np.zeros(len(p))
     calls = np.zeros(len(p), dtype=int)
     active = np.arange(len(p))
@@ -187,9 +186,9 @@ def invert_endpoint(F, targets, F0, DF, tol: float, max_iter: int):
         res = np.sum(np.abs(r), axis=1)
         residuals[rows] = res
         calls[rows] += 1
-        going = (res >= tol) & (calls[rows] < max_iter)
+        going = (res >= tol) & (calls[rows] < INVERT_MAX_ITER)
         active = active[going]
-        p[active] += r[going] @ inverse
+        p[active] += r[going] @ inverse.T
     return p, residuals, calls
 
 
@@ -231,11 +230,10 @@ def covering_check(exp: EndpointExperiment, grid_per_dim: int = 3,
                    seed: int = 0) -> dict:
     """Constructive covering of the R-ball around the observed initial state:
     every grid target is solved for by invert_endpoint's chord Newton step
-    with the Jacobian DF(0) of one tangent run (endpoint_tangent), from the
-    chord prediction p0 = DF(0)^-1 (target - F(0)), and the residuals are
-    certified directly.  The targets are inverted one block of
-    sys.block_rows at a time, the blocks endpoint_map integrates as one
-    stack, so a target that needs a second map shares its step sequence
+    from F(0) and DF(0) of one tangent run (endpoint_tangent), DF(0)
+    inverted once, and the residuals are certified directly.  The targets
+    are inverted, and so mapped as one stack, one block of sys.block_rows
+    at a time: a target that needs a second map shares its step sequence
     only with targets of its own block.  rows_mapped counts the
     endpoint-map rows of the inversion plus the tangent run's 1 + d
     columns."""
@@ -253,18 +251,18 @@ def covering_check(exp: EndpointExperiment, grid_per_dim: int = 3,
     T = min(exp.horizon, T0)
 
     targets = _ball_grid(exp.radius, d, grid_per_dim)
-    targets += exp.observed(exp.sys.to_vector(exp.u0))
+    targets += exp.observed(exp._y0)
     F0, DF, tangent_stats = endpoint_tangent(exp.sys, exp.u0,
                                              exp.observed_set, T, exp.tol)
-    # one endpoint_map block at a time, so the inversion's stacks are
-    # block-sized; the impulses are not reported, so they are not kept
+    inverse = np.linalg.inv(DF)
+    # block-sized stacks; the impulses are not reported, so not kept
     residuals = np.empty(len(targets))
     iterations = np.empty(len(targets), dtype=int)
     for lo in range(0, len(targets), exp.sys.block_rows):
         rows = slice(lo, lo + exp.sys.block_rows)
         residuals[rows], iterations[rows] = invert_endpoint(
-            lambda P: endpoint_map(exp, P, T), targets[rows], F0, DF,
-            residual_tol, 60)[1:]
+            lambda P: endpoint_map(exp, P, T), targets[rows], F0, inverse,
+            residual_tol)[1:]
 
     failures = [{"target": targets[i].tolist(),
                  "residual": float(residuals[i])}
@@ -693,20 +691,19 @@ def _cover(full_sys, u0, goal, level, tol):
     """First-order covering: the impulse on the modes of K^level, held
     constant over [0, CASCADE_HORIZON], whose end state matches goal on
     them, by invert_endpoint from F(0) and DF(0) of one endpoint_tangent
-    run.  Returns (impulse, l1 residual, end state)."""
+    run, each map one _end_states run.  Returns (impulse, l1 residual, end
+    state)."""
     horizon = CASCADE_HORIZON
     modes = sorted(mode_set_K(level))
     idx = [full_sys.index[k] for k in modes]
     F0, DF, _ = endpoint_tangent(full_sys, u0, modes, horizon, tol)
-    ends = []
+    y0, ends = full_sys.to_vector(u0), []
 
     def F(P):
-        full = np.zeros(full_sys.dim)
-        full[idx] = P[0] / horizon
-        ends.append(integrate(full_sys, u0, PiecewiseConstant(
-            [0.0, horizon], [full]), horizon, tol).states[-1])
+        ends.append(_end_states(full_sys, y0, idx, P, horizon, tol)[:, 0])
         return ends[-1][idx][None]
-    p, res, _ = invert_endpoint(F, goal[idx][None], F0, DF, 100 * tol, 60)
+    p, res, _ = invert_endpoint(F, goal[idx][None], F0, np.linalg.inv(DF),
+                                100 * tol)
     return p[0], float(res[0]), ends[-1]
 
 

@@ -543,6 +543,26 @@ def test_steer_experiments_rows_in_config_order(tmp_path):
     assert [r[0] for r in rows[1:]] == ["0"] * 2 ** 8 + ["1"] * 2 ** 8
 
 
+def test_steer_rows_of_a_lower_observed_dim_are_padded(tmp_path):
+    # experiments observed on K^1 (d = 8) and K^2 (d = 15): the d = 8 rows
+    # wrote their residual under target_8, so csv.DictReader read their
+    # residual and iterations as None
+    exp = dict(STEER_GRID_CFG, level=2, controlled_level=2)
+    cfg = write_cfg(tmp_path, "s.json", {"experiments": [
+        dict(exp, observed_level=1), dict(exp, observed_level=2)]})
+    out = str(tmp_path / "o")
+    assert main(["--out", out, "steer", "--config", cfg]) == 0
+    reps = read_json(out, "steer_report.json")["experiments"]
+    with open(os.path.join(out, "steer_residuals.csv"), newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 2 ** 8 + 2 ** 15
+    assert {r["target_%d" % i] for r in rows[:2 ** 8]
+            for i in range(8, 15)} == {""}
+    for rep, part in zip(reps, (rows[:2 ** 8], rows[2 ** 8:])):
+        assert max(float(r["residual"]) for r in part) == rep["max_residual"]
+        assert all(int(r["iterations"]) >= 1 for r in part)
+
+
 @pytest.mark.parametrize("fit_horizons", [[0.1], [0.1, 0.1]],
                          ids=["one", "repeated"])
 def test_steer_single_fit_horizon_slope_is_null(tmp_path, fit_horizons):
@@ -693,15 +713,17 @@ STEER_GRID_CFG = {
      "field 'seed' must be at least 0, got -1"),
     ("lierank", dict(LIERANK_CFG, seed=-1),
      "field 'seed' must be at least 0, got -1"),
+    ("steer", dict(STEER_GRID_CFG, u0={"1,1": NAN}), "u0 must be finite"),
+    ("imitate", dict(IMI_CFG, u0={"1,1": NAN}), "u0 must be finite"),
 ], ids=["tol", "residual_tol", "radius", "gamma_infl", "horizon", "xi", "w",
         "slope_threshold_nan", "slope_threshold_inf", "ws_repeated",
         "seed_steer",
-        "seed_lierank"])
+        "seed_lierank", "u0_steer", "u0_imitate"])
 def test_non_finite_numbers_are_config_errors(tmp_path, capsys, command, cfg,
                                                message):
     # every comparison with NaN is false: a NaN residual_tol let every
-    # target pass, and a NaN tol or radius ran into a step underflow; a
-    # negative seed once reached numpy, whose message names no field
+    # target pass, and a NaN tol, radius or u0 ran into a step underflow;
+    # a negative seed once reached numpy, whose message names no field
     path = write_cfg(tmp_path, "c.json", cfg)
     assert main(["--out", str(tmp_path / "o"), command,
                  "--config", path]) == 2

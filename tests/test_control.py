@@ -75,7 +75,6 @@ def test_endpoint_map_ball_constraint():
 def test_endpoint_map_stack_matches_rows():
     exp = make_exp()
     rng = np.random.default_rng(2)
-    # wider than one block, so the stack is split
     stack = rng.normal(size=(exp.sys.block_rows + 6, 8))
     stack *= 0.14 * rng.random((len(stack), 1)) \
         / np.sum(np.abs(stack), axis=1, keepdims=True)
@@ -83,6 +82,29 @@ def test_endpoint_map_stack_matches_rows():
     assert got.shape == stack.shape
     for row, p in zip(got, stack):
         assert np.max(np.abs(row - endpoint_map(exp, p, 0.5))) <= exp.tol
+
+
+@pytest.mark.parametrize("u0", [{}, {(1, 1): 0.1, (2, 2): -0.05}],
+                         ids=["zero", "nonzero"])
+def test_end_states_match_integrate_bitwise(u0):
+    """One row of the stacked constant-control run ends, to the last bit,
+    where integrate ends under the same control on a zero-forcing K^3
+    system, so the cascade's coverings map through it unchanged."""
+    sys = make_sys(controlled=K3)
+    u0 = SpectralField(G, u0)
+    idx = [sys.index[k] for k in sorted(mode_set_K(2))]
+    T, tol = 0.5, 1e-8
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        p = 0.1 * rng.normal(size=len(idx))
+        got = control._end_states(sys, sys.to_vector(u0), idx, p[None], T,
+                                  tol)
+        full = np.zeros(sys.dim)
+        full[idx] = p / T
+        want = integrate(sys, u0, PiecewiseConstant([0.0, T], [full]), T,
+                         tol).states[-1]
+        assert got.shape == (sys.dim, 1)
+        assert got[:, 0].tobytes() == want.tobytes()
 
 
 def test_endpoint_map_small_horizon_near_reference():
@@ -216,18 +238,46 @@ def test_covering_heap_is_per_target_arrays():
 
 def test_covering_blocks_match_whole_stack_inversion():
     """Where every target lands after one map, as on criterion 6's grid,
-    inverting one endpoint block at a time gives the whole stack's bits."""
+    inverting one block at a time gives the bits of one whole-stack
+    inversion whose map integrates the same blocks."""
     exp = make_exp()
     rep = covering_check(exp, grid_per_dim=3,
                          fit_horizons=[0.1, 0.05, 0.025], seed=1)
-    rows, T = rep["per_target"], rep["T_used"]
-    assert len(rows) > exp.sys.block_rows
+    rows, T, b = rep["per_target"], rep["T_used"], exp.sys.block_rows
+    assert len(rows) > b
     F0, DF, _ = endpoint_tangent(exp.sys, exp.u0, exp.observed_set, T,
                                  exp.tol)
+
+    def F(P):
+        return np.vstack([endpoint_map(exp, P[lo:lo + b], T)
+                          for lo in range(0, len(P), b)])
     _, residuals, iterations = invert_endpoint(
-        lambda P: endpoint_map(exp, P, T), rows.targets, F0, DF, 1e-6, 60)
+        F, rows.targets, F0, np.linalg.inv(DF), 1e-6)
     assert rows.residuals.tobytes() == residuals.tobytes()
     assert rows.iterations.tobytes() == iterations.tobytes()
+
+
+def test_one_inversion_per_covering(monkeypatch):
+    """covering_check inverts DF(0) once for all its target blocks (once
+    per block before), and a cascade covering once for its chord steps."""
+    calls, inv = [], np.linalg.inv
+
+    def counted(a):
+        calls.append(1)
+        return inv(a)
+    monkeypatch.setattr(np.linalg, "inv", counted)
+    exp = make_exp()
+    rep = covering_check(exp, grid_per_dim=2,
+                         fit_horizons=[0.1, 0.05, 0.025], seed=1)
+    assert rep["n_targets"] > 3 * exp.sys.block_rows
+    assert len(calls) == 1
+    full_sys = make_sys(controlled=K3)
+    goal = np.zeros(full_sys.dim)
+    goal[full_sys.index[(1, 1)]] = 0.05
+    calls.clear()
+    _, res, _ = control._cover(full_sys, SpectralField(G, {}), goal, 2,
+                               1e-8)
+    assert len(calls) == 1 and res < 1e-6
 
 
 def test_covering_rows_hold_python_scalars():
@@ -1086,7 +1136,8 @@ def test_invert_endpoint_exact_gain_two_calls():
     targets = rng.normal(size=(4, 3))
     sizes = []
     p, res, calls = invert_endpoint(linear_map(g, c, sizes), targets,
-                                    np.zeros(3), np.diag(g), 1e-12, 60)
+                                    np.zeros(3), np.linalg.inv(np.diag(g)),
+                                    1e-12)
     assert calls.tolist() == [2, 2, 2, 2]
     assert sizes == [4, 4]
     assert np.all(res < 1e-12)
@@ -1108,7 +1159,8 @@ def test_invert_endpoint_jacobian_gain_two_calls():
         def F(P):
             sizes.append(len(P))
             return P @ A.T + c
-        p, res, calls = invert_endpoint(F, targets, F0, A, 1e-12, 60)
+        p, res, calls = invert_endpoint(F, targets, F0, np.linalg.inv(A),
+                                        1e-12)
         assert calls.tolist() == [n] * 4
         assert sizes == [4] * n
         assert np.all(res < 1e-12)
@@ -1122,7 +1174,7 @@ def test_invert_endpoint_rows_stop_on_their_own():
     targets = np.array([[1e-3, 0.0], [1.0, 0.0], [0.0, 0.0]])
     sizes = []
     p, res, calls = invert_endpoint(linear_map(g, 0.0, sizes), targets,
-                                    np.zeros(2), np.eye(2), 1e-6, 60)
+                                    np.zeros(2), np.eye(2), 1e-6)
     # residual r0 / 2^k after k calls; the zero target needs one
     want = [math.ceil(math.log2(r0 / 1e-6)) for r0 in (1e-3, 1.0)] + [1]
     assert calls.tolist() == want
@@ -1131,12 +1183,13 @@ def test_invert_endpoint_rows_stop_on_their_own():
     assert np.all(res < 1e-6)
 
 
-def test_invert_endpoint_returns_unconverged_row():
+def test_invert_endpoint_returns_unconverged_row(monkeypatch):
     # on F(p) = -p with the identity as Jacobian the iteration p <- 2 p + t
     # diverges from the start p = t unless the target is zero
+    monkeypatch.setattr(control, "INVERT_MAX_ITER", 12)
     targets = np.array([[0.0], [1.0]])
     p, res, calls = invert_endpoint(lambda P: -P, targets, np.zeros(1),
-                                    np.eye(1), 1e-8, 12)
+                                    np.eye(1), 1e-8)
     assert calls.tolist() == [1, 12]
     assert res[0] == 0.0
     assert res[1] == 2.0 ** 12
@@ -1179,9 +1232,10 @@ def test_invert_endpoint_matches_indexed_loop_bitwise(jacobian):
         out = P @ A.T + 0.3 * P ** 2
         results.append((out, out.copy()))
         return out
-    got = invert_endpoint(F, targets, F0, DF, 1e-12, 60)
+    got = invert_endpoint(F, targets, F0, np.linalg.inv(DF), 1e-12)
     want = indexed_invert_endpoint(lambda P: P @ A.T + 0.3 * P ** 2,
-                                   targets, F0, DF, 1e-12, 60)
+                                   targets, F0, DF, 1e-12,
+                                   control.INVERT_MAX_ITER)
     assert len(set(want[2].tolist())) >= 3 and min(want[2]) >= 2
     for g, w in zip(got, want):
         assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
