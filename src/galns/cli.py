@@ -13,6 +13,7 @@ other exception; its traceback goes to stderr).
 """
 
 import argparse
+import csv
 import hashlib
 import json
 import math
@@ -47,10 +48,17 @@ def _is_a(x, types):
     return isinstance(x, types) and (type(x) is not bool or types is bool)
 
 
+def _float(x, what):
+    try:
+        return float(x)
+    except OverflowError as e:  # an integer past the float range
+        raise ConfigError("field %r: %s" % (what, e))
+
+
 def _num(x, what):
     """Numbers in configs; the string "pi" is accepted for irrational sides."""
     if _is_a(x, (int, float)):
-        return float(x)
+        return _float(x, what)
     if isinstance(x, str) and x.strip().lower() == "pi":
         return math.pi
     raise ConfigError("field %r: expected a number or \"pi\", got %r" % (what, x))
@@ -75,6 +83,13 @@ def _optional(cfg, field, types, default, where="", low=None):
     return value
 
 
+def _real(cfg, field, default=None):
+    """A number field as a float; required unless a default is given."""
+    if default is None:
+        return _float(_require(cfg, field, (int, float)), field)
+    return _float(_optional(cfg, field, (int, float), default), field)
+
+
 def _known(cfg, fields, where=""):
     """Reject the fields of cfg that no reader takes: a misspelt or stale
     setting is an error, not a default."""
@@ -96,7 +111,7 @@ def _floats(cfg, field, ndim, where=""):
                           % (field, where))
     try:
         out = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         raise ConfigError("field %r%s: %s" % (field, where, e))
     if out.ndim != ndim:
         raise ConfigError("field %r%s must be a list%s of numbers"
@@ -125,7 +140,7 @@ def _field(cfg, name, geom):
     for v in table.values():
         if not _is_a(v, (int, float)):
             raise ConfigError("field %r: value %r is not a number" % (name, v))
-        if not math.isfinite(v):
+        if not math.isfinite(_float(v, name)):
             raise ConfigError("%s must be finite" % name)
     return SpectralField(geom, {_mode_key(k): float(v)
                                 for k, v in table.items()})
@@ -139,7 +154,7 @@ def _system_fields(cfg):
     """GalerkinSystem's fields from cfg, unchecked: geometry, nu, forcing,
     K^level and K^controlled_level."""
     geom = _geom(cfg)
-    nu = float(_require(cfg, "nu", (int, float)))
+    nu = _real(cfg, "nu")
     level = int(_require(cfg, "level", int))
     controlled = _optional(cfg, "controlled_level", int, level)
     return (geom, nu, _field(cfg, "forcing", geom),
@@ -181,39 +196,12 @@ def _write_json(outdir, obj, *names):
     return list(names)
 
 
-def _csv_field(x, floats):
-    """One field as csv.writer writes it: str(x), quoted (inner quotes
-    doubled) where the text holds a comma, a quote or a line end.  A
-    nonzero float's text is kept in floats, keyed by value: only for a
-    nonzero float does the value fix the text (0, 0.0, -0.0 and False are
-    one key, as are 1, 1.0 and True)."""
-    if type(x) is float and x:
-        s = floats.get(x)
-        if s is None:
-            s = floats[x] = repr(x)
-        return s
-    s = str(x)
-    if "," in s or '"' in s or "\r" in s or "\n" in s:
-        return '"%s"' % s.replace('"', '""')
-    return s
-
-
-# rows per float-text cache of _write_csv: repeated values within a block
-# are formatted once, and the cache never outgrows the block
-_CSV_CACHE_ROWS = 1024
-
-
 def _write_csv(outdir, name, header, rows):
-    """Write the table as csv.writer does, byte for byte, for fields that
-    are not None and rows that are not one empty string, with CRLF line
-    ends; rows are written one at a time, and each distinct nonzero float
-    is formatted once per block of _CSV_CACHE_ROWS rows."""
+    """Write the table with csv.writer (CRLF line ends), one row at a time."""
     with open(os.path.join(outdir, name), "w", newline="") as fh:
-        fh.write(",".join([_csv_field(x, {}) for x in header]) + "\r\n")
-        for i, row in enumerate(rows):
-            if i % _CSV_CACHE_ROWS == 0:
-                floats = {}
-            fh.write(",".join([_csv_field(x, floats) for x in row]) + "\r\n")
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
     return name
 
 
@@ -228,8 +216,8 @@ def cmd_simulate(cfg, outdir):
     sys = _system(cfg)
     geom = sys.geom
     u0 = _field(cfg, "u0", geom)
-    T = float(_require(cfg, "T", (int, float)))
-    tol = float(_optional(cfg, "tol", (int, float), 1e-8))
+    T = _real(cfg, "T")
+    tol = _real(cfg, "tol", 1e-8)
     control = None
     if "control" in cfg:
         c = _require(cfg, "control", dict)
@@ -294,10 +282,9 @@ def _covering(exp_cfg):
                                             1))))
     exp = EndpointExperiment(
         sys, obs, _field(exp_cfg, "u0", sys.geom),
-        radius=float(_require(exp_cfg, "radius", (int, float))),
-        gamma_infl=float(_require(exp_cfg, "gamma_infl", (int, float))),
-        horizon=float(_require(exp_cfg, "horizon", (int, float))),
-        tol=float(_optional(exp_cfg, "tol", (int, float), 1e-8)))
+        radius=_real(exp_cfg, "radius"),
+        gamma_infl=_real(exp_cfg, "gamma_infl"),
+        horizon=_real(exp_cfg, "horizon"), tol=_real(exp_cfg, "tol", 1e-8))
     fit_horizons = (_floats(exp_cfg, "fit_horizons", 1).tolist()
                     if "fit_horizons" in exp_cfg else None)
     if fit_horizons == []:
@@ -306,8 +293,7 @@ def _covering(exp_cfg):
         exp,
         grid_per_dim=_optional(exp_cfg, "grid_per_dim", int, 3),
         fit_horizons=fit_horizons,
-        residual_tol=float(_optional(exp_cfg, "residual_tol", (int, float),
-                                     1e-6)),
+        residual_tol=_real(exp_cfg, "residual_tol", 1e-6),
         seed=_optional(exp_cfg, "seed", int, 0, low=0))
 
 
@@ -362,8 +348,8 @@ def cmd_imitate(cfg, outdir):
         raise ConfigError("field 'ws' must list at least one frequency")
     if len(set(ws)) < len(ws):
         raise ConfigError("field 'ws' lists a frequency twice: %r" % ws)
-    tol = float(_optional(cfg, "tol", (int, float), 1e-8))
-    threshold = float(_optional(cfg, "slope_threshold", (int, float), -0.8))
+    tol = _real(cfg, "tol", 1e-8)
+    threshold = _real(cfg, "slope_threshold", -0.8)
     # a NaN threshold fails every slope, an infinite one passes every slope
     if not math.isfinite(threshold):
         raise ConfigError("field 'slope_threshold' must be finite, got %r"
@@ -375,7 +361,7 @@ def cmd_imitate(cfg, outdir):
     sys = _system(cfg)
     z = VertexSchedule(_floats(cfg, "breakpoints", 1),
                        [_parse_label(l) for l in _require(cfg, "labels", list)],
-                       float(_require(cfg, "xi", (int, float))))
+                       _real(cfg, "xi"))
     u0 = _field(cfg, "u0", sys.geom)
     rows = []
     for w in ws:
@@ -430,8 +416,8 @@ def cmd_oracle(cfg, outdir):
     _known(cfg, ("geometries", "max_index", "rel_tol", "abs_floor"))
     geoms = _optional(cfg, "geometries", list, [[1.0, 1.0]])
     max_index = _optional(cfg, "max_index", int, 5)
-    rel_tol = float(_optional(cfg, "rel_tol", (int, float), 1e-8))
-    abs_floor = float(_optional(cfg, "abs_floor", (int, float), 1e-12))
+    rel_tol = _real(cfg, "rel_tol", 1e-8)
+    abs_floor = _real(cfg, "abs_floor", 1e-12)
     if max_index < 2 or not geoms:
         raise ConfigError("field 'max_index' must be at least 2 and field "
                           "'geometries' non-empty: nothing is compared")

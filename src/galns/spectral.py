@@ -33,6 +33,10 @@ class RectGeometry:
     def __post_init__(self):
         if not (self.a > 0 and self.b > 0):
             raise ValueError("side lengths must be positive")
+        # the wavenumbers divide by the squares
+        if not all(0 < s * s < math.inf for s in (self.a, self.b)):
+            raise ValueError("side lengths must have finite nonzero squares, "
+                             "got %r and %r" % (self.a, self.b))
 
 
 def check_mode(k: ModeIndex) -> ModeIndex:

@@ -485,29 +485,59 @@ def test_imitate_acts_on_controlled_level(tmp_path, capsys, cfg, message):
     assert "config error: " + message in capsys.readouterr().err
 
 
+def csv_writer_bytes(path, header, rows):
+    with open(path, "w", newline="") as fh:
+        wr = csv.writer(fh)
+        wr.writerow(header)
+        wr.writerows(rows)
+    return path.read_bytes()
+
+
 def test_write_csv_matches_csv_writer(tmp_path):
     # zeros of every kind, bools, numpy scalars, extreme exponents and
-    # seventeen digits, strings that need quoting and repeated floats; a
-    # text cache keyed on value would print 0.0 as "0" or 1 as "1.0"
+    # seventeen digits, strings that need quoting and repeated floats
     rows = [[0, 0.0, -0.0, False, 1, 1.0, True, 0.1],
             [np.float64(0.1), np.float64(-0.0), np.int64(7), 1e-300, 1e16,
              123456789012345678.0, -2.5e-7, 0.1],
             ["a,b", 'say "hi"', "line\nend", "", "plain", 1.0, 1, 0.0],
             [1e-300, 1e16, 0.1, -0.0, 0.0, 0, True, "0.1"]]
     header = ["x%d" % i for i in range(8)]
-    # the table once, then repeated past the float-text cache's block of
-    # rows, so its restarts are checked too
-    long_rows = rows * (2500 // len(rows))
-    assert len(long_rows) > 2 * cli._CSV_CACHE_ROWS
-    for name, table in (("short", rows), ("long", long_rows)):
-        cli._write_csv(str(tmp_path), name + ".csv", header, table)
-        with open(tmp_path / (name + "_old.csv"), "w", newline="") as fh:
-            wr = csv.writer(fh)
-            wr.writerow(header)
-            wr.writerows(table)
-        new = (tmp_path / (name + ".csv")).read_bytes()
-        assert new == (tmp_path / (name + "_old.csv")).read_bytes()
-        assert b"\r\n0,0.0,-0.0,False,1,1.0,True,0.1\r\n" in new
+    cli._write_csv(str(tmp_path), "mixed.csv", header, rows)
+    new = (tmp_path / "mixed.csv").read_bytes()
+    assert new == csv_writer_bytes(tmp_path / "mixed_ref.csv", header, rows)
+    assert b"\r\n0,0.0,-0.0,False,1,1.0,True,0.1\r\n" in new
+
+    # the steer table's rows as cmd_steer makes them from TargetRows
+    # arrays, streamed from a generator: the same floats, repeated over
+    # more than 2,048 rows, in experiments of 2, 4 and 3 observed
+    # coordinates, so the first and last experiments' rows are padded
+    from galns.control import TargetRows
+    values = np.array([0.0, -0.0, 1e-300, -1e-300, 1e16, -2.5e-7, 0.1,
+                       123456789012345678.0, 0.30000000000000004,
+                       -0.12345678901234568])
+    rng = np.random.default_rng(3)
+    tables = [TargetRows(values[rng.integers(len(values), size=(n, d))],
+                         values[rng.integers(len(values), size=n)],
+                         rng.integers(1, 60, size=n))
+              for n, d in ((40, 2), (2100, 4), (300, 3))]
+    header = (["experiment"] + ["target_%d" % i for i in range(4)]
+              + ["residual", "iterations"])
+
+    def steer_rows():
+        return ([i] + target.tolist() + [""] * (4 - len(target)) + [res, its]
+                for i, t in enumerate(tables)
+                for target, res, its in zip(t.targets, t.residuals.tolist(),
+                                            t.iterations.tolist()))
+    cli._write_csv(str(tmp_path), "steer.csv", header, steer_rows())
+    new = (tmp_path / "steer.csv").read_bytes()
+    ref = list(steer_rows())
+    assert new == csv_writer_bytes(tmp_path / "steer_ref.csv", header, ref)
+    assert len(ref) > 2048
+    assert {b"-0.0", b"1e-300", b"1e+16"} <= set(new.replace(b"\r\n",
+                                                             b",").split(b","))
+    lines = new.split(b"\r\n")
+    assert lines[1].split(b",")[3:5] == [b"", b""]  # padding
+    assert lines[-2].split(b",")[4] == b""
 
 
 def test_steer_small_grid(tmp_path):
@@ -730,6 +760,69 @@ def test_non_finite_numbers_are_config_errors(tmp_path, capsys, command, cfg,
     assert "config error: " + message in capsys.readouterr().err
 
 
+HUGE = 10 ** 400
+ORACLE_CFG = {"max_index": 2, "geometries": [[1.0, 2.0]]}
+
+
+@pytest.mark.parametrize("command, cfg, field", [
+    ("simulate", dict(SIM_CFG, u0={"1,1": HUGE}), "u0"),
+    ("simulate", dict(SIM_CFG, forcing={"1,1": HUGE}), "forcing"),
+    ("simulate", dict(SIM_CFG, nu=HUGE), "nu"),
+    ("simulate", dict(SIM_CFG, T=HUGE), "T"),
+    ("simulate", dict(SIM_CFG, tol=HUGE), "tol"),
+    ("simulate", dict(SIM_CFG, geometry={"a": HUGE, "b": 2.0}), "a"),
+    ("simulate", dict(SIM_CFG, control={"breakpoints": [0.0, HUGE],
+                                        "values": [[0.0] * 8]}),
+     "breakpoints"),
+    ("steer", dict(STEER_GRID_CFG, radius=HUGE), "radius"),
+    ("steer", dict(STEER_GRID_CFG, gamma_infl=HUGE), "gamma_infl"),
+    ("steer", dict(STEER_GRID_CFG, horizon=HUGE), "horizon"),
+    ("steer", dict(STEER_GRID_CFG, tol=HUGE), "tol"),
+    ("steer", dict(STEER_GRID_CFG, residual_tol=HUGE), "residual_tol"),
+    ("imitate", dict(IMI_CFG, ws=[HUGE]), "ws"),
+    ("imitate", dict(IMI_CFG, xi=HUGE), "xi"),
+    ("imitate", dict(IMI_CFG, tol=HUGE), "tol"),
+    ("imitate", dict(IMI_CFG, slope_threshold=HUGE), "slope_threshold"),
+    ("lierank", dict(LIERANK_CFG, nu=HUGE), "nu"),
+    ("oracle", dict(ORACLE_CFG, geometries=[[HUGE, 2]]), "a"),
+    ("oracle", dict(ORACLE_CFG, rel_tol=HUGE), "rel_tol"),
+    ("oracle", dict(ORACLE_CFG, abs_floor=HUGE), "abs_floor"),
+], ids=["u0", "forcing", "nu", "T", "tol", "side", "breakpoints",
+        "radius", "gamma_infl", "horizon", "steer_tol", "residual_tol", "ws",
+        "xi", "imitate_tol", "slope_threshold", "lierank_nu", "oracle_side",
+        "rel_tol", "abs_floor"])
+def test_integers_past_the_float_range_are_config_errors(tmp_path, capsys,
+                                                         command, cfg, field):
+    # json reads 1 followed by 400 zeros as an int; float() of it raised
+    # OverflowError, an internal error (exit 4) that named no field
+    path = write_cfg(tmp_path, "c.json", cfg)
+    assert main(["--out", str(tmp_path / "o"), command,
+                 "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert "config error: field %r" % field in err
+    assert "int too large to convert to float" in err
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("simulate", dict(SIM_CFG, geometry={"a": math.inf, "b": 2.0})),
+    ("simulate", dict(SIM_CFG, geometry={"a": 1e-320, "b": 2.0})),
+    ("simulate", dict(SIM_CFG, geometry={"a": 1.0, "b": 1e300})),
+    ("lierank", dict(LIERANK_CFG, geometry={"a": 1e-320, "b": 2.0})),
+    ("oracle", dict(ORACLE_CFG, geometries=[[1e300, 2.0]])),
+], ids=["inf", "square_underflows", "square_overflows", "lierank_tiny",
+        "oracle_huge"])
+def test_sides_without_finite_nonzero_squares_are_config_errors(
+        tmp_path, capsys, command, cfg):
+    # an infinite side ran into a step underflow (exit 3); a square of 0
+    # divided by zero and a square past the float range overflowed in the
+    # wavenumbers (exit 4); the exact rank of lierank read neither
+    path = write_cfg(tmp_path, "c.json", cfg)
+    assert main(["--out", str(tmp_path / "o"), command,
+                 "--config", path]) == 2
+    assert "config error: side lengths must have finite nonzero squares" \
+        in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("cfg, message", [
     (dict(LIERANK_CFG, nu=0), "viscosity must be positive and finite"),
     (dict(LIERANK_CFG, nu=-1), "viscosity must be positive and finite"),
@@ -772,9 +865,6 @@ def test_steer_empty_lists_are_config_errors(tmp_path, capsys, cfg, field):
     assert main(["--out", str(tmp_path / "o"), "steer", "--config", path]) == 2
     assert "config error: field %r must not be empty" % field \
         in capsys.readouterr().err
-
-
-ORACLE_CFG = {"max_index": 2, "geometries": [[1.0, 2.0]]}
 
 
 @pytest.mark.parametrize("command, cfg, unknown", [

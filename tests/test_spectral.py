@@ -23,6 +23,20 @@ def quad_dot(u_eval, v_eval, geom, npts=40):
     return float(np.sum(W * (u1 * v1 + u2 * v2)))
 
 
+@pytest.mark.parametrize("a, b", [(math.inf, 1.0), (1e-320, 1.0),
+                                  (1.0, 1e300)])
+def test_geometry_rejects_sides_without_finite_nonzero_squares(a, b):
+    # kbar divides by the squares: 1e-320 squared is 0, 1e300 squared
+    # overflows
+    with pytest.raises(ValueError, match="side lengths must"):
+        RectGeometry(a, b)
+
+
+def test_geometry_accepts_sides_with_normal_squares():
+    g = RectGeometry(1e-150, 1e150)
+    assert math.isfinite(kbar((1, 1), g))
+
+
 def test_kbar_square_symmetric():
     assert kbar((1, 1), RectGeometry(math.pi, math.pi)) == pytest.approx(-2.0, abs=1e-14)
 
