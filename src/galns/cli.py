@@ -5,14 +5,17 @@ land in a --out directory together with a run manifest (command, config
 hash, tool version, wall time, produced files).  A command runs in one
 process and takes its experiments, frequencies or geometries in config
 order.  The process exits 0 exactly when every verdict in the emitted
-report is "pass", 1 on a failing verdict, 2 on a config error (any
-ValueError: a missing, mistyped, invalid or unknown field), 3 on a
+report is "pass", 1 on a failing verdict, 2 on a config error (a
+ConfigError: a missing, mistyped, invalid or unknown field, or a library
+check that fails on the objects the config is read into), 3 on a
 numerical failure (the integrator gave up; report.json then has verdict
 "numerical_failure" and the message) and 4 on an internal error (any
-other exception; its traceback goes to stderr).
+other exception, a ValueError from inside a run among them; its
+traceback goes to stderr).
 """
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import json
@@ -29,7 +32,8 @@ import numpy as np
 # Each command imports the other galns modules it runs in its own body, so
 # a run loads (and, without bytecode, compiles) only those; the import
 # reads the module attribute at call time.
-from .spectral import RectGeometry, SpectralField, check_system, mode_set_K
+from .spectral import (RectGeometry, SpectralField, check_mode, check_system,
+                       mode_set_K)
 
 VERSION = "0.1.0"
 
@@ -40,6 +44,18 @@ VERSION = "0.1.0"
 
 class ConfigError(ValueError):
     pass
+
+
+@contextlib.contextmanager
+def _config_faults():
+    """Where config is read into library objects (a with block or a
+    decorated reader): a ValueError of the library's checks there is a
+    config fault, re-raised as ConfigError with its message.  Outside them
+    a ValueError is an internal error."""
+    try:
+        yield
+    except ValueError as e:
+        raise ConfigError(e) from e
 
 
 def _is_a(x, types):
@@ -90,6 +106,15 @@ def _real(cfg, field, default=None):
     return _float(_optional(cfg, field, (int, float), default), field)
 
 
+def _positive(cfg, field, default=None):
+    """A number field that must be positive and finite, as a float."""
+    value = _real(cfg, field, default)
+    if not 0 < value < math.inf:
+        raise ConfigError("%s must be positive and finite, got %r"
+                          % (field, value))
+    return value
+
+
 def _known(cfg, fields, where=""):
     """Reject the fields of cfg that no reader takes: a misspelt or stale
     setting is an error, not a default."""
@@ -134,6 +159,7 @@ def _mode_key(s):
     return (k1, k2)
 
 
+@_config_faults()
 def _field(cfg, name, geom):
     """An optional object of "k1,k2": number entries, as a SpectralField."""
     table = _optional(cfg, name, dict, {})
@@ -150,6 +176,7 @@ def _field(cfg, name, geom):
 _SYSTEM = ("geometry", "nu", "level", "controlled_level", "forcing")
 
 
+@_config_faults()
 def _system_fields(cfg):
     """GalerkinSystem's fields from cfg, unchecked: geometry, nu, forcing,
     K^level and K^controlled_level."""
@@ -162,6 +189,7 @@ def _system_fields(cfg):
             tuple(sorted(mode_set_K(controlled))))
 
 
+@_config_faults()
 def _system(cfg):
     from .dynamics import GalerkinSystem
     return GalerkinSystem(*_system_fields(cfg))
@@ -211,19 +239,24 @@ def _write_csv(outdir, name, header, rows):
 
 
 def cmd_simulate(cfg, outdir):
-    from .dynamics import PiecewiseConstant, integrate, run_manifest
+    from .dynamics import (PiecewiseConstant, integrate, run_manifest,
+                           run_segments)
     _known(cfg, _SYSTEM + ("u0", "T", "tol", "control"))
     sys = _system(cfg)
     geom = sys.geom
     u0 = _field(cfg, "u0", geom)
     T = _real(cfg, "T")
-    tol = _real(cfg, "tol", 1e-8)
-    control = None
-    if "control" in cfg:
-        c = _require(cfg, "control", dict)
-        _known(c, ("breakpoints", "values"), " in control")
-        control = PiecewiseConstant(_floats(c, "breakpoints", 1, " in control"),
-                                    _floats(c, "values", 2, " in control"))
+    tol = _positive(cfg, "tol", 1e-8)
+    with _config_faults():
+        control = None
+        if "control" in cfg:
+            c = _require(cfg, "control", dict)
+            _known(c, ("breakpoints", "values"), " in control")
+            control = PiecewiseConstant(
+                _floats(c, "breakpoints", 1, " in control"),
+                _floats(c, "values", 2, " in control"))
+        # integrate's checks of T, u0 and the control, before the run
+        run_segments(sys, u0, control, T)
     tr = integrate(sys, u0, control, T, tol)
     tr.write_csv(os.path.join(outdir, "trajectory.csv"))
     hn = tr.h_norms()
@@ -249,9 +282,9 @@ def cmd_saturate(args, outdir):
     if not (a > 0 and b > 0):
         raise ConfigError("--a/--b: side lengths must be positive")
     a2, b2 = a ** 2, b ** 2
-    targets = []
-    for part in args.target_modes.split(";"):
-        targets.append(_mode_key(part))
+    with _config_faults():
+        targets = [check_mode(_mode_key(part))
+                   for part in args.target_modes.split(";")]
     chain = build_chain(targets, a2, b2)
     report = {
         "a2": str(a2), "b2": str(b2),
@@ -278,22 +311,26 @@ def _covering(exp_cfg):
         raise ConfigError("each experiment must be a JSON object")
     _known(exp_cfg, _STEER, " in experiment")
     sys = _system(exp_cfg)
-    obs = tuple(sorted(mode_set_K(_optional(exp_cfg, "observed_level", int,
-                                            1))))
-    exp = EndpointExperiment(
-        sys, obs, _field(exp_cfg, "u0", sys.geom),
-        radius=_real(exp_cfg, "radius"),
-        gamma_infl=_real(exp_cfg, "gamma_infl"),
-        horizon=_real(exp_cfg, "horizon"), tol=_real(exp_cfg, "tol", 1e-8))
+    with _config_faults():
+        obs = mode_set_K(_optional(exp_cfg, "observed_level", int, 1))
+        exp = EndpointExperiment(
+            sys, obs, _field(exp_cfg, "u0", sys.geom),
+            radius=_real(exp_cfg, "radius"),
+            gamma_infl=_real(exp_cfg, "gamma_infl"),
+            horizon=_real(exp_cfg, "horizon"),
+            tol=_positive(exp_cfg, "tol", 1e-8))
     fit_horizons = (_floats(exp_cfg, "fit_horizons", 1).tolist()
                     if "fit_horizons" in exp_cfg else None)
     if fit_horizons == []:
         raise ConfigError("field 'fit_horizons' must not be empty")
+    if not all(0 < t < math.inf for t in fit_horizons or ()):
+        raise ConfigError("field 'fit_horizons' must hold positive finite "
+                          "horizons, got %r" % (fit_horizons,))
     return covering_check(
         exp,
-        grid_per_dim=_optional(exp_cfg, "grid_per_dim", int, 3),
+        grid_per_dim=_optional(exp_cfg, "grid_per_dim", int, 3, low=2),
         fit_horizons=fit_horizons,
-        residual_tol=_real(exp_cfg, "residual_tol", 1e-6),
+        residual_tol=_positive(exp_cfg, "residual_tol", 1e-6),
         seed=_optional(exp_cfg, "seed", int, 0, low=0))
 
 
@@ -340,7 +377,8 @@ def _parse_label(lab):
 
 
 def cmd_imitate(cfg, outdir):
-    from .control import VertexSchedule, imitate, loglog_slope
+    from .control import (VertexSchedule, check_imitation, imitate,
+                          loglog_slope)
     _known(cfg, _SYSTEM + ("u0", "breakpoints", "labels", "xi", "ws", "tol",
                            "slope_threshold"))
     ws = _floats(cfg, "ws", 1).tolist()
@@ -359,10 +397,16 @@ def cmd_imitate(cfg, outdir):
         raise ConfigError("field 'controlled_level' must be below 'level' "
                           "(%d): the imitation acts on its modes" % level)
     sys = _system(cfg)
-    z = VertexSchedule(_floats(cfg, "breakpoints", 1),
-                       [_parse_label(l) for l in _require(cfg, "labels", list)],
-                       _real(cfg, "xi"))
-    u0 = _field(cfg, "u0", sys.geom)
+    with _config_faults():
+        z = VertexSchedule(
+            _floats(cfg, "breakpoints", 1),
+            [_parse_label(l) for l in _require(cfg, "labels", list)],
+            _real(cfg, "xi"))
+        u0 = _field(cfg, "u0", sys.geom)
+        # imitate's checks of u0, tol and every w, before the first run
+        sys.to_vector(u0)
+        for w in ws:
+            check_imitation(sys, z, w, tol)
     rows = []
     for w in ws:
         res = imitate(sys, z, w, tol=tol, u0=u0)
@@ -392,7 +436,8 @@ def cmd_lierank(cfg, outdir):
     # nu and the forcing do not enter the rank, so no system is built; they
     # are checked as GalerkinSystem checks them
     geom, nu, forcing, modes, controlled = _system_fields(cfg)
-    modes, controlled = check_system(nu, forcing, modes, controlled)
+    with _config_faults():
+        modes, controlled = check_system(nu, forcing, modes, controlled)
     if controlled != tuple(mode_set_K(1)):
         raise ConfigError("field 'controlled_level' must be 1: the rank "
                           "brackets from the K^1 modes")
@@ -430,7 +475,8 @@ def cmd_oracle(cfg, outdir):
         if not (isinstance(ab, list) and len(ab) == 2):
             raise ConfigError("each geometry must be a list [a, b], got %r"
                               % (ab,))
-        geom = RectGeometry(_num(ab[0], "a"), _num(ab[1], "b"))
+        with _config_faults():
+            geom = RectGeometry(_num(ab[0], "a"), _num(ab[1], "b"))
         for r in oracle_sweep(max_index, geom, rel_tol=rel_tol,
                               abs_floor=abs_floor):
             rows.append([ab[0], ab[1], "%d,%d" % r["m"], "%d,%d" % r["n"],
@@ -489,7 +535,7 @@ def main(argv=None) -> int:
         else:
             blob, cfg = _load_config(args.config)
             report, outputs = handlers[args.command](cfg, args.out)
-    except ValueError as e:
+    except ConfigError as e:
         print("config error: %s" % e, file=_sys.stderr)
         return 2
     except Exception as e:

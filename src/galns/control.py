@@ -115,11 +115,14 @@ def deviation_sweep(exp: EndpointExperiment, horizons, n_samples: int = 8,
 
 
 def loglog_slope(x, y):
-    """Least-squares slope of log y against log x; None unless x holds two
-    distinct values and no y is zero, for otherwise no line is determined."""
+    """Least-squares slope sum(dx dy) / sum(dx^2) of log y against log x
+    (d: deviation from the mean); None unless x holds two distinct values
+    and no y is zero, for otherwise no line is determined."""
     if len(set(x)) < 2 or 0.0 in y:
         return None
-    return float(np.polyfit(np.log(x), np.log(y), 1)[0])
+    dx = np.log(x) - np.mean(np.log(x))
+    dy = np.log(y) - np.mean(np.log(y))
+    return float(dx @ dy / (dx @ dx))
 
 
 def fit_deviation_slope(rows) -> dict:
@@ -568,6 +571,28 @@ class ImitationResult:
     stats: IntegratorStats  # every reference, tracking and replay run
 
 
+def check_imitation(sys: GalerkinSystem, z: VertexSchedule, w: float,
+                    tol: float):
+    """imitate's checks of its arguments, made before any run: tol
+    positive and finite, w and z's breakpoints as make_phi_w takes them, and
+    every label on modes of J = sys.controlled_set, a delta on a pair m < n
+    as interaction_rows takes it."""
+    # checked as given: imitate's integrator runs receive tol / 10
+    if not 0 < tol < np.inf:
+        raise ValueError("tol must be positive and finite, got %r" % (tol,))
+    make_phi_w(z.breakpoints, w)
+    # the J control applies e_k, or oscillates e_m and e_n, on modes of J:
+    # check (k,) of an e, (m, n) of a delta and () of a zero label
+    for lab in z.labels:
+        modes = lab[1] if lab[0] == "delta" else lab[1:2]
+        if not {tuple(m) for m in modes} <= set(sys.controlled_set):
+            raise ValueError("schedule label %r names a mode outside J"
+                             % (lab,))
+        if lab[0] == "delta" and not tuple(modes[0]) < tuple(modes[1]):
+            raise ValueError("schedule label %r: a delta pair (m, n) needs "
+                             "m < n" % (lab,))
+
+
 def imitate(sys: GalerkinSystem, z: VertexSchedule, w: float,
             tol: float = 1e-8, u0: SpectralField = None) -> ImitationResult:
     """Synthesize a control on the modes J = sys.controlled_set whose
@@ -579,19 +604,9 @@ def imitate(sys: GalerkinSystem, z: VertexSchedule, w: float,
     piece is replayed once on sys.  The reference is carried interval by
     interval; a tracked interval's reference J-path is a PiecewisePolynomial
     fitted from its dense output."""
-    # checked as given: the integrator runs below receive tol / 10
-    if not 0 < tol < np.inf:
-        raise ValueError("tol must be positive and finite, got %r" % (tol,))
+    check_imitation(sys, z, w, tol)
     J, idx_j = sys.controlled_set, sys.ctrl_idx
     j_pos = {k: i for i, k in enumerate(J)}
-    # the J control applies e_k, or oscillates e_m and e_n, on modes of J:
-    # check (k,) of an e, (m, n) of a delta and () of a zero label
-    for lab in z.labels:
-        modes = lab[1] if lab[0] == "delta" else lab[1:2]
-        if not {tuple(m) for m in modes} <= set(J):
-            raise ValueError("schedule label %r names a mode outside J"
-                             % (lab,))
-
     values = _label_rows(sys, z.labels, z.xi)
     T = float(z.breakpoints[-1])
     if u0 is None:

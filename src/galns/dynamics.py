@@ -668,13 +668,14 @@ def adaptive_lawson(lam, nonlin, y0, t0, t1, tol, max_step=np.inf,
     return LawsonRun(times, states, stats, np.array(kept) if dense else None)
 
 
-def _walk(sys: GalerkinSystem, u0: SpectralField, control, T: float):
+def run_segments(sys: GalerkinSystem, u0: SpectralField, control, T: float):
     """u0 as a vector and the segments (t0, t1, v) of [0, T], split at the
     control's breakpoints, once the horizon, u0 and the control are checked:
     None or a piecewise one of width len(controlled_set) covering [0, T],
     where a breakpoint within _END_ROUNDOFF of T counts as T.  v is the
     segment's constant control as a full-state vector (zeros for no
-    control), or None for a PiecewisePolynomial, read at each time."""
+    control), or None for a PiecewisePolynomial, read at each time.  The
+    simulate command runs it alone as the check of its config's run."""
     if not 0 < T < np.inf:
         raise ValueError("horizon must be positive and finite, got %r" % (T,))
     y = sys.to_vector(u0)
@@ -709,7 +710,7 @@ def integrate(sys: GalerkinSystem, u0: SpectralField, control, T: float,
     are exact knots: each starts a new segment, but one within roundoff of
     T counts as T.  The Trajectory keeps the accepted times and states, no
     stages, and its stats sum the work of all segments."""
-    y, segments = _walk(sys, u0, control, T)
+    y, segments = run_segments(sys, u0, control, T)
     times = [0.0]
     states = [y.copy()]
     max_step = getattr(control, "max_step", np.inf)
@@ -754,7 +755,7 @@ def integrate_tangent(sys: GalerkinSystem, u0: SpectralField, control,
     if isinstance(control, PiecewisePolynomial):
         raise TypeError("integrate_tangent takes a piecewise-constant control")
     Y = np.zeros((sys.dim, 1 + np.shape(directions)[1]))
-    Y[:, 0], segments = _walk(sys, u0, control, T)
+    Y[:, 0], segments = run_segments(sys, u0, control, T)
     forced = np.zeros_like(Y)
     forced[sys.ctrl_idx, 1:] = directions
     knots = control.breakpoints if jumps is not None else ()

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import galns
-from galns import cli
+from galns import cli, dynamics
 from galns.cli import main
 from galns.dynamics import StiffnessError
 
@@ -113,12 +113,16 @@ assert galns.cli.main(["--out", OUT, "imitate", "--config", IMI]) == 0
 IMITATE_DIRECT = """
 assert galns.cli.main(["--out", OUT, "imitate", "--config", IMD]) == 0
 """
+ORACLE_3 = """
+assert galns.cli.main(["--out", OUT, "oracle", "--config", ORA]) == 0
+"""
 
 
 @pytest.mark.parametrize("run", ["", K3_RUN, LIERANK_6, SIMULATE_8, IMITATE_2,
-                                 IMITATE_DIRECT],
+                                 IMITATE_DIRECT, ORACLE_3],
                          ids=["import", "integrate_K3", "lierank_6",
-                              "simulate_8", "imitate_2", "imitate_direct"])
+                              "simulate_8", "imitate_2", "imitate_direct",
+                              "oracle_3"])
 def test_serial_runs_load_no_sparse_or_multiprocessing(tmp_path, run):
     src = os.path.dirname(os.path.dirname(os.path.abspath(galns.__file__)))
     cfg = write_cfg(tmp_path, "l.json",
@@ -137,8 +141,11 @@ def test_serial_runs_load_no_sparse_or_multiprocessing(tmp_path, run):
     imd = write_cfg(tmp_path, "d.json", dict(
         imi_cfg, breakpoints=[0.0, 0.1, 0.3],
         labels=[["e", [1, 1], 1], ["delta", [[1, 1], [1, 3]], 1]]))
-    paths = "OUT, CFG, SIM, IMI, IMD = %r, %r, %r, %r, %r\n" % (
-        str(tmp_path / "o"), cfg, sim, imi, imd)
+    # the Gauss-Legendre rule of the quadrature oracle
+    ora = write_cfg(tmp_path, "q.json",
+                    {"max_index": 3, "geometries": [[1.0, 2.0]]})
+    paths = "OUT, CFG, SIM, IMI, IMD, ORA = %r, %r, %r, %r, %r, %r\n" % (
+        str(tmp_path / "o"), cfg, sim, imi, imd, ora)
     code = LOADED.format(paths + "import galns.cli\n" + run)
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True,
@@ -213,6 +220,21 @@ def test_internal_error_exit_4_with_traceback(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "Traceback" in err and "KeyError: 'missing'" in err
     assert "internal error" in err and "config error" not in err
+
+
+def test_value_error_inside_a_run_is_internal_exit_4(tmp_path, monkeypatch,
+                                                   capsys):
+    # only a ConfigError is a config error: a ValueError that the solve
+    # raises on a valid config is a bug, reported with its traceback
+    def broken(*args, **kwargs):
+        raise ValueError("operands could not be broadcast")
+    monkeypatch.setattr(dynamics, "integrate", broken)
+    cfg = write_cfg(tmp_path, "sim.json", SIM_CFG)
+    assert main(["--out", str(tmp_path / "o"), "simulate",
+                 "--config", cfg]) == 4
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "config error" not in err
+    assert "internal error: ValueError: operands could not be broadcast" in err
 
 
 def test_missing_config_or_bad_side_is_config_error(tmp_path, capsys):
@@ -917,6 +939,43 @@ def test_imitate_bad_tol_reported_as_given(tmp_path, capsys):
                  "--config", path]) == 2
     assert "tol must be positive and finite, got -1.0" \
         in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, cfg, message", [
+    ("simulate", dict(SIM_CFG, T=-0.3), "horizon must be positive and finite"),
+    ("simulate", dict(SIM_CFG, tol=0), "tol must be positive and finite"),
+    ("simulate", dict(SIM_CFG, control={"breakpoints": [0.0, 0.3],
+                                        "values": [[0.0] * 3]}),
+     "control dimension != |controlled_set|"),
+    ("simulate", dict(SIM_CFG, u0={"9,9": 1.0}),
+     "field not supported in mode_set"),
+    ("simulate", dict(SIM_CFG, level=0), "level must be >= 1"),
+    ("steer", dict(STEER_GRID_CFG, fit_horizons=[0.1, -0.05]),
+     "field 'fit_horizons' must hold positive finite horizons"),
+    ("steer", dict(STEER_GRID_CFG, observed_level=2),
+     "observed_set must be controlled"),
+    ("imitate", dict(IMI_CFG, labels=[["delta", [[1, 3], [1, 1]], 1]]),
+     "a delta pair (m, n) needs m < n"),
+    ("imitate", dict(IMI_CFG, breakpoints=[0.0, 0.0]),
+     "breakpoints must be strictly increasing"),
+    ("imitate", dict(IMI_CFG, u0={"9,9": 1.0}),
+     "field not supported in mode_set"),
+    ("oracle", dict(ORACLE_CFG, geometries=[[0, 2.0]]),
+     "side lengths must be positive"),
+], ids=["T", "tol", "control_width", "u0_outside", "level_0",
+        "fit_horizon_negative", "observed_above_controlled",
+        "delta_pair_reversed", "breakpoints_repeated", "imitate_u0_outside",
+        "oracle_side_0"])
+def test_library_checks_of_the_config_are_config_errors(tmp_path, capsys,
+                                                        command, cfg,
+                                                        message):
+    # each is met by a library check before any run, and re-raised as a
+    # config error; a ValueError from inside the run is an internal error
+    path = write_cfg(tmp_path, "c.json", cfg)
+    assert main(["--out", str(tmp_path / "o"), command,
+                 "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert "config error: " in err and message in err
 
 
 @pytest.mark.parametrize("ndim, value", [

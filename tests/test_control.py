@@ -905,10 +905,25 @@ def test_loglog_slope_of_power_laws():
         pytest.approx(-1.5, abs=1e-12)
     assert loglog_slope([2.0], [5.0]) is None
     assert loglog_slope([], []) is None
-    # two points at one x determine no line either; polyfit only warned
+    # two points at one x determine no line either; the fit would divide
+    # by zero
     assert loglog_slope([12.0, 12.0], [0.3, 0.2]) is None
     # nor does a zero y, which has no logarithm
     assert loglog_slope([6.0, 12.0], [0.0, 0.2]) is None
+
+
+@given(st.lists(st.integers(1, 100), min_size=2, max_size=8, unique=True),
+       st.floats(-3.0, 3.0), st.integers(0, 2**32 - 1))
+@settings(max_examples=50, deadline=None)
+def test_loglog_slope_matches_polyfit_on_noisy_data(x, power, seed):
+    # the closed-form fit is the least-squares line numpy's polyfit finds;
+    # distinct integer x keep the logarithms 0.01 apart, so the two agree
+    # to roundoff
+    x = [float(t) for t in x]
+    noise = np.random.default_rng(seed).uniform(0.5, 2.0, len(x))
+    y = [2.0 * t ** power * e for t, e in zip(x, noise)]
+    slope = np.polyfit(np.log(x), np.log(y), 1)[0]
+    assert abs(loglog_slope(x, y) - slope) <= 1e-12 * max(1.0, abs(slope))
 
 
 # ---------------------------------------------------------------------------
