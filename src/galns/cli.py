@@ -239,8 +239,8 @@ def _write_csv(outdir, name, header, rows):
 
 
 def cmd_simulate(cfg, outdir):
-    from .dynamics import (PiecewiseConstant, integrate, run_manifest,
-                           run_segments)
+    from .dynamics import (CsvSink, PiecewiseConstant, integrate,
+                           run_manifest, run_segments)
     _known(cfg, _SYSTEM + ("u0", "T", "tol", "control"))
     sys = _system(cfg)
     geom = sys.geom
@@ -257,9 +257,20 @@ def cmd_simulate(cfg, outdir):
                 _floats(c, "values", 2, " in control"))
         # integrate's checks of T, u0 and the control, before the run
         run_segments(sys, u0, control, T)
-    tr = integrate(sys, u0, control, T, tol)
-    tr.write_csv(os.path.join(outdir, "trajectory.csv"))
-    hn = tr.h_norms()
+    # the rows are written as the run accepts them, under a temporary name
+    # that replaces trajectory.csv only once the run has succeeded
+    path = os.path.join(outdir, "trajectory.csv")
+    fh = open(path + ".part", "w", newline="")
+    try:
+        with fh:
+            table = CsvSink(sys, fh)
+            tr = integrate(sys, u0, control, T, tol, sink=table)
+            table.close()
+        os.replace(fh.name, path)
+    except BaseException:
+        os.remove(fh.name)
+        raise
+    hn = np.concatenate(table.norms)
     report = {
         "verdict": "pass",
         "run": run_manifest(sys, u0, control, T, tol),

@@ -59,7 +59,7 @@ def _end_states(sys: GalerkinSystem, y0, idx, P, T: float, tol: float):
     drift[idx] += P.T / T
     return adaptive_lawson(
         sys.lam[:, None], lambda z, t: sys.quadratic_vec(z) + drift,
-        np.repeat(y0[:, None], len(P), axis=1), 0.0, T, tol).states[-1]
+        np.repeat(y0[:, None], len(P), axis=1), 0.0, T, tol).end
 
 
 def endpoint_map(exp: EndpointExperiment, p: np.ndarray,
@@ -636,7 +636,7 @@ def imitate(sys: GalerkinSystem, z: VertexSchedule, w: float,
         if not switched:
             # the J control applies the value itself (it lies in span(J)),
             # so the reference run is the controlled run and its replay
-            state = run.states[-1]
+            state = run.end
             controls.append((t_lo, t_hi, PiecewiseConstant(
                 [0.0, t_hi - t_lo], values[i][None, idx_j])))
         else:
@@ -675,7 +675,7 @@ def imitate(sys: GalerkinSystem, z: VertexSchedule, w: float,
                 stats.add(track_stats)
                 stats.add(tr.stats)
                 controls.append((float(a), float(b), v))
-        ref = run.states[-1]
+        ref = run.end
         pinning.append(float(np.sum(np.abs(state[idx_j] - ref[idx_j]))))
 
     gap = float(np.sqrt(np.sum(h_weights(sys) * (state - ref) ** 2)))

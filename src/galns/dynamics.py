@@ -26,7 +26,11 @@ its sensitivities to P parameters as one (dim, 1 + P) stack.  Its one
 dense output is the Lawson form of the
 pair's fourth-order continuous extension, kept by a run that asks for it;
 tracked controls and the reference paths they follow are fitted from it
-as one polynomial per step.
+as one polynomial per step.  A run keeps its accepted times and end state,
+not its states: a caller that reads every accepted state takes it from a
+sink as it is accepted, which is how integrate collects a Trajectory and
+how simulate writes its table in memory that does not grow with the
+horizon (CsvSink).
 """
 
 import bisect
@@ -437,10 +441,15 @@ class IntegratorStats:
         self.largest_step = max(self.largest_step, other.largest_step)
 
 
+# H norms are taken, and a streamed table written, this many rows at a time
+H_BLOCK = 64
+
+
 @dataclass
 class Trajectory:
     """The accepted steps of one integration run (times, states) and the
-    integrator statistics."""
+    integrator statistics; states is None for a run that gave its states
+    to a sink."""
 
     sys: GalerkinSystem
     times: np.ndarray
@@ -448,12 +457,12 @@ class Trajectory:
     stats: IntegratorStats
 
     def h_norms(self) -> np.ndarray:
-        """H norm of each state, 64 rows at a time (no states-sized
+        """H norm of each state, H_BLOCK rows at a time (no states-sized
         temporary); a lone last row joins the block before it, as numpy
         sums a one-row product in another order than one BLAS product."""
         w = h_weights(self.sys)
         out = np.empty(len(self.states))
-        edges = list(range(0, max(len(out) - 1, 1), 64)) + [len(out)]
+        edges = list(range(0, max(len(out) - 1, 1), H_BLOCK)) + [len(out)]
         for lo, hi in zip(edges[:-1], edges[1:]):
             out[lo:hi] = self.states[lo:hi] ** 2 @ w
         return np.sqrt(out)
@@ -461,15 +470,51 @@ class Trajectory:
     def write_csv(self, path):
         """One row per accepted time, t then the state in mode_set order,
         each number as its shortest round-trip repr, with CRLF line ends
-        (the csv module's format; no field needs quoting).  Rows are
-        formatted one at a time: the whole table as Python floats and
-        strings takes about ten times the memory of the states."""
+        (the csv module's format; no field needs quoting)."""
         with open(path, "w", newline="") as fh:
+            self.write_rows(fh)
+
+    def write_rows(self, fh, header=True):
+        """Write write_csv's text to the open file fh, without its header
+        line if header is False.  Rows are formatted one at a time: the
+        whole table as Python floats and strings takes about ten times the
+        memory of the states."""
+        if header:
             fh.write(",".join(["t"] + ["%d.%d" % k for k in self.sys.mode_set])
                      + "\r\n")
-            for t, row in zip(self.times.tolist(), self.states):
-                fh.write(repr(t) + "," + ",".join(map(repr, row.tolist()))
-                         + "\r\n")
+        for t, row in zip(self.times.tolist(), self.states):
+            fh.write(repr(t) + "," + ",".join(map(repr, row.tolist()))
+                     + "\r\n")
+
+
+class CsvSink:
+    """A sink(t, y) for integrate that writes Trajectory.write_csv's text
+    to the open file fh as the run accepts its rows.  It holds at most
+    H_BLOCK + 1 rows: write_block writes H_BLOCK of them at a time as one
+    Trajectory, and close() the last 1 to H_BLOCK + 1.  These are the
+    blocks of Trajectory.h_norms, whose H norms it keeps in norms, one
+    array per block."""
+
+    def __init__(self, sys: GalerkinSystem, fh):
+        self.sys, self.fh = sys, fh
+        self.times, self.states, self.norms = [], [], []
+
+    def __call__(self, t, y):
+        if len(self.states) > H_BLOCK:
+            self.write_block(H_BLOCK)
+        self.times.append(t)
+        self.states.append(y)
+
+    def close(self):
+        self.write_block(len(self.states))
+
+    def write_block(self, n):
+        """Write the first n rows held, as one Trajectory, and drop them."""
+        block = Trajectory(self.sys, np.array(self.times[:n]),
+                           np.array(self.states[:n]), None)
+        block.write_rows(self.fh, header=not self.norms)
+        self.norms.append(block.h_norms())
+        del self.times[:n], self.states[:n]
 
 
 # Dormand-Prince 5(4) (J. Comput. Appl. Math. 6, 1980): nodes, the stage
@@ -541,13 +586,13 @@ _END_ROUNDOFF = 1e-15
 
 class LawsonRun(NamedTuple):
     """Result of adaptive_lawson: the accepted times (t0 included), the
-    states there and the work; with dense=True also stages, shape
+    end state and the work; with dense=True also stages, shape
     (steps, 8) + state shape, the start state and the seven nonlin stages
     N_1 .. N_7 of every accepted step, from which dense evaluates the
     solution between the accepted times."""
 
     times: list
-    states: list
+    end: np.ndarray
     stats: IntegratorStats
     stages: np.ndarray = None
 
@@ -581,7 +626,7 @@ class LawsonRun(NamedTuple):
 
 
 def adaptive_lawson(lam, nonlin, y0, t0, t1, tol, max_step=np.inf,
-                    h_min=None, dense=False) -> LawsonRun:
+                    h_min=None, dense=False, sink=None) -> LawsonRun:
     """Integrate y' = lam*y + nonlin(y, t) over [t0, t1] at absolute local
     error tol with the Lawson (integrating-factor) form of the
     Dormand-Prince 5(4) pair: stage values are exact for the linear part,
@@ -593,8 +638,11 @@ def adaptive_lawson(lam, nonlin, y0, t0, t1, tol, max_step=np.inf,
     target); a trial step that turns non-finite is retried with a smaller
     step, and StiffnessError is raised once a rejected step is no larger
     than 2 * h_min (default 1e-13 of the span).  Returns a LawsonRun whose
-    item 0 is the list of times including t0; with dense=True it keeps the
-    accepted steps' stages for LawsonRun.dense, 8 states' worth per step.
+    item 0 is the list of times including t0, with the end state but no
+    other state: a caller that reads them passes sink, called as
+    sink(t, y) with each accepted time and state (t0 and y0 not included).
+    With dense=True it keeps the accepted steps' stages for
+    LawsonRun.dense, 8 states' worth per step.
 
     y0 may be one state of shape (dim,) or a stack of shape (dim, B) with
     lam of shape (dim, 1); the stack shares one step sequence and the error
@@ -614,7 +662,7 @@ def adaptive_lawson(lam, nonlin, y0, t0, t1, tol, max_step=np.inf,
     stats = IntegratorStats(rhs_calls=1)
     t = t0
     f = nonlin(y, t)
-    times, states = [t0], [y]
+    times = [t0]
     kept = []
     # stage buffer [y, N_1 .. N_7]
     stages = np.empty((8,) + y.shape)
@@ -646,7 +694,8 @@ def adaptive_lawson(lam, nonlin, y0, t0, t1, tol, max_step=np.inf,
                 t += h
                 y, f = y_new, stages[7].copy()
                 times.append(t)
-                states.append(y)
+                if sink is not None:
+                    sink(t, y)
                 stats.accepted_steps += 1
                 stats.smallest_step = min(stats.smallest_step, h)
                 stats.largest_step = max(stats.largest_step, h)
@@ -665,7 +714,7 @@ def adaptive_lawson(lam, nonlin, y0, t0, t1, tol, max_step=np.inf,
                 shrink = _SAFETY * ratio ** -0.2 if ratio < np.inf else 0.0
                 h = max(h * max(_SHRINK_MIN, shrink), h_min)
                 grow_max = 1.0
-    return LawsonRun(times, states, stats, np.array(kept) if dense else None)
+    return LawsonRun(times, y, stats, np.array(kept) if dense else None)
 
 
 def run_segments(sys: GalerkinSystem, u0: SpectralField, control, T: float):
@@ -703,16 +752,23 @@ def run_segments(sys: GalerkinSystem, u0: SpectralField, control, T: float):
 
 
 def integrate(sys: GalerkinSystem, u0: SpectralField, control, T: float,
-              tol: float = 1e-8) -> Trajectory:
+              tol: float = 1e-8, sink=None) -> Trajectory:
     """Integrate the controlled system over [0, T] with adaptive_lawson at
     absolute local error tol on the coefficients, under no control (None),
     a PiecewiseConstant or a PiecewisePolynomial one.  Control breakpoints
     are exact knots: each starts a new segment, but one within roundoff of
     T counts as T.  The Trajectory keeps the accepted times and states, no
-    stages, and its stats sum the work of all segments."""
+    stages, and its stats sum the work of all segments.  Given a sink, each
+    accepted time and state, (0, u0) first, goes to sink(t, y) as it is
+    accepted, and the Trajectory keeps no states (None)."""
     y, segments = run_segments(sys, u0, control, T)
+    states = []
+    collect = sink is None
+    if collect:
+        def sink(t, z):
+            states.append(z)
+    sink(0.0, y.copy())
     times = [0.0]
-    states = [y.copy()]
     max_step = getattr(control, "max_step", np.inf)
     stats = IntegratorStats()
 
@@ -727,12 +783,12 @@ def integrate(sys: GalerkinSystem, u0: SpectralField, control, T: float,
         return out
     for t0, t1, v in segments:
         run = adaptive_lawson(sys.lam, nonlin, y, t0, t1, tol,
-                              max_step=max_step, h_min=1e-13 * T)
+                              max_step=max_step, h_min=1e-13 * T, sink=sink)
         times.extend(run.times[1:])
-        states.extend(run.states[1:])
         stats.add(run.stats)
-        y = run.states[-1]
-    return Trajectory(sys, np.array(times), np.array(states), stats)
+        y = run.end
+    return Trajectory(sys, np.array(times),
+                      np.array(states) if collect else None, stats)
 
 
 def integrate_tangent(sys: GalerkinSystem, u0: SpectralField, control,
@@ -776,7 +832,7 @@ def integrate_tangent(sys: GalerkinSystem, u0: SpectralField, control,
         run = adaptive_lawson(sys.lam[:, None], nonlin, Y, t0, t1, tol,
                               h_min=1e-13 * T)
         stats.add(run.stats)
-        Y = run.states[-1]
+        Y = run.end
     return Y[:, 0], Y[:, 1:], stats
 
 

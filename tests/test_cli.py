@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -207,6 +208,64 @@ def test_numerical_failure_exit_3_with_report(tmp_path, monkeypatch, capsys):
     assert man["command"] == "simulate"
     assert man["outputs"] == ["report.json"]
     assert "numerical failure: step underflow" in capsys.readouterr().err
+
+
+def test_step_underflow_mid_run_leaves_no_partial_table(tmp_path, monkeypatch,
+                                                       capsys):
+    # a control of 1e150 on [3.9, 4] underflows the step at t = 3.9, after
+    # the rows of [0, 3.9] have been written in blocks
+    blocks = []
+    write_block = dynamics.CsvSink.write_block
+
+    def counted(self, n):
+        blocks.append(n)
+        write_block(self, n)
+    monkeypatch.setattr(dynamics.CsvSink, "write_block", counted)
+    out = str(tmp_path / "o")
+    ok = write_cfg(tmp_path, "ok.json", SIM_CFG)
+    assert main(["--out", out, "simulate", "--config", ok]) == 0
+    earlier = Path(out, "trajectory.csv").read_bytes()
+    stiff = write_cfg(tmp_path, "stiff.json", dict(
+        SIM_CFG, T=4.0, tol=1e-10, forcing={"1,1": 5.0},
+        control={"breakpoints": [0.0, 3.9, 4.0],
+                 "values": [[0.0] * 8, [1e150] + [0.0] * 7]}))
+    blocks.clear()
+    assert main(["--out", out, "simulate", "--config", stiff]) == 3
+    assert len(blocks) >= 2
+    assert "numerical failure: step underflow at t=3.9" \
+        in capsys.readouterr().err
+    assert read_json(out, "report.json")["verdict"] == "numerical_failure"
+    assert read_json(out, "manifest.json")["outputs"] == ["report.json"]
+    assert sorted(os.listdir(out)) == ["manifest.json", "report.json",
+                                       "trajectory.csv"]
+    assert Path(out, "trajectory.csv").read_bytes() == earlier
+
+
+def test_simulate_memory_does_not_grow_with_the_horizon(tmp_path):
+    # rows are written as they are accepted, so a run 8 times as long
+    # peaks higher only by the accepted times and the H norms it keeps,
+    # about 53 bytes a step (allowed: 96), and by at most one 64-row block
+    # of states; holding the states takes 2 x 504 bytes a step at level 6
+    cfg = {"geometry": {"a": 1.0, "b": 2.0}, "nu": 0.05, "level": 6,
+           "controlled_level": 1, "forcing": {"1,1": 5.0, "2,1": -2.5},
+           "u0": {"1,1": 0.5, "2,2": -0.3}, "T": 0.8}
+    out = str(tmp_path / "o")
+
+    def run(T):
+        path = write_cfg(tmp_path, "sim.json", dict(cfg, T=T))
+        tracemalloc.start()
+        try:
+            assert main(["--out", out, "simulate", "--config", path]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak, read_json(out, "report.json")["steps"]
+    run(0.05)  # imports and caches
+    (short, n_short), (long, n_long) = run(0.8), run(6.4)
+    # the short run fills its 65-row buffer too
+    assert n_short > 65 and n_long > 7 * n_short
+    block = 64 * 63 * 8
+    assert long - short < block + 96 * (n_long - n_short)
 
 
 def test_internal_error_exit_4_with_traceback(tmp_path, monkeypatch, capsys):

@@ -14,10 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from galns import dynamics
-from galns.dynamics import (POLY_THETA, GalerkinSystem, IntegratorStats,
-                            PiecewiseConstant, PiecewisePolynomial,
-                            Trajectory, adaptive_lawson, integrate,
-                            run_manifest)
+from galns.dynamics import (H_BLOCK, POLY_THETA, CsvSink, GalerkinSystem,
+                            IntegratorStats, PiecewiseConstant,
+                            PiecewisePolynomial, Trajectory, adaptive_lawson,
+                            integrate, run_manifest)
 from galns.nonlinearity import (float_params, interaction_coeffs,
                                 interaction_kernel, mode_array,
                                 mode_positions)
@@ -645,6 +645,44 @@ def test_write_csv_matches_csv_module(tmp_path):
     assert b"-0.0," in new and b"1e-300," in new and b"1.2345678901234568e+17" in new
 
 
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 128, 129, 130])
+def test_csv_sink_streams_write_csv_and_h_norms(tmp_path, n):
+    # rows streamed H_BLOCK at a time, with np.float64 times as a run gives
+    # them, are the held trajectory's table and H norms, bit for bit
+    rng = np.random.default_rng(n)
+    sys = make_sys()
+    times = np.cumsum(rng.uniform(size=n))
+    states = rng.normal(size=(n, sys.dim)) * 10.0 ** rng.uniform(-3, 3, (n, 1))
+    tr = Trajectory(sys, times, states, IntegratorStats())
+    tr.write_csv(tmp_path / "held.csv")
+    held = []
+    with open(tmp_path / "streamed.csv", "w", newline="") as fh:
+        sink = CsvSink(sys, fh)
+        for t, y in zip(times, states):
+            sink(t, y.copy())
+            held.append(len(sink.states))
+        sink.close()
+    assert max(held) == min(n, H_BLOCK + 1) and sink.states == []
+    assert (tmp_path / "streamed.csv").read_bytes() \
+        == (tmp_path / "held.csv").read_bytes()
+    assert np.concatenate(sink.norms).tobytes() == tr.h_norms().tobytes()
+
+
+def test_integrate_gives_each_accepted_row_to_a_sink():
+    sys = make_sys()
+    u0 = SpectralField(G, {(1, 1): 0.5, (2, 1): -0.3})
+    ctl = PiecewiseConstant([0.0, 0.1, 0.3], np.zeros((2, len(K1))))
+    held = integrate(sys, u0, ctl, 0.3, 1e-8)
+    rows = []
+    tr = integrate(sys, u0, ctl, 0.3, 1e-8,
+                   sink=lambda t, y: rows.append((t, y)))
+    assert tr.states is None and tr.stats == held.stats
+    assert rows[0][0] == 0.0 and len(rows) == len(held.times) > 3
+    assert np.array([t for t, _ in rows]).tobytes() == held.times.tobytes()
+    assert tr.times.tobytes() == held.times.tobytes()
+    assert np.array([y for _, y in rows]).tobytes() == held.states.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # The Lawson Dormand-Prince integrator, its statistics and dense output
 
@@ -662,7 +700,7 @@ def test_lawson_dp5_fixed_step_order():
         run = adaptive_lawson(sys.lam, nonlin, y0, 0.0, 1.0, np.inf,
                               max_step=1.0 / n)
         assert len(run.times) == n + 1
-        return run.states[-1]
+        return run.end
 
     ref = end_state(1024)
     errs = [np.max(np.abs(end_state(n) - ref)) for n in (8, 16, 32)]
@@ -693,11 +731,16 @@ def test_integrator_statistics():
 def test_adaptive_lawson_result_starts_with_times():
     sys = make_sys()
     y0 = sys.to_vector(SpectralField(G, {(1, 1): 0.5}))
+    seen = []
     run = adaptive_lawson(sys.lam, lambda z, t: sys.quadratic_vec(z), y0,
-                          0.2, 0.5, 1e-8)
+                          0.2, 0.5, 1e-8,
+                          sink=lambda t, y: seen.append((t, y)))
     assert run[0] is run.times and run.times[0] == 0.2
     assert len(run[0]) - 1 == run.stats.accepted_steps
-    assert len(run.states) == len(run.times)
+    # the sink sees each accepted step, the start excluded; the run keeps
+    # the last state only
+    assert [t for t, _ in seen] == run.times[1:]
+    assert seen[-1][1] is run.end
 
 
 @pytest.mark.parametrize("span", [4e-5, 3e-4, 3e-3])
@@ -731,14 +774,16 @@ def test_non_finite_trial_step_shrinks_the_step(T):
 
 
 def lawson_run(tol, T=0.5, seed=0, nu=1.0, mode_set=K3, scale=0.5):
-    """The run of u0 = scale N(0,1) on K^1, with its stages; by default
-    on K^3 with nu = 1."""
+    """The run of u0 = scale N(0,1) on K^1, with its stages and its
+    accepted states (u0 first); by default on K^3 with nu = 1."""
     sys = make_sys(nu=nu, mode_set=mode_set)
     u0 = random_field(np.random.default_rng(seed), K1, scale=scale)
+    states = [sys.to_vector(u0)]
     run = adaptive_lawson(sys.lam,
                           lambda z, t: sys.quadratic_vec(z) + sys.forcing_vec,
-                          sys.to_vector(u0), 0.0, T, tol, dense=True)
-    return sys, u0, run
+                          states[0], 0.0, T, tol, dense=True,
+                          sink=lambda t, y: states.append(y))
+    return sys, u0, run, np.array(states)
 
 
 # stiff: the fast K^3 modes decay within one step (|lam| h up to 58), where
@@ -752,7 +797,7 @@ def lawson_run(tol, T=0.5, seed=0, nu=1.0, mode_set=K3, scale=0.5):
 def test_lawson_dense_output_at_step_midpoints(tol, T, seed, nu, mode_set,
                                                scale, stiff):
     # the reference is a tol = 1e-13 run that has the midpoints as knots
-    sys, u0, run = lawson_run(tol, T, seed, nu, mode_set, scale)
+    sys, u0, run, _ = lawson_run(tol, T, seed, nu, mode_set, scale)
     times = np.array(run.times)
     h_lam = np.max(np.diff(times)) * np.max(np.abs(sys.lam))
     assert h_lam > 10 if stiff else h_lam < 1
@@ -767,9 +812,8 @@ def test_lawson_dense_output_at_step_midpoints(tol, T, seed, nu, mode_set,
 
 
 def test_lawson_dense_output_reproduces_step_ends():
-    sys, _, run = lawson_run(1e-8)
+    sys, _, run, states = lawson_run(1e-8)
     n = len(run.times) - 1
-    states = np.array(run.states)
     steps = np.arange(n)
     assert np.array_equal(run.dense(sys.lam, steps, np.zeros(n)), states[:-1])
     assert np.max(np.abs(run.dense(sys.lam, steps, np.ones(n)) - states[1:])) \
@@ -782,8 +826,7 @@ def test_lawson_dense_output_reproduces_step_ends():
     m = len(stack.times) - 1
     got = stack.dense(sys.lam[:, None], np.arange(m), np.full(m, 0.3))
     for c in range(2):
-        col = stack._replace(stages=stack.stages[..., c],
-                             states=[y[:, c] for y in stack.states])
+        col = stack._replace(stages=stack.stages[..., c])
         assert np.array_equal(got[..., c],
                               col.dense(sys.lam, np.arange(m), np.full(m, 0.3)))
 
@@ -881,12 +924,14 @@ def test_integrate_polynomial_control_adds_its_control_vec():
     ctl = PiecewisePolynomial(knots, rng.normal(size=(5, 8, len(K1))))
     u0 = random_field(rng, K3, 0.3)
     tr = integrate(sys, u0, ctl, 0.2, tol=1e-9)
+    states = [sys.to_vector(u0)]
     run = adaptive_lawson(
         sys.lam, lambda z, t: (sys.quadratic_vec(z) + sys.forcing_vec
                                + sys.control_vec(ctl.value(t))),
-        sys.to_vector(u0), 0.0, 0.2, 1e-9, h_min=1e-13 * 0.2)
+        states[0], 0.0, 0.2, 1e-9, h_min=1e-13 * 0.2,
+        sink=lambda t, y: states.append(y))
     assert tr.times.tobytes() == np.array(run.times).tobytes()
-    assert tr.states.tobytes() == np.array(run.states).tobytes()
+    assert tr.states.tobytes() == np.array(states).tobytes()
     narrow = PiecewisePolynomial(knots, np.zeros((5, 8, 1)))
     with pytest.raises(ValueError, match="control dimension"):
         integrate(sys, u0, narrow, 0.2)
