@@ -265,12 +265,11 @@ def cmd_simulate(cfg, outdir):
         with fh:
             table = CsvSink(sys, fh)
             tr = integrate(sys, u0, control, T, tol, sink=table)
-            table.close()
         os.replace(fh.name, path)
     except BaseException:
         os.remove(fh.name)
         raise
-    hn = np.concatenate(table.norms)
+    hn = np.asarray(table.norms)
     report = {
         "verdict": "pass",
         "run": run_manifest(sys, u0, control, T, tol),
@@ -316,8 +315,9 @@ _STEER = _SYSTEM + ("observed_level", "u0", "radius", "gamma_infl",
 
 
 def _covering(exp_cfg):
-    """covering_check's report on one steer experiment."""
-    from .control import EndpointExperiment, covering_check
+    """covering_check's arguments for one steer experiment: the
+    EndpointExperiment and its keyword arguments."""
+    from .control import EndpointExperiment
     if not isinstance(exp_cfg, dict):
         raise ConfigError("each experiment must be a JSON object")
     _known(exp_cfg, _STEER, " in experiment")
@@ -337,8 +337,7 @@ def _covering(exp_cfg):
     if not all(0 < t < math.inf for t in fit_horizons or ()):
         raise ConfigError("field 'fit_horizons' must hold positive finite "
                           "horizons, got %r" % (fit_horizons,))
-    return covering_check(
-        exp,
+    return exp, dict(
         grid_per_dim=_optional(exp_cfg, "grid_per_dim", int, 3, low=2),
         fit_horizons=fit_horizons,
         residual_tol=_positive(exp_cfg, "residual_tol", 1e-6),
@@ -346,12 +345,15 @@ def _covering(exp_cfg):
 
 
 def cmd_steer(cfg, outdir):
+    from .control import covering_check
     if "experiments" in cfg:
         _known(cfg, ("experiments",))
     experiments = _optional(cfg, "experiments", list, [cfg])
     if not experiments:
         raise ConfigError("field 'experiments' must not be empty")
-    reports = [_covering(exp_cfg) for exp_cfg in experiments]
+    # every experiment is read before the first covering runs
+    coverings = [_covering(exp_cfg) for exp_cfg in experiments]
+    reports = [covering_check(exp, **kw) for exp, kw in coverings]
     d = max(rep["observed_dim"] for rep in reports)
     tables = [rep.pop("per_target") for rep in reports]
     # each row is made from the arrays as it is written, padded to d targets
@@ -480,14 +482,17 @@ def cmd_oracle(cfg, outdir):
     if not (0 < rel_tol < math.inf and 0 < abs_floor < math.inf):
         raise ConfigError("fields 'rel_tol' and 'abs_floor' must be positive"
                           " and finite, got %r and %r" % (rel_tol, abs_floor))
-    rows = []
-    n_fail = 0
+    # every geometry is read before the first sweep runs
+    rects = []
     for ab in geoms:
         if not (isinstance(ab, list) and len(ab) == 2):
             raise ConfigError("each geometry must be a list [a, b], got %r"
                               % (ab,))
         with _config_faults():
-            geom = RectGeometry(_num(ab[0], "a"), _num(ab[1], "b"))
+            rects.append(RectGeometry(_num(ab[0], "a"), _num(ab[1], "b")))
+    rows = []
+    n_fail = 0
+    for ab, geom in zip(geoms, rects):
         for r in oracle_sweep(max_index, geom, rel_tol=rel_tol,
                               abs_floor=abs_floor):
             rows.append([ab[0], ab[1], "%d,%d" % r["m"], "%d,%d" % r["n"],

@@ -12,8 +12,7 @@ import numpy as np
 
 from .dynamics import (GalerkinSystem, IntegratorStats, PiecewiseConstant,
                        POLY_THETA, PiecewisePolynomial, Smooth,
-                       adaptive_lawson, h_weights, integrate,
-                       integrate_tangent)
+                       adaptive_lawson, integrate, integrate_tangent)
 from .nonlinearity import float_params, interaction_rows
 from .saturation import exact_squares, selection_S
 from .spectral import SpectralField, infer_level, mode_set_K
@@ -338,6 +337,8 @@ def make_phi_w(breakpoints, w: float) -> OscillatorProfile:
     # NaN compares false, so a NaN breakpoint fails this test too
     if bp.ndim != 1 or len(bp) < 2 or not np.all(np.diff(bp) > 0):
         raise ValueError("breakpoints must be strictly increasing")
+    if not np.all(np.isfinite(bp)):
+        raise ValueError("breakpoints must be finite, got %r" % (bp.tolist(),))
     lengths = np.diff(bp)
     return OscillatorProfile(bp, float(w), lengths / w)
 
@@ -678,7 +679,7 @@ def imitate(sys: GalerkinSystem, z: VertexSchedule, w: float,
         ref = run.end
         pinning.append(float(np.sum(np.abs(state[idx_j] - ref[idx_j]))))
 
-    gap = float(np.sqrt(np.sum(h_weights(sys) * (state - ref) ** 2)))
+    gap = float(sys.h_norm(state - ref))
     return ImitationResult(controls, gap, pinning, state, stats)
 
 
@@ -837,7 +838,7 @@ def _solve_schedule(full_sys, level, y_goal, u0, tol, res_target, p):
     xi = max((4.0 if first_order else 30.0) * float(np.sum(np.abs(alpha))),
              1e-6)
     max_iter = 30 if first_order else 120
-    sw = np.sqrt(h_weights(full_sys))
+    sw = np.sqrt(full_sys.h_weights)
 
     def endpoint(m, x):
         return _schedule_endpoint(full_sys, labels, cols,
@@ -925,11 +926,6 @@ def cascade_to_K1(sys: GalerkinSystem, target: SpectralField, eps: float,
                              "exceeds eps/2")
     budget = eps / (2 * m_level)
 
-    sw = np.sqrt(h_weights(sys))
-
-    def h_dist(x, y):
-        return float(np.linalg.norm(sw * (x - y)))
-
     # covering at level M, actuated on the K^M modes
     full_sys = GalerkinSystem(sys.geom, sys.nu, sys.forcing, sys.mode_set,
                               sys.mode_set)
@@ -952,7 +948,7 @@ def cascade_to_K1(sys: GalerkinSystem, target: SpectralField, eps: float,
         w = CASCADE_W0
         while True:
             res = imitate(level_sys, z, w, tol, u0=u0)
-            dev = h_dist(res.end_state, y_prev)
+            dev = float(sys.h_norm(res.end_state - y_prev))
             if dev <= budget or w >= CASCADE_W_CAP:
                 break
             w *= 2
@@ -972,7 +968,7 @@ def cascade_to_K1(sys: GalerkinSystem, target: SpectralField, eps: float,
         final_control = [(0.0, CASCADE_HORIZON, PiecewiseConstant(
             [0.0, CASCADE_HORIZON], [p / CASCADE_HORIZON]))]
 
-    distance = math.sqrt(h_dist(y_prev, inside) ** 2
+    distance = math.sqrt(sys.h_norm(y_prev - inside) ** 2
                          + tail_norm(sys.index) ** 2)
     return {
         "M": m_level,

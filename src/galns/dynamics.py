@@ -37,6 +37,7 @@ import bisect
 import hashlib
 import json
 import math
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -135,7 +136,8 @@ class GalerkinSystem:
 
     Control components v_k act only on controlled_set (zero elsewhere).
     Public fields: index maps each mode to its position in mode_set; lam
-    (nu*kbar_k), forcing_vec (F_k) and ctrl_idx (the positions of
+    (nu*kbar_k), forcing_vec (F_k), h_weights ((ab/4)(-kbar_k), so that
+    |u|_H^2 = sum_k h_weights_k u_k^2) and ctrl_idx (the positions of
     controlled_set) are arrays in mode_set order.  The interaction
     operator (_pi, _pj, _Q) is built the first time one of them is read,
     and its Jacobian tensor _D the first time bilinear_vec needs it."""
@@ -152,6 +154,8 @@ class GalerkinSystem:
         self.index = {k: i for i, k in enumerate(self.mode_set)}
         self.lam = np.array([self.nu * kbar(k, self.geom) for k in self.mode_set])
         self.forcing_vec = np.array([self.forcing[k] for k in self.mode_set])
+        self.h_weights = (self.geom.a * self.geom.b / 4) * np.array(
+            [-kbar(k, self.geom) for k in self.mode_set])
         self.ctrl_idx = np.array([self.index[k] for k in self.controlled_set],
                                  dtype=int)
 
@@ -258,6 +262,12 @@ class GalerkinSystem:
         v1, v2, zx, zy = t.fields(Z)
         return t.project(u1 * zx + v1 * wx + u2 * zy + v2 * wy)
 
+    def h_norm(self, y: np.ndarray) -> np.ndarray:
+        """The H norm of one state (dim,), or of each row of a stack
+        (rows, dim).  numpy sums each row on its own, pairwise and without
+        BLAS, so a row's norm has the same bits alone as in any stack."""
+        return np.sqrt(np.sum(y**2 * self.h_weights, axis=-1))
+
     def control_vec(self, v) -> np.ndarray:
         """Embed a control value (None, or an array over controlled_set)
         into the full state ordering."""
@@ -270,12 +280,6 @@ class GalerkinSystem:
                              % (v.shape, len(self.controlled_set)))
         out[self.ctrl_idx] = v
         return out
-
-
-def h_weights(sys: GalerkinSystem) -> np.ndarray:
-    """H weights (ab/4)(-kbar_k), |u|_H^2 = sum w_k u_k^2, on mode_set."""
-    return (sys.geom.a * sys.geom.b / 4) * np.array(
-        [-kbar(k, sys.geom) for k in sys.mode_set])
 
 
 # ---------------------------------------------------------------------------
@@ -441,10 +445,6 @@ class IntegratorStats:
         self.largest_step = max(self.largest_step, other.largest_step)
 
 
-# H norms are taken, and a streamed table written, this many rows at a time
-H_BLOCK = 64
-
-
 @dataclass
 class Trajectory:
     """The accepted steps of one integration run (times, states) and the
@@ -456,65 +456,34 @@ class Trajectory:
     states: np.ndarray  # shape (len(times), sys.dim)
     stats: IntegratorStats
 
-    def h_norms(self) -> np.ndarray:
-        """H norm of each state, H_BLOCK rows at a time (no states-sized
-        temporary); a lone last row joins the block before it, as numpy
-        sums a one-row product in another order than one BLAS product."""
-        w = h_weights(self.sys)
-        out = np.empty(len(self.states))
-        edges = list(range(0, max(len(out) - 1, 1), H_BLOCK)) + [len(out)]
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            out[lo:hi] = self.states[lo:hi] ** 2 @ w
-        return np.sqrt(out)
-
     def write_csv(self, path):
-        """One row per accepted time, t then the state in mode_set order,
-        each number as its shortest round-trip repr, with CRLF line ends
-        (the csv module's format; no field needs quoting)."""
+        """Write the table to path through CsvSink, as simulate writes it
+        while the run accepts its steps."""
         with open(path, "w", newline="") as fh:
-            self.write_rows(fh)
-
-    def write_rows(self, fh, header=True):
-        """Write write_csv's text to the open file fh, without its header
-        line if header is False.  Rows are formatted one at a time: the
-        whole table as Python floats and strings takes about ten times the
-        memory of the states."""
-        if header:
-            fh.write(",".join(["t"] + ["%d.%d" % k for k in self.sys.mode_set])
-                     + "\r\n")
-        for t, row in zip(self.times.tolist(), self.states):
-            fh.write(repr(t) + "," + ",".join(map(repr, row.tolist()))
-                     + "\r\n")
+            sink = CsvSink(self.sys, fh)
+            for t, y in zip(self.times.tolist(), self.states):
+                sink(t, y)
 
 
 class CsvSink:
-    """A sink(t, y) for integrate that writes Trajectory.write_csv's text
-    to the open file fh as the run accepts its rows.  It holds at most
-    H_BLOCK + 1 rows: write_block writes H_BLOCK of them at a time as one
-    Trajectory, and close() the last 1 to H_BLOCK + 1.  These are the
-    blocks of Trajectory.h_norms, whose H norms it keeps in norms, one
-    array per block."""
+    """A sink(t, y) for integrate that writes a run's table to the open
+    file fh: a header, then one row per accepted time as the run accepts
+    it, t and the state in mode_set order, each number as its shortest
+    round-trip repr, with CRLF line ends (the csv module's format; no
+    field needs quoting).  It keeps each row's H norm
+    (GalerkinSystem.h_norm) in norms, 8 bytes a row, and no state: the
+    whole table as Python floats and strings takes about ten times the
+    memory of the states."""
 
     def __init__(self, sys: GalerkinSystem, fh):
-        self.sys, self.fh = sys, fh
-        self.times, self.states, self.norms = [], [], []
+        self.sys, self.fh, self.norms = sys, fh, array("d")
+        fh.write(",".join(["t"] + ["%d.%d" % k for k in sys.mode_set])
+                 + "\r\n")
 
     def __call__(self, t, y):
-        if len(self.states) > H_BLOCK:
-            self.write_block(H_BLOCK)
-        self.times.append(t)
-        self.states.append(y)
-
-    def close(self):
-        self.write_block(len(self.states))
-
-    def write_block(self, n):
-        """Write the first n rows held, as one Trajectory, and drop them."""
-        block = Trajectory(self.sys, np.array(self.times[:n]),
-                           np.array(self.states[:n]), None)
-        block.write_rows(self.fh, header=not self.norms)
-        self.norms.append(block.h_norms())
-        del self.times[:n], self.states[:n]
+        self.fh.write(repr(float(t)) + "," + ",".join(map(repr, y.tolist()))
+                      + "\r\n")
+        self.norms.append(self.sys.h_norm(y))
 
 
 # Dormand-Prince 5(4) (J. Comput. Appl. Math. 6, 1980): nodes, the stage
@@ -637,7 +606,8 @@ def adaptive_lawson(lam, nonlin, y0, t0, t1, tol, max_step=np.inf,
     at y0 (the step at which a unit fifth-order error constant meets that
     target); a trial step that turns non-finite is retried with a smaller
     step, and StiffnessError is raised once a rejected step is no larger
-    than 2 * h_min (default 1e-13 of the span).  Returns a LawsonRun whose
+    than 2 * h_min (default 1e-13 of the span).  t0 < t1 must hold at a
+    finite distance, or it raises ValueError.  Returns a LawsonRun whose
     item 0 is the list of times including t0, with the end state but no
     other state: a caller that reads them passes sink, called as
     sink(t, y) with each accepted time and state (t0 and y0 not included).
@@ -652,6 +622,10 @@ def adaptive_lawson(lam, nonlin, y0, t0, t1, tol, max_step=np.inf,
         raise ValueError("tol must be positive, and finite unless max_step "
                          "is, got %r" % (tol,))
     span = t1 - t0
+    # NaN compares false, so a NaN end fails this test too
+    if not 0 < span < np.inf:
+        raise ValueError("need t0 < t1 at a finite distance, got [%r, %r]"
+                         % (t0, t1))
     if h_min is None:
         h_min = 1e-13 * span
     y = np.array(y0, dtype=float)

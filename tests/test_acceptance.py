@@ -13,7 +13,7 @@ from galns.control import (EndpointExperiment, RelaxedFamily, VertexSchedule,
                            deviation_sweep, fit_deviation_slope, imitate,
                            loglog_slope, push_to_interior, tracking_control)
 from galns.dynamics import (GalerkinSystem, PiecewiseConstant, Smooth,
-                            h_weights, integrate)
+                            integrate)
 from galns.lie_rank import full_rank_check
 from galns.nonlinearity import interaction_rows, oracle_sweep, trilinear_b
 from galns.saturation import (SQUARE_REPAIR_PAIRS, SQUARE_REPAIR_TARGETS,
@@ -118,7 +118,7 @@ def test_criterion_04_energy_and_skew():
         v = SpectralField(G, {k: rng.normal() for k in K2})
         for s in systems:
             y = s.to_vector(u)
-            h_inner = np.sum(h_weights(s) * s.quadratic_vec(y) * y)
+            h_inner = np.sum(s.h_weights * s.quadratic_vec(y) * y)
             assert abs(h_inner) <= 1e-10 * max(1.0, u.norm("H") ** 3)
         assert abs(trilinear_b(u, v, v)) <= \
             1e-10 * max(1.0, u.norm("V") * v.norm("V") ** 2)
@@ -126,7 +126,7 @@ def test_criterion_04_energy_and_skew():
     sys = make_sys(nu=1.0)
     for _ in range(3):
         u0 = SpectralField(G, {k: rng.normal() for k in K1})
-        hn = integrate(sys, u0, None, 0.3, tol=1e-10).h_norms()
+        hn = sys.h_norm(integrate(sys, u0, None, 0.3, tol=1e-10).states)
         assert np.all(np.diff(hn) <= 1e-8)
     # forced runs obey |u(s)|^2 <= |u0|^2 + (1/nu) int ||F+v||_{V'}^2
     nu = 1.0
@@ -140,7 +140,7 @@ def test_criterion_04_energy_and_skew():
         fv2 = [sysF.to_field(sysF.forcing_vec
                              + sysF.control_vec(vals[i])).norm("V'") ** 2
                for i in range(3)]
-        hn = tr.h_norms()
+        hn = sysF.h_norm(tr.states)
         for i, s in enumerate(tr.times):
             acc = sum(fv2[seg] * max(0.0, min(s, bps[seg + 1]) - bps[seg])
                       for seg in range(3) if s > bps[seg])

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import importlib
 import json
 import math
 import os
@@ -213,14 +214,14 @@ def test_numerical_failure_exit_3_with_report(tmp_path, monkeypatch, capsys):
 def test_step_underflow_mid_run_leaves_no_partial_table(tmp_path, monkeypatch,
                                                        capsys):
     # a control of 1e150 on [3.9, 4] underflows the step at t = 3.9, after
-    # the rows of [0, 3.9] have been written in blocks
-    blocks = []
-    write_block = dynamics.CsvSink.write_block
+    # the rows of [0, 3.9] have been written
+    written = []
+    write_row = dynamics.CsvSink.__call__
 
-    def counted(self, n):
-        blocks.append(n)
-        write_block(self, n)
-    monkeypatch.setattr(dynamics.CsvSink, "write_block", counted)
+    def counted(self, t, y):
+        write_row(self, t, y)
+        written.append(self.fh.tell())
+    monkeypatch.setattr(dynamics.CsvSink, "__call__", counted)
     out = str(tmp_path / "o")
     ok = write_cfg(tmp_path, "ok.json", SIM_CFG)
     assert main(["--out", out, "simulate", "--config", ok]) == 0
@@ -229,9 +230,9 @@ def test_step_underflow_mid_run_leaves_no_partial_table(tmp_path, monkeypatch,
         SIM_CFG, T=4.0, tol=1e-10, forcing={"1,1": 5.0},
         control={"breakpoints": [0.0, 3.9, 4.0],
                  "values": [[0.0] * 8, [1e150] + [0.0] * 7]}))
-    blocks.clear()
+    written.clear()
     assert main(["--out", out, "simulate", "--config", stiff]) == 3
-    assert len(blocks) >= 2
+    assert len(written) > 64 and written[-1] > len(earlier)
     assert "numerical failure: step underflow at t=3.9" \
         in capsys.readouterr().err
     assert read_json(out, "report.json")["verdict"] == "numerical_failure"
@@ -244,8 +245,8 @@ def test_step_underflow_mid_run_leaves_no_partial_table(tmp_path, monkeypatch,
 def test_simulate_memory_does_not_grow_with_the_horizon(tmp_path):
     # rows are written as they are accepted, so a run 8 times as long
     # peaks higher only by the accepted times and the H norms it keeps,
-    # about 53 bytes a step (allowed: 96), and by at most one 64-row block
-    # of states; holding the states takes 2 x 504 bytes a step at level 6
+    # about 47 bytes a step (allowed: 96, and one 64-row block of states);
+    # holding the states takes 2 x 504 bytes a step at level 6
     cfg = {"geometry": {"a": 1.0, "b": 2.0}, "nu": 0.05, "level": 6,
            "controlled_level": 1, "forcing": {"1,1": 5.0, "2,1": -2.5},
            "u0": {"1,1": 0.5, "2,2": -0.3}, "T": 0.8}
@@ -262,7 +263,7 @@ def test_simulate_memory_does_not_grow_with_the_horizon(tmp_path):
         return peak, read_json(out, "report.json")["steps"]
     run(0.05)  # imports and caches
     (short, n_short), (long, n_long) = run(0.8), run(6.4)
-    # the short run fills its 65-row buffer too
+    # the short run is longer than a 64-row block too
     assert n_short > 65 and n_long > 7 * n_short
     block = 64 * 63 * 8
     assert long - short < block + 96 * (n_long - n_short)
@@ -1019,11 +1020,20 @@ def test_imitate_bad_tol_reported_as_given(tmp_path, capsys):
      "breakpoints must be strictly increasing"),
     ("imitate", dict(IMI_CFG, u0={"9,9": 1.0}),
      "field not supported in mode_set"),
+    # an infinite last breakpoint once exited 4 (IndexError) after a delta
+    # label, and 0 with a zero gap, having integrated nothing, after an e one
+    ("imitate", dict(IMI_CFG, breakpoints=[0.0, 0.1, math.inf],
+                     labels=[["e", [1, 1], 1], ["delta", [[1, 1], [1, 3]], 1]]),
+     "breakpoints must be finite"),
+    ("imitate", dict(IMI_CFG, breakpoints=[0.0, math.inf],
+                     labels=[["e", [1, 1], 1]]),
+     "breakpoints must be finite"),
     ("oracle", dict(ORACLE_CFG, geometries=[[0, 2.0]]),
      "side lengths must be positive"),
 ], ids=["T", "tol", "control_width", "u0_outside", "level_0",
         "fit_horizon_negative", "observed_above_controlled",
         "delta_pair_reversed", "breakpoints_repeated", "imitate_u0_outside",
+        "breakpoint_inf_after_delta", "breakpoint_inf_after_e",
         "oracle_side_0"])
 def test_library_checks_of_the_config_are_config_errors(tmp_path, capsys,
                                                         command, cfg,
@@ -1035,6 +1045,28 @@ def test_library_checks_of_the_config_are_config_errors(tmp_path, capsys,
                  "--config", path]) == 2
     err = capsys.readouterr().err
     assert "config error: " in err and message in err
+
+
+@pytest.mark.parametrize("command, cfg, module, runner", [
+    ("steer", {"experiments": [STEER_GRID_CFG,
+                               dict(STEER_GRID_CFG, radius=-0.1)]},
+     "control", "covering_check"),
+    ("oracle", dict(ORACLE_CFG, geometries=[[1.0, 2.0], [0, 2.0]]),
+     "nonlinearity", "oracle_sweep"),
+], ids=["steer", "oracle"])
+def test_a_bad_later_entry_exits_2_before_the_first_run(
+        tmp_path, monkeypatch, command, cfg, module, runner):
+    # the second experiment or geometry is read, and rejected, before the
+    # first one's covering or sweep runs
+    module = importlib.import_module("galns." + module)
+    calls = []
+    run = getattr(module, runner)
+    monkeypatch.setattr(module, runner,
+                        lambda *a, **kw: calls.append(a) or run(*a, **kw))
+    path = write_cfg(tmp_path, "c.json", cfg)
+    assert main(["--out", str(tmp_path / "o"), command,
+                 "--config", path]) == 2
+    assert calls == []
 
 
 @pytest.mark.parametrize("ndim, value", [

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from galns import dynamics
-from galns.dynamics import (H_BLOCK, POLY_THETA, CsvSink, GalerkinSystem,
+from galns.dynamics import (POLY_THETA, CsvSink, GalerkinSystem,
                             IntegratorStats, PiecewiseConstant,
                             PiecewisePolynomial, Trajectory, adaptive_lawson,
                             integrate, run_manifest)
@@ -383,38 +383,42 @@ def test_h_norm_nonincreasing_unforced():
     for _ in range(5):
         u0 = random_field(rng, K1)
         tr = integrate(sys, u0, None, 0.3, tol=1e-10)
-        hn = tr.h_norms()
+        hn = sys.h_norm(tr.states)
         assert np.all(np.diff(hn) <= 1e-8)
 
 
-def test_h_norms_in_blocks_match_one_product():
-    # blocks of 64 rows, a lone last row joined to the block before it
-    rng = np.random.default_rng(5)
-    sys = make_sys()
-    w = dynamics.h_weights(sys)
-    for n in (1, 2, 63, 64, 65, 128, 129, 200):
-        states = rng.normal(size=(n, sys.dim)) * 10.0 ** rng.uniform(-3, 3)
-        tr = Trajectory(sys, np.arange(n, dtype=float), states,
-                        IntegratorStats())
-        assert np.array_equal(tr.h_norms(), np.sqrt(states ** 2 @ w)), n
+@pytest.mark.parametrize("level", [1, 3, 20])
+def test_h_norm_of_a_stack_matches_each_row(level):
+    # numpy sums each row on its own, so a row's norm has the same bits
+    # alone as in a stack of any height; a states**2 @ w product gives a
+    # lone row other last bits than a 4,097-row stack on 51-60% of rows
+    sys = make_sys(mode_set=tuple(sorted(mode_set_K(level))), controlled=())
+    rng = np.random.default_rng(level)
+    states = rng.normal(size=(4097, sys.dim)) \
+        * 10.0 ** rng.uniform(-3, 3, (4097, 1))
+    each = np.array([sys.h_norm(y) for y in states])
+    for n in (1, 2, 63, 64, 65, 129, 4097):
+        assert sys.h_norm(states[:n]).tobytes() == each[:n].tobytes(), n
+        assert sys.h_norm(states[-n:]).tobytes() == each[-n:].tobytes(), n
+    want = [sys.to_field(y).norm("H") for y in states]
+    np.testing.assert_allclose(each, want, rtol=1e-14, atol=0)
 
 
 # the H norms of 4,097 random K^20 states, as the hex of their bytes
 H_NORMS_K20 = """
 import numpy as np
-from galns.dynamics import GalerkinSystem, IntegratorStats, Trajectory
+from galns.dynamics import GalerkinSystem
 from galns.spectral import RectGeometry, SpectralField, mode_set_K
 g = RectGeometry(1.0, 2.0)
 s = GalerkinSystem(g, 1.0, SpectralField(g, {}), mode_set_K(20), ())
 states = np.random.default_rng(3).normal(size=(4097, s.dim))
-print(Trajectory(s, np.arange(4097.0), states, IntegratorStats())
-      .h_norms().tobytes().hex())
+print(s.h_norm(states).tobytes().hex())
 """
 
 
 def test_h_norms_independent_of_blas_threads():
     # one states**2 @ w product over these rows differs in the last bit
-    # between one and two OpenBLAS threads; the 64-row blocks do not
+    # between one and two OpenBLAS threads; h_norm uses no BLAS
     src = os.path.dirname(os.path.dirname(os.path.abspath(dynamics.__file__)))
     norms = [subprocess.run([_sys.executable, "-c", H_NORMS_K20],
                             capture_output=True, text=True, check=True,
@@ -436,7 +440,7 @@ def test_energy_estimate_forced_runs():
         vals = rng.normal(size=(3, len(K1)))
         ctl = PiecewiseConstant(bps, vals)
         tr = integrate(sys, u0, ctl, 0.4, tol=1e-10)
-        hn = tr.h_norms()
+        hn = sys.h_norm(tr.states)
         # the integrand is piecewise constant in time: accumulate exactly
         fv2 = []
         for i in range(3):
@@ -459,7 +463,7 @@ def test_energy_estimate_single_forced_mode():
     F = SpectralField(G, {(1, 1): f})
     sys = GalerkinSystem(G, nu, F, [(1, 1)], [])
     tr = integrate(sys, SpectralField(G, {}), None, 0.2, tol=1e-10)
-    h2 = tr.h_norms() ** 2
+    h2 = sys.h_norm(tr.states) ** 2
     assert np.all(h2 <= tr.times / nu * F.norm("V'") ** 2 + 1e-12)
     too_small = G.a * G.b / 4 * f**2 / -kbar((1, 1), G)
     assert np.any(h2 > tr.times / nu * too_small)
@@ -647,25 +651,25 @@ def test_write_csv_matches_csv_module(tmp_path):
 
 @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 128, 129, 130])
 def test_csv_sink_streams_write_csv_and_h_norms(tmp_path, n):
-    # rows streamed H_BLOCK at a time, with np.float64 times as a run gives
-    # them, are the held trajectory's table and H norms, bit for bit
+    # rows streamed one at a time, with np.float64 times as a run gives
+    # them, are the held trajectory's table, written as each row comes, and
+    # the H norms of its states, bit for bit
     rng = np.random.default_rng(n)
     sys = make_sys()
     times = np.cumsum(rng.uniform(size=n))
     states = rng.normal(size=(n, sys.dim)) * 10.0 ** rng.uniform(-3, 3, (n, 1))
     tr = Trajectory(sys, times, states, IntegratorStats())
     tr.write_csv(tmp_path / "held.csv")
-    held = []
+    ends = []
     with open(tmp_path / "streamed.csv", "w", newline="") as fh:
         sink = CsvSink(sys, fh)
         for t, y in zip(times, states):
             sink(t, y.copy())
-            held.append(len(sink.states))
-        sink.close()
-    assert max(held) == min(n, H_BLOCK + 1) and sink.states == []
+            ends.append(fh.tell())
+    assert len(set(ends)) == n
     assert (tmp_path / "streamed.csv").read_bytes() \
         == (tmp_path / "held.csv").read_bytes()
-    assert np.concatenate(sink.norms).tobytes() == tr.h_norms().tobytes()
+    assert np.asarray(sink.norms).tobytes() == sys.h_norm(states).tobytes()
 
 
 def test_integrate_gives_each_accepted_row_to_a_sink():
@@ -743,6 +747,17 @@ def test_adaptive_lawson_result_starts_with_times():
     assert seen[-1][1] is run.end
 
 
+@pytest.mark.parametrize("t1", [math.inf, 0.2, 0.1, math.nan])
+def test_adaptive_lawson_rejects_an_empty_or_infinite_span(t1):
+    # t1 = inf once made the run's end nan: it took no step and returned y0
+    # as the end state without a word, as t1 <= t0 did
+    sys = make_sys()
+    y0 = sys.to_vector(SpectralField(G, {(1, 1): 0.5}))
+    with pytest.raises(ValueError, match="need t0 < t1 at a finite distance"):
+        adaptive_lawson(sys.lam, lambda z, t: sys.quadratic_vec(z), y0,
+                        0.2, t1, 1e-8)
+
+
 @pytest.mark.parametrize("span", [4e-5, 3e-4, 3e-3])
 def test_short_late_span_takes_no_roundoff_step(span):
     # eight steps of span/8 from t0 ~ 0.2 can sum to an ulp of t1 short of
@@ -769,7 +784,7 @@ def test_non_finite_trial_step_shrinks_the_step(T):
     assert tr.times[-1] == pytest.approx(T, rel=1e-12)
     assert np.all(np.isfinite(tr.states))
     assert tr.stats.rejected_steps >= 1
-    hn = tr.h_norms()
+    hn = sys.h_norm(tr.states)
     assert hn[-1] < hn[0]
 
 
